@@ -13,10 +13,17 @@ collected; the first one becomes the primary category:
                    the loan threshold of a loanword standard
 5. SPACING         the token splits into two or more analyzable words
 6. DEVIANT_SPELLING deviant-ending grammar matches a suffix, or the token
-                   is within the deviant threshold of an analyzable form
+                   is within the deviant threshold of a candidate form
 
 Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 (SPACING) is stronger evidence than a one-jamo edit (DEVIANT_SPELLING).
+
+The deviant candidate forms are the dictionary letters of N, N JOSA,
+N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER (exactly one
+JOSA or EOMI) recomposed with compose_letters.  No per-lexicon list of
+them is built: the search walks the lexicon's letter trie with one
+Levenshtein row against the token and drops every branch that is
+already more than ``Thresholds.deviant`` jamo edits away.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import compose_letters, distance_key, fold_letters, key_distance
+from .hangul import (COMPOSE_START, MEDIAL_LETTERS, compose_key_step, compose_letters,
+                     distance_key, fold_letters, prefix_distances)
 from .lexicon import DictEntry, Lexicon, Pos, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -101,54 +109,14 @@ class Resources:
             cat = tag_category(f.tag)
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
-        self._deviant_candidates: list[tuple[tuple, str]] | None = None
         self._loan_keys = [distance_key(e.surface) for e in self.loan_entries]
+        self.deviant_search = _DeviantSearch(self.lexicon)
 
     def grammars_for(self, cat: Category) -> list[Fst]:
         return self._by_category.get(cat, [])
 
     def loan_keys(self) -> list[tuple]:
         return self._loan_keys
-
-    def deviant_candidates(self) -> list[tuple[tuple, str]]:
-        """(distance key, composed form) for every analyzable one- or
-        two-morpheme form the lexicon can produce; the fuzzy deviant
-        detector measures edit distance against these."""
-        if self._deviant_candidates is None:
-            by_pos: dict[Pos, list[tuple]] = {}
-            for e in self.lexicon.entries:
-                by_pos.setdefault(e.pos, []).append(fold_letters(e.surface))
-
-            forms: dict[str, tuple] = {}
-
-            def add(*keys: tuple):
-                letters = sum(keys, ())
-                form = compose_letters(letters)
-                if form not in forms:
-                    # composed output of pure syllables folds back to the
-                    # same letters, so the distance key is direct; forms
-                    # with leftover standalone letters take the slow path
-                    if all("가" <= ch <= "힣" for ch in form):
-                        forms[form] = tuple(("jamo", l) for l in letters)
-                    else:
-                        forms[form] = distance_key(form)
-
-            for n in by_pos.get(Pos.N, ()):
-                add(n)
-                for j in by_pos.get(Pos.JOSA, ()):
-                    add(n, j)
-                for x in by_pos.get(Pos.XSV, ()):
-                    for eo in by_pos.get(Pos.EOMI, ()):
-                        add(n, x, eo)
-            for pos in (Pos.V, Pos.ADJ):
-                for v in by_pos.get(pos, ()):
-                    for eo in by_pos.get(Pos.EOMI, ()):
-                        add(v, eo)
-            for pos in (Pos.ADV, Pos.DET, Pos.INTERJ, Pos.PROPER):
-                for e in by_pos.get(pos, ()):
-                    add(e)
-            self._deviant_candidates = [(k, f) for f, k in forms.items()]
-        return self._deviant_candidates
 
 
 def _word_analyzable(word: str, lexicon: Lexicon) -> bool:
@@ -292,18 +260,24 @@ def _detect_loanword(view: _TokenView, res: Resources):
         sug = _splice(view.chars, 0, end_char, got[1], view.lexicon)
         return Candidate(Category.LOANWORD_VARIANT, f"grammar:{got[2].name}"), sug
 
+    return _loanword_by_distance(view, res)
+
+
+def _loanword_by_distance(view: _TokenView, res: Resources):
+    """Loan entry nearest to a token prefix, ranked by (distance, -prefix
+    chars, entry order) within the loan threshold; one DP per entry gives
+    the distances of all char-aligned prefixes."""
     limit = res.thresholds.loan
     token_key = distance_key(view.chars)
     starts = view.char_start_units()
+    ends = [starts[n] if n < len(starts) else len(token_key)
+            for n in range(1, len(view.chars) + 1)]
     best = None  # (distance, -prefix_chars, entry_order) -> suggestion parts
-    for order, entry in enumerate(res.loan_entries):
-        entry_key = res.loan_keys()[order]
-        for n_chars in range(1, len(view.chars) + 1):
-            end_unit = starts[n_chars] if n_chars < len(starts) else len(token_key)
-            prefix_key = token_key[:end_unit]
-            d = key_distance(prefix_key, entry_key, cap=limit)
-            if d <= limit:
-                rank = (d, -n_chars, order)
+    for order, (entry, entry_key) in enumerate(zip(res.loan_entries, res.loan_keys())):
+        dists = prefix_distances(token_key, entry_key, limit)
+        for n_chars, end_unit in enumerate(ends, 1):
+            if end_unit < len(dists) and dists[end_unit] <= limit:
+                rank = (dists[end_unit], -n_chars, order)
                 if best is None or rank < best[0]:
                     best = (rank, entry, n_chars)
     if best is not None:
@@ -359,26 +333,148 @@ def _detect_deviant(view: _TokenView, res: Resources):
             return Candidate(Category.DEVIANT_SPELLING,
                              f"grammar:{got[2].name}"), sug
 
-    limit = res.thresholds.deviant
-    token_key = distance_key(view.chars)
-    best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-    for key, form in res.deviant_candidates():
-        if abs(len(key) - len(token_key)) > limit:
-            continue
-        d = key_distance(token_key, key, cap=limit)
-        if d > limit:
-            continue
-        shared = 0
-        for a, b in zip(token_key, key):
-            if a != b:
-                break
-            shared += 1
-        rank = (d, -shared, form)
-        if best is None or rank < best:
-            best = rank
-    if best is not None:
-        return Candidate(Category.DEVIANT_SPELLING, f"distance:{best[0]}"), best[2]
-    return None
+    return _deviant_by_distance(view, res)
+
+
+# The deviant candidate language: from each state, the part of speech of
+# the next morpheme and the state it leads to.  Its forms are N, N JOSA,
+# N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ and PROPER, i.e. exactly
+# one JOSA or EOMI, not the JOSA*/EOMI+ of the analyzability rules.
+_DEVIANT_STEPS: dict[str, dict[Pos, str]] = {
+    "start": {Pos.N: "noun", Pos.V: "stem", Pos.ADJ: "stem", Pos.ADV: "end",
+              Pos.DET: "end", Pos.INTERJ: "end", Pos.PROPER: "end"},
+    "noun": {Pos.JOSA: "end", Pos.XSV: "stem"},
+    "stem": {Pos.EOMI: "end"},
+    "end": {},
+}
+_DEVIANT_FINAL = frozenset({"noun", "end"})
+_VOWELS = frozenset(MEDIAL_LETTERS)
+_FAR = 1 << 30  # stands for any distance beyond the band
+
+
+class _DeviantSearch:
+    """Nearest form of the deviant candidate language to a token, found by
+    a bounded walk of the lexicon's letter trie; no form list is built.
+
+    For each language state that takes another morpheme, ``moves`` maps a
+    trie node to the states its entries lead to, its children whose
+    subtree ends an entry of a part of speech that state takes, and the
+    look-aheads (is the next letter a vowel?) its last letter needs.
+    """
+
+    def __init__(self, lexicon: Lexicon):
+        self.root = lexicon.trie_root
+        nodes = []  # preorder, so reversed() sees children before parents
+        stack = [(self.root, 0)]
+        depth = 0
+        while stack:
+            node, d = stack.pop()
+            nodes.append(node)
+            depth = max(depth, d)
+            stack.extend((child, d + 1) for child in node.children.values())
+        # letters in the longest form; the language is acyclic, so a form
+        # has fewer morphemes than the language has states
+        self.max_letters = (len(_DEVIANT_STEPS) - 1) * depth
+        self.moves: dict[str, dict] = {}
+        for lang, steps in _DEVIANT_STEPS.items():
+            if not steps:
+                continue
+            moves = self.moves[lang] = {}
+            for node in reversed(nodes):
+                targets = tuple(sorted({steps[e.pos] for e in node.entries if e.pos in steps}))
+                kids = tuple((letter, child, letter in _VOWELS)
+                             for letter, child in node.children.items() if child in moves)
+                if targets or kids:
+                    ahead = {False} if targets else set()
+                    moves[node] = (targets, kids, tuple(ahead | {v for _, _, v in kids}))
+
+    def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
+        """(distance, form) of the form whose composed distance key is
+        nearest to ``token_key`` within ``limit`` edits; ties go to the
+        longer shared key prefix, then to the smaller form.
+
+        A depth-first walk that jumps back to the trie root at a morpheme
+        end allowed by _DEVIANT_STEPS.  It carries one Levenshtein row
+        against the token key, banded to the cells that can hold a distance
+        within the limit, and drops a branch once the row's
+        minimum exceeds the best distance found so far.  A letter's unit
+        depends on the letter after it (compose_key_step), so each frame
+        holds its last letter pending until the next one is known.
+        """
+        if limit < 0 or self.root not in self.moves["start"]:
+            return None
+        m = len(token_key)
+        # no distance exceeds m + max_letters, so a wider band adds nothing
+        band = min(limit, m + self.max_letters)
+        width = 2 * band + 1
+
+        def push(prev: list[int], k: int, unit: tuple) -> list[int]:
+            """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
+            cur = []
+            left = _FAR
+            for t in range(width):
+                j = k - band + t
+                if j < 0 or j > m:
+                    v = _FAR
+                elif j == 0:
+                    v = k
+                else:
+                    v = prev[t] + (unit != token_key[j - 1])
+                    if t + 1 < width and prev[t + 1] + 1 < v:
+                        v = prev[t + 1] + 1
+                    if left + 1 < v:
+                        v = left + 1
+                cur.append(v)
+                left = v
+            return cur
+
+        best = None  # (distance, -shared_prefix, form): deviance keeps the onset
+        bound = band
+        row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
+        # frame: trie node, language state, compose state before the pending
+        # letter, pending letter, row over the k settled units and its
+        # minimum, k, shared prefix of the settled units and the token key,
+        # letters including the pending one
+        stack = [(child, "start", COMPOSE_START, letter, row0, 0, 0, 0, letter)
+                 for letter, child, _ in self.moves["start"][self.root][1]]
+        while stack:
+            node, lang, state, pending, row, low, k, shared, letters = stack.pop()
+            if low > bound:
+                continue
+            targets, kids, lookaheads = self.moves[lang][node]
+            settled = [None, None]  # by whether the next letter is a vowel
+            for next_is_vowel in lookaheads:
+                state2, unit = compose_key_step(state, pending, next_is_vowel)
+                row2 = push(row, k + 1, unit)
+                shared2 = shared + 1 if shared == k < m and unit == token_key[k] else shared
+                settled[next_is_vowel] = (state2, row2, min(row2), shared2)
+            for lang2 in targets:
+                if lang2 in _DEVIANT_FINAL:
+                    _, row2, _, shared2 = settled[False]
+                    t = m - (k + 1) + band
+                    if 0 <= t < width and row2[t] <= bound:
+                        rank = (row2[t], -shared2, compose_letters(letters))
+                        if best is None or rank < best:
+                            best = rank
+                            bound = rank[0]
+                if self.root in self.moves.get(lang2, ()):
+                    stack.append((self.root, lang2, state, pending, row, low, k, shared,
+                                  letters))
+            for letter, child, next_is_vowel in kids:
+                state2, row2, low2, shared2 = settled[next_is_vowel]
+                if low2 <= bound:
+                    stack.append((child, lang, state2, letter, row2, low2, k + 1, shared2,
+                                  letters + letter))
+        if best is None:
+            return None
+        return best[0], best[2]
+
+
+def _deviant_by_distance(view: _TokenView, res: Resources):
+    got = res.deviant_search.nearest(distance_key(view.chars), res.thresholds.deviant)
+    if got is None:
+        return None
+    return Candidate(Category.DEVIANT_SPELLING, f"distance:{got[0]}"), got[1]
 
 
 _DETECTORS = (

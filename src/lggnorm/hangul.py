@@ -295,6 +295,24 @@ def jamo_edit_distance(a: str, b: str) -> int:
     return key_distance(distance_key(a), distance_key(b))
 
 
+def prefix_distances(ka: tuple, kb: tuple, cap: int) -> list[int]:
+    """Levenshtein distance from every prefix of ``ka`` to ``kb`` in one DP
+    with a row per unit of ``ka``: entry i is the distance of ka[:i].  The
+    list stops after the first row whose minimum exceeds ``cap``, because
+    no longer prefix comes within ``cap`` after it."""
+    row = list(range(len(kb) + 1))
+    out = [row[-1]]
+    for ua in ka:
+        if min(row) > cap:
+            break
+        cur = [row[0] + 1]
+        for j, ub in enumerate(kb, 1):
+            cur.append(min(row[j] + 1, cur[j - 1] + 1, row[j - 1] + (ua != ub)))
+        row = cur
+        out.append(row[-1])
+    return out
+
+
 def fold_letters(s: str) -> tuple[str, ...]:
     """Letter-level key for dictionary lookup: positional and compat jamo
     with the same letter fold together, other characters stay themselves."""
@@ -331,6 +349,31 @@ def compose_letters(letters: Iterable[str]) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+# compose_letters' greedy state before a letter: outside a syllable, just
+# after a syllable's initial, just after its medial.
+COMPOSE_START, _AFTER_INITIAL, _AFTER_MEDIAL = 0, 1, 2
+
+
+def compose_key_step(state: int, letter: str, next_is_vowel: bool) -> tuple[int, tuple]:
+    """compose_letters one letter at a time, with one letter of look-ahead.
+
+    ``state`` is COMPOSE_START before the first letter; ``next_is_vowel``
+    says whether the following letter is a medial vowel (False at the
+    end).  Returns the state after ``letter`` and the distance_key unit the
+    letter gets in the composed text: ("jamo", letter) when it joins a
+    syllable, the unit of a lone character when it is left standalone.
+    Stepping through a letter sequence this way yields
+    distance_key(compose_letters(letters)) without composing it.
+    """
+    if state == _AFTER_INITIAL:
+        return _AFTER_MEDIAL, ("jamo", letter)
+    if state == _AFTER_MEDIAL and letter in _FINAL_BY_LETTER and not next_is_vowel:
+        return COMPOSE_START, ("jamo", letter)
+    if letter in _INITIAL_BY_LETTER and next_is_vowel:
+        return _AFTER_INITIAL, ("jamo", letter)
+    return COMPOSE_START, ("compat", letter) if is_compat_jamo(letter) else ("char", letter)
 
 
 def iter_all_syllables() -> Iterable[str]:

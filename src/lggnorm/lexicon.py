@@ -188,6 +188,12 @@ class Lexicon:
     def entries(self) -> tuple[DictEntry, ...]:
         return tuple(self._entries)
 
+    @property
+    def trie_root(self) -> _TrieNode:
+        """Root of the letter trie (``children`` by letter, ``entries``
+        ending at the node); read-only for callers."""
+        return self._root
+
     def lookup(self, surface: str) -> list[DictEntry]:
         node = self._root
         for letter in fold_letters(surface):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
+from lggnorm.apply import TextIndex
+from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.fst import text_to_symbols
 from lggnorm.grammar import BoxKind, GraphIR, LabelKind, parse_graph
-from lggnorm.hangul import Jamo, to_jamo_seq
-from lggnorm.lexicon import Lexicon, analyze_token
-from lggnorm.tokenizer import TokenClass, tokenize
+from lggnorm.hangul import (Jamo, compose_letters, distance_key, fold_letters, key_distance,
+                            to_jamo_seq)
+from lggnorm.lexicon import Lexicon, Pos, analyze_token
+from lggnorm.tokenizer import Token, TokenClass, tokenize
 
 
 def brute_levenshtein(a: tuple, b: tuple) -> int:
@@ -231,3 +235,80 @@ class BruteMatcher:
             while i < len(positions) and positions[i] < best[1]:
                 i += 1
         return chosen
+
+
+# ------------------------------------------------- classifier fuzzy scans
+
+# Morpheme shapes of the deviant candidate language: exactly one JOSA or EOMI.
+DEVIANT_SHAPES = (
+    (Pos.N,), (Pos.N, Pos.JOSA), (Pos.N, Pos.XSV, Pos.EOMI), (Pos.V, Pos.EOMI),
+    (Pos.ADJ, Pos.EOMI), (Pos.ADV,), (Pos.DET,), (Pos.INTERJ,), (Pos.PROPER,),
+)
+
+
+@lru_cache(maxsize=None)
+def deviant_forms(lexicon: Lexicon) -> list[tuple[tuple, str]]:
+    """(distance key, composed form) of every form of the deviant
+    candidate language, materialised as the full cross product of
+    DEVIANT_SHAPES over the lexicon's entries."""
+    by_pos: dict[Pos, list[tuple]] = {}
+    for e in lexicon.entries:
+        by_pos.setdefault(e.pos, []).append(fold_letters(e.surface))
+    forms: dict[str, tuple] = {}
+    for shape in DEVIANT_SHAPES:
+        for keys in itertools.product(*(by_pos.get(pos, ()) for pos in shape)):
+            form = compose_letters(sum(keys, ()))
+            if form not in forms:
+                forms[form] = distance_key(form)
+    return [(k, f) for f, k in forms.items()]
+
+
+def brute_deviant_best(token: Token, res: Resources):
+    """Linear scan of deviant_forms: the nearest form within the deviant
+    threshold, ranked by (distance, -shared key prefix, form), as
+    (Candidate, suggestion) or None."""
+    limit = res.thresholds.deviant
+    token_key = distance_key(token.surface)
+    best = None
+    for key, form in deviant_forms(res.lexicon):
+        if abs(len(key) - len(token_key)) > limit:
+            continue
+        d = key_distance(token_key, key, cap=limit)
+        if d > limit:
+            continue
+        shared = 0
+        for a, b in zip(token_key, key):
+            if a != b:
+                break
+            shared += 1
+        rank = (d, -shared, form)
+        if best is None or rank < best:
+            best = rank
+    if best is None:
+        return None
+    return Candidate(Category.DEVIANT_SPELLING, f"distance:{best[0]}"), best[2]
+
+
+def brute_loan_best(token: Token, res: Resources):
+    """Capped key_distance of every (loan entry, token prefix) pair: the
+    entry within the loan threshold ranked by (distance, -prefix chars,
+    entry order), as (Candidate, suggestion) or None."""
+    limit = res.thresholds.loan
+    chars = token.surface
+    token_key = distance_key(chars)
+    starts = TextIndex(chars).char_start_unit
+    best = None
+    for order, entry in enumerate(res.loan_entries):
+        entry_key = distance_key(entry.surface)
+        for n_chars in range(1, len(chars) + 1):
+            end_unit = starts[n_chars] if n_chars < len(starts) else len(token_key)
+            d = key_distance(token_key[:end_unit], entry_key, cap=limit)
+            if d <= limit:
+                rank = (d, -n_chars, order)
+                if best is None or rank < best[0]:
+                    best = (rank, entry, n_chars)
+    if best is None:
+        return None
+    _, entry, n_chars = best
+    sug = _splice(chars, 0, n_chars, entry.surface, res.lexicon)
+    return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug

@@ -1,12 +1,28 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lggnorm.classify import (
     Category,
     PreconditionViolated,
+    Thresholds,
+    _deviant_by_distance,
+    _loanword_by_distance,
+    _TokenView,
     classify_corpus,
     classify_token,
 )
-from lggnorm.tokenizer import tokenize
+from lggnorm.hangul import (
+    FINAL_LETTERS,
+    INITIAL_LETTERS,
+    MEDIAL_LETTERS,
+    compose_letters,
+    fold_letters,
+)
+from lggnorm.tokenizer import Token, TokenClass, tokenize
+from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best
 
 
 def tok(s):
@@ -49,6 +65,14 @@ def test_loanword_fuzzy_fallback(classifier_resources):
     assert r.candidates[0].evidence.startswith("distance:")
 
 
+def test_loanword_fuzzy_tie_goes_to_longer_prefix(classifier_resources):
+    # prefixes 컴퓨 and 컴퓨다 are both two edits from 컴퓨터; the longer one
+    # is replaced
+    r = classify("컴퓨다", classifier_resources)
+    assert r.primary is Category.LOANWORD_VARIANT
+    assert r.suggestion == "컴퓨터"
+
+
 def test_neologism(classifier_resources):
     r = classify("짱", classifier_resources)
     assert r.primary is Category.NEOLOGISM and r.suggestion == "진짜"
@@ -71,6 +95,33 @@ def test_deviant_fuzzy(classifier_resources):
     r = classify("조아요", classifier_resources)
     assert r.primary is Category.DEVIANT_SPELLING
     assert r.suggestion == "좋아요"
+
+
+@pytest.mark.parametrize("surface, suggestion", [
+    # 영화 + 했 + ㅂ니다 composes with a leftover standalone ㅂ, which costs
+    # one edit against any syllable-only token
+    ("영화했니다", "영화했ㅂ니다"),
+    # 재미 + 해 + ㄴ다: the ending's consonant becomes the stem's final
+    ("재미해니다", "재미핸다"),
+    # 증가로 and 증가과 are both one edit away and 증가과 sorts first, but
+    # 증가로 shares one more unit of the token's onset
+    ("증가롸", "증가로"),
+])
+def test_deviant_fuzzy_candidate_forms(classifier_resources, surface, suggestion):
+    r = classify(surface, classifier_resources)
+    assert r.primary is Category.DEVIANT_SPELLING
+    assert r.candidates[0].evidence == "distance:1"
+    assert r.suggestion == suggestion
+
+
+@pytest.mark.parametrize("limit, primary, suggestion", [
+    (0, Category.UNKNOWN, None),
+    (2, Category.DEVIANT_SPELLING, "좋아요"),
+])
+def test_deviant_threshold(classifier_resources, limit, primary, suggestion):
+    res = replace(classifier_resources, thresholds=Thresholds(deviant=limit))
+    r = classify("조아요", res)
+    assert r.primary is primary and r.suggestion == suggestion
 
 
 def test_abbreviation_from_dictionary(classifier_resources):
@@ -145,3 +196,59 @@ def test_gold_corpus_agreement(classifier_resources, informal_text, gold_rows):
         category, suggestion = gold_rows[r.token.surface]
         assert r.primary.value == category, r.token.surface
         assert (r.suggestion or "") == suggestion, r.token.surface
+
+
+# ------------------------------------------- fuzzy searches against oracles
+
+EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
+HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
+
+
+def assert_searches_match_oracles(surface, res, limit):
+    res = replace(res, thresholds=Thresholds(loan=limit, deviant=limit))
+    token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+    view = _TokenView(token, res.lexicon)
+    assert _deviant_by_distance(view, res) == brute_deviant_best(token, res)
+    assert _loanword_by_distance(view, res) == brute_loan_best(token, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), limit=st.sampled_from([0, 1, 2]))
+def test_searches_match_oracles_on_edited_forms(classifier_resources, data, limit):
+    by_pos = {}
+    for e in classifier_resources.lexicon.entries:
+        by_pos.setdefault(e.pos, []).append(e.surface)
+    letters = []
+    for pos in data.draw(st.sampled_from(DEVIANT_SHAPES)):
+        letters += fold_letters(data.draw(st.sampled_from(by_pos[pos])))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(letters)))
+        op = data.draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op == "insert":
+            letters.insert(i, data.draw(st.sampled_from(EDIT_LETTERS)))
+        elif i < len(letters):
+            if op == "delete":
+                del letters[i]
+            else:
+                letters[i] = data.draw(st.sampled_from(EDIT_LETTERS))
+    surface = compose_letters(letters)
+    if surface:
+        assert_searches_match_oracles(surface, classifier_resources, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), limit=st.sampled_from([0, 1, 2]))
+def test_searches_match_oracles_on_random_syllables(classifier_resources, data, limit):
+    lexicon_syllables = sorted({ch for e in classifier_resources.lexicon.entries
+                                for ch in e.surface if "가" <= ch <= "힣"})
+    syllable = st.one_of(st.sampled_from(lexicon_syllables), HANGUL_SYLLABLES)
+    surface = "".join(data.draw(st.lists(syllable, min_size=1, max_size=8)))
+    assert_searches_match_oracles(surface, classifier_resources, limit)
+
+
+@pytest.mark.parametrize("surface", ["쀍", "ㅋ"])
+def test_searches_match_oracles_for_huge_thresholds(classifier_resources, surface):
+    # the band is capped at what any distance can reach, not 2*limit+1
+    # wide; the nearest form to ㅋ is more edits away than ㅋ is long
+    for limit in (10, 10**12):
+        assert_searches_match_oracles(surface, classifier_resources, limit)

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.hangul import (
+    COMPOSE_START,
+    FINAL_LETTERS,
+    INITIAL_LETTERS,
+    MEDIAL_LETTERS,
     IndexOutOfRange,
     InvalidJamoGrouping,
     Jamo,
@@ -13,9 +17,11 @@ from lggnorm.hangul import (
     JamoSeq,
     NotHangulSyllable,
     compat,
+    compose_key_step,
     compose_letters,
     compose_syllable,
     decompose_syllable,
+    distance_key,
     final,
     fold_letters,
     from_jamo_seq,
@@ -23,6 +29,7 @@ from lggnorm.hangul import (
     iter_all_syllables,
     jamo_edit_distance,
     medial,
+    prefix_distances,
     to_jamo_seq,
 )
 from oracles import brute_levenshtein
@@ -174,3 +181,30 @@ def test_compose_letters_joins_sub_syllabic_endings():
     assert compose_letters(fold_letters("하") + fold_letters("ㅂ니다")) == "합니다"
     assert compose_letters(fold_letters("색깔") + fold_letters("이")) == "색깔이"
     assert compose_letters(list("abc")) == "abc"
+
+
+LETTER_SEQS = st.lists(st.sampled_from(list(INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS + "a1")),
+                       max_size=12)
+
+
+@given(LETTER_SEQS)
+def test_compose_key_step_yields_composed_distance_key(letters):
+    state, key = COMPOSE_START, []
+    for i, letter in enumerate(letters):
+        nxt = letters[i + 1] if i + 1 < len(letters) else ""
+        state, unit = compose_key_step(state, letter, nxt != "" and nxt in MEDIAL_LETTERS)
+        key.append(unit)
+    assert tuple(key) == distance_key(compose_letters(letters))
+
+
+@given(st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),
+       st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),
+       st.integers(0, 3))
+def test_prefix_distances_match_levenshtein(a, b, cap):
+    ka, kb = distance_key(a), distance_key(b)
+    dists = prefix_distances(ka, kb, cap)
+    for i in range(len(ka) + 1):
+        if i < len(dists):
+            assert dists[i] == brute_levenshtein(ka[:i], kb)
+        else:
+            assert brute_levenshtein(ka[:i], kb) > cap
