@@ -5,7 +5,7 @@ from .apply import Anchor, ApplyConfig, Match, Mode, find_matches, normalize, tr
 from .classify import (Category, ClassificationResult, Resources, Thresholds,
                        classify_corpus, classify_token)
 from .concord import ConcordLine, ConcordSort, build_concordance
-from .fst import Fst, compile_graph, enumerate_paths
+from .fst import Fst, compile_graph
 from .grammar import GraphIR, parse_graph, parse_graph_library, print_graph, validate
 from .hangul import (JamoSeq, compose_syllable, decompose_syllable, from_jamo_seq,
                      jamo_edit_distance, to_jamo_seq)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
-from .hangul import Jamo, to_jamo_seq
+from .hangul import jamo_units, unit_offsets
 from .lexicon import Lexicon, analyze_token
-from .tokenizer import Token, TokenClass, TokenStream, tokenize
+from .tokenizer import Token, TokenClass, TokenStream, byte_offsets, tokenize
 
 
 class Mode(enum.Enum):
@@ -47,10 +48,6 @@ class ApplyConfig:
     grammar_priority: tuple[str, ...] = ()
 
 
-def unit_symbol(unit) -> str:
-    return unit.char if isinstance(unit, Jamo) else unit
-
-
 class TextIndex:
     """Jamo units of a text plus the unit/char/byte/token cross-references."""
 
@@ -59,40 +56,29 @@ class TextIndex:
         self.text = text
         self.lexicon = lexicon
         self.stream = stream if stream is not None else tokenize(text)
-        seq = to_jamo_seq(text)
-        self.units = seq.units
-        self.symbols = tuple(unit_symbol(u) for u in self.units)
-        unit_chars = seq.char_index_of_unit()
-        self.unit_chars = unit_chars
-
-        self.char_start_unit: list[int] = []
-        for i, c in enumerate(unit_chars):
-            if c == len(self.char_start_unit):
-                self.char_start_unit.append(i)
-        n_chars = len(self.char_start_unit)
-        self.char_aligned = {len(self.units)}
-        self.char_aligned.update(self.char_start_unit)
-
-        self.byte_of_char = [0] * (n_chars + 1)
-        for i, ch in enumerate(text):
-            self.byte_of_char[i + 1] = self.byte_of_char[i] + len(ch.encode("utf-8"))
-        char_of_byte = {b: i for i, b in enumerate(self.byte_of_char)}
+        self.units = jamo_units(text)
+        # unit and byte offset of each character, then the totals
+        self.char_start_unit = unit_offsets(text)
+        self.byte_of_char = byte_offsets(text)
+        self.char_aligned = set(self.char_start_unit)
 
         self.token_at_unit: dict[int, Token] = {}
         self.token_end_unit: dict[int, int] = {}
         for tok in self.stream:
-            start_char = char_of_byte[tok.start]
-            end_char = start_char + len(tok.surface)
+            start_char = bisect_left(self.byte_of_char, tok.start)
             u = self.char_start_unit[start_char]
             self.token_at_unit[u] = tok
-            self.token_end_unit[u] = (self.char_start_unit[end_char]
-                                      if end_char < n_chars else len(self.units))
+            self.token_end_unit[u] = self.char_start_unit[start_char + len(tok.surface)]
         self._single_pos: dict[int, frozenset[str]] = {}
+
+    def char_of_unit(self, unit: int) -> int:
+        """Index of the character a unit belongs to; len(text) past the end."""
+        return bisect_right(self.char_start_unit, unit) - 1
 
     def scan_positions(self, anchor: Anchor) -> list[int]:
         if anchor is Anchor.TOKEN_START:
             return sorted(self.token_at_unit)
-        return list(self.char_start_unit)
+        return self.char_start_unit[:-1]
 
     def single_pos(self, unit: int) -> frozenset[str]:
         """POS names under which the token starting here is one bare word."""
@@ -110,46 +96,61 @@ class TextIndex:
         """Unit index after consuming one transition symbol, or None."""
         if unit >= len(self.units):
             return None
+        if not is_sentinel(symbol):
+            return unit + 1 if self.units[unit] == symbol else None
         if symbol == TOKEN_BOUNDARY:
-            u = self.units[unit]
-            return unit + 1 if isinstance(u, str) and u.isspace() else None
-        if is_sentinel(symbol):
-            if symbol[1:-1] in self.single_pos(unit):
-                return self.token_end_unit[unit]
-            return None
-        return unit + 1 if self.symbols[unit] == symbol else None
+            return unit + 1 if self.units[unit].isspace() else None
+        if symbol[1:-1] in self.single_pos(unit):
+            return self.token_end_unit[unit]
+        return None
 
 
-def run_from(fst: Fst, index: TextIndex, start_unit: int,
-             arcs: dict | None = None) -> tuple[int, str] | None:
+def run_from(fst: Fst, index: TextIndex, start_unit: int) -> tuple[int, str] | None:
     """Longest accept of ``fst`` starting at a unit; ties resolved by the
     transducer's transition order.  Accepts only at character boundaries.
     Returns (end unit, output) or None."""
-    adj = arcs if arcs is not None else fst.arcs_from()
-    memo: dict[tuple[int, int], tuple[int, str] | None] = {}
-
-    def best(state: int, unit: int) -> tuple[int, str] | None:
-        key = (state, unit)
-        if key in memo:
-            return memo[key]
-        result: tuple[int, str] | None = None
-        fo = fst.final_outputs.get(state)
-        if fo is not None and unit in index.char_aligned:
-            result = (unit, fo[0])
-        for _, sym, out, dst in adj.get(state, ()):
-            nxt = index.consume(sym, unit)
-            if nxt is None:
+    best: dict[tuple[int, int], tuple[int, str] | None] = {}
+    # Depth-first over (state, unit) pairs with an explicit stack: a pair
+    # is pushed once to expand its steps and settled when popped again,
+    # after every pair its steps lead to.  Every step consumes a unit, so
+    # no pair leads back to itself.
+    stack: list[tuple[int, int, list | None]] = [(fst.initial, start_unit, None)]
+    while stack:
+        state, unit, steps = stack.pop()
+        if steps is None:
+            if (state, unit) in best:
                 continue
-            sub = best(dst, nxt)
+            steps = []
+            for _, sym, out, dst in fst.arcs.get(state, ()):
+                nxt = index.consume(sym, unit)
+                if nxt is not None:
+                    steps.append((out, (dst, nxt)))
+            stack.append((state, unit, steps))
+            stack.extend((dst, nxt, None) for _, (dst, nxt) in steps)
+            continue
+        # a final at a character boundary comes first; a longer end wins,
+        # and on an equal end the earlier transition stays
+        fo = fst.final_outputs.get(state)
+        result = (unit, fo[0]) if fo is not None and unit in index.char_aligned else None
+        for out, pair in steps:
+            sub = best[pair]
             if sub is not None and (result is None or sub[0] > result[0]):
                 result = (sub[0], out + sub[1])
-        memo[key] = result
-        return result
+        best[(state, unit)] = result
 
-    got = best(fst.initial, start_unit)
+    got = best[(fst.initial, start_unit)]
     if got is not None and got[0] == start_unit:
         return None  # no empty matches
     return got
+
+
+def order_grammars(fsts: list[Fst], priority: tuple[str, ...]) -> list[Fst]:
+    """The transducers in ``priority`` order; raises ValueError unless the
+    priority names every one of them exactly once."""
+    by_name = {f.name: f for f in fsts}
+    if set(priority) != set(by_name) or len(priority) != len(by_name):
+        raise ValueError("grammar_priority must cover exactly the loaded grammars")
+    return [by_name[name] for name in priority]
 
 
 def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
@@ -157,12 +158,7 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
     """Non-overlapping leftmost-longest matches of all transducers."""
     if config is None:
         config = ApplyConfig()
-    priority = config.grammar_priority or tuple(f.name for f in fsts)
-    by_name = {f.name: f for f in fsts}
-    if set(priority) != set(by_name) or len(priority) != len(by_name):
-        raise ValueError("grammar_priority must cover exactly the loaded grammars")
-    ordered = [by_name[name] for name in priority]
-    arcs = {f.name: f.arcs_from() for f in ordered}
+    ordered = order_grammars(fsts, config.grammar_priority or tuple(f.name for f in fsts))
 
     index = TextIndex(text, lexicon)
     positions = index.scan_positions(config.anchor)
@@ -172,15 +168,15 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
         pos = positions[i]
         chosen: tuple[int, str, Fst] | None = None
         for fst in ordered:
-            got = run_from(fst, index, pos, arcs[fst.name])
+            got = run_from(fst, index, pos)
             if got is not None and (chosen is None or got[0] > chosen[0]):
                 chosen = (got[0], got[1], fst)
         if chosen is None:
             i += 1
             continue
         end_unit, output, fst = chosen
-        start_char = index.unit_chars[pos]
-        end_char = index.unit_chars[end_unit - 1] + 1
+        start_char = index.char_of_unit(pos)
+        end_char = index.char_of_unit(end_unit)
         matches.append(Match(
             start=index.byte_of_char[start_char],
             end=index.byte_of_char[end_char],

@@ -142,73 +142,58 @@ def _splice(surface: str, start_char: int, end_char: int, output: str,
     return direct
 
 
-def _grammar_span(token_index: TextIndex, fsts: list[Fst], start_unit: int):
+def _grammar_span(index: TextIndex, fsts: list[Fst], start_unit: int):
     """Longest accept over several transducers from one unit; returns
     (end_unit, output, fst) or None."""
     best = None
     for f in fsts:
-        got = run_from(f, token_index, start_unit)
+        got = run_from(f, index, start_unit)
         if got is not None and (best is None or got[0] > best[0]):
             best = (got[0], got[1], f)
     return best
 
 
-class _TokenView:
-    """Unit-level view of a single token, shared by the detectors."""
-
-    def __init__(self, token: Token, lexicon: Lexicon):
-        self.token = token
-        self.lexicon = lexicon
-        self.index = TextIndex(token.surface, lexicon)
-        self.n_units = len(self.index.units)
-        self.chars = token.surface
-
-    def char_start_units(self) -> list[int]:
-        return list(self.index.char_start_unit)
-
-    def char_of_unit(self, unit: int) -> int:
-        if unit >= len(self.index.unit_chars):
-            return len(self.chars)
-        return self.index.unit_chars[unit]
+def _token_index(token: Token, lexicon: Lexicon) -> TextIndex:
+    """TextIndex of a token on its own, as a one-token stream whose
+    offsets start at 0; the detectors all work on it."""
+    n_bytes = token.end - token.start
+    alone = Token(token.surface, token.cls, 0, n_bytes)
+    return TextIndex(token.surface, lexicon, TokenStream((alone,), n_bytes))
 
 
-def _detect_emoticon(view: _TokenView, res: Resources) -> tuple[Candidate, str | None] | None:
-    tok = view.token
-    if tok.cls not in (TokenClass.JAMO, TokenClass.SYMBOL):
-        return None
-    if all(ch in EMOTICON_SCALARS for ch in tok.surface):
+def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str | None] | None:
+    if all(ch in EMOTICON_SCALARS for ch in index.text):
         return Candidate(Category.EMOTICON, "emoticon-scalars"), None
-    got = _grammar_span(view.index, res.grammars_for(Category.EMOTICON), 0)
-    if got is not None and got[0] == view.n_units:
+    got = _grammar_span(index, res.grammars_for(Category.EMOTICON), 0)
+    if got is not None and got[0] == len(index.units):
         return Candidate(Category.EMOTICON, f"grammar:{got[2].name}"), got[1] or None
     return None
 
 
-def _prefix_entry_match(view: _TokenView, entries, suggestion_of):
+def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
+    """The category's grammars matched from the token start, with the
+    matched span replaced in the suggestion."""
+    got = _grammar_span(index, res.grammars_for(cat), 0)
+    if got is None:
+        return None
+    sug = _splice(index.text, 0, index.char_of_unit(got[0]), got[1], index.lexicon)
+    return Candidate(cat, f"grammar:{got[2].name}"), sug
+
+
+def _dict_prefix(index: TextIndex, cat: Category, entries, suggestion_of):
     """First dictionary entry whose surface is a leading span of the token."""
     for e in entries:
-        if view.chars.startswith(e.surface):
-            out = suggestion_of(e)
-            if out is None:
-                continue
-            sug = _splice(view.chars, 0, len(e.surface), out, view.lexicon)
-            return e, sug
+        out = suggestion_of(e) if index.text.startswith(e.surface) else None
+        if out is not None:
+            sug = _splice(index.text, 0, len(e.surface), out, index.lexicon)
+            return Candidate(cat, f"dict:{e.surface}"), sug
     return None
 
 
-def _detect_abbreviation(view: _TokenView, res: Resources):
-    if view.token.cls is not TokenClass.HANGUL:
-        return None
-    got = _grammar_span(view.index, res.grammars_for(Category.ABBREVIATION), 0)
-    if got is not None:
-        end_char = view.char_of_unit(got[0] - 1) + 1
-        sug = _splice(view.chars, 0, end_char, got[1], view.lexicon)
-        return Candidate(Category.ABBREVIATION, f"grammar:{got[2].name}"), sug
-    hit = _prefix_entry_match(view, res.abbr_entries, lambda e: e.flag_value("exp"))
-    if hit is not None:
-        entry, sug = hit
-        return Candidate(Category.ABBREVIATION, f"dict:{entry.surface}"), sug
-    return None
+def _detect_abbreviation(index: TextIndex, res: Resources):
+    cat = Category.ABBREVIATION
+    return (_grammar_prefix(index, res, cat)
+            or _dict_prefix(index, cat, res.abbr_entries, lambda e: e.flag_value("exp")))
 
 
 def _eomi_chain(lexicon: Lexicon, key: tuple, start: int) -> bool:
@@ -220,11 +205,11 @@ def _eomi_chain(lexicon: Lexicon, key: tuple, start: int) -> bool:
     return False
 
 
-def _hada_root(view: _TokenView, lexicon: Lexicon) -> str | None:
+def _hada_root(chars: str, lexicon: Lexicon) -> str | None:
     """Unknown root followed by the 하 verbalizer and at least one ending."""
-    for i in range(1, len(view.chars)):
-        root = view.chars[:i]
-        rest_key = fold_letters(view.chars[i:])
+    for i in range(1, len(chars)):
+        root = chars[:i]
+        rest_key = fold_letters(chars[i:])
         for end, e in lexicon.iter_prefix_entries(rest_key, 0):
             if e.pos is not Pos.XSV or e.lemma != "하":
                 continue
@@ -233,45 +218,29 @@ def _hada_root(view: _TokenView, lexicon: Lexicon) -> str | None:
     return None
 
 
-def _detect_neologism(view: _TokenView, res: Resources):
-    if view.token.cls is not TokenClass.HANGUL:
-        return None
-    got = _grammar_span(view.index, res.grammars_for(Category.NEOLOGISM), 0)
-    if got is not None:
-        end_char = view.char_of_unit(got[0] - 1) + 1
-        sug = _splice(view.chars, 0, end_char, got[1], view.lexicon)
-        return Candidate(Category.NEOLOGISM, f"grammar:{got[2].name}"), sug
-    hit = _prefix_entry_match(view, res.neo_entries, lambda e: e.lemma)
-    if hit is not None:
-        entry, sug = hit
-        return Candidate(Category.NEOLOGISM, f"dict:{entry.surface}"), sug
-    root = _hada_root(view, res.lexicon)
-    if root is not None:
-        return Candidate(Category.NEOLOGISM, f"hada-pattern:{root}"), None
-    return None
+def _detect_neologism(index: TextIndex, res: Resources):
+    cat = Category.NEOLOGISM
+    got = (_grammar_prefix(index, res, cat)
+           or _dict_prefix(index, cat, res.neo_entries, lambda e: e.lemma))
+    if got is None:
+        root = _hada_root(index.text, res.lexicon)
+        if root is not None:
+            got = Candidate(cat, f"hada-pattern:{root}"), None
+    return got
 
 
-def _detect_loanword(view: _TokenView, res: Resources):
-    if view.token.cls is not TokenClass.HANGUL:
-        return None
-    got = _grammar_span(view.index, res.grammars_for(Category.LOANWORD_VARIANT), 0)
-    if got is not None:
-        end_char = view.char_of_unit(got[0] - 1) + 1
-        sug = _splice(view.chars, 0, end_char, got[1], view.lexicon)
-        return Candidate(Category.LOANWORD_VARIANT, f"grammar:{got[2].name}"), sug
-
-    return _loanword_by_distance(view, res)
+def _detect_loanword(index: TextIndex, res: Resources):
+    return (_grammar_prefix(index, res, Category.LOANWORD_VARIANT)
+            or _loanword_by_distance(index, res))
 
 
-def _loanword_by_distance(view: _TokenView, res: Resources):
+def _loanword_by_distance(index: TextIndex, res: Resources):
     """Loan entry nearest to a token prefix, ranked by (distance, -prefix
     chars, entry order) within the loan threshold; one DP per entry gives
     the distances of all char-aligned prefixes."""
     limit = res.thresholds.loan
-    token_key = distance_key(view.chars)
-    starts = view.char_start_units()
-    ends = [starts[n] if n < len(starts) else len(token_key)
-            for n in range(1, len(view.chars) + 1)]
+    token_key = distance_key(index.text)
+    ends = index.char_start_unit[1:]
     best = None  # (distance, -prefix_chars, entry_order) -> suggestion parts
     for order, (entry, entry_key) in enumerate(zip(res.loan_entries, res.loan_keys())):
         dists = prefix_distances(token_key, entry_key, limit)
@@ -282,16 +251,14 @@ def _loanword_by_distance(view: _TokenView, res: Resources):
                     best = (rank, entry, n_chars)
     if best is not None:
         _, entry, n_chars = best
-        sug = _splice(view.chars, 0, n_chars, entry.surface, view.lexicon)
+        sug = _splice(index.text, 0, n_chars, entry.surface, index.lexicon)
         return Candidate(Category.LOANWORD_VARIANT,
                          f"distance:{entry.surface}"), sug
     return None
 
 
-def _detect_spacing(view: _TokenView, res: Resources):
-    if view.token.cls is not TokenClass.HANGUL:
-        return None
-    chars = view.chars
+def _detect_spacing(index: TextIndex, res: Resources):
+    chars = index.text
     n = len(chars)
     # fewest-words split, then lexicographically smallest word tuple
     best_split: dict[int, tuple[int, tuple[str, ...]]] = {n: (0, ())}
@@ -320,20 +287,17 @@ def _detect_spacing(view: _TokenView, res: Resources):
     return None
 
 
-def _detect_deviant(view: _TokenView, res: Resources):
-    if view.token.cls is not TokenClass.HANGUL:
-        return None
+def _detect_deviant(index: TextIndex, res: Resources):
     fsts = res.grammars_for(Category.DEVIANT_SPELLING)
-    for start_unit in view.char_start_units():
-        got = _grammar_span(view.index, fsts, start_unit)
-        if got is not None and got[0] == view.n_units:
-            start_char = view.char_of_unit(start_unit)
-            sug = _splice(view.chars, start_char, len(view.chars), got[1],
+    for start_char, start_unit in enumerate(index.char_start_unit[:-1]):
+        got = _grammar_span(index, fsts, start_unit)
+        if got is not None and got[0] == len(index.units):
+            sug = _splice(index.text, start_char, len(index.text), got[1],
                           res.lexicon)
             return Candidate(Category.DEVIANT_SPELLING,
                              f"grammar:{got[2].name}"), sug
 
-    return _deviant_by_distance(view, res)
+    return _deviant_by_distance(index, res)
 
 
 # The deviant candidate language: from each state, the part of speech of
@@ -470,20 +434,22 @@ class _DeviantSearch:
         return best[0], best[2]
 
 
-def _deviant_by_distance(view: _TokenView, res: Resources):
-    got = res.deviant_search.nearest(distance_key(view.chars), res.thresholds.deviant)
+def _deviant_by_distance(index: TextIndex, res: Resources):
+    got = res.deviant_search.nearest(distance_key(index.text), res.thresholds.deviant)
     if got is None:
         return None
     return Candidate(Category.DEVIANT_SPELLING, f"distance:{got[0]}"), got[1]
 
 
+# each detector with the token classes it looks at
+_HANGUL = (TokenClass.HANGUL,)
 _DETECTORS = (
-    _detect_emoticon,
-    _detect_abbreviation,
-    _detect_neologism,
-    _detect_loanword,
-    _detect_spacing,
-    _detect_deviant,
+    (_detect_emoticon, (TokenClass.JAMO, TokenClass.SYMBOL)),
+    (_detect_abbreviation, _HANGUL),
+    (_detect_neologism, _HANGUL),
+    (_detect_loanword, _HANGUL),
+    (_detect_spacing, _HANGUL),
+    (_detect_deviant, _HANGUL),
 )
 
 
@@ -492,11 +458,13 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     as candidates and the first becomes the primary category."""
     if is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
-    view = _TokenView(token, res.lexicon)
+    index = _token_index(token, res.lexicon)
     candidates: list[Candidate] = []
     suggestion: str | None = None
-    for detect in _DETECTORS:
-        got = detect(view, res)
+    for detect, classes in _DETECTORS:
+        if token.cls not in classes:
+            continue
+        got = detect(index, res)
         if got is None:
             continue
         cand, sug = got

@@ -12,7 +12,7 @@ import sys
 import unicodedata
 
 from . import resources
-from .apply import Anchor, ApplyConfig, Mode, find_matches, transform
+from .apply import Anchor, ApplyConfig, Mode, find_matches, order_grammars, transform
 from .classify import classify_corpus, Thresholds
 from .concord import ConcordSort, build_concordance
 from .fst import CompileError, compile_graph, DEFAULT_MAX_STATES
@@ -69,12 +69,12 @@ def _load_library(args):
     priority = getattr(args, "priority", None)
     if priority:
         wanted = tuple(p.strip() for p in priority.split(",") if p.strip())
-        by_name = {f.name: f for f in library.fsts}
-        if set(wanted) != set(by_name) or len(wanted) != len(by_name):
+        try:
+            library.fsts = order_grammars(library.fsts, wanted)
+        except ValueError:
             raise UsageError(
                 "--priority must list every loaded grammar exactly once; "
-                f"loaded: {', '.join(by_name)}")
-        library.fsts = [by_name[name] for name in wanted]
+                f"loaded: {', '.join(library.priority)}") from None
     return library
 
 

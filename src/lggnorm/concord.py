@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .apply import Match
+from .tokenizer import byte_offsets
 
 
 class ConcordSort(enum.Enum):
@@ -32,17 +34,11 @@ def build_concordance(text: str, matches: list[Match], left_width: int = 24,
                       right_width: int = 24,
                       sort: ConcordSort = ConcordSort.TEXT_ORDER) -> list[ConcordLine]:
     """One context line per match; widths count characters, not bytes."""
-    byte_to_char = {}
-    byte = 0
-    for i, ch in enumerate(text):
-        byte_to_char[byte] = i
-        byte += len(ch.encode("utf-8"))
-    byte_to_char[byte] = len(text)
-
+    byte_of_char = byte_offsets(text)
     lines = []
     for m in matches:
-        start = byte_to_char[m.start]
-        end = byte_to_char[m.end]
+        start = bisect_left(byte_of_char, m.start)
+        end = bisect_left(byte_of_char, m.end)
         left = text[max(0, start - left_width):start]
         right = text[end:end + right_width]
         lines.append(ConcordLine(left, text[start:end], right, m.start))

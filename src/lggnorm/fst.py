@@ -7,24 +7,23 @@ Outputs that would be emitted after the last consumed symbol survive as
 per-final-state output strings, so the compiled relation is exactly the
 graph's input/output relation.
 
-Input symbols are single characters (conjoining jamo for decomposed
-syllables, compatibility jamo and other characters verbatim), ``<POS>``
+Input symbols are single characters (the jamo units of
+``hangul.jamo_units``: conjoining jamo for decomposed syllables,
+compatibility jamo and other characters verbatim), ``<POS>``
 mask sentinels bound to whole tokens at application time, and the
 ``<B>`` token-boundary sentinel produced by a space inside a literal.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .grammar import Box, BoxKind, GraphIR, LabelKind, validate, _library_by_name
-from .hangul import decompose_syllable, is_syllable
+from .hangul import jamo_units
 
 TOKEN_BOUNDARY = "<B>"
 DEFAULT_MAX_STATES = 100_000
-
-_SENTINEL_RE = re.compile(r"<[A-Z]+>")
 
 
 class CompileError(ValueError):
@@ -58,38 +57,8 @@ def is_sentinel(symbol: str) -> bool:
 
 
 def literal_symbols(text: str) -> list[str]:
-    """Input symbols for a literal: syllables decompose, space becomes <B>."""
-    syms: list[str] = []
-    for ch in text:
-        if is_syllable(ch):
-            ini, med, fin = decompose_syllable(ch)
-            syms.append(ini.char)
-            syms.append(med.char)
-            if fin is not None:
-                syms.append(fin.char)
-        elif ch == " ":
-            syms.append(TOKEN_BOUNDARY)
-        else:
-            syms.append(ch)
-    return syms
-
-
-def text_to_symbols(text: str) -> tuple[str, ...]:
-    """Symbols for an enumerated input string, parsing <POS>/<B> sentinels.
-
-    Intended for oracle comparisons; literal text must not itself contain
-    angle-bracket sequences.
-    """
-    syms: list[str] = []
-    pos = 0
-    for m in _SENTINEL_RE.finditer(text):
-        for ch in text[pos:m.start()]:
-            syms.extend(literal_symbols(ch))
-        syms.append(m.group(0))
-        pos = m.end()
-    for ch in text[pos:]:
-        syms.extend(literal_symbols(ch))
-    return tuple(syms)
+    """Input symbols for a literal: its jamo units, a space becoming <B>."""
+    return [TOKEN_BOUNDARY if u == " " else u for u in jamo_units(text)]
 
 
 @dataclass(frozen=True)
@@ -103,31 +72,13 @@ class Fst:
     final_outputs: dict[int, tuple[str, ...]]
     transitions: tuple[tuple[int, str, str, int], ...]
 
-    @property
-    def finals(self) -> frozenset[int]:
-        return frozenset(self.final_outputs)
-
-    def arcs_from(self) -> dict[int, list[tuple[int, str, str, int]]]:
+    @cached_property
+    def arcs(self) -> dict[int, list[tuple[int, str, str, int]]]:
+        """Transitions by source state, in transition order."""
         adj: dict[int, list[tuple[int, str, str, int]]] = {}
         for t in self.transitions:
             adj.setdefault(t[0], []).append(t)
         return adj
-
-    def relation(self, max_input_len: int) -> set[tuple[tuple[str, ...], str]]:
-        """Brute-force enumeration of the transduction relation, inputs
-        bounded by symbol count."""
-        adj = self.arcs_from()
-        out: set[tuple[tuple[str, ...], str]] = set()
-        stack = [(self.initial, (), "")]
-        while stack:
-            state, syms, emitted = stack.pop()
-            for fo in self.final_outputs.get(state, ()):
-                out.add((syms, emitted + fo))
-            if len(syms) >= max_input_len:
-                continue
-            for _, sym, o, dst in adj.get(state, ()):
-                stack.append((dst, syms + (sym,), emitted + o))
-        return out
 
     def dump(self) -> str:
         lines = [f"fst\t{self.name}\t{self.tag}",
@@ -326,66 +277,3 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
         final_outputs=finals,
         transitions=tuple(kept_arcs),
     )
-
-
-def _symbol_count(text: str) -> int:
-    return len(literal_symbols(text))
-
-
-def enumerate_paths(g: GraphIR, library=(), max_input_len: int = 12) -> set[tuple[str, str]]:
-    """Exhaustively enumerate (input, output) pairs of a graph.
-
-    Independent of compilation: walks the graph IR directly, inlining
-    subgraph calls via an explicit continuation stack.  Inputs are
-    rendered as text with MASK labels as ``<POS>`` sentinels; a MASK
-    counts one unit against ``max_input_len``.
-    """
-    lib = _library_by_name(library)
-    lib.setdefault(g.name, g)
-    results: set[tuple[str, str]] = set()
-
-    def stack_key(stack):
-        return tuple((sg.name, sb.id) for sg, sb, _ in stack)
-
-    def after_box(graph, box, stack, text, length, out, path):
-        for succ in box.successors:
-            enter_box(graph, graph.boxes[succ], stack, text, length, out, path)
-
-    def enter_box(graph, box, stack, text, length, out, path):
-        key = (graph.name, box.id, stack_key(stack), length, len(out))
-        if key in path:
-            return  # zero-progress cycle
-        path = path | {key}
-        if box.kind is BoxKind.FINAL:
-            if stack:
-                cgraph, cbox, cout = stack[-1]
-                after_box(cgraph, cbox, stack[:-1], text, length, out + cout, path)
-            else:
-                results.add((text, out))
-            return
-        if box.kind is BoxKind.INITIAL:
-            after_box(graph, box, stack, text, length, out, path)
-            return
-        output = box.output or ""
-        for label in box.alternatives:
-            if label.kind is LabelKind.LITERAL:
-                step = _symbol_count(label.payload)
-                if length + step > max_input_len:
-                    continue
-                after_box(graph, box, stack, text + label.payload,
-                          length + step, out + output, path)
-            elif label.kind is LabelKind.MASK:
-                if length + 1 > max_input_len:
-                    continue
-                after_box(graph, box, stack, text + mask_symbol(label.payload),
-                          length + 1, out + output, path)
-            elif label.kind is LabelKind.EPSILON:
-                after_box(graph, box, stack, text, length, out + output, path)
-            else:
-                callee = lib[label.payload]
-                enter_box(callee, callee.initial,
-                          stack + ((graph, box, output),), text, length, out, path)
-
-    root = g.initial
-    enter_box(g, root, (), "", 0, "", frozenset())
-    return results

@@ -1,16 +1,22 @@
 """Hangul syllable <-> jamo decomposition and jamo-level edit distance.
 
-Precomposed syllables (U+AC00..U+D7A3) decompose into positional jamo:
-an initial consonant, a medial vowel and an optional final consonant,
-addressed by the standard Unicode arithmetic (588/28 stride).  Standalone
-letters from the compatibility block (U+3131..U+318E) are kept as their
-own kind and never unify with positional jamo, so emoticon-style tokens
-such as "ㅋㅋ" survive verbatim.
+All matching works on one string of jamo units, ``jamo_units(text)``:
+each precomposed syllable (U+AC00..U+D7A3) becomes its conjoining
+initial, medial and optional final, and every other character stays as
+it is.  Standalone letters from the compatibility block (U+3131..U+318E)
+thus never unify with positional jamo, so emoticon-style tokens such as
+"ㅋㅋ" survive verbatim.  Its two keys are translations of that string:
+``fold_letters`` (dictionary lookup) turns a positional jamo into its
+compatibility letter; ``distance_key`` (edit distance) turns a final
+into the initial with the same letter.  A conjoining jamo that stands
+outside any syllable keeps its own identity in both.
 """
 
 from __future__ import annotations
 
 import enum
+import re
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -35,6 +41,13 @@ FINAL_LETTERS = "ㄱㄲㄳㄴㄵㄶㄷㄹㄺㄻㄼㄽㄾㄿㅀㅁㅂㅄㅅㅆㅇ
 _INITIAL_BY_LETTER = {ch: i for i, ch in enumerate(INITIAL_LETTERS)}
 _MEDIAL_BY_LETTER = {ch: i for i, ch in enumerate(MEDIAL_LETTERS)}
 _FINAL_BY_LETTER = {ch: i + 1 for i, ch in enumerate(FINAL_LETTERS)}
+
+# Compatibility letter of each conjoining jamo a syllable decomposes into.
+_LETTER_OF_UNIT = {
+    **{INITIAL_BASE + i: letter for i, letter in enumerate(INITIAL_LETTERS)},
+    **{MEDIAL_BASE + i: letter for i, letter in enumerate(MEDIAL_LETTERS)},
+    **{FINAL_BASE + i: letter for i, letter in enumerate(FINAL_LETTERS, 1)},
+}
 
 
 class HangulError(ValueError):
@@ -85,13 +98,7 @@ class Jamo:
     @property
     def letter(self) -> str:
         """Compatibility-block letter naming this jamo (position folded away)."""
-        if self.kind is JamoKind.INITIAL:
-            return INITIAL_LETTERS[self.index]
-        if self.kind is JamoKind.MEDIAL:
-            return MEDIAL_LETTERS[self.index]
-        if self.kind is JamoKind.FINAL:
-            return FINAL_LETTERS[self.index - 1]
-        return self.char
+        return _LETTER_OF_UNIT.get(self.codepoint, self.char)
 
     def __repr__(self):
         return f"Jamo({self.kind.value} {self.char!r})"
@@ -114,25 +121,6 @@ def compat(ch: str) -> Jamo:
     return Jamo(JamoKind.COMPAT, cp - COMPAT_FIRST, cp)
 
 
-def initial_of(letter_char: str) -> Jamo:
-    """Initial jamo for a compatibility letter, e.g. 'ㄱ' -> initial 0."""
-    if letter_char not in _INITIAL_BY_LETTER:
-        raise IndexOutOfRange(f"{letter_char!r} is not an initial consonant")
-    return initial(_INITIAL_BY_LETTER[letter_char])
-
-
-def medial_of(letter_char: str) -> Jamo:
-    if letter_char not in _MEDIAL_BY_LETTER:
-        raise IndexOutOfRange(f"{letter_char!r} is not a medial vowel")
-    return medial(_MEDIAL_BY_LETTER[letter_char])
-
-
-def final_of(letter_char: str) -> Jamo:
-    if letter_char not in _FINAL_BY_LETTER:
-        raise IndexOutOfRange(f"{letter_char!r} is not a final consonant")
-    return final(_FINAL_BY_LETTER[letter_char])
-
-
 def is_syllable(ch: str) -> bool:
     return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
 
@@ -141,15 +129,52 @@ def is_compat_jamo(ch: str) -> bool:
     return len(ch) == 1 and COMPAT_FIRST <= ord(ch) <= COMPAT_LAST
 
 
+_SYLLABLE_RUN = re.compile(f"[{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}]+")
+
+
+def _decompose_run(m: re.Match) -> str:
+    # a syllable's canonical decomposition is its conjoining initial,
+    # medial and optional final; jamo never reorder under NFD
+    return unicodedata.normalize("NFD", m.group())
+
+
+def jamo_units(text: str) -> str:
+    """``text`` as a string of jamo units, one character per unit: each
+    precomposed syllable becomes its conjoining initial, medial and
+    optional final, every other character stays as it is."""
+    return _SYLLABLE_RUN.sub(_decompose_run, text)
+
+
+def unit_offsets(text: str) -> list[int]:
+    """Index in ``jamo_units(text)`` where each character's units begin,
+    plus the unit count at the end."""
+    offsets = [0]
+    n = 0
+    for ch in text:
+        if SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST:
+            n += 3 if (ord(ch) - SYLLABLE_BASE) % FINAL_COUNT else 2
+        else:
+            n += 1
+        offsets.append(n)
+    return offsets
+
+
+def _positional(unit: str) -> Jamo:
+    """The Jamo of a conjoining unit taken from a syllable."""
+    cp = ord(unit)
+    if cp < MEDIAL_BASE:
+        return initial(cp - INITIAL_BASE)
+    if cp < MEDIAL_BASE + MEDIAL_COUNT:
+        return medial(cp - MEDIAL_BASE)
+    return final(cp - FINAL_BASE)
+
+
 def decompose_syllable(ch: str) -> tuple[Jamo, Jamo, Jamo | None]:
     """Split one precomposed syllable into (initial, medial, final-or-None)."""
     if not is_syllable(ch):
         raise NotHangulSyllable(f"{ch!r} is not in U+AC00..U+D7A3")
-    offset = ord(ch) - SYLLABLE_BASE
-    fin = offset % FINAL_COUNT
-    med = (offset // FINAL_COUNT) % MEDIAL_COUNT
-    ini = offset // (FINAL_COUNT * MEDIAL_COUNT)
-    return initial(ini), medial(med), final(fin) if fin else None
+    ini, med, *fin = map(_positional, jamo_units(ch))
+    return ini, med, fin[0] if fin else None
 
 
 def _index_for(j: Union[Jamo, int], kind: JamoKind, lo: int, hi: int) -> int:
@@ -189,30 +214,18 @@ class JamoSeq:
     def __len__(self):
         return len(self.units)
 
-    def char_index_of_unit(self) -> tuple[int, ...]:
-        """Source character index of each unit."""
-        boundaries = set(self.syllable_boundaries)
-        out = []
-        char = -1
-        for i, u in enumerate(self.units):
-            if i in boundaries or not isinstance(u, Jamo) or u.kind is JamoKind.COMPAT:
-                char += 1
-            out.append(char)
-        return tuple(out)
-
 
 def to_jamo_seq(s: str) -> JamoSeq:
-    """Decompose every syllable of ``s``; everything else passes through."""
+    """jamo_units(s) as validated Jamo values, non-Hangul characters
+    passed through."""
+    text_units = jamo_units(s)
+    starts = unit_offsets(s)
     units: list[Unit] = []
     boundaries: list[int] = []
-    for ch in s:
-        if is_syllable(ch):
-            boundaries.append(len(units))
-            ini, med, fin = decompose_syllable(ch)
-            units.append(ini)
-            units.append(med)
-            if fin is not None:
-                units.append(fin)
+    for ch, start, end in zip(s, starts, starts[1:]):
+        if end - start > 1:
+            boundaries.append(start)
+            units.extend(map(_positional, text_units[start:end]))
         elif is_compat_jamo(ch):
             units.append(compat(ch))
         else:
@@ -255,20 +268,41 @@ def from_jamo_seq(seq: JamoSeq) -> str:
     return "".join(out)
 
 
-def _distance_key(u: Unit):
-    # Positional jamo compare by letter so that e.g. the final and the
-    # initial ㅁ count as the same unit (넘 vs 너무 differ by one deletion);
-    # compat letters stay a separate namespace.
-    if isinstance(u, Jamo):
-        if u.kind is JamoKind.COMPAT:
-            return ("compat", u.char)
-        return ("jamo", u.letter)
-    return ("char", u)
+# distance_key folds a final onto the initial with the same letter.
+_KEY_OF_UNIT = {FINAL_BASE + i: INITIAL_BASE + _INITIAL_BY_LETTER[letter]
+                for i, letter in enumerate(FINAL_LETTERS, 1)
+                if letter in _INITIAL_BY_LETTER}
+# distance_key unit of a letter placed in a syllable, whatever its position.
+_KEY_OF_LETTER = {letter: chr(unit).translate(_KEY_OF_UNIT)
+                  for unit, letter in _LETTER_OF_UNIT.items()}
+_CONJOINING = re.compile("[\u1100-\u11ff]")
+
+
+def _standalone_key(ch: str):
+    """distance_key unit of a character outside any syllable: itself, or a
+    1-tuple for a conjoining jamo, which must not equal a syllable's jamo."""
+    return (ch,) if _CONJOINING.match(ch) else ch
+
+
+def _translate_units(s: str, table: dict, stray) -> tuple:
+    """jamo_units(s) translated by ``table``, one tuple item per unit; a
+    conjoining jamo that stands in ``s`` outside any syllable becomes
+    ``stray(ch)`` instead."""
+    units = jamo_units(s).translate(table)
+    if _CONJOINING.search(s) is None:
+        return tuple(units)
+    out = list(units)
+    for ch, start in zip(s, unit_offsets(s)):
+        if _CONJOINING.match(ch):
+            out[start] = stray(ch)
+    return tuple(out)
 
 
 def distance_key(s: str) -> tuple:
-    """Precomputed unit-comparison key for key_distance."""
-    return tuple(_distance_key(u) for u in to_jamo_seq(s).units)
+    """Precomputed unit-comparison key for key_distance: the jamo units
+    with each final folded onto the initial of the same letter, so that
+    e.g. 넘 vs 너무 differ by one deletion; compat letters stay apart."""
+    return _translate_units(s, _KEY_OF_UNIT, _standalone_key)
 
 
 def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
@@ -316,10 +350,7 @@ def prefix_distances(ka: tuple, kb: tuple, cap: int) -> list[int]:
 def fold_letters(s: str) -> tuple[str, ...]:
     """Letter-level key for dictionary lookup: positional and compat jamo
     with the same letter fold together, other characters stay themselves."""
-    out = []
-    for u in to_jamo_seq(s).units:
-        out.append(u.letter if isinstance(u, Jamo) else u)
-    return tuple(out)
+    return _translate_units(s, _LETTER_OF_UNIT, lambda ch: ch)
 
 
 def compose_letters(letters: Iterable[str]) -> str:
@@ -356,24 +387,24 @@ def compose_letters(letters: Iterable[str]) -> str:
 COMPOSE_START, _AFTER_INITIAL, _AFTER_MEDIAL = 0, 1, 2
 
 
-def compose_key_step(state: int, letter: str, next_is_vowel: bool) -> tuple[int, tuple]:
+def compose_key_step(state: int, letter: str, next_is_vowel: bool) -> tuple[int, str | tuple]:
     """compose_letters one letter at a time, with one letter of look-ahead.
 
     ``state`` is COMPOSE_START before the first letter; ``next_is_vowel``
     says whether the following letter is a medial vowel (False at the
     end).  Returns the state after ``letter`` and the distance_key unit the
-    letter gets in the composed text: ("jamo", letter) when it joins a
-    syllable, the unit of a lone character when it is left standalone.
+    letter gets in the composed text, whether it joins a syllable or is
+    left standalone.
     Stepping through a letter sequence this way yields
     distance_key(compose_letters(letters)) without composing it.
     """
     if state == _AFTER_INITIAL:
-        return _AFTER_MEDIAL, ("jamo", letter)
+        return _AFTER_MEDIAL, _KEY_OF_LETTER[letter]
     if state == _AFTER_MEDIAL and letter in _FINAL_BY_LETTER and not next_is_vowel:
-        return COMPOSE_START, ("jamo", letter)
+        return COMPOSE_START, _KEY_OF_LETTER[letter]
     if letter in _INITIAL_BY_LETTER and next_is_vowel:
-        return _AFTER_INITIAL, ("jamo", letter)
-    return COMPOSE_START, ("compat", letter) if is_compat_jamo(letter) else ("char", letter)
+        return _AFTER_INITIAL, _KEY_OF_LETTER[letter]
+    return COMPOSE_START, _standalone_key(letter)
 
 
 def iter_all_syllables() -> Iterable[str]:

@@ -11,6 +11,7 @@ import enum
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .hangul import COMPAT_FIRST, COMPAT_LAST, SYLLABLE_BASE, SYLLABLE_LAST
 
@@ -76,37 +77,30 @@ def char_class(ch: str) -> TokenClass | None:
     return TokenClass.SYMBOL
 
 
+def byte_offsets(text: str) -> list[int]:
+    """UTF-8 byte offset of each character of ``text``, plus the byte
+    length at the end."""
+    offsets = [0]
+    n = 0
+    for ch in text:
+        n += len(ch.encode("utf-8"))
+        offsets.append(n)
+    return offsets
+
+
 def tokenize(text: str) -> TokenStream:
     """Split NFC text into maximal same-class runs with byte offsets."""
     if not unicodedata.is_normalized("NFC", text):
         raise InvalidEncoding("input must be NFC-normalized")
+    offsets = byte_offsets(text)
     tokens: list[Token] = []
-    run: list[str] = []
-    run_cls: TokenClass | None = None
-    run_start = 0
-    byte = 0
-
-    def flush(end_byte: int):
-        if run:
-            tokens.append(Token("".join(run), run_cls, run_start, end_byte))
-            run.clear()
-
-    for ch in text:
-        cls = char_class(ch)
-        width = len(ch.encode("utf-8"))
-        if cls is None:
-            flush(byte)
-            run_cls = None
-        elif cls is run_cls:
-            run.append(ch)
-        else:
-            flush(byte)
-            run_cls = cls
-            run_start = byte
-            run.append(ch)
-        byte += width
-    flush(byte)
-    return TokenStream(tuple(tokens), byte)
+    start = 0
+    for cls, run in groupby(map(char_class, text)):
+        end = start + len(list(run))
+        if cls is not None:
+            tokens.append(Token(text[start:end], cls, offsets[start], offsets[end]))
+        start = end
+    return TokenStream(tuple(tokens), offsets[-1])
 
 
 def fold_surface(token: Token) -> str:

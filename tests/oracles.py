@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 from lggnorm.apply import TextIndex
 from lggnorm.classify import Candidate, Category, Resources, _splice
-from lggnorm.fst import text_to_symbols
-from lggnorm.grammar import BoxKind, GraphIR, LabelKind, parse_graph
-from lggnorm.hangul import (Jamo, compose_letters, distance_key, fold_letters, key_distance,
-                            to_jamo_seq)
+from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
+from lggnorm.grammar import BoxKind, GraphIR, LabelKind, _library_by_name, parse_graph
+from lggnorm.hangul import (FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, Jamo, JamoKind,
+                            JamoSeq, compat, compose_letters, distance_key, final,
+                            fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
+                            medial)
 from lggnorm.lexicon import Lexicon, Pos, analyze_token
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 
@@ -29,6 +32,100 @@ def brute_levenshtein(a: tuple, b: tuple) -> int:
         return min(go(i + 1, j) + 1, go(i, j + 1) + 1, go(i + 1, j + 1) + cost)
 
     return go(0, 0)
+
+
+# ------------------------------------------- jamo units, one object per unit
+
+def syllable_jamo(ch: str) -> tuple[Jamo, Jamo, Jamo | None]:
+    """(initial, medial, final-or-None) of a syllable by the Unicode
+    arithmetic (588/28 stride), not by normalization."""
+    offset = ord(ch) - 0xAC00
+    fin = offset % 28
+    return initial(offset // 588), medial(offset // 28 % 21), final(fin) if fin else None
+
+
+def jamo_seq(s: str) -> JamoSeq:
+    """Jamo objects per unit, built one character at a time."""
+    units = []
+    boundaries = []
+    for ch in s:
+        if is_syllable(ch):
+            boundaries.append(len(units))
+            units.extend(j for j in syllable_jamo(ch) if j is not None)
+        elif is_compat_jamo(ch):
+            units.append(compat(ch))
+        else:
+            units.append(ch)
+    return JamoSeq(tuple(units), tuple(boundaries))
+
+
+def char_index_of_unit(seq: JamoSeq) -> tuple[int, ...]:
+    """Source character index of each unit."""
+    boundaries = set(seq.syllable_boundaries)
+    out = []
+    char = -1
+    for i, u in enumerate(seq.units):
+        if i in boundaries or not isinstance(u, Jamo) or u.kind is JamoKind.COMPAT:
+            char += 1
+        out.append(char)
+    return tuple(out)
+
+
+def unit_symbols(text: str) -> list[str]:
+    return [u.char if isinstance(u, Jamo) else u for u in jamo_seq(text).units]
+
+
+def literal_symbols(text: str) -> list[str]:
+    return [TOKEN_BOUNDARY if u == " " else u for u in unit_symbols(text)]
+
+
+def letter(u: Jamo) -> str:
+    """Compatibility letter of a jamo, by its kind and index."""
+    if u.kind is JamoKind.INITIAL:
+        return INITIAL_LETTERS[u.index]
+    if u.kind is JamoKind.MEDIAL:
+        return MEDIAL_LETTERS[u.index]
+    if u.kind is JamoKind.FINAL:
+        return FINAL_LETTERS[u.index - 1]
+    return u.char
+
+
+def fold_letters_by_unit(s: str) -> tuple[str, ...]:
+    return tuple(letter(u) if isinstance(u, Jamo) else u for u in jamo_seq(s).units)
+
+
+def distance_key_by_unit(s: str) -> tuple:
+    """Positional jamo compare by letter; compat letters and other
+    characters each keep a namespace of their own."""
+    def key(u):
+        if isinstance(u, Jamo):
+            if u.kind is JamoKind.COMPAT:
+                return ("compat", u.char)
+            return ("jamo", letter(u))
+        return ("char", u)
+    return tuple(key(u) for u in jamo_seq(s).units)
+
+
+def text_offsets(text: str):
+    """(unit -> char, char -> start unit, char -> byte, token start unit
+    -> token end unit) of NFC text, from a byte loop and a byte -> char
+    dict."""
+    unit_chars = char_index_of_unit(jamo_seq(text))
+    char_start_unit = []
+    for i, c in enumerate(unit_chars):
+        if c == len(char_start_unit):
+            char_start_unit.append(i)
+    byte_of_char = [0]
+    for ch in text:
+        byte_of_char.append(byte_of_char[-1] + len(ch.encode("utf-8")))
+    char_of_byte = {b: i for i, b in enumerate(byte_of_char)}
+    token_end_unit = {}
+    for tok in tokenize(text):
+        start_char = char_of_byte[tok.start]
+        end_char = start_char + len(tok.surface)
+        token_end_unit[char_start_unit[start_char]] = (
+            char_start_unit[end_char] if end_char < len(char_start_unit) else len(unit_chars))
+    return unit_chars, char_start_unit, byte_of_char, token_end_unit
 
 
 # ---------------------------------------------------------------- graphs
@@ -86,6 +183,102 @@ def random_graph(rng: random.Random, **kwargs) -> GraphIR:
     return parse_graph(random_graph_text(rng, **kwargs))
 
 
+def relation(fst: Fst, max_input_len: int) -> set[tuple[tuple[str, ...], str]]:
+    """Brute-force enumeration of a transducer's transduction relation,
+    inputs bounded by symbol count."""
+    out: set[tuple[tuple[str, ...], str]] = set()
+    stack = [(fst.initial, (), "")]
+    while stack:
+        state, syms, emitted = stack.pop()
+        for fo in fst.final_outputs.get(state, ()):
+            out.add((syms, emitted + fo))
+        if len(syms) >= max_input_len:
+            continue
+        for _, sym, o, dst in fst.arcs.get(state, ()):
+            stack.append((dst, syms + (sym,), emitted + o))
+    return out
+
+
+_SENTINEL_RE = re.compile(r"<[A-Z]+>")
+
+
+def text_to_symbols(text: str) -> tuple[str, ...]:
+    """Symbols for an enumerated input string, parsing <POS>/<B> sentinels.
+
+    Intended for oracle comparisons; literal text must not itself contain
+    angle-bracket sequences.
+    """
+    syms: list[str] = []
+    pos = 0
+    for m in _SENTINEL_RE.finditer(text):
+        for ch in text[pos:m.start()]:
+            syms.extend(literal_symbols(ch))
+        syms.append(m.group(0))
+        pos = m.end()
+    for ch in text[pos:]:
+        syms.extend(literal_symbols(ch))
+    return tuple(syms)
+
+
+def enumerate_paths(g: GraphIR, library=(), max_input_len: int = 12) -> set[tuple[str, str]]:
+    """Exhaustively enumerate (input, output) pairs of a graph.
+
+    Independent of compilation: walks the graph IR directly, inlining
+    subgraph calls via an explicit continuation stack.  Inputs are
+    rendered as text with MASK labels as ``<POS>`` sentinels; a MASK
+    counts one unit against ``max_input_len``.
+    """
+    lib = _library_by_name(library)
+    lib.setdefault(g.name, g)
+    results: set[tuple[str, str]] = set()
+
+    def stack_key(stack):
+        return tuple((sg.name, sb.id) for sg, sb, _ in stack)
+
+    def after_box(graph, box, stack, text, length, out, path):
+        for succ in box.successors:
+            enter_box(graph, graph.boxes[succ], stack, text, length, out, path)
+
+    def enter_box(graph, box, stack, text, length, out, path):
+        key = (graph.name, box.id, stack_key(stack), length, len(out))
+        if key in path:
+            return  # zero-progress cycle
+        path = path | {key}
+        if box.kind is BoxKind.FINAL:
+            if stack:
+                cgraph, cbox, cout = stack[-1]
+                after_box(cgraph, cbox, stack[:-1], text, length, out + cout, path)
+            else:
+                results.add((text, out))
+            return
+        if box.kind is BoxKind.INITIAL:
+            after_box(graph, box, stack, text, length, out, path)
+            return
+        output = box.output or ""
+        for label in box.alternatives:
+            if label.kind is LabelKind.LITERAL:
+                step = len(literal_symbols(label.payload))
+                if length + step > max_input_len:
+                    continue
+                after_box(graph, box, stack, text + label.payload,
+                          length + step, out + output, path)
+            elif label.kind is LabelKind.MASK:
+                if length + 1 > max_input_len:
+                    continue
+                after_box(graph, box, stack, text + mask_symbol(label.payload),
+                          length + 1, out + output, path)
+            elif label.kind is LabelKind.EPSILON:
+                after_box(graph, box, stack, text, length, out + output, path)
+            else:
+                callee = lib[label.payload]
+                enter_box(callee, callee.initial,
+                          stack + ((graph, box, output),), text, length, out, path)
+
+    root = g.initial
+    enter_box(g, root, (), "", 0, "", frozenset())
+    return results
+
+
 # ------------------------------------------------- leftmost-longest oracle
 
 def ordered_pairs(g: GraphIR, library=None, max_len: int = 24) -> list[tuple[str, str]]:
@@ -135,10 +328,6 @@ def ordered_pairs(g: GraphIR, library=None, max_len: int = 24) -> list[tuple[str
     return pairs
 
 
-def _unit_symbols(text: str) -> list[str]:
-    return [u.char if isinstance(u, Jamo) else u for u in to_jamo_seq(text).units]
-
-
 class BruteMatcher:
     """All-matches enumeration followed by greedy leftmost-longest selection.
 
@@ -177,7 +366,7 @@ class BruteMatcher:
         return u
 
     def all_matches(self, text: str, positions, char_aligned, token_info):
-        syms = _unit_symbols(text)
+        syms = unit_symbols(text)
         found = []
         for pos in positions:
             for gi, pairs in enumerate(self.pair_lists):
@@ -189,8 +378,8 @@ class BruteMatcher:
 
     def select(self, text: str):
         """Greedy leftmost-longest with priority and alternative-order ties."""
-        seq = to_jamo_seq(text)
-        unit_chars = seq.char_index_of_unit()
+        seq = jamo_seq(text)
+        unit_chars = char_index_of_unit(seq)
         char_start_unit = []
         for i, c in enumerate(unit_chars):
             if c == len(char_start_unit):

@@ -5,14 +5,14 @@ import time
 
 from lggnorm.apply import find_matches, normalize, strip_merge, transform, Mode
 from lggnorm.classify import classify_corpus
-from lggnorm.fst import EpsilonOnlyPath, compile_graph, enumerate_paths, text_to_symbols
+from lggnorm.fst import EpsilonOnlyPath, compile_graph
 from lggnorm.grammar import parse_graph, validate
 from lggnorm.hangul import compose_syllable, decompose_syllable, from_jamo_seq, \
     iter_all_syllables, to_jamo_seq
 from lggnorm.lexicon import DictEntry, Lexicon, Pos
 from lggnorm.stats import CorpusStats, compare, corpus_stats
 from lggnorm.tokenizer import tokenize
-from oracles import BruteMatcher, random_graph_text
+from oracles import BruteMatcher, enumerate_paths, random_graph_text, relation, text_to_symbols
 
 PASSED = []
 
@@ -97,7 +97,7 @@ def test_acceptance_4_classifier_gold(classifier_resources, informal_text, gold_
 # 5 ------------------------------------------------------------------------
 
 def _relation_via_machine(fst, max_len):
-    return {("".join(syms), out) for syms, out in fst.relation(max_len)}
+    return {("".join(syms), out) for syms, out in relation(fst, max_len)}
 
 
 def _relation_via_ir(g, library, max_len):

@@ -10,7 +10,7 @@ from lggnorm.classify import (
     Thresholds,
     _deviant_by_distance,
     _loanword_by_distance,
-    _TokenView,
+    _token_index,
     classify_corpus,
     classify_token,
 )
@@ -207,9 +207,9 @@ HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 def assert_searches_match_oracles(surface, res, limit):
     res = replace(res, thresholds=Thresholds(loan=limit, deviant=limit))
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
-    view = _TokenView(token, res.lexicon)
-    assert _deviant_by_distance(view, res) == brute_deviant_best(token, res)
-    assert _loanword_by_distance(view, res) == brute_loan_best(token, res)
+    index = _token_index(token, res.lexicon)
+    assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)
+    assert _loanword_by_distance(index, res) == brute_loan_best(token, res)
 
 
 @settings(max_examples=40, deadline=None)
