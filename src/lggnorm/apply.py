@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .hangul import jamo_units, unit_offsets
-from .lexicon import Lexicon, analyze_token
+from .lexicon import Lexicon
 from .tokenizer import Token, TokenClass, TokenStream, byte_offsets, tokenize
 
 
@@ -84,12 +84,11 @@ class TextIndex:
         """POS names under which the token starting here is one bare word."""
         if unit not in self._single_pos:
             tok = self.token_at_unit.get(unit)
-            names: set[str] = set()
-            if tok is not None and tok.cls is TokenClass.HANGUL and self.lexicon:
-                for a in analyze_token(tok, self.lexicon):
-                    if len(a.segments) == 1:
-                        names.add(a.segments[0][1].pos.value)
-            self._single_pos[unit] = frozenset(names)
+            entries = (self.lexicon.lookup(tok.surface)
+                       if tok is not None and tok.cls is TokenClass.HANGUL and self.lexicon
+                       else ())
+            self._single_pos[unit] = frozenset(
+                e.pos.value for e in entries if self.lexicon.pos_seq_allowed((e.pos,)))
         return self._single_pos[unit]
 
     def consume(self, symbol: str, unit: int) -> int | None:

@@ -119,12 +119,9 @@ class Resources:
         return self._loan_keys
 
 
-def _word_analyzable(word: str, lexicon: Lexicon) -> bool:
-    return bool(word) and bool(lexicon.analyze_key(fold_letters(word)))
-
-
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
-    return bool(s) and all(_word_analyzable(w, lexicon) for w in s.split(" "))
+    """Every space-separated word of ``s`` is one analyzable word."""
+    return all(len(key) in lexicon.word_ends(key) for key in map(fold_letters, s.split(" ")))
 
 
 def _splice(surface: str, start_char: int, end_char: int, output: str,
@@ -196,25 +193,21 @@ def _detect_abbreviation(index: TextIndex, res: Resources):
             or _dict_prefix(index, cat, res.abbr_entries, lambda e: e.flag_value("exp")))
 
 
-def _eomi_chain(lexicon: Lexicon, key: tuple, start: int) -> bool:
-    for end, e in lexicon.iter_prefix_entries(key, start):
-        if e.pos is not Pos.EOMI:
-            continue
-        if end == len(key) or _eomi_chain(lexicon, key, end):
-            return True
-    return False
-
-
-def _hada_root(chars: str, lexicon: Lexicon) -> str | None:
-    """Unknown root followed by the 하 verbalizer and at least one ending."""
-    for i in range(1, len(chars)):
-        root = chars[:i]
-        rest_key = fold_letters(chars[i:])
-        for end, e in lexicon.iter_prefix_entries(rest_key, 0):
-            if e.pos is not Pos.XSV or e.lemma != "하":
-                continue
-            if _eomi_chain(lexicon, rest_key, end) and not _word_analyzable(root, lexicon):
-                return root
+def _hada_root(index: TextIndex, lexicon: Lexicon) -> str | None:
+    """Shortest unknown root followed by the 하 verbalizer and at least
+    one ending that reach the end of the token."""
+    key = fold_letters(index.text)
+    n = len(key)
+    # eomi_tail[u]: key[u:] is one or more endings
+    eomi_tail = [False] * (n + 1)
+    for u in range(n - 1, -1, -1):
+        eomi_tail[u] = any(e.pos is Pos.EOMI and (end == n or eomi_tail[end])
+                           for end, e in lexicon.iter_prefix_entries(key, u))
+    known = lexicon.word_ends(key)
+    for i, u in enumerate(index.char_start_unit[1:-1], 1):
+        if u not in known and any(e.pos is Pos.XSV and e.lemma == "하" and eomi_tail[end]
+                                  for end, e in lexicon.iter_prefix_entries(key, u)):
+            return index.text[:i]
     return None
 
 
@@ -223,7 +216,7 @@ def _detect_neologism(index: TextIndex, res: Resources):
     got = (_grammar_prefix(index, res, cat)
            or _dict_prefix(index, cat, res.neo_entries, lambda e: e.lemma))
     if got is None:
-        root = _hada_root(index.text, res.lexicon)
+        root = _hada_root(index, res.lexicon)
         if root is not None:
             got = Candidate(cat, f"hada-pattern:{root}"), None
     return got
@@ -258,33 +251,14 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
 
 
 def _detect_spacing(index: TextIndex, res: Resources):
-    chars = index.text
-    n = len(chars)
-    # fewest-words split, then lexicographically smallest word tuple
-    best_split: dict[int, tuple[int, tuple[str, ...]]] = {n: (0, ())}
-
-    def solve(i: int):
-        if i in best_split:
-            return best_split[i]
-        best = None
-        for j in range(i + 1, n + 1):
-            word = chars[i:j]
-            if not _word_analyzable(word, res.lexicon):
-                continue
-            rest = solve(j)
-            if rest is None:
-                continue
-            cand = (rest[0] + 1, (word,) + rest[1])
-            if best is None or cand < best:
-                best = cand
-        best_split[i] = best
-        return best
-
-    got = solve(0)
-    if got is not None and got[0] >= 2:
-        words = got[1]
-        return Candidate(Category.SPACING, f"split:{len(words)}"), " ".join(words)
-    return None
+    # fewest words, then the lexicographically smallest word tuple: of two
+    # first words from one start the shorter is a prefix of the longer
+    ends = res.lexicon.fewest_words(fold_letters(index.text), index.char_start_unit)
+    if ends is None or len(ends) < 2:
+        return None
+    cuts = [0] + [index.char_of_unit(u) for u in ends]
+    words = [index.text[a:b] for a, b in zip(cuts, cuts[1:])]
+    return Candidate(Category.SPACING, f"split:{len(words)}"), " ".join(words)
 
 
 def _detect_deviant(index: TextIndex, res: Resources):

@@ -151,8 +151,9 @@ def _epsilon_closure(n_states: int, eps: list[tuple[int, str, int]]):
     """Closure pairs (reachable state, accumulated output) per state, in
     deterministic DFS preorder.  Raises EpsilonCycle when an epsilon cycle
     carries output (its closure would be infinite)."""
+    # successors in reverse arc order, so that they pop off a stack in order
     adj: dict[int, list[tuple[str, int]]] = {}
-    for src, out, dst in eps:
+    for src, out, dst in reversed(eps):
         adj.setdefault(src, []).append((out, dst))
 
     # reject epsilon cycles that emit output
@@ -175,16 +176,16 @@ def _epsilon_closure(n_states: int, eps: list[tuple[int, str, int]]):
     for q in range(n_states):
         pairs: list[tuple[int, str]] = []
         seen: set[tuple[int, str]] = set()
-
-        def visit(state: int, out: str):
-            if (state, out) in seen:
-                return
-            seen.add((state, out))
-            pairs.append((state, out))
+        stack = [(q, "")]
+        while stack:
+            pair = stack.pop()
+            if pair in seen:
+                continue
+            seen.add(pair)
+            pairs.append(pair)
+            state, out = pair
             for o, dst in adj.get(state, ()):
-                visit(dst, out + o)
-
-        visit(q, "")
+                stack.append((dst, out + o))
         closures.append(pairs)
     return closures
 

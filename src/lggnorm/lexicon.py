@@ -8,6 +8,10 @@ inside a shared syllable (추천합니다 = 추천 + 하 + ㅂ니다).
 A token is analyzable when at least one segmentation into dictionary
 entries satisfies the part-of-speech concatenation rules; classification
 treats the complement — the non-analyzable tokens — as its problem space.
+
+Analyses, the analysability test and the fewest-words split all read
+one walk of the letter trie over (unit, rule state) pairs, each expanded
+once, so the work per token is bounded by units × trie depth × rule states.
 """
 
 from __future__ import annotations
@@ -98,11 +102,7 @@ class _TrieNode:
 
 
 class _RulePattern:
-    """One concatenation rule, e.g. ``N XSV EOMI+`` (quantifiers: none, *, +).
-
-    Matched with a position-set automaton: state i = "about to match
-    atom i", state len(atoms) = accept.
-    """
+    """One concatenation rule, e.g. ``N XSV EOMI+`` (quantifiers: none, *, +)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -115,34 +115,12 @@ class _RulePattern:
                 raise ValueError(f"unknown POS {item!r} in rule {text!r}")
             self.atoms.append((Pos(item), quant == "*", quant in ("*", "+")))
 
-    def _closure(self, states: set[int]) -> set[int]:
-        out = set(states)
-        for i in sorted(states):
-            j = i
-            while j < len(self.atoms) and self.atoms[j][1]:
-                j += 1
-                out.add(j)
+    def skip(self, i: int) -> list[int]:
+        """Atom position ``i`` and those reached from it past optional atoms."""
+        out = [i]
+        while out[-1] < len(self.atoms) and self.atoms[out[-1]][1]:
+            out.append(out[-1] + 1)
         return out
-
-    def _run(self, seq: tuple[Pos, ...]) -> set[int]:
-        states = self._closure({0})
-        for pos in seq:
-            nxt = set()
-            for i in states:
-                if i < len(self.atoms) and self.atoms[i][0] is pos:
-                    nxt.add(i + 1)
-                    if self.atoms[i][2]:
-                        nxt.add(i)
-            if not nxt:
-                return set()
-            states = self._closure(nxt)
-        return states
-
-    def matches(self, seq: tuple[Pos, ...]) -> bool:
-        return bool(seq) and len(self.atoms) in self._run(seq)
-
-    def viable_prefix(self, seq: tuple[Pos, ...]) -> bool:
-        return bool(self._run(seq))
 
 
 @dataclass
@@ -169,6 +147,12 @@ class Lexicon:
         self._entries: list[DictEntry] = []
         self.concat_rules = tuple(concat_rules)
         self._rules = [_RulePattern(r) for r in self.concat_rules]
+        # rule automaton: a state is the frozenset of (rule, atom) positions
+        # reached, empty once no rule fits; steps are memoized
+        self._start = frozenset((r, i) for r, rule in enumerate(self._rules)
+                                for i in rule.skip(0))
+        self._finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
+        self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
         for e in entries:
             self._insert(e)
 
@@ -195,12 +179,8 @@ class Lexicon:
         return self._root
 
     def lookup(self, surface: str) -> list[DictEntry]:
-        node = self._root
-        for letter in fold_letters(surface):
-            node = node.children.get(letter)
-            if node is None:
-                return []
-        return list(node.entries)
+        key = fold_letters(surface)
+        return [e for end, e in self.iter_prefix_entries(key, 0) if end == len(key)]
 
     def iter_prefix_entries(self, key: tuple[str, ...], start: int) -> Iterator[tuple[int, DictEntry]]:
         """Yield (end_index, entry) for every entry matching key[start:end]."""
@@ -214,30 +194,82 @@ class Lexicon:
             for e in node.entries:
                 yield i, e
 
-    def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
-        return any(r.matches(seq) for r in self._rules)
+    def _step(self, state: frozenset, pos: Pos) -> frozenset:
+        """Rule state after one more morpheme of ``pos``."""
+        if (state, pos) not in self._steps:
+            nxt = set()
+            for r, i in state:
+                atoms = self._rules[r].atoms
+                if i < len(atoms) and atoms[i][0] is pos:
+                    nxt.update((r, j) for j in self._rules[r].skip(i + 1))
+                    if atoms[i][2]:
+                        nxt.add((r, i))
+            self._steps[state, pos] = frozenset(nxt)
+        return self._steps[state, pos]
 
-    def _pos_prefix_viable(self, seq: tuple[Pos, ...]) -> bool:
-        return any(r.viable_prefix(seq) for r in self._rules)
+    def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
+        state = self._start
+        for pos in seq:
+            state = self._step(state, pos)
+        return bool(seq) and not state.isdisjoint(self._finals)
+
+    def lattice(self, key: tuple[str, ...], starts: Iterable[int] = (0,)) -> dict:
+        """Every (unit, rule state) pair reachable from the start state at
+        the ``starts`` units, with its edges (entry, next pair) in
+        iter_prefix_entries order.  Each pair is expanded once."""
+        edges: dict[tuple[int, frozenset], list] = {}
+        stack = [(u, self._start) for u in starts]
+        while stack:
+            pair = stack.pop()
+            if pair not in edges:
+                steps = [(e, (end, self._step(pair[1], e.pos)))
+                         for end, e in self.iter_prefix_entries(key, pair[0])]
+                edges[pair] = [(e, dst) for e, dst in steps if dst[1]]
+                stack.extend(dst for _, dst in edges[pair])
+        return edges
+
+    def word_ends(self, key: tuple[str, ...]) -> set[int]:
+        """Units where a rule-satisfying word that starts the key ends."""
+        return {u for u, state in self.lattice(key) if u and not state.isdisjoint(self._finals)}
+
+    def fewest_words(self, key: tuple[str, ...], starts: list[int]) -> list[int] | None:
+        """Ends of the fewest rule-satisfying words that cover the key,
+        each starting at one of ``starts`` (ascending, ending with
+        len(key)); ties go to the sooner first end, then recursively.
+        None when no such split exists.  A shortest path over the lattice
+        from all starts, settled right to left."""
+        edges = self.lattice(key, starts[:-1])
+        aligned = set(starts)
+        # (words, end of the first word) of the best split from a start,
+        # and of the best way to finish the word under way at a pair
+        rest = {starts[-1]: (0, starts[-1])}
+        ahead = {}
+        for pair in sorted(edges, key=lambda p: (-p[0], p[1] != self._start)):
+            unit, state = pair
+            ranks = [ahead[dst] for _, dst in edges[pair] if dst in ahead]
+            if ranks and unit in aligned and state == self._start:
+                rest[unit] = min(ranks)
+            if unit in rest and not state.isdisjoint(self._finals):
+                ranks.append((rest[unit][0] + 1, unit))
+            if ranks:
+                ahead[pair] = min(ranks)
+        ends = [0]
+        while ends[-1] in rest and ends[-1] != starts[-1]:
+            ends.append(rest[ends[-1]][1])
+        return ends[1:] if ends[-1] == starts[-1] else None
 
     def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
         """All rule-satisfying segmentations of a letter-jamo key."""
-        results: list[MorphAnalysis] = []
-
-        def walk(i: int, segs: list[tuple[str, DictEntry]], poses: tuple[Pos, ...]):
-            if i == len(key):
-                if self.pos_seq_allowed(poses):
-                    results.append(MorphAnalysis(tuple(segs)))
-                return
-            for end, entry in self.iter_prefix_entries(key, i):
-                nxt = poses + (entry.pos,)
-                if not self._pos_prefix_viable(nxt):
-                    continue
-                segs.append((entry.surface, entry))
-                walk(end, segs, nxt)
-                segs.pop()
-
-        walk(0, [], ())
+        edges = self.lattice(key)
+        # segments that finish the key from each pair, in edge order; every
+        # edge moves right, so one pass by decreasing unit settles them
+        tails: dict[tuple[int, frozenset], list] = {}
+        for pair in sorted(edges, key=lambda p: -p[0]):
+            done = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
+            tails[pair] = [()] if done else []
+            for e, dst in edges[pair]:
+                tails[pair] += [((e.surface, e),) + t for t in tails[dst]]
+        results = [MorphAnalysis(t) for t in tails[0, self._start]]
         results.sort(key=lambda a: (
             len(a.segments),
             tuple((s, e.pos.value, e.lemma) for s, e in a.segments),
@@ -278,7 +310,8 @@ def analyze_token(token: Token, lexicon: Lexicon) -> list[MorphAnalysis]:
 def is_analyzable(token: Token, lexicon: Lexicon) -> bool:
     """HANGUL: has an analysis; JAMO/SYMBOL: never; LATIN/DIGIT/PUNCT: always."""
     if token.cls is TokenClass.HANGUL:
-        return bool(analyze_token(token, lexicon))
+        key = fold_letters(token.surface)
+        return len(key) in lexicon.word_ends(key)
     if token.cls in (TokenClass.JAMO, TokenClass.SYMBOL):
         return False
     return True

@@ -15,7 +15,7 @@ from lggnorm.hangul import (FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, Jamo
                             JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
                             medial)
-from lggnorm.lexicon import Lexicon, Pos, analyze_token
+from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 
 
@@ -402,7 +402,7 @@ class BruteMatcher:
                      else len(seq.units))
             poses = set()
             if tok.cls is TokenClass.HANGUL:
-                for a in analyze_token(tok, self.lexicon):
+                for a in analyze_key_by_recursion(self.lexicon, fold_letters(tok.surface)):
                     if len(a.segments) == 1:
                         poses.add(a.segments[0][1].pos.value)
             token_info[u] = (end_u, poses)
@@ -501,3 +501,122 @@ def brute_loan_best(token: Token, res: Resources):
     _, entry, n_chars = best
     sug = _splice(chars, 0, n_chars, entry.surface, res.lexicon)
     return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
+
+
+# ------------------------------------------ analysability by recursion
+
+def rule_positions(rule: _RulePattern, seq: tuple[Pos, ...]) -> set[int]:
+    """Atom positions of one rule after ``seq``, by a position-set run:
+    i = "about to match atom i", len(atoms) = accept."""
+    atoms = rule.atoms
+
+    def closure(states):
+        out = set(states)
+        for i in sorted(states):
+            j = i
+            while j < len(atoms) and atoms[j][1]:
+                j += 1
+                out.add(j)
+        return out
+
+    states = closure({0})
+    for pos in seq:
+        nxt = set()
+        for i in states:
+            if i < len(atoms) and atoms[i][0] is pos:
+                nxt.add(i + 1)
+                if atoms[i][2]:
+                    nxt.add(i)
+        if not nxt:
+            return set()
+        states = closure(nxt)
+    return states
+
+
+def analyze_key_by_recursion(lexicon: Lexicon, key: tuple[str, ...]) -> list[MorphAnalysis]:
+    """Every segmentation of ``key`` into entries whose part-of-speech
+    sequence a rule matches, by a recursive walk that re-runs every rule
+    over the whole sequence at each morpheme; fewest segments first, then
+    by (surface, POS, lemma) of each segment."""
+    rules = [_RulePattern(r) for r in lexicon.concat_rules]
+    results = []
+
+    def walk(i, segs, poses):
+        if i == len(key):
+            if poses and any(len(r.atoms) in rule_positions(r, poses) for r in rules):
+                results.append(MorphAnalysis(tuple(segs)))
+            return
+        for end, entry in lexicon.iter_prefix_entries(key, i):
+            nxt = poses + (entry.pos,)
+            if not any(rule_positions(r, nxt) for r in rules):
+                continue
+            segs.append((entry.surface, entry))
+            walk(end, segs, nxt)
+            segs.pop()
+
+    walk(0, [], ())
+    results.sort(key=lambda a: (
+        len(a.segments),
+        tuple((s, e.pos.value, e.lemma) for s, e in a.segments),
+    ))
+    return results
+
+
+def word_analyzable_by_recursion(word: str, lexicon: Lexicon) -> bool:
+    return bool(word) and bool(analyze_key_by_recursion(lexicon, fold_letters(word)))
+
+
+def spacing_by_substrings(chars: str, lexicon: Lexicon):
+    """Fewest-words split of ``chars`` into analyzable words, ties to the
+    lexicographically smallest word tuple, by testing every substring;
+    as (Candidate, suggestion) when it has two words or more, else None."""
+    n = len(chars)
+    best_split = {n: (0, ())}
+
+    def solve(i):
+        if i in best_split:
+            return best_split[i]
+        best = None
+        for j in range(i + 1, n + 1):
+            word = chars[i:j]
+            if not word_analyzable_by_recursion(word, lexicon):
+                continue
+            rest = solve(j)
+            if rest is None:
+                continue
+            cand = (rest[0] + 1, (word,) + rest[1])
+            if best is None or cand < best:
+                best = cand
+        best_split[i] = best
+        return best
+
+    got = solve(0)
+    if got is not None and got[0] >= 2:
+        words = got[1]
+        return Candidate(Category.SPACING, f"split:{len(words)}"), " ".join(words)
+    return None
+
+
+def eomi_chain(lexicon: Lexicon, key: tuple, start: int) -> bool:
+    """key[start:] is one or more EOMI entries."""
+    for end, e in lexicon.iter_prefix_entries(key, start):
+        if e.pos is not Pos.EOMI:
+            continue
+        if end == len(key) or eomi_chain(lexicon, key, end):
+            return True
+    return False
+
+
+def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
+    """Shortest non-analyzable root followed by 하/XSV and an EOMI chain,
+    folding every suffix of ``chars`` anew."""
+    for i in range(1, len(chars)):
+        root = chars[:i]
+        rest_key = fold_letters(chars[i:])
+        for end, e in lexicon.iter_prefix_entries(rest_key, 0):
+            if e.pos is not Pos.XSV or e.lemma != "하":
+                continue
+            if (eomi_chain(lexicon, rest_key, end)
+                    and not word_analyzable_by_recursion(root, lexicon)):
+                return root
+    return None
