@@ -121,7 +121,7 @@ class Resources:
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
     """Every space-separated word of ``s`` is one analyzable word."""
-    return all(len(key) in lexicon.word_ends(key) for key in map(fold_letters, s.split(" ")))
+    return all(map(lexicon.is_word, map(fold_letters, s.split(" "))))
 
 
 def _splice(surface: str, start_char: int, end_char: int, output: str,
@@ -432,6 +432,11 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     as candidates and the first becomes the primary category."""
     if is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
+    return _classify(token, res)
+
+
+def _classify(token: Token, res: Resources) -> ClassificationResult:
+    """classify_token for a token already known to be non-analyzable."""
     index = _token_index(token, res.lexicon)
     candidates: list[Candidate] = []
     suggestion: str | None = None
@@ -471,7 +476,7 @@ def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification
         seen.add(token.surface)
         if is_analyzable(token, res.lexicon):
             continue
-        result = classify_token(token, res)
+        result = _classify(token, res)
         results.append(result)
         counts[result.primary] = counts.get(result.primary, 0) + 1
     return CorpusClassification(tuple(results), counts)

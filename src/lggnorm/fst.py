@@ -106,8 +106,28 @@ class _Builder:
         self.n += 1
         return self.n - 1
 
-    def build(self, g: GraphIR, stack: tuple[str, ...]) -> tuple[int, int]:
-        """Wire one graph; returns (entry state, accept state)."""
+    def build(self, g: GraphIR) -> tuple[int, int]:
+        """Wire a graph and, depth first, every subgraph it calls; returns
+        (entry state, accept state).  A graph waits for each callee on an
+        explicit stack of ``_wire`` frames, so a long call chain keeps no
+        interpreter frame per graph."""
+        frames = [self._wire(g)]
+        sent = None
+        while True:
+            try:
+                callee = frames[-1].send(sent)
+            except StopIteration as done:
+                frames.pop()
+                if not frames:
+                    return done.value
+                sent = done.value
+            else:
+                frames.append(self._wire(callee))
+                sent = None
+
+    def _wire(self, g: GraphIR):
+        """Wire one graph: yields each called subgraph in call order and is
+        sent back its (entry, accept) states; returns its own."""
         enter: dict[int, int] = {}
         exit_: dict[int, int] = {}
         for box_id in g.boxes:
@@ -119,13 +139,12 @@ class _Builder:
         for box_id in g.boxes:
             box = g.boxes[box_id]
             if box.kind is BoxKind.PLAIN:
-                self._wire_alternatives(g, box, enter[box_id], exit_[box_id], stack)
+                yield from self._wire_alternatives(box, enter[box_id], exit_[box_id])
             for succ in box.successors:
                 self.eps.append((exit_[box_id], "", enter[succ]))
         return enter[g.initial.id], enter[g.final.id]
 
-    def _wire_alternatives(self, g: GraphIR, box: Box, src: int, dst: int,
-                           stack: tuple[str, ...]):
+    def _wire_alternatives(self, box: Box, src: int, dst: int):
         output = box.output or ""
         for label in box.alternatives:
             if label.kind is LabelKind.LITERAL:
@@ -141,8 +160,7 @@ class _Builder:
             elif label.kind is LabelKind.EPSILON:
                 self.eps.append((src, output, dst))
             else:  # SUBGRAPH
-                callee = self.library[label.payload]
-                sub_in, sub_out = self.build(callee, stack + (callee.name,))
+                sub_in, sub_out = yield self.library[label.payload]
                 self.eps.append((src, "", sub_in))
                 self.eps.append((sub_out, output, dst))
 
@@ -199,7 +217,7 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
         raise GraphValidationError(diags)
 
     builder = _Builder(lib, max_states)
-    init, accept = builder.build(g, (g.name,))
+    init, accept = builder.build(g)
     closures = _epsilon_closure(builder.n, builder.eps)
 
     # push epsilon outputs forward onto following consuming transitions

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .lexicon import POS_NAMES
 
@@ -336,7 +337,8 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     missing_reported = set()
-    visiting: list[str] = []
+    visiting: list[str] = []  # the call path from g, innermost last
+    callees: list[Iterator[str]] = []  # callees left to visit, one per path entry
     visited: set[str] = set()
     cycle_reported = set()
 
@@ -364,11 +366,17 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
         visited.add(name)
         diags.extend(_validate_structure(graph))
         visiting.append(name)
-        for callee in graph.subgraph_names():
-            visit(callee)
-        visiting.pop()
+        callees.append(iter(graph.subgraph_names()))
 
+    # depth first over the call graph, from an explicit stack
     visit(g.name)
+    while callees:
+        callee = next(callees[-1], None)
+        if callee is None:
+            callees.pop()
+            visiting.pop()
+        else:
+            visit(callee)
     return diags
 
 

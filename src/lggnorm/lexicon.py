@@ -9,9 +9,12 @@ A token is analyzable when at least one segmentation into dictionary
 entries satisfies the part-of-speech concatenation rules; classification
 treats the complement — the non-analyzable tokens — as its problem space.
 
-Analyses, the analysability test and the fewest-words split all read
-one walk of the letter trie over (unit, rule state) pairs, each expanded
-once, so the work per token is bounded by units × trie depth × rule states.
+Analyses, the analysability test and the fewest-words split all walk
+the letter trie over (unit, rule state) pairs, each expanded once, so the
+work per token is bounded by units × trie depth × rule states.  Analyses
+and the fewest-words split read the whole lattice with its edges; the
+analysability test steps the rule state once per part of speech at a
+trie node, keeps no edges and stops at the first complete segmentation.
 """
 
 from __future__ import annotations
@@ -94,11 +97,12 @@ def parse_entry(line: str) -> DictEntry:
 
 
 class _TrieNode:
-    __slots__ = ("children", "entries")
+    __slots__ = ("children", "entries", "pos")
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
         self.entries: list[DictEntry] = []
+        self.pos: list[Pos] = []  # distinct parts of speech of the entries
 
 
 class _RulePattern:
@@ -164,6 +168,8 @@ class Lexicon:
         for letter in fold_letters(entry.surface):
             node = node.children.setdefault(letter, _TrieNode())
         node.entries.append(entry)
+        if entry.pos not in node.pos:
+            node.pos.append(entry.pos)
 
     def __len__(self):
         return len(self._entries)
@@ -196,7 +202,9 @@ class Lexicon:
 
     def _step(self, state: frozenset, pos: Pos) -> frozenset:
         """Rule state after one more morpheme of ``pos``."""
-        if (state, pos) not in self._steps:
+        try:
+            return self._steps[state, pos]
+        except KeyError:
             nxt = set()
             for r, i in state:
                 atoms = self._rules[r].atoms
@@ -205,7 +213,7 @@ class Lexicon:
                     if atoms[i][2]:
                         nxt.add((r, i))
             self._steps[state, pos] = frozenset(nxt)
-        return self._steps[state, pos]
+            return self._steps[state, pos]
 
     def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
         state = self._start
@@ -228,9 +236,39 @@ class Lexicon:
                 stack.extend(dst for _, dst in edges[pair])
         return edges
 
+    def _word_walk(self, key: tuple[str, ...], goal: int | None) -> set[int]:
+        """Units where a rule-satisfying word that starts the key ends;
+        stops as soon as one ends at ``goal``.  Walks the (unit, rule
+        state) pairs of ``lattice`` without its edges, stepping the rule
+        state once per part of speech at a trie node."""
+        ends: set[int] = set()
+        seen = {(0, self._start)}
+        stack = [(0, self._start)]
+        while stack:
+            unit, state = stack.pop()
+            node = self._root
+            for end in range(unit + 1, len(key) + 1):
+                node = node.children.get(key[end - 1])
+                if node is None:
+                    break
+                for pos in node.pos:
+                    nxt = self._step(state, pos)
+                    if nxt and (end, nxt) not in seen:
+                        seen.add((end, nxt))
+                        stack.append((end, nxt))
+                        if not nxt.isdisjoint(self._finals):
+                            ends.add(end)
+                            if end == goal:
+                                return ends
+        return ends
+
     def word_ends(self, key: tuple[str, ...]) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends."""
-        return {u for u, state in self.lattice(key) if u and not state.isdisjoint(self._finals)}
+        return self._word_walk(key, None)
+
+    def is_word(self, key: tuple[str, ...]) -> bool:
+        """The whole key is one rule-satisfying word."""
+        return len(key) in self._word_walk(key, len(key))
 
     def fewest_words(self, key: tuple[str, ...], starts: list[int]) -> list[int] | None:
         """Ends of the fewest rule-satisfying words that cover the key,
@@ -310,8 +348,7 @@ def analyze_token(token: Token, lexicon: Lexicon) -> list[MorphAnalysis]:
 def is_analyzable(token: Token, lexicon: Lexicon) -> bool:
     """HANGUL: has an analysis; JAMO/SYMBOL: never; LATIN/DIGIT/PUNCT: always."""
     if token.cls is TokenClass.HANGUL:
-        key = fold_letters(token.surface)
-        return len(key) in lexicon.word_ends(key)
+        return lexicon.is_word(fold_letters(token.surface))
     if token.cls in (TokenClass.JAMO, TokenClass.SYMBOL):
         return False
     return True

@@ -3,15 +3,19 @@
 Each non-space character belongs to exactly one class; a token is a
 maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
+
+``char_class`` defines the classes one character at a time; ``tokenize``
+finds the runs with one compiled regex holding one group per class and
+sums byte offsets per run, not per character.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 
 from .hangul import COMPAT_FIRST, COMPAT_LAST, SYLLABLE_BASE, SYLLABLE_LAST
 
@@ -77,6 +81,23 @@ def char_class(ch: str) -> TokenClass | None:
     return TokenClass.SYMBOL
 
 
+# character set of each class but SYMBOL, in char_class order (None: gap)
+_CLASS_SETS = (
+    (TokenClass.HANGUL, f"{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}"),
+    (TokenClass.JAMO, f"{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}"),
+    (TokenClass.LATIN, "a-zA-Z"),
+    (TokenClass.DIGIT, "0-9"),
+    (None, r"\s"),
+    (TokenClass.PUNCT, re.escape("".join(sorted(PUNCT_CHARS)))),
+)
+# one group per class; SYMBOL's takes every character the others do not.
+# The sets are disjoint, so each match is a maximal same-class run and
+# the matches tile the text.
+_RUNS = re.compile("|".join(f"([{chars}]+)" for _, chars in _CLASS_SETS)
+                   + "|([^" + "".join(chars for _, chars in _CLASS_SETS) + "]+)")
+_GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS), TokenClass.SYMBOL)
+
+
 def byte_offsets(text: str) -> list[int]:
     """UTF-8 byte offset of each character of ``text``, plus the byte
     length at the end."""
@@ -92,15 +113,17 @@ def tokenize(text: str) -> TokenStream:
     """Split NFC text into maximal same-class runs with byte offsets."""
     if not unicodedata.is_normalized("NFC", text):
         raise InvalidEncoding("input must be NFC-normalized")
-    offsets = byte_offsets(text)
+    is_ascii = text.isascii()
     tokens: list[Token] = []
     start = 0
-    for cls, run in groupby(map(char_class, text)):
-        end = start + len(list(run))
+    for m in _RUNS.finditer(text):
+        run = m.group()
+        end = start + (len(run) if is_ascii else len(run.encode("utf-8")))
+        cls = _GROUP_CLASS[m.lastindex]
         if cls is not None:
-            tokens.append(Token(text[start:end], cls, offsets[start], offsets[end]))
+            tokens.append(Token(run, cls, start, end))
         start = end
-    return TokenStream(tuple(tokens), offsets[-1])
+    return TokenStream(tuple(tokens), start)
 
 
 def fold_surface(token: Token) -> str:

@@ -6,17 +6,20 @@ import itertools
 import random
 import re
 from functools import lru_cache
+from unittest import mock
 
+from lggnorm import fst as fst_module
 from lggnorm.apply import TextIndex
 from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
-from lggnorm.grammar import BoxKind, GraphIR, LabelKind, _library_by_name, parse_graph
+from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
+                             _library_by_name, _validate_structure, parse_graph)
 from lggnorm.hangul import (FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, Jamo, JamoKind,
                             JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
                             medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
-from lggnorm.tokenizer import Token, TokenClass, tokenize
+from lggnorm.tokenizer import Token, TokenClass, TokenStream, byte_offsets, char_class, tokenize
 
 
 def brute_levenshtein(a: tuple, b: tuple) -> int:
@@ -32,6 +35,22 @@ def brute_levenshtein(a: tuple, b: tuple) -> int:
         return min(go(i + 1, j) + 1, go(i, j + 1) + 1, go(i + 1, j + 1) + cost)
 
     return go(0, 0)
+
+
+# ------------------------------------------------ tokenizer, per character
+
+def tokenize_by_groupby(text: str) -> TokenStream:
+    """Maximal same-class runs found by classifying every character with
+    char_class and grouping equal neighbours; byte offsets per character."""
+    offsets = byte_offsets(text)
+    tokens: list[Token] = []
+    start = 0
+    for cls, run in itertools.groupby(map(char_class, text)):
+        end = start + len(list(run))
+        if cls is not None:
+            tokens.append(Token(text[start:end], cls, offsets[start], offsets[end]))
+        start = end
+    return TokenStream(tuple(tokens), offsets[-1])
 
 
 # ------------------------------------------- jamo units, one object per unit
@@ -277,6 +296,96 @@ def enumerate_paths(g: GraphIR, library=(), max_input_len: int = 12) -> set[tupl
     root = g.initial
     enter_box(g, root, (), "", 0, "", frozenset())
     return results
+
+
+def validate_by_recursion(g: GraphIR, library=()) -> list[Diagnostic]:
+    """grammar.validate with one recursive call per subgraph call."""
+    lib = _library_by_name(library)
+    lib.setdefault(g.name, g)
+    diags: list[Diagnostic] = []
+
+    missing_reported = set()
+    visiting: list[str] = []
+    visited: set[str] = set()
+    cycle_reported = set()
+
+    def visit(name: str):
+        if name in visiting:
+            edge = (visiting[-1], name)
+            if edge not in cycle_reported:
+                cycle_reported.add(edge)
+                diags.append(Diagnostic(
+                    DiagnosticCode.RECURSIVE_CALL,
+                    f"recursive subgraph call {edge[0]} -> {edge[1]}",
+                    graph=g.name, detail=edge))
+            return
+        if name in visited:
+            return
+        graph = lib.get(name)
+        if graph is None:
+            if name not in missing_reported:
+                missing_reported.add(name)
+                diags.append(Diagnostic(
+                    DiagnosticCode.UNKNOWN_SUBGRAPH,
+                    f"subgraph {name!r} is not in the library",
+                    graph=visiting[-1] if visiting else g.name, detail=(name,)))
+            return
+        visited.add(name)
+        diags.extend(_validate_structure(graph))
+        visiting.append(name)
+        for callee in graph.subgraph_names():
+            visit(callee)
+        visiting.pop()
+
+    visit(g.name)
+    return diags
+
+
+class RecursiveBuilder(fst_module._Builder):
+    """fst._Builder inlining each subgraph call by a recursive call."""
+
+    def build(self, g: GraphIR) -> tuple[int, int]:
+        enter: dict[int, int] = {}
+        exit_: dict[int, int] = {}
+        for box_id in g.boxes:
+            box = g.boxes[box_id]
+            s = self.new_state()
+            enter[box_id] = s
+            exit_[box_id] = s if box.kind is not BoxKind.PLAIN else self.new_state()
+
+        for box_id in g.boxes:
+            box = g.boxes[box_id]
+            if box.kind is BoxKind.PLAIN:
+                self._wire_by_recursion(box, enter[box_id], exit_[box_id])
+            for succ in box.successors:
+                self.eps.append((exit_[box_id], "", enter[succ]))
+        return enter[g.initial.id], enter[g.final.id]
+
+    def _wire_by_recursion(self, box, src: int, dst: int):
+        output = box.output or ""
+        for label in box.alternatives:
+            if label.kind is LabelKind.LITERAL:
+                syms = fst_module.literal_symbols(label.payload)
+                cur = src
+                for i, sym in enumerate(syms):
+                    last = i == len(syms) - 1
+                    nxt = dst if last else self.new_state()
+                    self.arcs.append((cur, sym, output if last else "", nxt))
+                    cur = nxt
+            elif label.kind is LabelKind.MASK:
+                self.arcs.append((src, mask_symbol(label.payload), output, dst))
+            elif label.kind is LabelKind.EPSILON:
+                self.eps.append((src, output, dst))
+            else:  # SUBGRAPH
+                sub_in, sub_out = self.build(self.library[label.payload])
+                self.eps.append((src, "", sub_in))
+                self.eps.append((sub_out, output, dst))
+
+
+def compile_graph_by_recursion(g: GraphIR, library=()) -> Fst:
+    """fst.compile_graph with RecursiveBuilder inlining the subgraphs."""
+    with mock.patch.object(fst_module, "_Builder", RecursiveBuilder):
+        return fst_module.compile_graph(g, library)
 
 
 # ------------------------------------------------- leftmost-longest oracle
@@ -620,3 +729,9 @@ def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
                     and not word_analyzable_by_recursion(root, lexicon)):
                 return root
     return None
+
+
+def word_ends_by_lattice(lexicon: Lexicon, key: tuple[str, ...]) -> set[int]:
+    """Lexicon.word_ends read off the whole lattice, edges included."""
+    return {u for u, state in lexicon.lattice(key)
+            if u and not state.isdisjoint(lexicon._finals)}

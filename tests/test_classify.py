@@ -21,6 +21,7 @@ from lggnorm.hangul import (
     compose_letters,
     fold_letters,
 )
+from lggnorm.lexicon import is_analyzable
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best
 
@@ -177,6 +178,25 @@ def test_classify_corpus_type_level(classifier_resources):
     out = classify_corpus(tokenize("ㅋㅋ ㅋㅋ"), classifier_resources)
     assert len(out.results) == 1
     assert out.counts == {Category.EMOTICON: 1}
+
+
+def test_classify_corpus_checks_each_type_once(classifier_resources, informal_text,
+                                               monkeypatch):
+    import lggnorm.classify as classify_module
+
+    stream = tokenize(informal_text)
+    out = classify_corpus(stream, classifier_resources)
+    assert list(out.results) == [classify_token(r.token, classifier_resources)
+                                 for r in out.results]
+    checked = []
+
+    def counting(token, lexicon):
+        checked.append(token.surface)
+        return is_analyzable(token, lexicon)
+
+    monkeypatch.setattr(classify_module, "is_analyzable", counting)
+    assert classify_corpus(stream, classifier_resources) == out
+    assert out.results and len(checked) == len(set(checked))
 
 
 def test_suggestions_are_analyzable(classifier_resources, informal_text):

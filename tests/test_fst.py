@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lggnorm.fst import (
+    CompileError,
     CompileOverflow,
     EpsilonCycle,
     EpsilonOnlyPath,
@@ -11,7 +12,8 @@ from lggnorm.fst import (
     compile_graph,
 )
 from lggnorm.grammar import parse_graph
-from oracles import enumerate_paths, random_graph_text, relation, text_to_symbols
+from oracles import (compile_graph_by_recursion, enumerate_paths, random_graph_text, relation,
+                     text_to_symbols)
 
 CHOCOLATE = """\
 GRAPH Choco TAG LOAN
@@ -224,6 +226,27 @@ def test_random_subgraph_libraries_match_oracle():
             continue
         assert machine_relation_text(fst, 12) == ir_relation_text(root, lib, 12)
         done += 1
+
+
+def test_inlining_matches_recursive_inlining():
+    """Libraries of four graphs, each calling only later ones: the same
+    dump (state numbering and arc order) or the same error."""
+    rng = random.Random(5)
+    names = ("G0", "G1", "G2", "G3")
+    compiled = 0
+    for _ in range(400):
+        lib = [parse_graph(random_graph_text(rng, name=name, tag="T", max_boxes=6,
+                                             subgraphs=names[i + 1:]))
+               for i, name in enumerate(names)]
+        try:
+            expected = compile_graph_by_recursion(lib[0], lib).dump()
+        except CompileError as exc:
+            with pytest.raises(type(exc)):
+                compile_graph(lib[0], lib)
+            continue
+        assert compile_graph(lib[0], lib).dump() == expected
+        compiled += bool(lib[0].subgraph_names())
+    assert compiled > 30
 
 
 def test_bundled_grammars_match_oracle(library):

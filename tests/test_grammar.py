@@ -17,7 +17,7 @@ from lggnorm.grammar import (
     print_graph,
     validate,
 )
-from oracles import random_graph_text
+from oracles import random_graph_text, validate_by_recursion
 
 CHOCOLATE = """\
 GRAPH Choco TAG LOAN
@@ -163,3 +163,20 @@ def test_validation_soundness_random():
         except CompileError as exc:  # pragma: no cover
             raise AssertionError(f"clean graph failed to compile: {exc}")
     assert compiled > 30
+
+
+def test_validate_matches_recursive_validate():
+    """Libraries of four graphs calling any of five names (one missing),
+    so cycles and unknown subgraphs occur: the same diagnostics in the
+    same order."""
+    rng = random.Random(8)
+    names = ("G0", "G1", "G2", "G3")
+    found = set()
+    for _ in range(200):
+        lib = [parse_graph(random_graph_text(rng, name=name, tag="T", max_boxes=6,
+                                             subgraphs=names + ("Missing",)))
+               for name in names]
+        diags = validate(lib[0], lib)
+        assert diags == validate_by_recursion(lib[0], lib)
+        found.update(d.code for d in diags)
+    assert {DiagnosticCode.RECURSIVE_CALL, DiagnosticCode.UNKNOWN_SUBGRAPH} <= found

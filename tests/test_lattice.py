@@ -10,11 +10,12 @@ import pytest
 from lggnorm.apply import TextIndex
 from lggnorm.classify import Resources, _detect_spacing, _hada_root, _token_index
 from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compose_letters, fold_letters
-from lggnorm.lexicon import DEFAULT_CONCAT_RULES, Lexicon, Pos, _RulePattern, is_analyzable
+from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, _RulePattern,
+                             is_analyzable)
 from lggnorm.resources import load_lexicon
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import (analyze_key_by_recursion, hada_root_by_suffixes, rule_positions,
-                     spacing_by_substrings)
+                     spacing_by_substrings, word_ends_by_lattice)
 
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
@@ -108,6 +109,36 @@ def assert_lattice_matches_oracles(surface, res):
        entries=st.sampled_from([CORE, DUPLICATES]))
 def test_lattice_matches_recursive_oracles(surface, rules, entries):
     assert_lattice_matches_oracles(surface, resources_for(entries, rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface=edited_tokens(), rules=concat_rules,
+       entries=st.sampled_from([CORE, DUPLICATES]))
+def test_word_walk_matches_lattice(surface, rules, entries):
+    lexicon = resources_for(entries, rules).lexicon
+    key = fold_letters(surface)
+    ends = word_ends_by_lattice(lexicon, key)
+    assert lexicon.word_ends(key) == ends
+    # the early exit, at every length of the key
+    assert [lexicon.is_word(key[:u]) for u in range(len(key) + 1)] == \
+        [u in ends for u in range(len(key) + 1)]
+    if surface:
+        token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+        assert is_analyzable(token, lexicon) == (len(key) in ends)
+
+
+def test_word_walk_expands_each_pair_once():
+    # 가 splits into 가 and 가가 JOSAs in Fibonacci(24) ways, but reaches
+    # each (unit, rule state) pair once
+    lexicon = Lexicon([DictEntry("가", "가", Pos.N), DictEntry("가", "가", Pos.JOSA),
+                       DictEntry("가가", "가가", Pos.JOSA)])
+    steps = []
+    step = lexicon._step
+    lexicon._step = lambda state, pos: steps.append(pos) or step(state, pos)
+    key = fold_letters("가" * 24 + "ㅋ")
+    assert lexicon.word_ends(key) == set(range(2, 49, 2))
+    assert not lexicon.is_word(key)
+    assert len(steps) < 400
 
 
 @pytest.mark.parametrize("surface, rules", [

@@ -1,5 +1,5 @@
 """Long inputs: matching, analysis and graph compilation keep no call
-frame per consumed unit, morpheme or epsilon box."""
+frame per consumed unit, morpheme, epsilon box or subgraph call."""
 
 import subprocess
 import sys
@@ -78,3 +78,25 @@ def test_cli_compiles_a_long_epsilon_chain(tmp_path):
     fst = compile_graph(chained[0], chained)
     assert fst == compile_graph(direct[0], direct)
     assert r.stdout.decode() == fst.dump()
+
+
+def call_chain(graphs: int) -> str:
+    """``graphs`` graphs, each calling the next; the last holds one literal."""
+    lines = []
+    for i in range(graphs):
+        label = f":G{i + 1}" if i < graphs - 1 else '"짱|대박" / "진짜"'
+        lines += [f"GRAPH G{i} TAG CHAIN", "0 INITIAL -> 1", f"1 {label} -> 2", "2 FINAL"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "compile"])
+def test_cli_handles_a_chain_of_1100_subgraph_calls(tmp_path, command):
+    path = tmp_path / "calls.lgg"
+    path.write_text(call_chain(1100), encoding="utf-8")
+    r = run_cli("graph", command, path)
+    assert r.returncode == 0, r.stderr.decode()
+    if command == "validate":
+        assert r.stdout == b"OK\n"
+    else:
+        direct = parse_graph_library(call_chain(1))
+        assert r.stdout.decode() == compile_graph(direct[0], direct).dump()

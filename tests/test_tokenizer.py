@@ -1,14 +1,21 @@
+import sys
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.tokenizer import (
+    _GROUP_CLASS,
+    _RUNS,
+    PUNCT_CHARS,
     InvalidEncoding,
     TokenClass,
     char_class,
     tokenize,
     type_census,
 )
+from oracles import tokenize_by_groupby
 
 NFC_SAFE = st.text(
     alphabet=st.one_of(
@@ -98,6 +105,39 @@ def test_class_purity(text):
     for tok in tokenize(text):
         for ch in tok.surface:
             assert char_class(ch) is tok.cls
+
+
+def test_run_regex_classes_every_code_point():
+    wrong = []
+    for cp in range(sys.maxunicode + 1):
+        if 0xD800 <= cp <= 0xDFFF:
+            continue
+        ch = chr(cp)
+        got = _RUNS.fullmatch(ch)
+        if got is None or _GROUP_CLASS[got.lastindex] is not char_class(ch):
+            wrong.append(hex(cp))
+    assert wrong == []
+
+
+MIXED = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+        st.characters(min_codepoint=0x3131, max_codepoint=0x318E),
+        st.characters(min_codepoint=0x1100, max_codepoint=0x11FF),  # stray jamo
+        st.characters(min_codepoint=0x00, max_codepoint=0x7F),
+        st.sampled_from(list("\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u3000")),
+        st.sampled_from(sorted(PUNCT_CHARS)),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF,
+                      blacklist_categories=("Cs",)),
+    ),
+    max_size=60,
+).map(lambda text: unicodedata.normalize("NFC", text))
+
+
+@settings(max_examples=300)
+@given(MIXED)
+def test_runs_match_per_character_grouping(text):
+    assert tokenize(text) == tokenize_by_groupby(text)
 
 
 @given(NFC_SAFE)
