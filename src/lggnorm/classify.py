@@ -432,11 +432,6 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     as candidates and the first becomes the primary category."""
     if is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
-    return _classify(token, res)
-
-
-def _classify(token: Token, res: Resources) -> ClassificationResult:
-    """classify_token for a token already known to be non-analyzable."""
     index = _token_index(token, res.lexicon)
     candidates: list[Candidate] = []
     suggestion: str | None = None
@@ -474,9 +469,10 @@ def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification
         if token.surface in seen:
             continue
         seen.add(token.surface)
-        if is_analyzable(token, res.lexicon):
+        try:
+            result = classify_token(token, res)
+        except PreconditionViolated:
             continue
-        result = _classify(token, res)
         results.append(result)
         counts[result.primary] = counts.get(result.primary, 0) + 1
     return CorpusClassification(tuple(results), counts)

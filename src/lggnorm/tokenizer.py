@@ -4,9 +4,9 @@ Each non-space character belongs to exactly one class; a token is a
 maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
 
-``char_class`` defines the classes one character at a time; ``tokenize``
-finds the runs with one compiled regex holding one group per class and
-sums byte offsets per run, not per character.
+One compiled regex holds one group per class; ``tokenize`` finds the
+runs with it and sums byte offsets per run, not per character, and
+``char_class`` reads one character's class from the same regex.
 """
 
 from __future__ import annotations
@@ -62,26 +62,7 @@ class TokenStream:
         return len(self.tokens)
 
 
-def char_class(ch: str) -> TokenClass | None:
-    """Class of one scalar; None for whitespace (token gap)."""
-    o = ord(ch)
-    if SYLLABLE_BASE <= o <= SYLLABLE_LAST:
-        return TokenClass.HANGUL
-    if COMPAT_FIRST <= o <= COMPAT_LAST:
-        return TokenClass.JAMO
-    if ch.isascii():
-        if ch.isalpha():
-            return TokenClass.LATIN
-        if ch.isdigit():
-            return TokenClass.DIGIT
-    if ch.isspace():
-        return None
-    if ch in PUNCT_CHARS:
-        return TokenClass.PUNCT
-    return TokenClass.SYMBOL
-
-
-# character set of each class but SYMBOL, in char_class order (None: gap)
+# character set of each class but SYMBOL (None: whitespace, a token gap)
 _CLASS_SETS = (
     (TokenClass.HANGUL, f"{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}"),
     (TokenClass.JAMO, f"{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}"),
@@ -96,6 +77,11 @@ _CLASS_SETS = (
 _RUNS = re.compile("|".join(f"([{chars}]+)" for _, chars in _CLASS_SETS)
                    + "|([^" + "".join(chars for _, chars in _CLASS_SETS) + "]+)")
 _GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS), TokenClass.SYMBOL)
+
+
+def char_class(ch: str) -> TokenClass | None:
+    """Class of one scalar; None for whitespace (token gap)."""
+    return _GROUP_CLASS[_RUNS.fullmatch(ch).lastindex]
 
 
 def byte_offsets(text: str) -> list[int]:
@@ -113,12 +99,11 @@ def tokenize(text: str) -> TokenStream:
     """Split NFC text into maximal same-class runs with byte offsets."""
     if not unicodedata.is_normalized("NFC", text):
         raise InvalidEncoding("input must be NFC-normalized")
-    is_ascii = text.isascii()
     tokens: list[Token] = []
     start = 0
     for m in _RUNS.finditer(text):
         run = m.group()
-        end = start + (len(run) if is_ascii else len(run.encode("utf-8")))
+        end = start + len(run.encode("utf-8"))
         cls = _GROUP_CLASS[m.lastindex]
         if cls is not None:
             tokens.append(Token(run, cls, start, end))

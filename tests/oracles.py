@@ -14,12 +14,14 @@ from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
                              _library_by_name, _validate_structure, parse_graph)
-from lggnorm.hangul import (FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, Jamo, JamoKind,
+from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_LETTERS, INITIAL_LETTERS,
+                            MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo, JamoKind,
                             JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
                             medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
-from lggnorm.tokenizer import Token, TokenClass, TokenStream, byte_offsets, char_class, tokenize
+from lggnorm.tokenizer import (PUNCT_CHARS, Token, TokenClass, TokenStream, byte_offsets,
+                               tokenize)
 
 
 def brute_levenshtein(a: tuple, b: tuple) -> int:
@@ -39,13 +41,34 @@ def brute_levenshtein(a: tuple, b: tuple) -> int:
 
 # ------------------------------------------------ tokenizer, per character
 
+def char_class_by_rules(ch: str) -> TokenClass | None:
+    """Class of one scalar by code-point range and str predicates; None
+    for whitespace (token gap)."""
+    o = ord(ch)
+    if SYLLABLE_BASE <= o <= SYLLABLE_LAST:
+        return TokenClass.HANGUL
+    if COMPAT_FIRST <= o <= COMPAT_LAST:
+        return TokenClass.JAMO
+    if ch.isascii():
+        if ch.isalpha():
+            return TokenClass.LATIN
+        if ch.isdigit():
+            return TokenClass.DIGIT
+    if ch.isspace():
+        return None
+    if ch in PUNCT_CHARS:
+        return TokenClass.PUNCT
+    return TokenClass.SYMBOL
+
+
 def tokenize_by_groupby(text: str) -> TokenStream:
     """Maximal same-class runs found by classifying every character with
-    char_class and grouping equal neighbours; byte offsets per character."""
+    char_class_by_rules and grouping equal neighbours; byte offsets per
+    character."""
     offsets = byte_offsets(text)
     tokens: list[Token] = []
     start = 0
-    for cls, run in itertools.groupby(map(char_class, text)):
+    for cls, run in itertools.groupby(map(char_class_by_rules, text)):
         end = start + len(list(run))
         if cls is not None:
             tokens.append(Token(text[start:end], cls, offsets[start], offsets[end]))

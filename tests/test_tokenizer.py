@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.tokenizer import (
-    _GROUP_CLASS,
-    _RUNS,
     PUNCT_CHARS,
     InvalidEncoding,
     TokenClass,
@@ -15,7 +13,7 @@ from lggnorm.tokenizer import (
     tokenize,
     type_census,
 )
-from oracles import tokenize_by_groupby
+from oracles import char_class_by_rules, tokenize_by_groupby
 
 NFC_SAFE = st.text(
     alphabet=st.one_of(
@@ -104,17 +102,16 @@ def test_losslessness(text):
 def test_class_purity(text):
     for tok in tokenize(text):
         for ch in tok.surface:
-            assert char_class(ch) is tok.cls
+            assert char_class_by_rules(ch) is tok.cls
 
 
-def test_run_regex_classes_every_code_point():
+def test_char_class_every_code_point():
     wrong = []
     for cp in range(sys.maxunicode + 1):
         if 0xD800 <= cp <= 0xDFFF:
             continue
         ch = chr(cp)
-        got = _RUNS.fullmatch(ch)
-        if got is None or _GROUP_CLASS[got.lastindex] is not char_class(ch):
+        if char_class(ch) is not char_class_by_rules(ch):
             wrong.append(hex(cp))
     assert wrong == []
 
