@@ -18,12 +18,12 @@ collected; the first one becomes the primary category:
 Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 (SPACING) is stronger evidence than a one-jamo edit (DEVIANT_SPELLING).
 
-The deviant candidate forms are the dictionary letters of N, N JOSA,
-N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER (exactly one
-JOSA or EOMI) recomposed with compose_letters.  No per-lexicon list of
-them is built: the search walks the lexicon's letter trie with one
-Levenshtein row against the token and drops every branch that is
-already more than ``Thresholds.deviant`` jamo edits away.
+The deviant candidate forms are the dictionary letters of a word of
+DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ
+or PROPER) recomposed with compose_letters.  No per-lexicon list of them
+is built: the search runs DEVIANT_RULES on the lexicon's RuleAutomaton
+along its letter trie with one Levenshtein row against the token, and
+drops every branch already more than ``Thresholds.deviant`` edits away.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .apply import TextIndex, run_from
 from .fst import Fst
 from .hangul import (COMPOSE_START, MEDIAL_LETTERS, compose_key_step, compose_letters,
                      distance_key, fold_letters, prefix_distances)
-from .lexicon import DictEntry, Lexicon, Pos, is_analyzable
+from .lexicon import POS_BIT, DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
 EMOTICON_SCALARS = frozenset("ㅋㅎㅠㅜㅇ_")
@@ -109,14 +109,11 @@ class Resources:
             cat = tag_category(f.tag)
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
-        self._loan_keys = [distance_key(e.surface) for e in self.loan_entries]
+        self.loan_keys = [distance_key(e.surface) for e in self.loan_entries]
         self.deviant_search = _DeviantSearch(self.lexicon)
 
     def grammars_for(self, cat: Category) -> list[Fst]:
         return self._by_category.get(cat, [])
-
-    def loan_keys(self) -> list[tuple]:
-        return self._loan_keys
 
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
@@ -235,7 +232,7 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
     token_key = distance_key(index.text)
     ends = index.char_start_unit[1:]
     best = None  # (distance, -prefix_chars, entry_order) -> suggestion parts
-    for order, (entry, entry_key) in enumerate(zip(res.loan_entries, res.loan_keys())):
+    for order, (entry, entry_key) in enumerate(zip(res.loan_entries, res.loan_keys)):
         dists = prefix_distances(token_key, entry_key, limit)
         for n_chars, end_unit in enumerate(ends, 1):
             if end_unit < len(dists) and dists[end_unit] <= limit:
@@ -274,57 +271,48 @@ def _detect_deviant(index: TextIndex, res: Resources):
     return _deviant_by_distance(index, res)
 
 
-# The deviant candidate language: from each state, the part of speech of
-# the next morpheme and the state it leads to.  Its forms are N, N JOSA,
-# N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ and PROPER, i.e. exactly
-# one JOSA or EOMI, not the JOSA*/EOMI+ of the analyzability rules.
-_DEVIANT_STEPS: dict[str, dict[Pos, str]] = {
-    "start": {Pos.N: "noun", Pos.V: "stem", Pos.ADJ: "stem", Pos.ADV: "end",
-              Pos.DET: "end", Pos.INTERJ: "end", Pos.PROPER: "end"},
-    "noun": {Pos.JOSA: "end", Pos.XSV: "stem"},
-    "stem": {Pos.EOMI: "end"},
-    "end": {},
-}
-_DEVIANT_FINAL = frozenset({"noun", "end"})
+# exactly one JOSA or EOMI, not the JOSA*/EOMI+ of the analyzability rules
+DEVIANT_RULES = ("N", "N JOSA", "N XSV EOMI", "V EOMI", "ADJ EOMI",
+                 "ADV", "DET", "INTERJ", "PROPER")
+_DEVIANT = RuleAutomaton(DEVIANT_RULES)
 _VOWELS = frozenset(MEDIAL_LETTERS)
 _FAR = 1 << 30  # stands for any distance beyond the band
 
 
 class _DeviantSearch:
     """Nearest form of the deviant candidate language to a token, found by
-    a bounded walk of the lexicon's letter trie; no form list is built.
+    a bounded walk of the lexicon's letter trie through the automaton of
+    DEVIANT_RULES; no form list is built.
 
-    For each language state that takes another morpheme, ``moves`` maps a
-    trie node to the states its entries lead to, its children whose
-    subtree ends an entry of a part of speech that state takes, and the
-    look-aheads (is the next letter a vowel?) its last letter needs.
+    ``moves`` maps a (rule state, trie node) pair, the first time the walk
+    reaches it, to the rule states the node's entries lead to (each with
+    whether it is final and whether it takes another morpheme), its
+    children whose subtree ends an entry of a part of speech the rule
+    state takes, and the look-aheads (is the next letter a vowel?) its
+    last letter needs; None when there are no targets and no children.
     """
 
     def __init__(self, lexicon: Lexicon):
         self.root = lexicon.trie_root
-        nodes = []  # preorder, so reversed() sees children before parents
-        stack = [(self.root, 0)]
-        depth = 0
-        while stack:
-            node, d = stack.pop()
-            nodes.append(node)
-            depth = max(depth, d)
-            stack.extend((child, d + 1) for child in node.children.values())
-        # letters in the longest form; the language is acyclic, so a form
-        # has fewer morphemes than the language has states
-        self.max_letters = (len(_DEVIANT_STEPS) - 1) * depth
-        self.moves: dict[str, dict] = {}
-        for lang, steps in _DEVIANT_STEPS.items():
-            if not steps:
-                continue
-            moves = self.moves[lang] = {}
-            for node in reversed(nodes):
-                targets = tuple(sorted({steps[e.pos] for e in node.entries if e.pos in steps}))
-                kids = tuple((letter, child, letter in _VOWELS)
-                             for letter, child in node.children.items() if child in moves)
-                if targets or kids:
-                    ahead = {False} if targets else set()
-                    moves[node] = (targets, kids, tuple(ahead | {v for _, _, v in kids}))
+        # letters in the longest form: one entry per morpheme of a rule
+        self.max_letters = max(len(r.split()) for r in DEVIANT_RULES) * lexicon.max_key_len
+        self.moves: dict[tuple[frozenset, object], tuple | None] = {}
+
+    def _moves(self, state: frozenset, node) -> tuple | None:
+        try:
+            return self.moves[state, node]
+        except KeyError:
+            targets = tuple((s, not s.isdisjoint(_DEVIANT.finals),
+                             self._moves(s, self.root) is not None)
+                            for s in {_DEVIANT.step(state, pos) for pos in node.pos} if s)
+            takes = sum(bit for pos, bit in POS_BIT.items() if _DEVIANT.step(state, pos))
+            kids = tuple((letter, child, letter in _VOWELS)
+                         for letter, child in node.children.items() if child.below & takes)
+            ahead = {False} if targets else set()
+            got = ((targets, kids, tuple(ahead | {v for _, _, v in kids}))
+                   if targets or kids else None)
+            self.moves[state, node] = got
+            return got
 
     def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
         """(distance, form) of the form whose composed distance key is
@@ -332,14 +320,15 @@ class _DeviantSearch:
         longer shared key prefix, then to the smaller form.
 
         A depth-first walk that jumps back to the trie root at a morpheme
-        end allowed by _DEVIANT_STEPS.  It carries one Levenshtein row
+        end allowed by DEVIANT_RULES.  It carries one Levenshtein row
         against the token key, banded to the cells that can hold a distance
         within the limit, and drops a branch once the row's
         minimum exceeds the best distance found so far.  A letter's unit
         depends on the letter after it (compose_key_step), so each frame
         holds its last letter pending until the next one is known.
         """
-        if limit < 0 or self.root not in self.moves["start"]:
+        start = self._moves(_DEVIANT.start, self.root)
+        if limit < 0 or start is None:
             return None
         m = len(token_key)
         # no distance exceeds m + max_letters, so a wider band adds nothing
@@ -373,21 +362,22 @@ class _DeviantSearch:
         # letter, pending letter, row over the k settled units and its
         # minimum, k, shared prefix of the settled units and the token key,
         # letters including the pending one
-        stack = [(child, "start", COMPOSE_START, letter, row0, 0, 0, 0, letter)
-                 for letter, child, _ in self.moves["start"][self.root][1]]
+        stack = [(child, _DEVIANT.start, COMPOSE_START, letter, row0, 0, 0, 0, letter)
+                 for letter, child, _ in start[1]]
+        moves = self.moves  # every pushed pair has moves
         while stack:
             node, lang, state, pending, row, low, k, shared, letters = stack.pop()
             if low > bound:
                 continue
-            targets, kids, lookaheads = self.moves[lang][node]
+            targets, kids, lookaheads = moves.get((lang, node)) or self._moves(lang, node)
             settled = [None, None]  # by whether the next letter is a vowel
             for next_is_vowel in lookaheads:
                 state2, unit = compose_key_step(state, pending, next_is_vowel)
                 row2 = push(row, k + 1, unit)
                 shared2 = shared + 1 if shared == k < m and unit == token_key[k] else shared
                 settled[next_is_vowel] = (state2, row2, min(row2), shared2)
-            for lang2 in targets:
-                if lang2 in _DEVIANT_FINAL:
+            for lang2, final, again in targets:
+                if final:
                     _, row2, _, shared2 = settled[False]
                     t = m - (k + 1) + band
                     if 0 <= t < width and row2[t] <= bound:
@@ -395,7 +385,7 @@ class _DeviantSearch:
                         if best is None or rank < best:
                             best = rank
                             bound = rank[0]
-                if self.root in self.moves.get(lang2, ()):
+                if again:
                     stack.append((self.root, lang2, state, pending, row, low, k, shared,
                                   letters))
             for letter, child, next_is_vowel in kids:

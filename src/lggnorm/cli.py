@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import unicodedata
 
@@ -64,6 +65,8 @@ def _load_lexicon(args):
 
 def _load_library(args):
     directory = getattr(args, "grammars", None)
+    if directory is not None and not os.path.isdir(directory):
+        raise UsageError(f"--grammars must name a directory: {directory}")
     library = resources.load_grammar_library(
         directory, max_states=getattr(args, "max_states", DEFAULT_MAX_STATES))
     priority = getattr(args, "priority", None)
@@ -194,6 +197,8 @@ def rows_to_json(s) -> dict:
 
 
 def cmd_concord(args) -> int:
+    if args.left < 0 or args.right < 0:
+        raise UsageError("--left and --right must not be negative")
     _require_dict(args)
     lexicon = _load_lexicon(args)
     library = _load_library(args)
@@ -321,11 +326,11 @@ def main(argv=None) -> int:
     except InvalidEncoding as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENCODING
-    except FileNotFoundError as exc:
+    except BrokenPipeError:  # before OSError, of which it is one
+        return EXIT_OK
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        return EXIT_OK
 
 
 if __name__ == "__main__":

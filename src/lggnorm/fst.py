@@ -3,6 +3,8 @@
 Compilation inlines subgraph calls (the call graph must be acyclic),
 expands every literal alternative into a chain of jamo-unit transitions,
 then removes epsilon transitions while pushing their outputs forward.
+Only the initial state and the targets of consuming transitions can be
+entered once epsilons are gone, so only their closures are computed.
 Outputs that would be emitted after the last consumed symbol survive as
 per-final-state output strings, so the compiled relation is exactly the
 graph's input/output relation.
@@ -165,10 +167,10 @@ class _Builder:
                 self.eps.append((sub_out, output, dst))
 
 
-def _epsilon_closure(n_states: int, eps: list[tuple[int, str, int]]):
-    """Closure pairs (reachable state, accumulated output) per state, in
-    deterministic DFS preorder.  Raises EpsilonCycle when an epsilon cycle
-    carries output (its closure would be infinite)."""
+def _epsilon_closure(eps: list[tuple[int, str, int]], states):
+    """Closure pairs (reachable state, accumulated output) of each of
+    ``states``, in deterministic DFS preorder.  Raises EpsilonCycle when
+    an epsilon cycle carries output (its closure would be infinite)."""
     # successors in reverse arc order, so that they pop off a stack in order
     adj: dict[int, list[tuple[str, int]]] = {}
     for src, out, dst in reversed(eps):
@@ -190,8 +192,8 @@ def _epsilon_closure(n_states: int, eps: list[tuple[int, str, int]]):
                     seen.add(nxt)
                     stack.append(nxt)
 
-    closures: list[list[tuple[int, str]]] = []
-    for q in range(n_states):
+    closures: dict[int, list[tuple[int, str]]] = {}
+    for q in states:
         pairs: list[tuple[int, str]] = []
         seen: set[tuple[int, str]] = set()
         stack = [(q, "")]
@@ -204,7 +206,7 @@ def _epsilon_closure(n_states: int, eps: list[tuple[int, str, int]]):
             state, out = pair
             for o, dst in adj.get(state, ()):
                 stack.append((dst, out + o))
-        closures.append(pairs)
+        closures[q] = pairs
     return closures
 
 
@@ -218,7 +220,9 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
 
     builder = _Builder(lib, max_states)
     init, accept = builder.build(g)
-    closures = _epsilon_closure(builder.n, builder.eps)
+    # the only states that can be entered once epsilons are gone
+    entered = sorted({init}.union(arc[3] for arc in builder.arcs))
+    closures = _epsilon_closure(builder.eps, entered)
 
     # push epsilon outputs forward onto following consuming transitions
     arcs_by_src: dict[int, list[tuple[int, str, str, int]]] = {}
@@ -228,7 +232,7 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
     new_arcs: list[tuple[int, str, str, int]] = []
     seen_arcs: set[tuple[int, str, str, int]] = set()
     final_outputs: dict[int, tuple[str, ...]] = {}
-    for q in range(builder.n):
+    for q in entered:
         outs: list[str] = []
         for r, w in closures[q]:
             if r == accept and w not in outs:
@@ -244,47 +248,31 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
     if init in final_outputs:
         raise EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")
 
-    # prune states not on an initial..final path, renumber breadth-first
-    fwd: dict[int, list[int]] = {}
+    # prune states not on an initial..final path, renumber breadth-first:
+    # walking from init through co-reachable states meets exactly those
+    fwd: dict[int, list[tuple[int, str, str, int]]] = {}
     rev: dict[int, list[int]] = {}
-    for src, _, _, dst in new_arcs:
-        fwd.setdefault(src, []).append(dst)
-        rev.setdefault(dst, []).append(src)
-
-    reach = {init}
-    frontier = [init]
-    while frontier:
-        s = frontier.pop()
-        for d in fwd.get(s, ()):
-            if d not in reach:
-                reach.add(d)
-                frontier.append(d)
+    for arc in new_arcs:
+        fwd.setdefault(arc[0], []).append(arc)
+        rev.setdefault(arc[3], []).append(arc[0])
     coreach = set(final_outputs)
     frontier = list(final_outputs)
     while frontier:
-        s = frontier.pop()
-        for d in rev.get(s, ()):
+        for d in rev.get(frontier.pop(), ()):
             if d not in coreach:
                 coreach.add(d)
                 frontier.append(d)
-    keep = reach & coreach
-    keep.add(init)
 
     order: dict[int, int] = {init: 0}
     queue = [init]
-    while queue:
-        s = queue.pop(0)
-        for src, _, _, dst in new_arcs:
-            if src == s and dst in keep and dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-
-    kept_arcs = [
-        (order[src], sym, o, order[dst])
-        for src, sym, o, dst in new_arcs
-        if src in order and dst in order
-    ]
-    kept_arcs.sort(key=lambda a: a[0])  # stable: per-state order preserved
+    kept_arcs: list[tuple[int, str, str, int]] = []
+    for s in queue:  # also walks the states appended on the way
+        for _, sym, o, dst in fwd.get(s, ()):
+            if dst in coreach:
+                if dst not in order:
+                    order[dst] = len(order)
+                    queue.append(dst)
+                kept_arcs.append((order[s], sym, o, order[dst]))
     finals = {
         order[s]: outs for s, outs in final_outputs.items() if s in order
     }

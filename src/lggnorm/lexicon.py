@@ -41,6 +41,7 @@ class Pos(enum.Enum):
 
 
 POS_NAMES = frozenset(p.value for p in Pos)
+POS_BIT = {p: 1 << i for i, p in enumerate(Pos)}
 
 DEFAULT_CONCAT_RULES = (
     "N JOSA*",
@@ -97,19 +98,19 @@ def parse_entry(line: str) -> DictEntry:
 
 
 class _TrieNode:
-    __slots__ = ("children", "entries", "pos")
+    __slots__ = ("children", "entries", "pos", "below")
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
         self.entries: list[DictEntry] = []
         self.pos: list[Pos] = []  # distinct parts of speech of the entries
+        self.below = 0  # POS_BIT mask of the parts of speech in the subtree
 
 
 class _RulePattern:
     """One concatenation rule, e.g. ``N XSV EOMI+`` (quantifiers: none, *, +)."""
 
     def __init__(self, text: str):
-        self.text = text
         self.atoms: list[tuple[Pos, bool, bool]] = []  # (pos, skippable, repeatable)
         for item in text.split():
             quant = ""
@@ -125,6 +126,40 @@ class _RulePattern:
         while out[-1] < len(self.atoms) and self.atoms[out[-1]][1]:
             out.append(out[-1] + 1)
         return out
+
+
+class RuleAutomaton:
+    """The part-of-speech sequences some concatenation rule accepts.  A
+    state is the frozenset of (rule, atom) positions reached, empty once
+    no rule fits; steps are memoized."""
+
+    def __init__(self, rules: Iterable[str]):
+        self._rules = [_RulePattern(r) for r in rules]
+        self.start = frozenset((r, i) for r, rule in enumerate(self._rules)
+                               for i in rule.skip(0))
+        self.finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
+        self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
+
+    def step(self, state: frozenset, pos: Pos) -> frozenset:
+        """Rule state after one more morpheme of ``pos``."""
+        try:
+            return self._steps[state, pos]
+        except KeyError:
+            nxt = set()
+            for r, i in state:
+                atoms = self._rules[r].atoms
+                if i < len(atoms) and atoms[i][0] is pos:
+                    nxt.update((r, j) for j in self._rules[r].skip(i + 1))
+                    if atoms[i][2]:
+                        nxt.add((r, i))
+            self._steps[state, pos] = frozenset(nxt)
+            return self._steps[state, pos]
+
+    def accepts(self, seq: tuple[Pos, ...]) -> bool:
+        state = self.start
+        for pos in seq:
+            state = self.step(state, pos)
+        return bool(seq) and not state.isdisjoint(self.finals)
 
 
 @dataclass
@@ -149,14 +184,11 @@ class Lexicon:
                  concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES):
         self._root = _TrieNode()
         self._entries: list[DictEntry] = []
+        self.max_key_len = 0  # letters in the longest surface
         self.concat_rules = tuple(concat_rules)
-        self._rules = [_RulePattern(r) for r in self.concat_rules]
-        # rule automaton: a state is the frozenset of (rule, atom) positions
-        # reached, empty once no rule fits; steps are memoized
-        self._start = frozenset((r, i) for r, rule in enumerate(self._rules)
-                                for i in rule.skip(0))
-        self._finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
-        self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
+        self._rules = RuleAutomaton(self.concat_rules)
+        self._start, self._finals, self._step = (
+            self._rules.start, self._rules.finals, self._rules.step)
         for e in entries:
             self._insert(e)
 
@@ -164,9 +196,12 @@ class Lexicon:
         if not entry.surface:
             raise ValueError("entry surface must be non-empty")
         self._entries.append(entry)
-        node = self._root
-        for letter in fold_letters(entry.surface):
+        key = fold_letters(entry.surface)
+        self.max_key_len = max(self.max_key_len, len(key))
+        node, bit = self._root, POS_BIT[entry.pos]
+        for letter in key:
             node = node.children.setdefault(letter, _TrieNode())
+            node.below |= bit
         node.entries.append(entry)
         if entry.pos not in node.pos:
             node.pos.append(entry.pos)
@@ -200,26 +235,8 @@ class Lexicon:
             for e in node.entries:
                 yield i, e
 
-    def _step(self, state: frozenset, pos: Pos) -> frozenset:
-        """Rule state after one more morpheme of ``pos``."""
-        try:
-            return self._steps[state, pos]
-        except KeyError:
-            nxt = set()
-            for r, i in state:
-                atoms = self._rules[r].atoms
-                if i < len(atoms) and atoms[i][0] is pos:
-                    nxt.update((r, j) for j in self._rules[r].skip(i + 1))
-                    if atoms[i][2]:
-                        nxt.add((r, i))
-            self._steps[state, pos] = frozenset(nxt)
-            return self._steps[state, pos]
-
     def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
-        state = self._start
-        for pos in seq:
-            state = self._step(state, pos)
-        return bool(seq) and not state.isdisjoint(self._finals)
+        return self._rules.accepts(seq)
 
     def lattice(self, key: tuple[str, ...], starts: Iterable[int] = (0,)) -> dict:
         """Every (unit, rule state) pair reachable from the start state at
@@ -315,9 +332,8 @@ class Lexicon:
         return results
 
 
-def load_dictionary(source: Iterable[str],
-                    concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES) -> Lexicon:
-    """Build a Lexicon from dictionary lines, collecting all malformed lines."""
+def read_entries(source: Iterable[str]) -> list[DictEntry]:
+    """Entries of dictionary lines, collecting all malformed lines."""
     entries: list[DictEntry] = []
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(source, 1):
@@ -330,7 +346,13 @@ def load_dictionary(source: Iterable[str],
             errors.append((lineno, str(exc)))
     if errors:
         raise MalformedEntry(errors)
-    return Lexicon(entries, concat_rules)
+    return entries
+
+
+def load_dictionary(source: Iterable[str],
+                    concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES) -> Lexicon:
+    """Build a Lexicon from dictionary lines."""
+    return Lexicon(read_entries(source), concat_rules)
 
 
 def load_dictionary_file(path, concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES) -> Lexicon:

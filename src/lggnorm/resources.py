@@ -18,7 +18,7 @@ from pathlib import Path
 from .classify import Resources, Thresholds
 from .fst import DEFAULT_MAX_STATES, Fst, compile_graph
 from .grammar import GraphIR, load_grammar_file
-from .lexicon import DictEntry, Lexicon, load_dictionary_file
+from .lexicon import DictEntry, Lexicon, read_entries
 
 ASSETS_ENV = "LGGNORM_ASSETS"
 
@@ -68,14 +68,17 @@ def load_grammar_library(directory: Path | str | None = None,
     return GrammarLibrary(graphs, fsts)
 
 
+def _read_entries(path) -> tuple[DictEntry, ...]:
+    """A dictionary file's entries, without building its trie."""
+    with open(path, encoding="utf-8") as fh:
+        return tuple(read_entries(fh))
+
+
 def load_lexicon(paths=None) -> Lexicon:
     """Analyzability dictionary; defaults to core + loanword standards."""
     if not paths:
         paths = [dictionary_path("core.dic"), dictionary_path("loan.dic")]
-    entries: list[DictEntry] = []
-    for p in paths:
-        entries.extend(load_dictionary_file(p).entries)
-    return Lexicon(entries)
+    return Lexicon(e for p in paths for e in _read_entries(p))
 
 
 def load_classifier_resources(lexicon: Lexicon | None = None,
@@ -86,14 +89,11 @@ def load_classifier_resources(lexicon: Lexicon | None = None,
         lexicon = load_lexicon()
     if library is None:
         library = load_grammar_library()
-    abbr = load_dictionary_file(abbr_path or dictionary_path("abbr.dic")).entries
-    neo = load_dictionary_file(neo_path or dictionary_path("neo.dic")).entries
-    loan = load_dictionary_file(loan_path or dictionary_path("loan.dic")).entries
     return Resources(
         lexicon=lexicon,
         fsts=library.fsts,
-        abbr_entries=abbr,
-        neo_entries=neo,
-        loan_entries=loan,
+        abbr_entries=_read_entries(abbr_path or dictionary_path("abbr.dic")),
+        neo_entries=_read_entries(neo_path or dictionary_path("neo.dic")),
+        loan_entries=_read_entries(loan_path or dictionary_path("loan.dic")),
         thresholds=thresholds or Thresholds(),
     )

@@ -16,6 +16,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hangul import COMPAT_FIRST, COMPAT_LAST, SYLLABLE_BASE, SYLLABLE_LAST
 
@@ -39,8 +40,7 @@ class TokenClass(enum.Enum):
 PUNCT_CHARS = frozenset(".,!?;:…·'\"()[]{}“”‘’「」『』~-")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     cls: TokenClass
     start: int  # byte offset into the UTF-8 encoding

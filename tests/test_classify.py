@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.classify import (
+    DEVIANT_RULES,
     Category,
     PreconditionViolated,
+    Resources,
     Thresholds,
     _deviant_by_distance,
     _loanword_by_distance,
@@ -21,7 +24,7 @@ from lggnorm.hangul import (
     compose_letters,
     fold_letters,
 )
-from lggnorm.lexicon import is_analyzable
+from lggnorm.lexicon import DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best
 
@@ -272,3 +275,65 @@ def test_searches_match_oracles_for_huge_thresholds(classifier_resources, surfac
     # wide; the nearest form to ㅋ is more edits away than ㅋ is long
     for limit in (10, 10**12):
         assert_searches_match_oracles(surface, classifier_resources, limit)
+
+
+def test_deviant_rules_accept_exactly_the_deviant_shapes():
+    automaton = RuleAutomaton(DEVIANT_RULES)
+    for n in range(5):
+        for seq in itertools.product(Pos, repeat=n):
+            assert automaton.accepts(seq) == (seq in DEVIANT_SHAPES), seq
+
+
+# small lexicons whose surfaces collide across parts of speech: 가 can be
+# a noun, a verb and a josa, 하 a verb and the verbalizer, 크 a noun and an
+# adjective
+STEM_SURFACES = ["가", "사람", "크", "하", "먹", "좋"]
+STEM_POS = [Pos.N, Pos.V, Pos.ADJ, Pos.ADV, Pos.DET, Pos.INTERJ, Pos.PROPER]
+SUFFIX_SURFACES = {Pos.JOSA: ["이", "가", "를"], Pos.XSV: ["하", "되"],
+                   Pos.EOMI: ["어요", "ㅂ니다", "다", "아"]}
+
+
+def small_entries(surfaces, parts):
+    return st.lists(st.sampled_from(parts).flatmap(
+        lambda pos: st.sampled_from(surfaces(pos)).map(
+            lambda surface: DictEntry(surface, surface, pos))), min_size=1, max_size=5)
+
+
+small_lexicons = st.tuples(
+    small_entries(lambda pos: STEM_SURFACES, STEM_POS),
+    small_entries(SUFFIX_SURFACES.get, list(SUFFIX_SURFACES)),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=small_lexicons, data=st.data(), limit=st.sampled_from([0, 1, 2]))
+def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
+    lexicon = Lexicon(entries)
+    res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
+    by_pos = {}
+    for e in entries:
+        by_pos.setdefault(e.pos, []).append(e.surface)
+    shapes = [shape for shape in DEVIANT_SHAPES if all(pos in by_pos for pos in shape)]
+    letters = []
+    if shapes and data.draw(st.integers(0, 3)):
+        # a form of the candidate language, then up to two jamo edits
+        for pos in data.draw(st.sampled_from(shapes)):
+            letters += fold_letters(data.draw(st.sampled_from(by_pos[pos])))
+    else:
+        syllables = sorted({ch for e in entries for ch in e.surface} | {"ㅋ", "를", "요"})
+        letters += fold_letters("".join(data.draw(
+            st.lists(st.sampled_from(syllables), min_size=1, max_size=4))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(letters)))
+        op = data.draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op == "insert":
+            letters.insert(i, data.draw(st.sampled_from(EDIT_LETTERS)))
+        elif i < len(letters) > 1:
+            if op == "delete":
+                del letters[i]
+            else:
+                letters[i] = data.draw(st.sampled_from(EDIT_LETTERS))
+    surface = compose_letters(letters)
+    token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+    index = _token_index(token, lexicon)
+    assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)

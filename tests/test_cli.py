@@ -145,3 +145,76 @@ def test_assets_env_override(tmp_path, monkeypatch):
         [sys.executable, "-m", "lggnorm", "normalize", *DICT_ARGS, "-"],
         input="넘 좋아요".encode(), capture_output=True, env=env, timeout=120)
     assert r.stdout.decode() == "정말 좋아요"
+
+
+# --------------------------------------------- OS errors and bad arguments
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    from lggnorm import cli
+
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_usage_error(code, err):
+    assert code == 1
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+def test_directory_as_input_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_main(capsys, "tokenize", str(tmp_path))
+    assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_directory_as_dictionary_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_main(capsys, "stats", "--dict", str(tmp_path), str(tmp_path))
+    assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_permission_error_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # root reads files whatever their mode, so the denial is simulated
+    from lggnorm import cli
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "_read_text", denied)
+    code, _, err = run_main(capsys, "tokenize", str(tmp_path / "secret.txt"))
+    assert_usage_error(code, err)
+    assert "Permission denied" in err
+
+
+def test_broken_pipe_still_exits_0(capsys, monkeypatch):
+    from lggnorm import cli
+
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_tokenize", closed)
+    code, _, err = run_main(capsys, "tokenize", "-")
+    assert (code, err) == (0, "")
+
+
+def test_negative_concord_width_is_a_usage_error(capsys, monkeypatch):
+    import io
+
+    for flag in ("--left", "--right"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("영화 잼있어요".encode())))
+        code, out, err = run_main(capsys, "concord", *DICT_ARGS, flag, "-5")
+        assert_usage_error(code, err)
+        assert out == ""
+
+
+def test_grammars_must_name_a_directory(capsys, tmp_path):
+    plain = tmp_path / "abbr.lgg"
+    plain.write_text("", encoding="utf-8")
+    for path in (tmp_path / "missing", plain):
+        r = run_cli("normalize", *DICT_ARGS, "--grammars", str(path), stdin="영화 잼있어요")
+        assert r.returncode == 1
+        assert r.stdout == b""
+        assert r.stderr.decode().startswith("usage error: ")

@@ -10,7 +10,7 @@ import pytest
 from lggnorm import resources
 from lggnorm.apply import normalize
 from lggnorm.classify import Category, classify_token
-from lggnorm.fst import compile_graph
+from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
 from lggnorm.tokenizer import tokenize
 
@@ -75,7 +75,9 @@ def test_cli_compiles_a_long_epsilon_chain(tmp_path):
     assert r.returncode == 0, r.stderr.decode()
     chained = parse_graph_library(chain_graph(1202))
     direct = parse_graph_library(chain_graph(0))
+    start = time.perf_counter()
     fst = compile_graph(chained[0], chained)
+    assert time.perf_counter() - start < 0.5
     assert fst == compile_graph(direct[0], direct)
     assert r.stdout.decode() == fst.dump()
 
@@ -100,3 +102,27 @@ def test_cli_handles_a_chain_of_1100_subgraph_calls(tmp_path, command):
     else:
         direct = parse_graph_library(call_chain(1))
         assert r.stdout.decode() == compile_graph(direct[0], direct).dump()
+
+
+def test_a_chain_of_1100_subgraph_calls_compiles_within_half_a_second():
+    calls = parse_graph_library(call_chain(1100))
+    direct = parse_graph_library(call_chain(1))
+    start = time.perf_counter()
+    fst = compile_graph(calls[0], calls)
+    assert time.perf_counter() - start < 0.5
+    assert fst == compile_graph(direct[0], direct)
+
+
+def test_a_box_of_2000_alternatives_compiles_within_a_second():
+    words = [chr(0xAC00 + 5 * i) + "요" for i in range(2000)]
+    g = parse_graph_library("GRAPH Big TAG LOAN\n0 INITIAL -> 1\n"
+                            f'1 "{"|".join(words)}" / "x" -> 2\n2 FINAL\n')[0]
+    start = time.perf_counter()
+    fst = compile_graph(g)
+    assert time.perf_counter() - start < 1.0
+    # one chain of arcs per alternative from the initial state to the one
+    # final state, its output on the last arc
+    lengths = [len(literal_symbols(w)) for w in words]
+    assert fst.n_states == 2 + sum(n - 1 for n in lengths)
+    assert len(fst.transitions) == sum(lengths)
+    assert list(fst.final_outputs.values()) == [("",)]
