@@ -20,10 +20,13 @@ Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 
 The deviant candidate forms are the dictionary letters of a word of
 DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ
-or PROPER) recomposed with compose_letters.  No per-lexicon list of them
-is built: the search runs DEVIANT_RULES on the lexicon's RuleAutomaton
-along its letter trie with one Levenshtein row against the token, and
-drops every branch already more than ``Thresholds.deviant`` edits away.
+or PROPER) recomposed with compose_letters, where the recomposition
+leaves no letter standalone: candidates are syllable-only words.  So each
+letter's distance-key unit is fixed by the letter (letter_key) and no
+composition look-ahead is needed.  No per-lexicon list of forms is built:
+the search runs DEVIANT_RULES on the lexicon's RuleAutomaton along its
+letter trie with one Levenshtein row against the token, and drops every
+branch already more than ``Thresholds.deviant`` edits away.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import (COMPOSE_START, MEDIAL_LETTERS, compose_key_step, compose_letters,
-                     distance_key, fold_letters, prefix_distances)
+from .hangul import (compose_letters, distance_key, fold_letters, is_compat_jamo, letter_key,
+                     prefix_distances)
 from .lexicon import POS_BIT, DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -275,7 +278,6 @@ def _detect_deviant(index: TextIndex, res: Resources):
 DEVIANT_RULES = ("N", "N JOSA", "N XSV EOMI", "V EOMI", "ADJ EOMI",
                  "ADV", "DET", "INTERJ", "PROPER")
 _DEVIANT = RuleAutomaton(DEVIANT_RULES)
-_VOWELS = frozenset(MEDIAL_LETTERS)
 _FAR = 1 << 30  # stands for any distance beyond the band
 
 
@@ -288,8 +290,8 @@ class _DeviantSearch:
     reaches it, to the rule states the node's entries lead to (each with
     whether it is final and whether it takes another morpheme), its
     children whose subtree ends an entry of a part of speech the rule
-    state takes, and the look-aheads (is the next letter a vowel?) its
-    last letter needs; None when there are no targets and no children.
+    state takes, each with its letter and the letter's key unit; None when
+    there are no targets and no children.
     """
 
     def __init__(self, lexicon: Lexicon):
@@ -306,36 +308,33 @@ class _DeviantSearch:
                              self._moves(s, self.root) is not None)
                             for s in {_DEVIANT.step(state, pos) for pos in node.pos} if s)
             takes = sum(bit for pos, bit in POS_BIT.items() if _DEVIANT.step(state, pos))
-            kids = tuple((letter, child, letter in _VOWELS)
+            kids = tuple((child, letter, letter_key(letter))
                          for letter, child in node.children.items() if child.below & takes)
-            ahead = {False} if targets else set()
-            got = ((targets, kids, tuple(ahead | {v for _, _, v in kids}))
-                   if targets or kids else None)
+            got = (targets, kids) if targets or kids else None
             self.moves[state, node] = got
             return got
 
     def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
-        """(distance, form) of the form whose composed distance key is
+        """(distance, form) of the syllable-only form whose distance key is
         nearest to ``token_key`` within ``limit`` edits; ties go to the
         longer shared key prefix, then to the smaller form.
 
         A depth-first walk that jumps back to the trie root at a morpheme
         end allowed by DEVIANT_RULES.  It carries one Levenshtein row
         against the token key, banded to the cells that can hold a distance
-        within the limit, and drops a branch once the row's
-        minimum exceeds the best distance found so far.  A letter's unit
-        depends on the letter after it (compose_key_step), so each frame
-        holds its last letter pending until the next one is known.
+        within the limit, pushes a row per letter as soon as it reads the
+        letter, and drops a branch once the row's minimum exceeds the best
+        distance found so far.  A form that composes with a standalone
+        letter is passed over where it ends.
         """
-        start = self._moves(_DEVIANT.start, self.root)
-        if limit < 0 or start is None:
+        if limit < 0 or self._moves(_DEVIANT.start, self.root) is None:
             return None
         m = len(token_key)
         # no distance exceeds m + max_letters, so a wider band adds nothing
         band = min(limit, m + self.max_letters)
         width = 2 * band + 1
 
-        def push(prev: list[int], k: int, unit: tuple) -> list[int]:
+        def push(prev: list[int], k: int, unit) -> list[int]:
             """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
             cur = []
             left = _FAR
@@ -358,41 +357,31 @@ class _DeviantSearch:
         best = None  # (distance, -shared_prefix, form): deviance keeps the onset
         bound = band
         row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
-        # frame: trie node, language state, compose state before the pending
-        # letter, pending letter, row over the k settled units and its
-        # minimum, k, shared prefix of the settled units and the token key,
-        # letters including the pending one
-        stack = [(child, _DEVIANT.start, COMPOSE_START, letter, row0, 0, 0, 0, letter)
-                 for letter, child, _ in start[1]]
+        # frame: trie node, language state, row over the k letters read and
+        # its minimum, k, shared prefix of their keys and the token key, letters
+        stack = [(self.root, _DEVIANT.start, row0, 0, 0, 0, "")]
         moves = self.moves  # every pushed pair has moves
         while stack:
-            node, lang, state, pending, row, low, k, shared, letters = stack.pop()
+            node, lang, row, low, k, shared, letters = stack.pop()
             if low > bound:
                 continue
-            targets, kids, lookaheads = moves.get((lang, node)) or self._moves(lang, node)
-            settled = [None, None]  # by whether the next letter is a vowel
-            for next_is_vowel in lookaheads:
-                state2, unit = compose_key_step(state, pending, next_is_vowel)
-                row2 = push(row, k + 1, unit)
-                shared2 = shared + 1 if shared == k < m and unit == token_key[k] else shared
-                settled[next_is_vowel] = (state2, row2, min(row2), shared2)
+            targets, kids = moves.get((lang, node)) or self._moves(lang, node)
+            t = m - k + band
             for lang2, final, again in targets:
-                if final:
-                    _, row2, _, shared2 = settled[False]
-                    t = m - (k + 1) + band
-                    if 0 <= t < width and row2[t] <= bound:
-                        rank = (row2[t], -shared2, compose_letters(letters))
-                        if best is None or rank < best:
-                            best = rank
-                            bound = rank[0]
+                if final and 0 <= t < width and row[t] <= bound:
+                    form = compose_letters(letters)
+                    rank = (row[t], -shared, form)
+                    if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
+                        best = rank
+                        bound = rank[0]
                 if again:
-                    stack.append((self.root, lang2, state, pending, row, low, k, shared,
-                                  letters))
-            for letter, child, next_is_vowel in kids:
-                state2, row2, low2, shared2 = settled[next_is_vowel]
+                    stack.append((self.root, lang2, row, low, k, shared, letters))
+            for child, letter, unit in kids:
+                row2 = push(row, k + 1, unit)
+                low2 = min(row2)
                 if low2 <= bound:
-                    stack.append((child, lang, state2, letter, row2, low2, k + 1, shared2,
-                                  letters + letter))
+                    shared2 = shared + 1 if shared == k < m and unit == token_key[k] else shared
+                    stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
         if best is None:
             return None
         return best[0], best[2]

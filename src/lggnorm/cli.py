@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 grammar/dictionary parse error,
-3 input encoding error.  Diagnostics go to stderr; data to stdout.
+Exit codes: 0 success, 1 usage error, 2 grammar/dictionary parse error
+(a dictionary or grammar file that is not UTF-8 included), 3 input
+encoding error.  Diagnostics go to stderr; data to stdout.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.loan_threshold < 0 or args.deviant_threshold < 0:
+        raise UsageError("--loan-threshold and --deviant-threshold must not be negative")
     _require_dict(args)
     lexicon = _load_lexicon(args)
     library = _load_library(args)
@@ -249,12 +252,13 @@ def build_parser() -> _Parser:
         p.add_argument("--dict", action="append", metavar="FILE",
                        help="dictionary file (repeatable)")
 
-    def add_grammars(p):
+    def add_grammars(p, anchor=True):
         p.add_argument("--grammars", metavar="DIR",
                        help="grammar directory (default: bundled)")
         p.add_argument("--priority", metavar="NAMES",
                        help="comma-separated grammar priority order")
-        p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
+        if anchor:  # read only by _apply_config, which classify does not use
+            p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
         p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
 
     p = sub.add_parser("tokenize", help="emit classified token spans as TSV")
@@ -275,7 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="classify non-analyzable types")
     add_dict(p)
-    add_grammars(p)
+    add_grammars(p, anchor=False)
     p.add_argument("--abbr-dict", metavar="FILE")
     p.add_argument("--neo-dict", metavar="FILE")
     p.add_argument("--loan-dict", metavar="FILE")
@@ -306,7 +310,8 @@ def build_parser() -> _Parser:
     for name in ("compile", "validate"):
         gp = gsub.add_parser(name)
         gp.add_argument("file")
-        gp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+        if name == "compile":  # validate compiles nothing
+            gp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
         gp.set_defaults(func=cmd_graph)
 
     return parser
@@ -322,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MalformedEntry, GraphError, CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:  # input text is decoded in _read_text
+        print(f"error: a dictionary or grammar file is not UTF-8 ({exc})", file=sys.stderr)
         return EXIT_PARSE
     except InvalidEncoding as exc:
         print(f"error: {exc}", file=sys.stderr)

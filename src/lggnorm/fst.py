@@ -167,6 +167,40 @@ class _Builder:
                 self.eps.append((sub_out, output, dst))
 
 
+def _components(adj: dict[int, list[tuple[str, int]]]) -> dict[int, int]:
+    """Strongly connected component (named by its root) of every state of
+    the graph ``adj``: Tarjan's algorithm on an explicit stack."""
+    low: dict[int, int] = {}  # every visited state
+    component: dict[int, int] = {}
+    unassigned: list[int] = []  # visited states without a component yet
+    path: list[tuple[int, int, object]] = []  # (state, visit number, successors left)
+
+    def enter(v: int):
+        low[v] = len(low)
+        unassigned.append(v)
+        path.append((v, low[v], iter(adj.get(v, ()))))
+
+    for root in adj:
+        if root not in low:
+            enter(root)
+        while path:
+            v, number, succ = path[-1]
+            for _, w in succ:
+                if w not in low:
+                    enter(w)
+                    break
+                if w not in component:
+                    low[v] = min(low[v], low[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                while low[v] == number and v not in component:
+                    component[unassigned.pop()] = v
+    return component
+
+
 def _epsilon_closure(eps: list[tuple[int, str, int]], states):
     """Closure pairs (reachable state, accumulated output) of each of
     ``states``, in deterministic DFS preorder.  Raises EpsilonCycle when
@@ -176,21 +210,12 @@ def _epsilon_closure(eps: list[tuple[int, str, int]], states):
     for src, out, dst in reversed(eps):
         adj.setdefault(src, []).append((out, dst))
 
-    # reject epsilon cycles that emit output
+    # reject epsilon cycles that emit output: an arc is on a cycle exactly
+    # when both its ends are in one strongly connected component
+    component = _components(adj)
     for src, out, dst in eps:
-        if not out:
-            continue
-        seen = {dst}
-        stack = [dst]
-        while stack:
-            s = stack.pop()
-            if s == src:
-                raise EpsilonCycle(
-                    f"epsilon cycle through state {src} emits {out!r}")
-            for _, nxt in adj.get(s, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        if out and component[src] == component[dst]:
+            raise EpsilonCycle(f"epsilon cycle through state {src} emits {out!r}")
 
     closures: dict[int, list[tuple[int, str]]] = {}
     for q in states:

@@ -9,7 +9,11 @@ thus never unify with positional jamo, so emoticon-style tokens such as
 ``fold_letters`` (dictionary lookup) turns a positional jamo into its
 compatibility letter; ``distance_key`` (edit distance) turns a final
 into the initial with the same letter.  A conjoining jamo that stands
-outside any syllable keeps its own identity in both.
+outside any syllable keeps its own identity in both.  When
+``compose_letters`` leaves no compatibility letter standalone, each
+letter's ``distance_key`` unit is fixed by the letter alone
+(``letter_key``), so a search over letter sequences needs no composition
+look-ahead.
 """
 
 from __future__ import annotations
@@ -284,6 +288,12 @@ def _standalone_key(ch: str):
     return (ch,) if _CONJOINING.match(ch) else ch
 
 
+def letter_key(letter: str):
+    """distance_key unit of a dictionary letter in a composed text that
+    leaves no compatibility letter standalone: the letter alone fixes it."""
+    return _KEY_OF_LETTER.get(letter) or _standalone_key(letter)
+
+
 def _translate_units(s: str, table: dict, stray) -> tuple:
     """jamo_units(s) translated by ``table``, one tuple item per unit; a
     conjoining jamo that stands in ``s`` outside any syllable becomes
@@ -306,22 +316,14 @@ def distance_key(s: str) -> tuple:
 
 
 def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
-    """Levenshtein distance over precomputed keys; with ``cap`` the search
-    stops early and returns cap + 1 once the distance provably exceeds it."""
-    if len(ka) < len(kb):
-        ka, kb = kb, ka
-    if cap is not None and len(ka) - len(kb) > cap:
+    """Levenshtein distance over precomputed keys; with ``cap`` it is exact
+    when at most ``cap`` and some value above ``cap`` otherwise."""
+    if cap is None:
+        cap = max(len(ka), len(kb))  # no distance exceeds it
+    if abs(len(ka) - len(kb)) > cap:
         return cap + 1
-    prev = list(range(len(kb) + 1))
-    for i, ua in enumerate(ka, 1):
-        cur = [i]
-        for j, ub in enumerate(kb, 1):
-            cost = 0 if ua == ub else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        if cap is not None and min(cur) > cap:
-            return cap + 1
-        prev = cur
-    return prev[-1]
+    # the distance, or a value above cap where the rows stopped early
+    return prefix_distances(ka, kb, cap)[-1]
 
 
 def jamo_edit_distance(a: str, b: str) -> int:
@@ -380,31 +382,6 @@ def compose_letters(letters: Iterable[str]) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
-
-
-# compose_letters' greedy state before a letter: outside a syllable, just
-# after a syllable's initial, just after its medial.
-COMPOSE_START, _AFTER_INITIAL, _AFTER_MEDIAL = 0, 1, 2
-
-
-def compose_key_step(state: int, letter: str, next_is_vowel: bool) -> tuple[int, str | tuple]:
-    """compose_letters one letter at a time, with one letter of look-ahead.
-
-    ``state`` is COMPOSE_START before the first letter; ``next_is_vowel``
-    says whether the following letter is a medial vowel (False at the
-    end).  Returns the state after ``letter`` and the distance_key unit the
-    letter gets in the composed text, whether it joins a syllable or is
-    left standalone.
-    Stepping through a letter sequence this way yields
-    distance_key(compose_letters(letters)) without composing it.
-    """
-    if state == _AFTER_INITIAL:
-        return _AFTER_MEDIAL, _KEY_OF_LETTER[letter]
-    if state == _AFTER_MEDIAL and letter in _FINAL_BY_LETTER and not next_is_vowel:
-        return COMPOSE_START, _KEY_OF_LETTER[letter]
-    if letter in _INITIAL_BY_LETTER and next_is_vowel:
-        return _AFTER_INITIAL, _KEY_OF_LETTER[letter]
-    return COMPOSE_START, _standalone_key(letter)
 
 
 def iter_all_syllables() -> Iterable[str]:

@@ -569,8 +569,8 @@ DEVIANT_SHAPES = (
 
 @lru_cache(maxsize=None)
 def deviant_forms(lexicon: Lexicon) -> list[tuple[tuple, str]]:
-    """(distance key, composed form) of every form of the deviant
-    candidate language, materialised as the full cross product of
+    """(distance key, composed form) of every syllable-only form of the
+    deviant candidate language, materialised as the full cross product of
     DEVIANT_SHAPES over the lexicon's entries."""
     by_pos: dict[Pos, list[tuple]] = {}
     for e in lexicon.entries:
@@ -579,7 +579,7 @@ def deviant_forms(lexicon: Lexicon) -> list[tuple[tuple, str]]:
     for shape in DEVIANT_SHAPES:
         for keys in itertools.product(*(by_pos.get(pos, ()) for pos in shape)):
             form = compose_letters(sum(keys, ()))
-            if form not in forms:
+            if form not in forms and not any(map(is_compat_jamo, form)):
                 forms[form] = distance_key(form)
     return [(k, f) for f, k in forms.items()]
 

@@ -1,8 +1,12 @@
 import json
+import random
 import subprocess
 import sys
+import unicodedata
 
-from lggnorm import resources
+import pytest
+
+from lggnorm import cli, resources
 
 DICT_ARGS = ["--dict", str(resources.dictionary_path("core.dic")),
              "--dict", str(resources.dictionary_path("loan.dic"))]
@@ -218,3 +222,111 @@ def test_grammars_must_name_a_directory(capsys, tmp_path):
         assert r.returncode == 1
         assert r.stdout == b""
         assert r.stderr.decode().startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--dict", "{dic}", "{corpus}"],
+    ["classify", *DICT_ARGS, "--abbr-dict", "{dic}", "{corpus}"],
+    ["normalize", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["graph", "validate", "{lgg}"],
+    ["graph", "compile", "{lgg}"],
+], ids=["stats-dict", "classify-abbr-dict", "normalize-grammars", "graph-validate",
+        "graph-compile"])
+def test_non_utf8_dictionary_or_grammar_is_a_parse_error(capsys, tmp_path, argv):
+    paths = {"dic": tmp_path / "latin1.dic", "grammars": tmp_path / "grammars",
+             "corpus": tmp_path / "corpus.txt"}
+    paths["lgg"] = paths["grammars"] / "abbr.lgg"
+    paths["dic"].write_bytes("caf\xe9,caf\xe9.N\n".encode("latin-1"))
+    paths["grammars"].mkdir()
+    paths["lgg"].write_bytes("GRAPH G TAG ABBR\n# caf\xe9\n".encode("latin-1"))
+    paths["corpus"].write_text("영화 잼있어요", encoding="utf-8")
+    code, out, err = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--loan-threshold", "-3"),
+                                         ("--deviant-threshold", "-1")])
+def test_negative_classify_threshold_is_a_usage_error(capsys, tmp_path, flag, value):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("조아요", encoding="utf-8")
+    code, out, err = run_main(capsys, "classify", *DICT_ARGS, flag, value, str(corpus))
+    assert_usage_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", *DICT_ARGS, "--anchor", "token", "{corpus}"],
+    ["graph", "validate", "--max-states", "10", "{abbr}"],
+], ids=["classify-anchor", "graph-validate-max-states"])
+def test_option_that_did_nothing_is_a_usage_error(capsys, tmp_path, argv):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("영화 잼있어요", encoding="utf-8")
+    abbr = resources.grammar_dir() / "abbr.lgg"
+    code, out, err = run_main(capsys, *(arg.format(corpus=corpus, abbr=abbr) for arg in argv))
+    assert_usage_error(code, err)
+    assert out == ""
+
+
+def test_commands_that_read_anchor_and_max_states_keep_them(capsys):
+    abbr = str(resources.grammar_dir() / "abbr.lgg")
+    corpus = str(resources.corpus_path("informal_sample.txt"))
+    assert run_main(capsys, "graph", "compile", "--max-states", "100000", abbr)[0] == 0
+    for command in ("normalize", "concord"):
+        assert run_main(capsys, command, *DICT_ARGS, "--anchor", "anywhere", corpus)[0] == 0
+
+
+# each subcommand with the option pools it reads
+SUBCOMMANDS = {("tokenize",): (), ("analyze",): ("dict",), ("normalize",): ("dict", "grammars"),
+               ("classify",): ("dict", "grammars", "thresholds"), ("stats",): ("dict",),
+               ("concord",): ("dict", "grammars", "widths"), ("graph", "validate"): (),
+               ("graph", "compile"): ("max_states",)}
+
+
+def test_cli_sweep_exits_with_a_documented_code(capsys, tmp_path):
+    """Every subcommand over every input kind, once with harmless options
+    (the first of each pool) and twice with seeded ones (now and then one
+    the subcommand does not take, or a flag missing its value), returns
+    a documented exit code and prints no traceback."""
+    inputs = {"directory": str(tmp_path)}
+    for kind, data in (("empty", b""), ("non_utf8", "한글 잼".encode("euc-kr")),
+                       ("nfd", unicodedata.normalize("NFD", "영화 잼있어요").encode()),
+                       ("long_token", ("잼있" * 1000).encode())):
+        inputs[kind] = str(tmp_path / f"{kind}.txt")
+        (tmp_path / f"{kind}.txt").write_bytes(data)
+    bad_grammars = tmp_path / "grammars"
+    bad_grammars.mkdir()
+    (bad_grammars / "bad.lgg").write_bytes(b"GRAPH G TAG T\n\xff\n")
+    core = str(resources.dictionary_path("core.dic"))
+    every_grammar = ",".join(resources.load_grammar_library().priority)
+    pools = {
+        "dict": (["--dict", core], ["--dict", inputs["non_utf8"]], []),
+        "grammars": ([], ["--grammars", str(resources.grammar_dir())],
+                     ["--grammars", str(bad_grammars)], ["--grammars", str(tmp_path / "missing")],
+                     ["--priority", every_grammar], ["--priority", every_grammar + ",Extra"],
+                     ["--priority", "Abbrev"]),
+        "thresholds": ([], ["--loan-threshold", "-3"], ["--deviant-threshold", "-1"],
+                       ["--deviant-threshold", "2"]),
+        "widths": ([], ["--left", "-3"], ["--right", "-1"], ["--left", "0"]),
+        "max_states": ([], ["--max-states", "-5"], ["--max-states", "50"]),
+    }
+    rng = random.Random(0)
+    codes = []
+    for command, accepted in SUBCOMMANDS.items():
+        for path in inputs.values():
+            for seeded in (False, True, True):
+                argv = list(command)
+                for pool in accepted:
+                    argv += rng.choice(pools[pool]) if seeded else pools[pool][0]
+                if seeded and rng.random() < 0.2:
+                    argv += rng.choice(pools[rng.choice(list(pools))])
+                argv.append(path)
+                if seeded and rng.random() < 0.2:
+                    argv.append(rng.choice(["--grammars", "--priority"]))
+                code, _, err = run_main(capsys, *argv)
+                assert code in (0, 1, 2, 3), argv
+                assert "Traceback" not in err, argv
+                codes.append(code)
+    assert set(codes) == {0, 1, 2, 3}

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lggnorm.fst import (
     CompileError,
@@ -9,6 +11,7 @@ from lggnorm.fst import (
     EpsilonOnlyPath,
     GraphValidationError,
     TOKEN_BOUNDARY,
+    _components,
     compile_graph,
 )
 from lggnorm.grammar import parse_graph
@@ -85,6 +88,27 @@ def test_epsilon_cycle_with_output_rejected():
             '2 <E> / "x" -> 3\n3 <E> -> 2,9\n9 FINAL\n')
     with pytest.raises(EpsilonCycle):
         compile_graph(parse_graph(text))
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20))
+def test_components_join_exactly_the_mutually_reachable_states(edges):
+    adj = {}
+    for src, dst in edges:
+        adj.setdefault(src, []).append(("", dst))
+    reach = {}
+    for s in {state for edge in edges for state in edge}:
+        seen, stack = {s}, [s]
+        while stack:
+            for _, nxt in adj.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[s] = seen
+    component = _components(adj)
+    assert set(component) == set(reach)
+    for a in reach:
+        for b in reach:
+            assert (component[a] == component[b]) == (b in reach[a] and a in reach[b])
 
 
 def test_compile_requires_valid_graph():

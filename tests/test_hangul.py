@@ -6,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.hangul import (
-    COMPOSE_START,
-    FINAL_LETTERS,
-    INITIAL_LETTERS,
-    MEDIAL_LETTERS,
     IndexOutOfRange,
     InvalidJamoGrouping,
     Jamo,
@@ -17,7 +13,6 @@ from lggnorm.hangul import (
     JamoSeq,
     NotHangulSyllable,
     compat,
-    compose_key_step,
     compose_letters,
     compose_syllable,
     decompose_syllable,
@@ -28,6 +23,7 @@ from lggnorm.hangul import (
     initial,
     iter_all_syllables,
     jamo_edit_distance,
+    letter_key,
     medial,
     prefix_distances,
     to_jamo_seq,
@@ -183,18 +179,13 @@ def test_compose_letters_joins_sub_syllabic_endings():
     assert compose_letters(list("abc")) == "abc"
 
 
-LETTER_SEQS = st.lists(st.sampled_from(list(INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS + "a1")),
-                       max_size=12)
-
-
-@given(LETTER_SEQS)
-def test_compose_key_step_yields_composed_distance_key(letters):
-    state, key = COMPOSE_START, []
-    for i, letter in enumerate(letters):
-        nxt = letters[i + 1] if i + 1 < len(letters) else ""
-        state, unit = compose_key_step(state, letter, nxt != "" and nxt in MEDIAL_LETTERS)
-        key.append(unit)
-    assert tuple(key) == distance_key(compose_letters(letters))
+@given(st.text(alphabet=st.one_of(HANGUL_SYLLABLES, st.sampled_from("a1")), max_size=8))
+def test_letter_key_yields_the_distance_key_of_syllable_only_text(s):
+    # a final is always followed by an initial consonant or by no letter,
+    # so compose_letters regroups the letters into the same syllables
+    letters = fold_letters(s)
+    assert compose_letters(letters) == s
+    assert tuple(map(letter_key, letters)) == distance_key(s)
 
 
 @given(st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),

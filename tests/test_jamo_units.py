@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 from lggnorm.apply import TextIndex
 from lggnorm.fst import literal_symbols
 from lggnorm.hangul import (
-    COMPOSE_START,
-    FINAL_LETTERS,
-    INITIAL_LETTERS,
-    MEDIAL_LETTERS,
     Jamo,
-    compose_key_step,
     compose_letters,
     distance_key,
     fold_letters,
     jamo_edit_distance,
     jamo_units,
+    letter_key,
     to_jamo_seq,
     unit_offsets,
 )
@@ -85,20 +81,18 @@ def test_text_index_offsets_match_the_byte_loop(s):
     assert index.token_end_unit == token_end_unit
 
 
-LETTERS = st.lists(st.one_of(st.sampled_from(INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS + "a"),
-                             STRAY_JAMO), max_size=12)
+SYLLABLE_TEXT = st.text(alphabet=st.one_of(
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3), STRAY_JAMO, st.just("a")),
+    max_size=8)
 
 
-@given(LETTERS)
-def test_compose_key_step_with_stray_jamo(letters):
-    state, key = COMPOSE_START, []
-    for i, ch in enumerate(letters):
-        nxt = letters[i + 1] if i + 1 < len(letters) else ""
-        state, unit = compose_key_step(state, ch, nxt != "" and nxt in MEDIAL_LETTERS)
-        key.append(unit)
-    composed = compose_letters(letters)
-    assert tuple(key) == distance_key(composed)
-    assert same_equalities(tuple(key), distance_key_by_unit(composed))
+@given(SYLLABLE_TEXT)
+def test_letter_key_with_stray_jamo(s):
+    letters = fold_letters(s)
+    assert compose_letters(letters) == s  # no letter left standalone
+    key = tuple(map(letter_key, letters))
+    assert key == distance_key(s)
+    assert same_equalities(key, distance_key_by_unit(s))
 
 
 def test_stray_jamo_stay_apart_from_syllable_jamo():

@@ -60,10 +60,12 @@ def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifie
     assert result.suggestion == " ".join(glued)
 
 
-def chain_graph(boxes: int) -> str:
-    """A graph whose one literal box sits behind ``boxes`` epsilon boxes."""
+def chain_graph(boxes: int, output: str = "") -> str:
+    """A graph whose one literal box sits behind ``boxes`` epsilon boxes,
+    each emitting ``output``."""
+    label = f'<E> / "{output}"' if output else "<E>"
     lines = ["GRAPH Chain TAG CHAIN", "0 INITIAL -> 1"]
-    lines += [f"{i} <E> -> {i + 1}" for i in range(1, boxes + 1)]
+    lines += [f"{i} {label} -> {i + 1}" for i in range(1, boxes + 1)]
     lines += [f'{boxes + 1} "짱|대박" / "진짜" -> 9999', "9999 FINAL"]
     return "\n".join(lines) + "\n"
 
@@ -80,6 +82,15 @@ def test_cli_compiles_a_long_epsilon_chain(tmp_path):
     assert time.perf_counter() - start < 0.5
     assert fst == compile_graph(direct[0], direct)
     assert r.stdout.decode() == fst.dump()
+
+
+def test_a_chain_of_4800_emitting_epsilons_compiles_within_a_second():
+    # one reachability walk per emitting epsilon would be quadratic here
+    chained = parse_graph_library(chain_graph(4800, output="x"))
+    start = time.perf_counter()
+    fst = compile_graph(chained[0], chained)
+    assert time.perf_counter() - start < 1.0
+    assert [arc[2] for arc in fst.arcs[fst.initial]] == ["x" * 4800] * 2
 
 
 def call_chain(graphs: int) -> str:
