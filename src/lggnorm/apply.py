@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .hangul import jamo_units, unit_offsets
 from .lexicon import Lexicon
-from .tokenizer import Token, TokenClass, TokenStream, byte_offsets, tokenize
+from .tokenizer import Token, TokenClass, byte_offsets, tokenize
 
 
 class Mode(enum.Enum):
@@ -51,11 +51,9 @@ class ApplyConfig:
 class TextIndex:
     """Jamo units of a text plus the unit/char/byte/token cross-references."""
 
-    def __init__(self, text: str, lexicon: Lexicon | None = None,
-                 stream: TokenStream | None = None):
+    def __init__(self, text: str, lexicon: Lexicon | None = None):
         self.text = text
         self.lexicon = lexicon
-        self.stream = stream if stream is not None else tokenize(text)
         self.units = jamo_units(text)
         # unit and byte offset of each character, then the totals
         self.char_start_unit = unit_offsets(text)
@@ -64,7 +62,7 @@ class TextIndex:
 
         self.token_at_unit: dict[int, Token] = {}
         self.token_end_unit: dict[int, int] = {}
-        for tok in self.stream:
+        for tok in tokenize(text):
             start_char = bisect_left(self.byte_of_char, tok.start)
             u = self.char_start_unit[start_char]
             self.token_at_unit[u] = tok

@@ -18,15 +18,17 @@ collected; the first one becomes the primary category:
 Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 (SPACING) is stronger evidence than a one-jamo edit (DEVIANT_SPELLING).
 
-The deviant candidate forms are the dictionary letters of a word of
-DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ
-or PROPER) recomposed with compose_letters, where the recomposition
-leaves no letter standalone: candidates are syllable-only words.  So each
-letter's distance-key unit is fixed by the letter (letter_key) and no
-composition look-ahead is needed.  No per-lexicon list of forms is built:
-the search runs DEVIANT_RULES on the lexicon's RuleAutomaton along its
-letter trie with one Levenshtein row against the token, and drops every
-branch already more than ``Thresholds.deviant`` edits away.
+Every detector reads the token through a TextIndex of its surface.
+Lookup and edit distance both work on the token's letters (hangul's
+distance alphabet).  The deviant candidate forms are the dictionary
+letters of a word of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI,
+ADJ EOMI, ADV, DET, INTERJ or PROPER) recomposed with compose_letters,
+where the recomposition leaves no letter standalone: candidates are
+syllable-only words, so their letters are their distance key.  No
+per-lexicon list of forms is built: the search runs DEVIANT_RULES on the
+lexicon's RuleAutomaton along its letter trie with one Levenshtein row
+against the token, and drops every branch already more than
+``Thresholds.deviant`` edits away.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import (compose_letters, distance_key, fold_letters, is_compat_jamo, letter_key,
-                     prefix_distances)
+from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, prefix_distances
 from .lexicon import POS_BIT, DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -148,14 +149,6 @@ def _grammar_span(index: TextIndex, fsts: list[Fst], start_unit: int):
         if got is not None and (best is None or got[0] > best[0]):
             best = (got[0], got[1], f)
     return best
-
-
-def _token_index(token: Token, lexicon: Lexicon) -> TextIndex:
-    """TextIndex of a token on its own, as a one-token stream whose
-    offsets start at 0; the detectors all work on it."""
-    n_bytes = token.end - token.start
-    alone = Token(token.surface, token.cls, 0, n_bytes)
-    return TextIndex(token.surface, lexicon, TokenStream((alone,), n_bytes))
 
 
 def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str | None] | None:
@@ -290,7 +283,7 @@ class _DeviantSearch:
     reaches it, to the rule states the node's entries lead to (each with
     whether it is final and whether it takes another morpheme), its
     children whose subtree ends an entry of a part of speech the rule
-    state takes, each with its letter and the letter's key unit; None when
+    state takes, each with its letter; None when
     there are no targets and no children.
     """
 
@@ -308,14 +301,14 @@ class _DeviantSearch:
                              self._moves(s, self.root) is not None)
                             for s in {_DEVIANT.step(state, pos) for pos in node.pos} if s)
             takes = sum(bit for pos, bit in POS_BIT.items() if _DEVIANT.step(state, pos))
-            kids = tuple((child, letter, letter_key(letter))
+            kids = tuple((child, letter)
                          for letter, child in node.children.items() if child.below & takes)
             got = (targets, kids) if targets or kids else None
             self.moves[state, node] = got
             return got
 
     def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
-        """(distance, form) of the syllable-only form whose distance key is
+        """(distance, form) of the syllable-only form whose letters are
         nearest to ``token_key`` within ``limit`` edits; ties go to the
         longer shared key prefix, then to the smaller form.
 
@@ -334,7 +327,7 @@ class _DeviantSearch:
         band = min(limit, m + self.max_letters)
         width = 2 * band + 1
 
-        def push(prev: list[int], k: int, unit) -> list[int]:
+        def push(prev: list[int], k: int, letter: str) -> list[int]:
             """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
             cur = []
             left = _FAR
@@ -345,7 +338,7 @@ class _DeviantSearch:
                 elif j == 0:
                     v = k
                 else:
-                    v = prev[t] + (unit != token_key[j - 1])
+                    v = prev[t] + (letter != token_key[j - 1])
                     if t + 1 < width and prev[t + 1] + 1 < v:
                         v = prev[t + 1] + 1
                     if left + 1 < v:
@@ -358,7 +351,7 @@ class _DeviantSearch:
         bound = band
         row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
         # frame: trie node, language state, row over the k letters read and
-        # its minimum, k, shared prefix of their keys and the token key, letters
+        # its minimum, k, their shared prefix with the token key, the letters
         stack = [(self.root, _DEVIANT.start, row0, 0, 0, 0, "")]
         moves = self.moves  # every pushed pair has moves
         while stack:
@@ -376,11 +369,11 @@ class _DeviantSearch:
                         bound = rank[0]
                 if again:
                     stack.append((self.root, lang2, row, low, k, shared, letters))
-            for child, letter, unit in kids:
-                row2 = push(row, k + 1, unit)
+            for child, letter in kids:
+                row2 = push(row, k + 1, letter)
                 low2 = min(row2)
                 if low2 <= bound:
-                    shared2 = shared + 1 if shared == k < m and unit == token_key[k] else shared
+                    shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
                     stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
         if best is None:
             return None
@@ -411,7 +404,7 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     as candidates and the first becomes the primary category."""
     if is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
-    index = _token_index(token, res.lexicon)
+    index = TextIndex(token.surface, res.lexicon)
     candidates: list[Candidate] = []
     suggestion: str | None = None
     for detect, classes in _DETECTORS:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 grammar/dictionary parse error
-(a dictionary or grammar file that is not UTF-8 included), 3 input
-encoding error.  Diagnostics go to stderr; data to stdout.
+(a dictionary or grammar file that is not UTF-8 included; the ``error:``
+line names the file), 3 input encoding error.  Diagnostics go to stderr;
+data to stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import unicodedata
 from . import resources
 from .apply import Anchor, ApplyConfig, Mode, find_matches, order_grammars, transform
 from .classify import classify_corpus, Thresholds
-from .concord import ConcordSort, build_concordance
+from .concord import ConcordSort, build_concordance, flat
 from .fst import CompileError, compile_graph, DEFAULT_MAX_STATES
 from .grammar import GraphError, load_grammar_file, validate
 from .lexicon import MalformedEntry, analyze_token, is_analyzable
@@ -38,6 +39,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer above 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -212,8 +224,6 @@ def cmd_concord(args) -> int:
         matches = find_matches(text, library.fsts, lexicon, config)
         for line in build_concordance(text, matches, args.left, args.right, sort):
             if args.format == "tsv":
-                def flat(s):
-                    return s.replace("\n", "⏎")
                 print(f"{line.offset}\t{flat(line.left)}\t{flat(line.keyword)}\t{flat(line.right)}")
             else:
                 print(line.render(args.left))
@@ -259,7 +269,7 @@ def build_parser() -> _Parser:
                        help="comma-separated grammar priority order")
         if anchor:  # read only by _apply_config, which classify does not use
             p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
-        p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+        p.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES)
 
     p = sub.add_parser("tokenize", help="emit classified token spans as TSV")
     add_inputs(p)
@@ -311,7 +321,7 @@ def build_parser() -> _Parser:
         gp = gsub.add_parser(name)
         gp.add_argument("file")
         if name == "compile":  # validate compiles nothing
-            gp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+            gp.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES)
         gp.set_defaults(func=cmd_graph)
 
     return parser
@@ -327,9 +337,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MalformedEntry, GraphError, CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnicodeDecodeError as exc:  # input text is decoded in _read_text
-        print(f"error: a dictionary or grammar file is not UTF-8 ({exc})", file=sys.stderr)
         return EXIT_PARSE
     except InvalidEncoding as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,11 @@ class ConcordSort(enum.Enum):
     RIGHT_CONTEXT = "right"
 
 
+def flat(s: str) -> str:
+    """``s`` on one physical line, its newlines made visible."""
+    return s.replace("\n", "⏎")
+
+
 @dataclass(frozen=True)
 class ConcordLine:
     left: str
@@ -24,9 +29,6 @@ class ConcordLine:
     offset: int  # byte offset of the keyword in the source
 
     def render(self, left_width: int) -> str:
-        # one physical line per hit, newlines made visible
-        def flat(s: str) -> str:
-            return s.replace("\n", "⏎")
         return f"{flat(self.left):>{left_width}}[{flat(self.keyword)}]{flat(self.right)}"
 
 

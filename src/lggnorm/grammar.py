@@ -381,5 +381,12 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
 
 
 def load_grammar_file(path) -> list[GraphIR]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_library(fh.read())
+    """The graphs of a grammar file; a file that is not UTF-8 or does not
+    parse raises GraphError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_graph_library(fh.read())
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 ({exc})") from exc
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc

@@ -1,19 +1,17 @@
 """Hangul syllable <-> jamo decomposition and jamo-level edit distance.
 
-All matching works on one string of jamo units, ``jamo_units(text)``:
-each precomposed syllable (U+AC00..U+D7A3) becomes its conjoining
-initial, medial and optional final, and every other character stays as
-it is.  Standalone letters from the compatibility block (U+3131..U+318E)
-thus never unify with positional jamo, so emoticon-style tokens such as
-"ㅋㅋ" survive verbatim.  Its two keys are translations of that string:
-``fold_letters`` (dictionary lookup) turns a positional jamo into its
-compatibility letter; ``distance_key`` (edit distance) turns a final
-into the initial with the same letter.  A conjoining jamo that stands
-outside any syllable keeps its own identity in both.  When
-``compose_letters`` leaves no compatibility letter standalone, each
-letter's ``distance_key`` unit is fixed by the letter alone
-(``letter_key``), so a search over letter sequences needs no composition
-look-ahead.
+Text has two encodings.  All matching works on one string of jamo units,
+``jamo_units(text)``: each precomposed syllable (U+AC00..U+D7A3) becomes
+its conjoining initial, medial and optional final, and every other
+character stays as it is.  Lookup and edit distance work on its letters,
+``fold_letters(text)``: each positional jamo becomes its compatibility
+letter (U+3131..U+318E), so an initial and a final with the same letter
+are one unit and 넘 vs 너무 differ by one deletion.  A conjoining jamo that
+stands outside any syllable keeps its own identity.  The letters are the
+distance alphabet: ``distance_key`` differs from ``fold_letters`` only in
+that a compatibility letter outside any syllable becomes a 1-tuple, so
+the ㅋ of "ㅋㅋ" never equals the ㅋ of 크 and emoticon-style tokens
+survive verbatim.
 """
 
 from __future__ import annotations
@@ -272,47 +270,37 @@ def from_jamo_seq(seq: JamoSeq) -> str:
     return "".join(out)
 
 
-# distance_key folds a final onto the initial with the same letter.
-_KEY_OF_UNIT = {FINAL_BASE + i: INITIAL_BASE + _INITIAL_BY_LETTER[letter]
-                for i, letter in enumerate(FINAL_LETTERS, 1)
-                if letter in _INITIAL_BY_LETTER}
-# distance_key unit of a letter placed in a syllable, whatever its position.
-_KEY_OF_LETTER = {letter: chr(unit).translate(_KEY_OF_UNIT)
-                  for unit, letter in _LETTER_OF_UNIT.items()}
-_CONJOINING = re.compile("[\u1100-\u11ff]")
+# characters that keep their identity outside a syllable: stray
+# conjoining jamo, and in distance_key also compatibility letters
+_STRAY = re.compile("[\u1100-\u11ff]")
+_STRAY_OR_COMPAT = re.compile(f"[\u1100-\u11ff{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}]")
 
 
-def _standalone_key(ch: str):
-    """distance_key unit of a character outside any syllable: itself, or a
-    1-tuple for a conjoining jamo, which must not equal a syllable's jamo."""
-    return (ch,) if _CONJOINING.match(ch) else ch
-
-
-def letter_key(letter: str):
-    """distance_key unit of a dictionary letter in a composed text that
-    leaves no compatibility letter standalone: the letter alone fixes it."""
-    return _KEY_OF_LETTER.get(letter) or _standalone_key(letter)
-
-
-def _translate_units(s: str, table: dict, stray) -> tuple:
-    """jamo_units(s) translated by ``table``, one tuple item per unit; a
-    conjoining jamo that stands in ``s`` outside any syllable becomes
-    ``stray(ch)`` instead."""
-    units = jamo_units(s).translate(table)
-    if _CONJOINING.search(s) is None:
+def _letters(s: str, standalone: re.Pattern) -> tuple:
+    """jamo_units(s) with each positional jamo turned into its letter, one
+    tuple item per unit; a character of ``s`` outside any syllable that
+    ``standalone`` matches stays itself, or a 1-tuple for a compatibility
+    letter."""
+    units = jamo_units(s).translate(_LETTER_OF_UNIT)
+    if standalone.search(s) is None:
         return tuple(units)
     out = list(units)
     for ch, start in zip(s, unit_offsets(s)):
-        if _CONJOINING.match(ch):
-            out[start] = stray(ch)
+        if standalone.match(ch):
+            out[start] = (ch,) if is_compat_jamo(ch) else ch
     return tuple(out)
 
 
+def fold_letters(s: str) -> tuple[str, ...]:
+    """Letter-level key for dictionary lookup: positional and compat jamo
+    with the same letter fold together, other characters stay themselves."""
+    return _letters(s, _STRAY)
+
+
 def distance_key(s: str) -> tuple:
-    """Precomputed unit-comparison key for key_distance: the jamo units
-    with each final folded onto the initial of the same letter, so that
-    e.g. 넘 vs 너무 differ by one deletion; compat letters stay apart."""
-    return _translate_units(s, _KEY_OF_UNIT, _standalone_key)
+    """Unit-comparison key for key_distance: the letters of ``s``, with a
+    compatibility letter outside any syllable as a 1-tuple."""
+    return _letters(s, _STRAY_OR_COMPAT)
 
 
 def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
@@ -347,12 +335,6 @@ def prefix_distances(ka: tuple, kb: tuple, cap: int) -> list[int]:
         row = cur
         out.append(row[-1])
     return out
-
-
-def fold_letters(s: str) -> tuple[str, ...]:
-    """Letter-level key for dictionary lookup: positional and compat jamo
-    with the same letter fold together, other characters stay themselves."""
-    return _translate_units(s, _LETTER_OF_UNIT, lambda ch: ch)
 
 
 def compose_letters(letters: Iterable[str]) -> str:

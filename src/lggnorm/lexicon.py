@@ -56,12 +56,12 @@ DEFAULT_CONCAT_RULES = (
 
 
 class MalformedEntry(ValueError):
-    """One or more dictionary lines failed to parse."""
+    """A dictionary failed to parse; ``errors`` holds the line number and
+    message of each malformed line."""
 
-    def __init__(self, errors: list[tuple[int, str]]):
-        self.errors = errors
-        lines = ", ".join(str(n) for n, _ in errors)
-        super().__init__(f"malformed dictionary entry at line(s) {lines}")
+    def __init__(self, message: str, errors: list[tuple[int, str]] = ()):
+        super().__init__(message)
+        self.errors = list(errors)
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,8 @@ def read_entries(source: Iterable[str]) -> list[DictEntry]:
         except ValueError as exc:
             errors.append((lineno, str(exc)))
     if errors:
-        raise MalformedEntry(errors)
+        lines = ", ".join(str(n) for n, _ in errors)
+        raise MalformedEntry(f"malformed dictionary entry at line(s) {lines}", errors)
     return entries
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .classify import Resources, Thresholds
 from .fst import DEFAULT_MAX_STATES, Fst, compile_graph
 from .grammar import GraphIR, load_grammar_file
-from .lexicon import DictEntry, Lexicon, read_entries
+from .lexicon import DictEntry, Lexicon, MalformedEntry, read_entries
 
 ASSETS_ENV = "LGGNORM_ASSETS"
 
@@ -69,9 +69,15 @@ def load_grammar_library(directory: Path | str | None = None,
 
 
 def _read_entries(path) -> tuple[DictEntry, ...]:
-    """A dictionary file's entries, without building its trie."""
-    with open(path, encoding="utf-8") as fh:
-        return tuple(read_entries(fh))
+    """A dictionary file's entries, without building its trie; a file that
+    is not UTF-8 or does not parse raises MalformedEntry naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return tuple(read_entries(fh))
+    except UnicodeDecodeError as exc:
+        raise MalformedEntry(f"{path}: not UTF-8 ({exc})") from exc
+    except MalformedEntry as exc:
+        raise MalformedEntry(f"{path}: {exc}", exc.errors) from exc
 
 
 def load_lexicon(paths=None) -> Lexicon:

@@ -51,8 +51,6 @@ def corpus_stats(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    label_a: str
-    label_b: str
     a: CorpusStats
     b: CorpusStats
 
@@ -73,7 +71,6 @@ class ComparisonReport:
         return self.b.non_analyzable_ratio - self.a.non_analyzable_ratio
 
 
-def compare(a: CorpusStats, b: CorpusStats,
-            label_a: str = "A", label_b: str = "B") -> ComparisonReport:
+def compare(a: CorpusStats, b: CorpusStats) -> ComparisonReport:
     """Side-by-side stats with B minus A deltas."""
-    return ComparisonReport(label_a, label_b, a, b)
+    return ComparisonReport(a, b)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lggnorm.apply import TextIndex
 from lggnorm.classify import (
     DEVIANT_RULES,
     Category,
@@ -14,7 +15,6 @@ from lggnorm.classify import (
     _detect_deviant,
     _deviant_by_distance,
     _loanword_by_distance,
-    _token_index,
     classify_corpus,
     classify_token,
 )
@@ -231,7 +231,7 @@ HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 def assert_searches_match_oracles(surface, res, limit):
     res = replace(res, thresholds=Thresholds(loan=limit, deviant=limit))
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
-    index = _token_index(token, res.lexicon)
+    index = TextIndex(token.surface, res.lexicon)
     assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)
     assert _loanword_by_distance(index, res) == brute_loan_best(token, res)
 
@@ -341,7 +341,7 @@ def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
     lexicon = Lexicon(entries)
     res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
     token = draw_small_token(data, entries)
-    index = _token_index(token, lexicon)
+    index = TextIndex(token.surface, lexicon)
     assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)
 
 
@@ -351,6 +351,6 @@ def test_deviant_suggestions_hold_no_standalone_letter(entries, data, limit):
     # 먹 + ㅂ니다 composes to 먹ㅂ니다, whose ㅂ joins no syllable
     lexicon = Lexicon(entries)
     res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
-    got = _detect_deviant(_token_index(draw_small_token(data, entries), lexicon), res)
+    got = _detect_deviant(TextIndex(draw_small_token(data, entries).surface, lexicon), res)
     if got is not None:
         assert not any(map(is_compat_jamo, got[1])), got

@@ -278,6 +278,42 @@ def test_commands_that_read_anchor_and_max_states_keep_them(capsys):
         assert run_main(capsys, command, *DICT_ARGS, "--anchor", "anywhere", corpus)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "compile", "--max-states", "-5", "{abbr}"],
+    ["normalize", *DICT_ARGS, "--max-states", "0", "{corpus}"],
+    ["classify", *DICT_ARGS, "--max-states", "0", "{corpus}"],
+    ["concord", *DICT_ARGS, "--max-states", "-1", "{corpus}"],
+], ids=["graph-compile", "normalize", "classify", "concord"])
+def test_max_states_below_one_is_a_usage_error(capsys, tmp_path, argv):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("영화 잼있어요", encoding="utf-8")
+    abbr = resources.grammar_dir() / "abbr.lgg"
+    code, out, err = run_main(capsys, *(arg.format(corpus=corpus, abbr=abbr) for arg in argv))
+    assert_usage_error(code, err)
+    assert "--max-states" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad, data, argv", [
+    ("latin1.dic", "caf\xe9,caf\xe9.N\n".encode("latin-1"),
+     ["stats", *DICT_ARGS, "--dict", "{bad}", "{corpus}"]),
+    ("bad.dic", b"no commas here\n", ["stats", *DICT_ARGS, "--dict", "{bad}", "{corpus}"]),
+    ("grammars/bad.lgg", b'GRAPH G TAG ABBR\n0 INITIAL -> 1\nnot a box line\n1 FINAL\n',
+     ["normalize", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"]),
+], ids=["non-utf8-second-dict", "malformed-second-dict", "bad-lgg-under-grammars"])
+def test_parse_error_names_the_file(capsys, tmp_path, bad, data, argv):
+    (tmp_path / "grammars").mkdir()
+    (tmp_path / bad).write_bytes(data)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("영화 잼있어요", encoding="utf-8")
+    paths = {"bad": tmp_path / bad, "grammars": tmp_path / "grammars", "corpus": corpus}
+    code, out, err = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / bad}: ")
+    assert err.count("\n") == 1
+
+
 # each subcommand with the option pools it reads
 SUBCOMMANDS = {("tokenize",): (), ("analyze",): ("dict",), ("normalize",): ("dict", "grammars"),
                ("classify",): ("dict", "grammars", "thresholds"), ("stats",): ("dict",),

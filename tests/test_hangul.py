@@ -23,7 +23,6 @@ from lggnorm.hangul import (
     initial,
     iter_all_syllables,
     jamo_edit_distance,
-    letter_key,
     medial,
     prefix_distances,
     to_jamo_seq,
@@ -180,12 +179,12 @@ def test_compose_letters_joins_sub_syllabic_endings():
 
 
 @given(st.text(alphabet=st.one_of(HANGUL_SYLLABLES, st.sampled_from("a1")), max_size=8))
-def test_letter_key_yields_the_distance_key_of_syllable_only_text(s):
+def test_letters_are_the_distance_key_of_syllable_only_text(s):
     # a final is always followed by an initial consonant or by no letter,
     # so compose_letters regroups the letters into the same syllables
     letters = fold_letters(s)
     assert compose_letters(letters) == s
-    assert tuple(map(letter_key, letters)) == distance_key(s)
+    assert letters == distance_key(s)
 
 
 @given(st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),

@@ -15,7 +15,6 @@ from lggnorm.hangul import (
     fold_letters,
     jamo_edit_distance,
     jamo_units,
-    letter_key,
     to_jamo_seq,
     unit_offsets,
 )
@@ -87,12 +86,11 @@ SYLLABLE_TEXT = st.text(alphabet=st.one_of(
 
 
 @given(SYLLABLE_TEXT)
-def test_letter_key_with_stray_jamo(s):
+def test_letters_are_the_distance_key_with_stray_jamo(s):
     letters = fold_letters(s)
     assert compose_letters(letters) == s  # no letter left standalone
-    key = tuple(map(letter_key, letters))
-    assert key == distance_key(s)
-    assert same_equalities(key, distance_key_by_unit(s))
+    assert letters == distance_key(s)
+    assert same_equalities(letters, distance_key_by_unit(s))
 
 
 def test_stray_jamo_stay_apart_from_syllable_jamo():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from lggnorm.apply import TextIndex
-from lggnorm.classify import Resources, _detect_spacing, _hada_root, _token_index
+from lggnorm.classify import Resources, _detect_spacing, _hada_root
 from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compose_letters, fold_letters
 from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, _RulePattern,
                              is_analyzable)
@@ -98,8 +98,7 @@ def assert_lattice_matches_oracles(surface, res):
 
     if not surface:
         return
-    token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
-    index = _token_index(token, lexicon)
+    index = TextIndex(surface, lexicon)
     assert _detect_spacing(index, res) == spacing_by_substrings(surface, lexicon)
     assert _hada_root(index, lexicon) == hada_root_by_suffixes(surface, lexicon)
 

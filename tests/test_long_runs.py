@@ -8,10 +8,11 @@ import time
 import pytest
 
 from lggnorm import resources
-from lggnorm.apply import normalize
-from lggnorm.classify import Category, classify_token
+from lggnorm.apply import TextIndex, normalize
+from lggnorm.classify import Category, Resources, _detect_spacing, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
+from lggnorm.lexicon import load_dictionary
 from lggnorm.tokenizer import tokenize
 
 
@@ -58,6 +59,17 @@ def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifie
     assert time.perf_counter() - start < 1.0
     assert result.primary is Category.SPACING
     assert result.suggestion == " ".join(glued)
+
+
+def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
+    # every 가 both starts and continues a word, so a word walk per start
+    # would read the whole run from each of its 2,000 starts
+    lexicon = load_dictionary(["가,가.N", "가,가.JOSA", "나,나.N"])
+    text = "가" * 2000 + "나가"
+    start = time.perf_counter()
+    got = _detect_spacing(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
+    assert time.perf_counter() - start < 0.5
+    assert got[1] == "가" * 2000 + " 나가"
 
 
 def chain_graph(boxes: int, output: str = "") -> str:

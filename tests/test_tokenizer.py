@@ -137,6 +137,15 @@ def test_runs_match_per_character_grouping(text):
     assert tokenize(text) == tokenize_by_groupby(text)
 
 
+@settings(max_examples=300)
+@given(MIXED)
+def test_a_token_surface_tokenizes_to_itself(text):
+    # the classifier indexes a token by tokenizing its surface alone
+    for tok in tokenize(text):
+        alone = tokenize(tok.surface).tokens
+        assert alone == (tok._replace(start=0, end=tok.end - tok.start),)
+
+
 @given(NFC_SAFE)
 def test_census_counts_sum_to_token_count(text):
     stream = tokenize(text)
