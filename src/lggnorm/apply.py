@@ -152,10 +152,12 @@ def order_grammars(fsts: list[Fst], priority: tuple[str, ...]) -> list[Fst]:
 
 def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
                  config: ApplyConfig | None = None) -> list[Match]:
-    """Non-overlapping leftmost-longest matches of all transducers."""
+    """Non-overlapping leftmost-longest matches of all transducers.  The
+    order of ``fsts`` is the grammar priority unless the config names one."""
     if config is None:
         config = ApplyConfig()
-    ordered = order_grammars(fsts, config.grammar_priority or tuple(f.name for f in fsts))
+    ordered = (order_grammars(fsts, config.grammar_priority)
+               if config.grammar_priority else fsts)
 
     index = TextIndex(text, lexicon)
     positions = index.scan_positions(config.anchor)

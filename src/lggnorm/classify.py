@@ -430,14 +430,13 @@ class CorpusClassification:
 
 
 def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification:
-    """Classify each distinct non-analyzable HANGUL/JAMO/SYMBOL surface
-    once, in first-occurrence order."""
+    """Classify each distinct non-analyzable surface once, in
+    first-occurrence order; ``is_analyzable`` alone decides which tokens
+    those are (never a LATIN, DIGIT or PUNCT one)."""
     seen: set[str] = set()
     results: list[ClassificationResult] = []
     counts: dict[Category, int] = {}
     for token in stream:
-        if token.cls not in (TokenClass.HANGUL, TokenClass.JAMO, TokenClass.SYMBOL):
-            continue
         if token.surface in seen:
             continue
         seen.add(token.surface)

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 grammar/dictionary parse error
 (a dictionary or grammar file that is not UTF-8 included; the ``error:``
 line names the file), 3 input encoding error.  Diagnostics go to stderr;
 data to stdout.
+
+Options are checked where argparse parses them (``--dict`` is required,
+numbers have a lower bound, ``--grammars`` names a directory), so every
+usage error is a ``_Parser.error``.  The one check argparse cannot make
+is ``--priority`` against the loaded grammars: ``_load_library`` reorders
+the transducers once, and that order is the priority from then on.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from .apply import Anchor, ApplyConfig, Mode, find_matches, order_grammars, tran
 from .classify import classify_corpus, Thresholds
 from .concord import ConcordSort, build_concordance, flat
 from .fst import CompileError, compile_graph, DEFAULT_MAX_STATES
-from .grammar import GraphError, load_grammar_file, validate
-from .lexicon import MalformedEntry, analyze_token, is_analyzable
+from .grammar import GraphError, load_grammar_file, root_graphs, validate
+from .hangul import fold_letters
+from .lexicon import MalformedEntry, is_analyzable
 from .stats import compare, corpus_stats
 from .tokenizer import InvalidEncoding, TokenClass, tokenize
 
@@ -41,15 +48,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer above 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _directory(text: str) -> str:
+    """An argparse type: the path of an existing directory."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"must name a directory: {text}")
+    return text
 
 
 def _read_text(path: str) -> str:
@@ -67,24 +83,10 @@ def _read_text(path: str) -> str:
     return text
 
 
-def _require_dict(args):
-    if not args.dict:
-        raise UsageError("--dict is required for this subcommand")
-
-
-def _load_lexicon(args):
-    return resources.load_lexicon(args.dict)
-
-
 def _load_library(args):
-    directory = getattr(args, "grammars", None)
-    if directory is not None and not os.path.isdir(directory):
-        raise UsageError(f"--grammars must name a directory: {directory}")
-    library = resources.load_grammar_library(
-        directory, max_states=getattr(args, "max_states", DEFAULT_MAX_STATES))
-    priority = getattr(args, "priority", None)
-    if priority:
-        wanted = tuple(p.strip() for p in priority.split(",") if p.strip())
+    library = resources.load_grammar_library(args.grammars, max_states=args.max_states)
+    if args.priority:
+        wanted = tuple(p.strip() for p in args.priority.split(",") if p.strip())
         try:
             library.fsts = order_grammars(library.fsts, wanted)
         except ValueError:
@@ -92,13 +94,6 @@ def _load_library(args):
                 "--priority must list every loaded grammar exactly once; "
                 f"loaded: {', '.join(library.priority)}") from None
     return library
-
-
-def _apply_config(args, library, mode=Mode.REPLACE) -> ApplyConfig:
-    anchor = Anchor.TOKEN_START if getattr(args, "anchor", "token") == "token" else Anchor.ANYWHERE
-    if hasattr(args, "mode"):
-        mode = Mode.REPLACE if args.mode == "replace" else Mode.MERGE
-    return ApplyConfig(mode=mode, anchor=anchor, grammar_priority=library.priority)
 
 
 def cmd_tokenize(args) -> int:
@@ -109,15 +104,13 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _require_dict(args)
-    lexicon = _load_lexicon(args)
+    lexicon = resources.load_lexicon(args.dict)
     for path in args.inputs:
         for tok in tokenize(_read_text(path)):
             if tok.cls is TokenClass.HANGUL:
-                analyses = analyze_token(tok, lexicon)
-                ok = "yes" if analyses else "no"
-                shown = ("+".join(f"{s}/{e.pos.value}" for s, e in analyses[0].segments)
-                         if analyses else "-")
+                best = lexicon.best_analysis(fold_letters(tok.surface))
+                ok = "yes" if best else "no"
+                shown = "+".join(f"{s}/{e.pos.value}" for s, e in best.segments) if best else "-"
             else:
                 ok = "yes" if is_analyzable(tok, lexicon) else "no"
                 shown = "-"
@@ -126,10 +119,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    _require_dict(args)
-    lexicon = _load_lexicon(args)
+    lexicon = resources.load_lexicon(args.dict)
     library = _load_library(args)
-    config = _apply_config(args, library)
+    config = ApplyConfig(mode=Mode(args.mode), anchor=Anchor(args.anchor))
     for path in args.inputs:
         text = _read_text(path)
         matches = find_matches(text, library.fsts, lexicon, config)
@@ -138,10 +130,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.loan_threshold < 0 or args.deviant_threshold < 0:
-        raise UsageError("--loan-threshold and --deviant-threshold must not be negative")
-    _require_dict(args)
-    lexicon = _load_lexicon(args)
+    lexicon = resources.load_lexicon(args.dict)
     library = _load_library(args)
     res = resources.load_classifier_resources(
         lexicon, library,
@@ -168,8 +157,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _require_dict(args)
-    lexicon = _load_lexicon(args)
+    lexicon = resources.load_lexicon(args.dict)
     all_stats = [(path, corpus_stats(tokenize(_read_text(path)), lexicon))
                  for path in args.inputs]
     if args.format == "json":
@@ -212,12 +200,9 @@ def rows_to_json(s) -> dict:
 
 
 def cmd_concord(args) -> int:
-    if args.left < 0 or args.right < 0:
-        raise UsageError("--left and --right must not be negative")
-    _require_dict(args)
-    lexicon = _load_lexicon(args)
+    lexicon = resources.load_lexicon(args.dict)
     library = _load_library(args)
-    config = _apply_config(args, library)
+    config = ApplyConfig(anchor=Anchor(args.anchor))
     sort = {s.value: s for s in ConcordSort}[args.sort]
     for path in args.inputs:
         text = _read_text(path)
@@ -232,8 +217,7 @@ def cmd_concord(args) -> int:
 
 def cmd_graph(args) -> int:
     graphs = load_grammar_file(args.file)
-    called = {name for g in graphs for name in g.subgraph_names()}
-    roots = [g for g in graphs if g.name not in called]
+    roots = root_graphs(graphs)
     if args.graph_cmd == "validate":
         diags = [d for g in roots for d in validate(g, graphs)]
         if diags:
@@ -259,17 +243,17 @@ def build_parser() -> _Parser:
                        help="input files ('-' or none = stdin)")
 
     def add_dict(p):
-        p.add_argument("--dict", action="append", metavar="FILE",
+        p.add_argument("--dict", action="append", required=True, metavar="FILE",
                        help="dictionary file (repeatable)")
 
     def add_grammars(p, anchor=True):
-        p.add_argument("--grammars", metavar="DIR",
+        p.add_argument("--grammars", type=_directory, metavar="DIR",
                        help="grammar directory (default: bundled)")
         p.add_argument("--priority", metavar="NAMES",
                        help="comma-separated grammar priority order")
-        if anchor:  # read only by _apply_config, which classify does not use
+        if anchor:  # classify scans no text with the grammars
             p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
-        p.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES)
+        p.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
 
     p = sub.add_parser("tokenize", help="emit classified token spans as TSV")
     add_inputs(p)
@@ -293,8 +277,8 @@ def build_parser() -> _Parser:
     p.add_argument("--abbr-dict", metavar="FILE")
     p.add_argument("--neo-dict", metavar="FILE")
     p.add_argument("--loan-dict", metavar="FILE")
-    p.add_argument("--loan-threshold", type=int, default=2)
-    p.add_argument("--deviant-threshold", type=int, default=1)
+    p.add_argument("--loan-threshold", type=_at_least(0), default=2)
+    p.add_argument("--deviant-threshold", type=_at_least(0), default=1)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     add_inputs(p)
     p.set_defaults(func=cmd_classify)
@@ -308,8 +292,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("concord", help="keyword-in-context for matched spans")
     add_dict(p)
     add_grammars(p)
-    p.add_argument("--left", type=int, default=24)
-    p.add_argument("--right", type=int, default=24)
+    p.add_argument("--left", type=_at_least(0), default=24)
+    p.add_argument("--right", type=_at_least(0), default=24)
     p.add_argument("--sort", choices=["text", "keyword", "right"], default="text")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     add_inputs(p)
@@ -321,7 +305,7 @@ def build_parser() -> _Parser:
         gp = gsub.add_parser(name)
         gp.add_argument("file")
         if name == "compile":  # validate compiles nothing
-            gp.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES)
+            gp.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
         gp.set_defaults(func=cmd_graph)
 
     return parser

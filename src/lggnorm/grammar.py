@@ -70,14 +70,19 @@ class LabelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Label:
+    """One alternative of a box.  The rules of a well-formed label live
+    here, so a parsed box and one built in code are checked alike: a
+    literal is non-empty, a mask names a part of speech and an epsilon
+    carries nothing.  The parser adds the line number."""
+
     kind: LabelKind
     payload: str = ""
 
     def __post_init__(self):
         if self.kind is LabelKind.LITERAL and not self.payload:
-            raise GraphError("literal label must be non-empty")
+            raise GraphError("empty literal alternative (use <E>)")
         if self.kind is LabelKind.MASK and self.payload not in POS_NAMES:
-            raise GraphError(f"mask payload {self.payload!r} is not a POS")
+            raise GraphError(f"unknown POS mask <{self.payload}>")
         if self.kind is LabelKind.EPSILON and self.payload:
             raise GraphError("epsilon label carries no payload")
 
@@ -131,20 +136,13 @@ _BOX_RE = re.compile(
 )
 
 
-def _parse_label_spec(spec: str, lineno: int) -> tuple[Label, ...]:
+def _parse_label_spec(spec: str) -> tuple[Label, ...]:
     if spec.startswith('"'):
-        body = spec[1:-1]
-        alts = body.split("|")
-        if any(not a for a in alts):
-            raise GraphSyntaxError(lineno, "empty literal alternative (use <E>)")
-        return tuple(Label(LabelKind.LITERAL, a) for a in alts)
+        return tuple(Label(LabelKind.LITERAL, a) for a in spec[1:-1].split("|"))
     if spec == "<E>":
         return (Label(LabelKind.EPSILON),)
     if spec.startswith("<"):
-        pos = spec[1:-1]
-        if pos not in POS_NAMES:
-            raise GraphSyntaxError(lineno, f"unknown POS mask {spec}")
-        return (Label(LabelKind.MASK, pos),)
+        return (Label(LabelKind.MASK, spec[1:-1]),)
     return (Label(LabelKind.SUBGRAPH, spec[1:]),)
 
 
@@ -213,10 +211,8 @@ def parse_graph_library(text: str) -> list[GraphIR]:
             boxes[box_id] = Box(box_id, BoxKind.FINAL)
         else:
             try:
-                labels = _parse_label_spec(spec, lineno)
+                labels = _parse_label_spec(spec)
             except GraphError as exc:
-                if isinstance(exc, GraphSyntaxError):
-                    raise
                 raise GraphSyntaxError(lineno, str(exc)) from exc
             boxes[box_id] = Box(box_id, BoxKind.PLAIN, labels, output, succ)
 
@@ -378,6 +374,19 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
         else:
             visit(callee)
     return diags
+
+
+def root_graphs(graphs: list[GraphIR]) -> list[GraphIR]:
+    """The graphs no graph of the library calls, in library order: the
+    ones applied to text.  Two graphs of one name raise GraphError, since
+    a call could not tell them apart."""
+    names: set[str] = set()
+    for g in graphs:
+        if g.name in names:
+            raise GraphError(f"two graphs are named {g.name!r}")
+        names.add(g.name)
+    called = {name for g in graphs for name in g.subgraph_names()}
+    return [g for g in graphs if g.name not in called]
 
 
 def load_grammar_file(path) -> list[GraphIR]:

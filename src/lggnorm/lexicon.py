@@ -331,6 +331,52 @@ class Lexicon:
         ))
         return results
 
+    def best_analysis(self, key: tuple[str, ...]) -> MorphAnalysis | None:
+        """``analyze_key(key)[0]``, or None when there is none, without
+        building the other analyses.  One pass over the lattice by
+        decreasing unit keeps, for each pair, the first tail that is
+        least under analyze_key's order; the order compares the segment
+        count first, so a tail's best continuation is the best tail of
+        the pair it leads to."""
+        edges = self.lattice(key)
+        # a tail is (segments, (surface, POS, lemma) of the first, the
+        # first, the rest); _END finishes the key
+        best: dict[tuple[int, frozenset], tuple | None] = {}
+        for pair in sorted(edges, key=lambda p: -p[0]):
+            done = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
+            chosen = _END if done else None
+            for e, dst in edges[pair]:
+                rest = best[dst]
+                if rest is not None:
+                    tail = (rest[0] + 1, (e.surface, e.pos.value, e.lemma), (e.surface, e), rest)
+                    if chosen is None or _precedes(tail, chosen):
+                        chosen = tail
+            best[pair] = chosen
+        tail = best[0, self._start]
+        if tail is None:
+            return None
+        segments = []
+        while tail is not _END:
+            segments.append(tail[2])
+            tail = tail[3]
+        return MorphAnalysis(tuple(segments))
+
+
+_END = (0, None, None, None)
+
+
+def _precedes(a: tuple, b: tuple) -> bool:
+    """Tail ``a`` sorts strictly before tail ``b``: fewer segments, then
+    the (surface, POS, lemma) of each segment in turn.  Tails of one
+    count reach _END together, or meet sooner in a shared rest."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    while a is not b:
+        if a[1] != b[1]:
+            return a[1] < b[1]
+        a, b = a[3], b[3]
+    return False
+
 
 def read_entries(source: Iterable[str]) -> list[DictEntry]:
     """Entries of dictionary lines, collecting all malformed lines."""
@@ -350,15 +396,27 @@ def read_entries(source: Iterable[str]) -> list[DictEntry]:
     return entries
 
 
-def load_dictionary(source: Iterable[str],
-                    concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES) -> Lexicon:
+def read_entries_file(path) -> tuple[DictEntry, ...]:
+    """Entries of a dictionary file; a file that is not UTF-8 or holds a
+    malformed line raises MalformedEntry whose message starts with the
+    path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return tuple(read_entries(fh))
+    except UnicodeDecodeError as exc:
+        raise MalformedEntry(f"{path}: not UTF-8 ({exc})") from exc
+    except MalformedEntry as exc:
+        raise MalformedEntry(f"{path}: {exc}", exc.errors) from exc
+
+
+def load_dictionary(source: Iterable[str]) -> Lexicon:
     """Build a Lexicon from dictionary lines."""
-    return Lexicon(read_entries(source), concat_rules)
+    return Lexicon(read_entries(source))
 
 
-def load_dictionary_file(path, concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return load_dictionary(fh, concat_rules)
+def load_dictionary_file(path) -> Lexicon:
+    """Build a Lexicon from a dictionary file (see read_entries_file)."""
+    return Lexicon(read_entries_file(path))
 
 
 def analyze_token(token: Token, lexicon: Lexicon) -> list[MorphAnalysis]:

@@ -3,9 +3,11 @@
 The asset root defaults to the data shipped inside the package and can
 be overridden with the ``LGGNORM_ASSETS`` environment variable.  When a
 grammar directory is loaded, graphs referenced as subgraphs by other
-graphs are treated as helpers: only the remaining root graphs are
+graphs are treated as helpers: only the remaining root graphs
+(``grammar.root_graphs``; two graphs of one name are a GraphError) are
 applied to text, in (file name, in-file) order — which is also the
-default grammar priority.
+default grammar priority.  Dictionary files are read by
+``lexicon.read_entries_file``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from pathlib import Path
 
 from .classify import Resources, Thresholds
 from .fst import DEFAULT_MAX_STATES, Fst, compile_graph
-from .grammar import GraphIR, load_grammar_file
-from .lexicon import DictEntry, Lexicon, MalformedEntry, read_entries
+from .grammar import GraphIR, load_grammar_file, root_graphs
+from .lexicon import Lexicon, read_entries_file
 
 ASSETS_ENV = "LGGNORM_ASSETS"
 
@@ -60,31 +62,15 @@ def load_grammar_library(directory: Path | str | None = None,
     graphs: list[GraphIR] = []
     for path in sorted(directory.glob("*.lgg")):
         graphs.extend(load_grammar_file(path))
-    called = {name for g in graphs for name in g.subgraph_names()}
-    fsts = [
-        compile_graph(g, graphs, max_states=max_states)
-        for g in graphs if g.name not in called
-    ]
+    fsts = [compile_graph(g, graphs, max_states=max_states) for g in root_graphs(graphs)]
     return GrammarLibrary(graphs, fsts)
-
-
-def _read_entries(path) -> tuple[DictEntry, ...]:
-    """A dictionary file's entries, without building its trie; a file that
-    is not UTF-8 or does not parse raises MalformedEntry naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return tuple(read_entries(fh))
-    except UnicodeDecodeError as exc:
-        raise MalformedEntry(f"{path}: not UTF-8 ({exc})") from exc
-    except MalformedEntry as exc:
-        raise MalformedEntry(f"{path}: {exc}", exc.errors) from exc
 
 
 def load_lexicon(paths=None) -> Lexicon:
     """Analyzability dictionary; defaults to core + loanword standards."""
     if not paths:
         paths = [dictionary_path("core.dic"), dictionary_path("loan.dic")]
-    return Lexicon(e for p in paths for e in _read_entries(p))
+    return Lexicon(e for p in paths for e in read_entries_file(p))
 
 
 def load_classifier_resources(lexicon: Lexicon | None = None,
@@ -98,8 +84,8 @@ def load_classifier_resources(lexicon: Lexicon | None = None,
     return Resources(
         lexicon=lexicon,
         fsts=library.fsts,
-        abbr_entries=_read_entries(abbr_path or dictionary_path("abbr.dic")),
-        neo_entries=_read_entries(neo_path or dictionary_path("neo.dic")),
-        loan_entries=_read_entries(loan_path or dictionary_path("loan.dic")),
+        abbr_entries=read_entries_file(abbr_path or dictionary_path("abbr.dic")),
+        neo_entries=read_entries_file(neo_path or dictionary_path("neo.dic")),
+        loan_entries=read_entries_file(loan_path or dictionary_path("loan.dic")),
         thresholds=thresholds or Thresholds(),
     )

@@ -100,6 +100,19 @@ def test_priority_breaks_span_ties(lexicon):
     assert find_matches("가나", fsts, lexicon, flipped)[0].output == "b"
 
 
+def test_reordered_transducers_need_no_priority(lexicon):
+    # the order of the list is the priority: reordering it once gives what
+    # naming the priority on every call gives
+    a = parse_graph('GRAPH A TAG A\n0 INITIAL -> 1\n1 "가나" / "a" -> 9\n9 FINAL\n')
+    b = parse_graph('GRAPH B TAG B\n0 INITIAL -> 1\n1 "가나|다" / "b" -> 9\n9 FINAL\n')
+    fsts = [compile_graph(a), compile_graph(b)]
+    text = "가나 다 가나"
+    flipped = find_matches(text, fsts, lexicon, ApplyConfig(grammar_priority=("B", "A")))
+    assert [m.output for m in flipped] == ["b", "b", "b"]
+    assert find_matches(text, fsts[::-1], lexicon) == flipped
+    assert find_matches(text, fsts, lexicon) != flipped
+
+
 def test_alternative_order_breaks_ties_within_graph(lexicon):
     g = parse_graph('GRAPH G TAG T\n0 INITIAL -> 1,2\n'
                     '1 "가나" / "first" -> 9\n2 "가나" / "second" -> 9\n9 FINAL\n')

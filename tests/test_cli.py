@@ -133,6 +133,18 @@ def test_analyze_output():
     assert lines[1] == "잼\tno\t-"
 
 
+def test_analyze_prints_the_best_of_exponentially_many_analyses(tmp_path):
+    # 가 + 60 아 has Fibonacci(61) analyses; analyze shows only the first
+    dic = tmp_path / "tiny.dic"
+    dic.write_text("가,가.V\n아,아.EOMI\n아아,아아.EOMI\n", encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, "-m", "lggnorm", "analyze", "--dict", str(dic), "-"],
+        input=("가" + "아" * 60).encode(), capture_output=True, timeout=10)
+    assert r.returncode == 0
+    assert r.stdout.decode() == "가" + "아" * 60 + "\tyes\t" + "+".join(
+        ["가/V"] + ["아아/EOMI"] * 30) + "\n"
+
+
 def test_assets_env_override(tmp_path, monkeypatch):
     import os
     import shutil
@@ -245,6 +257,27 @@ def test_non_utf8_dictionary_or_grammar_is_a_parse_error(capsys, tmp_path, argv)
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["concord", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["classify", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["graph", "compile", "{twice}"],
+], ids=["normalize", "concord", "classify", "graph-compile"])
+def test_a_repeated_graph_name_is_a_parse_error(capsys, tmp_path, argv):
+    abbr = (resources.grammar_dir() / "abbr.lgg").read_text(encoding="utf-8")
+    paths = {"grammars": tmp_path / "grammars", "corpus": tmp_path / "corpus.txt",
+             "twice": tmp_path / "twice.lgg"}
+    paths["grammars"].mkdir()
+    for name in ("abbr.lgg", "abbr_copy.lgg"):
+        (paths["grammars"] / name).write_text(abbr, encoding="utf-8")
+    paths["twice"].write_text(abbr + abbr, encoding="utf-8")
+    paths["corpus"].write_text("영화 잼있어요", encoding="utf-8")
+    code, out, err = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == "error: two graphs are named 'Abbrev'\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--loan-threshold", "-3"),

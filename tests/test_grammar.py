@@ -8,13 +8,16 @@ from lggnorm.grammar import (
     DiagnosticCode,
     DuplicateBoxId,
     DuplicateInitial,
+    GraphError,
     GraphSyntaxError,
+    Label,
     LabelKind,
     MissingFinal,
     MissingInitial,
     parse_graph,
     parse_graph_library,
     print_graph,
+    root_graphs,
     validate,
 )
 from oracles import random_graph_text, validate_by_recursion
@@ -78,6 +81,35 @@ def test_unknown_mask_pos_is_syntax_error():
 def test_empty_alternative_rejected():
     with pytest.raises(GraphSyntaxError):
         parse_graph('GRAPH G TAG T\n0 INITIAL -> 1\n1 "a||b" -> 9\n9 FINAL\n')
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('"a||b"', "line 3: empty literal alternative (use <E>)"),
+    ('""', "line 3: empty literal alternative (use <E>)"),
+    ("<NOUN>", "line 3: unknown POS mask <NOUN>"),
+])
+def test_label_errors_carry_the_line(spec, message):
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_graph(f"GRAPH G TAG T\n0 INITIAL -> 1\n1 {spec} -> 9\n9 FINAL\n")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    (LabelKind.LITERAL, "", "empty literal alternative (use <E>)"),
+    (LabelKind.MASK, "NOUN", "unknown POS mask <NOUN>"),
+    (LabelKind.EPSILON, "x", "epsilon label carries no payload"),
+])
+def test_label_checks_itself(kind, payload, message):
+    with pytest.raises(GraphError) as exc:
+        Label(kind, payload)
+    assert str(exc.value) == message
+
+
+def test_root_graphs_reject_a_repeated_name():
+    graphs = parse_graph_library(CHOCOLATE + CHOCOLATE.replace("Choco", "Other"))
+    assert [g.name for g in root_graphs(graphs)] == ["Choco", "Other"]
+    with pytest.raises(GraphError, match="two graphs are named 'Choco'"):
+        root_graphs(graphs + graphs[:1])
 
 
 def test_final_with_successors_rejected():

@@ -126,6 +126,28 @@ def test_word_walk_matches_lattice(surface, rules, entries):
         assert is_analyzable(token, lexicon) == (len(key) in ends)
 
 
+@settings(max_examples=300, deadline=None)
+@given(surface=edited_tokens(), rules=concat_rules,
+       entries=st.sampled_from([CORE, DUPLICATES]))
+def test_best_analysis_is_the_first_of_analyze_key(surface, rules, entries):
+    lexicon = resources_for(entries, rules).lexicon
+    key = fold_letters(surface)
+    analyses = lexicon.analyze_key(key)
+    best = lexicon.best_analysis(key)
+    # the same first analysis, down to which duplicate entry
+    assert (segment_ids([best]) if best else []) == segment_ids(analyses[:1])
+
+
+def test_best_analysis_breaks_count_ties_by_segments_not_edge_order():
+    # 가/V comes first in the dictionary, 가/N first in analyze_key's order
+    lexicon = Lexicon([DictEntry("가", "가", Pos.V), DictEntry("나", "나", Pos.EOMI),
+                       DictEntry("가", "가", Pos.N), DictEntry("나", "나", Pos.JOSA)])
+    key = fold_letters("가나")
+    assert [a.pos_seq for a in lexicon.analyze_key(key)] == [(Pos.N, Pos.JOSA),
+                                                              (Pos.V, Pos.EOMI)]
+    assert lexicon.best_analysis(key).pos_seq == (Pos.N, Pos.JOSA)
+
+
 def test_word_walk_expands_each_pair_once():
     # 가 splits into 가 and 가가 JOSAs in Fibonacci(24) ways, but reaches
     # each (unit, rule state) pair once

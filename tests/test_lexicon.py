@@ -11,6 +11,7 @@ from lggnorm.lexicon import (
     analyze_token,
     is_analyzable,
     load_dictionary,
+    load_dictionary_file,
     parse_entry,
 )
 from lggnorm.tokenizer import tokenize
@@ -36,6 +37,18 @@ def test_load_collects_all_bad_lines():
     with pytest.raises(MalformedEntry) as exc:
         load_dictionary(["bad line", "재미,재미.N", "also bad", "x,y.NOPE"])
     assert [n for n, _ in exc.value.errors] == [1, 3, 4]
+
+
+@pytest.mark.parametrize("data, detail", [
+    ("caf\xe9,caf\xe9.N\n".encode("latin-1"), "not UTF-8"),
+    ("재미,재미.N\nno commas here\n".encode(), "malformed dictionary entry at line(s) 2"),
+], ids=["latin-1", "malformed"])
+def test_dictionary_file_errors_name_the_file(tmp_path, data, detail):
+    path = tmp_path / "bad.dic"
+    path.write_bytes(data)
+    with pytest.raises(MalformedEntry) as exc:
+        load_dictionary_file(path)
+    assert str(exc.value).startswith(f"{path}: {detail}")
 
 
 def test_load_skips_comments_and_blanks():

@@ -12,6 +12,7 @@ from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import Category, Resources, _detect_spacing, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
+from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import load_dictionary
 from lggnorm.tokenizer import tokenize
 
@@ -45,6 +46,17 @@ def test_cli_analyses_a_token_of_1501_morphemes(tmp_path, command):
     r = run_cli(command, "--dict", resources.dictionary_path("core.dic"), path)
     assert r.returncode == 0, r.stderr.decode()
     assert r.stderr == b""
+
+
+def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
+    # 가 + 아 EOMIs: the number of analyses grows like Fibonacci(2000), the
+    # best one is found in one pass over the lattice
+    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    key = fold_letters("가" + "아" * 2000)
+    start = time.perf_counter()
+    best = lexicon.best_analysis(key)
+    assert time.perf_counter() - start < 0.5
+    assert [s for s, _ in best.segments] == ["가"] + ["아아"] * 1000
 
 
 def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifier_resources):
