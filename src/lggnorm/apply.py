@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
+from .grammar import TAG_PATTERN
 from .hangul import jamo_units, unit_offsets
 from .lexicon import Lexicon
 from .tokenizer import Token, TokenClass, byte_offsets, tokenize
@@ -205,7 +206,7 @@ def transform(text: str, matches: list[Match], mode: Mode) -> str:
     return b"".join(parts).decode("utf-8")
 
 
-_MERGE_RE = re.compile(r"\{(.*?),([^,{}]*)\.([A-Z][A-Z0-9_]*)\}")
+_MERGE_RE = re.compile(r"\{(.*?),([^,{}]*)\." + TAG_PATTERN + r"\}")
 
 
 def strip_merge(text: str) -> str:

@@ -20,15 +20,10 @@ Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
-distance alphabet).  The deviant candidate forms are the dictionary
-letters of a word of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI,
-ADJ EOMI, ADV, DET, INTERJ or PROPER) recomposed with compose_letters,
-where the recomposition leaves no letter standalone: candidates are
-syllable-only words, so their letters are their distance key.  No
-per-lexicon list of forms is built: the search runs DEVIANT_RULES on the
-lexicon's RuleAutomaton along its letter trie with one Levenshtein row
-against the token, and drops every branch already more than
-``Thresholds.deviant`` edits away.
+distance alphabet).  The deviant candidate forms are the syllable-only
+words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV,
+DET, INTERJ or PROPER); lexicon.FormSearch finds the one nearest to the
+token within ``Thresholds.deviant`` edits.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, prefix_distances
-from .lexicon import POS_BIT, DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
+from .hangul import distance_key, fold_letters, prefix_distances
+from .lexicon import DictEntry, FormSearch, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
 EMOTICON_SCALARS = frozenset("ㅋㅎㅠㅜㅇ_")
@@ -114,7 +109,7 @@ class Resources:
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
         self.loan_keys = [distance_key(e.surface) for e in self.loan_entries]
-        self.deviant_search = _DeviantSearch(self.lexicon)
+        self.deviant_search = FormSearch(self.lexicon, _DEVIANT)
 
     def grammars_for(self, cat: Category) -> list[Fst]:
         return self._by_category.get(cat, [])
@@ -271,113 +266,6 @@ def _detect_deviant(index: TextIndex, res: Resources):
 DEVIANT_RULES = ("N", "N JOSA", "N XSV EOMI", "V EOMI", "ADJ EOMI",
                  "ADV", "DET", "INTERJ", "PROPER")
 _DEVIANT = RuleAutomaton(DEVIANT_RULES)
-_FAR = 1 << 30  # stands for any distance beyond the band
-
-
-class _DeviantSearch:
-    """Nearest form of the deviant candidate language to a token, found by
-    a bounded walk of the lexicon's letter trie through the automaton of
-    DEVIANT_RULES; no form list is built.
-
-    ``moves`` maps a (rule state, trie node) pair, the first time the walk
-    reaches it, to the rule states the node's entries lead to (each with
-    whether it is final and whether it takes another morpheme), its
-    children whose subtree ends an entry of a part of speech the rule
-    state takes, each with its letter; None when
-    there are no targets and no children.
-    """
-
-    def __init__(self, lexicon: Lexicon):
-        self.root = lexicon.trie_root
-        # letters in the longest form: one entry per morpheme of a rule
-        self.max_letters = max(len(r.split()) for r in DEVIANT_RULES) * lexicon.max_key_len
-        self.moves: dict[tuple[frozenset, object], tuple | None] = {}
-
-    def _moves(self, state: frozenset, node) -> tuple | None:
-        try:
-            return self.moves[state, node]
-        except KeyError:
-            targets = tuple((s, not s.isdisjoint(_DEVIANT.finals),
-                             self._moves(s, self.root) is not None)
-                            for s in {_DEVIANT.step(state, pos) for pos in node.pos} if s)
-            takes = sum(bit for pos, bit in POS_BIT.items() if _DEVIANT.step(state, pos))
-            kids = tuple((child, letter)
-                         for letter, child in node.children.items() if child.below & takes)
-            got = (targets, kids) if targets or kids else None
-            self.moves[state, node] = got
-            return got
-
-    def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
-        """(distance, form) of the syllable-only form whose letters are
-        nearest to ``token_key`` within ``limit`` edits; ties go to the
-        longer shared key prefix, then to the smaller form.
-
-        A depth-first walk that jumps back to the trie root at a morpheme
-        end allowed by DEVIANT_RULES.  It carries one Levenshtein row
-        against the token key, banded to the cells that can hold a distance
-        within the limit, pushes a row per letter as soon as it reads the
-        letter, and drops a branch once the row's minimum exceeds the best
-        distance found so far.  A form that composes with a standalone
-        letter is passed over where it ends.
-        """
-        if limit < 0 or self._moves(_DEVIANT.start, self.root) is None:
-            return None
-        m = len(token_key)
-        # no distance exceeds m + max_letters, so a wider band adds nothing
-        band = min(limit, m + self.max_letters)
-        width = 2 * band + 1
-
-        def push(prev: list[int], k: int, letter: str) -> list[int]:
-            """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
-            cur = []
-            left = _FAR
-            for t in range(width):
-                j = k - band + t
-                if j < 0 or j > m:
-                    v = _FAR
-                elif j == 0:
-                    v = k
-                else:
-                    v = prev[t] + (letter != token_key[j - 1])
-                    if t + 1 < width and prev[t + 1] + 1 < v:
-                        v = prev[t + 1] + 1
-                    if left + 1 < v:
-                        v = left + 1
-                cur.append(v)
-                left = v
-            return cur
-
-        best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-        bound = band
-        row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
-        # frame: trie node, language state, row over the k letters read and
-        # its minimum, k, their shared prefix with the token key, the letters
-        stack = [(self.root, _DEVIANT.start, row0, 0, 0, 0, "")]
-        moves = self.moves  # every pushed pair has moves
-        while stack:
-            node, lang, row, low, k, shared, letters = stack.pop()
-            if low > bound:
-                continue
-            targets, kids = moves.get((lang, node)) or self._moves(lang, node)
-            t = m - k + band
-            for lang2, final, again in targets:
-                if final and 0 <= t < width and row[t] <= bound:
-                    form = compose_letters(letters)
-                    rank = (row[t], -shared, form)
-                    if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
-                        best = rank
-                        bound = rank[0]
-                if again:
-                    stack.append((self.root, lang2, row, low, k, shared, letters))
-            for child, letter in kids:
-                row2 = push(row, k + 1, letter)
-                low2 = min(row2)
-                if low2 <= bound:
-                    shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
-                    stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
-        if best is None:
-            return None
-        return best[0], best[2]
 
 
 def _deviant_by_distance(index: TextIndex, res: Resources):

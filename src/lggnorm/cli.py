@@ -219,7 +219,8 @@ def cmd_graph(args) -> int:
     graphs = load_grammar_file(args.file)
     roots = root_graphs(graphs)
     if args.graph_cmd == "validate":
-        diags = [d for g in roots for d in validate(g, graphs)]
+        # a helper two roots call is validated twice; report it once
+        diags = dict.fromkeys(d for g in roots for d in validate(g, graphs))
         if diags:
             for d in diags:
                 print(str(d))

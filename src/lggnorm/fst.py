@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grammar import Box, BoxKind, GraphIR, LabelKind, validate, _library_by_name
+from .grammar import Box, BoxKind, GraphIR, LabelKind, reachable, validate, _library_by_name
 from .hangul import jamo_units
 
 TOKEN_BOUNDARY = "<B>"
@@ -280,13 +280,7 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
     for arc in new_arcs:
         fwd.setdefault(arc[0], []).append(arc)
         rev.setdefault(arc[3], []).append(arc[0])
-    coreach = set(final_outputs)
-    frontier = list(final_outputs)
-    while frontier:
-        for d in rev.get(frontier.pop(), ()):
-            if d not in coreach:
-                coreach.add(d)
-                frontier.append(d)
+    coreach = reachable(final_outputs, rev)
 
     order: dict[int, int] = {init: 0}
     queue = [init]

@@ -10,8 +10,8 @@ A graph is a header plus one line per box::
 
 Label specs: ``"alt1|alt2"`` literal alternatives, ``<POS>`` a
 part-of-speech mask, ``:Name`` a subgraph call, ``<E>`` epsilon wiring.
-``/ "output"`` attaches a transduction output to the box.  ``#`` starts
-a comment line; blank lines are ignored.
+``/ "output"`` attaches a transduction output to the box; a tag matches
+TAG_PATTERN.  ``#`` starts a comment line; blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ class GraphIR:
         return tuple(names)
 
 
+# the shape of a tag, which MERGE output writes and apply.strip_merge reads
+TAG_PATTERN = "[A-Z][A-Z0-9_]*"
 _HEADER_RE = re.compile(r"^GRAPH\s+(\S+)\s+TAG\s+(\S+)$")
 _BOX_RE = re.compile(
     r"""^(?P<id>\d+)\s+
@@ -181,6 +183,8 @@ def parse_graph_library(text: str) -> list[GraphIR]:
         if m:
             finish()
             name, tag = m.group(1), m.group(2)
+            if not re.fullmatch(TAG_PATTERN, tag):
+                raise GraphSyntaxError(lineno, f"tag {tag!r} does not match {TAG_PATTERN}")
             header_line = lineno
             continue
         if name is None:
@@ -276,52 +280,41 @@ def _library_by_name(library) -> dict[str, GraphIR]:
     return {g.name: g for g in library}
 
 
+def reachable(starts, successors) -> set:
+    """Every node reached from ``starts``, included, along ``successors``:
+    a dict from a node to its successors (none for a node it lacks).
+    Iterative, so a long chain costs no interpreter frames."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in successors.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def _validate_structure(g: GraphIR) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    preds: dict[int, list[int]] = {}
     for box in g.boxes.values():
         for succ in box.successors:
+            preds.setdefault(succ, []).append(box.id)
             if succ not in g.boxes:
                 diags.append(Diagnostic(
                     DiagnosticCode.DANGLING_SUCCESSOR,
                     f"box {box.id} points to missing box {succ}",
                     graph=g.name, box_id=box.id, detail=(str(succ),)))
-
-    # forward reachability from INITIAL
-    reach = set()
-    stack = [g.initial.id]
-    while stack:
-        b = stack.pop()
-        if b in reach:
-            continue
-        reach.add(b)
-        stack.extend(s for s in g.boxes[b].successors if s in g.boxes)
-    for box_id in sorted(g.boxes):
-        if box_id not in reach:
-            diags.append(Diagnostic(
-                DiagnosticCode.UNREACHABLE_BOX,
-                f"box {box_id} is unreachable from INITIAL",
-                graph=g.name, box_id=box_id))
-
-    # backward reachability from FINAL
-    rev: dict[int, list[int]] = {b: [] for b in g.boxes}
-    for box in g.boxes.values():
-        for succ in box.successors:
-            if succ in rev:
-                rev[succ].append(box.id)
-    coreach = set()
-    stack = [g.final.id]
-    while stack:
-        b = stack.pop()
-        if b in coreach:
-            continue
-        coreach.add(b)
-        stack.extend(rev[b])
-    for box_id in sorted(g.boxes):
-        if box_id not in coreach:
-            diags.append(Diagnostic(
-                DiagnosticCode.FINAL_UNREACHABLE,
-                f"box {box_id} cannot reach FINAL",
-                graph=g.name, box_id=box_id))
+    succs = {box.id: box.successors for box in g.boxes.values()}
+    for reached, code, message in (
+            (reachable([g.initial.id], succs), DiagnosticCode.UNREACHABLE_BOX,
+             "is unreachable from INITIAL"),
+            (reachable([g.final.id], preds), DiagnosticCode.FINAL_UNREACHABLE,
+             "cannot reach FINAL")):
+        for box_id in sorted(g.boxes):
+            if box_id not in reached:
+                diags.append(Diagnostic(code, f"box {box_id} {message}",
+                                        graph=g.name, box_id=box_id))
     return diags
 
 
@@ -377,16 +370,19 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
 
 
 def root_graphs(graphs: list[GraphIR]) -> list[GraphIR]:
-    """The graphs no graph of the library calls, in library order: the
-    ones applied to text.  Two graphs of one name raise GraphError, since
-    a call could not tell them apart."""
-    names: set[str] = set()
+    """The graphs applied to text: those no graph calls, then those no
+    such root reaches, each in library order.  Callers of the latter are
+    unreached too, so following them back meets a recursive call, which
+    validation reports.  Two graphs of one name raise GraphError."""
+    calls: dict[str, tuple[str, ...]] = {}
     for g in graphs:
-        if g.name in names:
+        if g.name in calls:
             raise GraphError(f"two graphs are named {g.name!r}")
-        names.add(g.name)
-    called = {name for g in graphs for name in g.subgraph_names()}
-    return [g for g in graphs if g.name not in called]
+        calls[g.name] = g.subgraph_names()
+    called = {name for names in calls.values() for name in names}
+    roots = [g for g in graphs if g.name not in called]
+    reached = reachable([g.name for g in roots], calls)
+    return roots + [g for g in graphs if g.name not in reached]
 
 
 def load_grammar_file(path) -> list[GraphIR]:

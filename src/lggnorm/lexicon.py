@@ -15,15 +15,18 @@ work per token is bounded by units × trie depth × rule states.  Analyses
 and the fewest-words split read the whole lattice with its edges; the
 analysability test steps the rule state once per part of speech at a
 trie node, keeps no edges and stops at the first complete segmentation.
+FormSearch, the classifier's fuzzy search, walks the same trie; no
+other module reads a trie node.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .hangul import fold_letters
+from .hangul import compose_letters, fold_letters, is_compat_jamo
 from .tokenizer import Token, TokenClass
 
 
@@ -139,6 +142,10 @@ class RuleAutomaton:
                                for i in rule.skip(0))
         self.finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
         self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
+        # morphemes in the longest sequence accepted; None when a rule repeats
+        self.max_morphemes = (
+            None if any(atom[2] for rule in self._rules for atom in rule.atoms)
+            else max((len(rule.atoms) for rule in self._rules), default=0))
 
     def step(self, state: frozenset, pos: Pos) -> frozenset:
         """Rule state after one more morpheme of ``pos``."""
@@ -212,12 +219,6 @@ class Lexicon:
     @property
     def entries(self) -> tuple[DictEntry, ...]:
         return tuple(self._entries)
-
-    @property
-    def trie_root(self) -> _TrieNode:
-        """Root of the letter trie (``children`` by letter, ``entries``
-        ending at the node); read-only for callers."""
-        return self._root
 
     def lookup(self, surface: str) -> list[DictEntry]:
         key = fold_letters(surface)
@@ -376,6 +377,122 @@ def _precedes(a: tuple, b: tuple) -> bool:
             return a[1] < b[1]
         a, b = a[3], b[3]
     return False
+
+
+_FAR = 1 << 30  # stands for any distance beyond the band
+
+
+class FormSearch:
+    """Nearest form of a rule language to a token: the forms are the
+    dictionary letters of a word ``rules`` accepts, recomposed with
+    compose_letters, where the recomposition leaves no letter standalone,
+    so a form's letters are its distance key.  No list of forms is built:
+    the search runs ``rules`` along the lexicon's letter trie with one
+    Levenshtein row against the token, and drops every branch already
+    more than the limit away.
+
+    ``moves`` maps a (rule state, trie node) pair, the first time the walk
+    reaches it, to the rule states the node's entries lead to (each with
+    whether it is final and whether it takes another morpheme), its
+    children whose subtree ends an entry of a part of speech the rule
+    state takes, each with its letter; None when there are neither.
+    """
+
+    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton):
+        self.root = lexicon._root
+        self.rules = rules
+        # letters in the longest form: one entry per morpheme of a rule
+        n = rules.max_morphemes
+        self.max_letters = math.inf if n is None else n * lexicon.max_key_len
+        self.moves: dict[tuple[frozenset, object], tuple | None] = {}
+
+    def _moves(self, state: frozenset, node) -> tuple | None:
+        try:
+            return self.moves[state, node]
+        except KeyError:
+            targets = tuple((s, not s.isdisjoint(self.rules.finals),
+                             self._moves(s, self.root) is not None)
+                            for s in {self.rules.step(state, pos) for pos in node.pos} if s)
+            takes = sum(bit for pos, bit in POS_BIT.items() if self.rules.step(state, pos))
+            kids = tuple((child, letter)
+                         for letter, child in node.children.items() if child.below & takes)
+            got = (targets, kids) if targets or kids else None
+            self.moves[state, node] = got
+            return got
+
+    def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
+        """(distance, form) of the syllable-only form whose letters are
+        nearest to ``token_key`` within ``limit`` edits; ties go to the
+        longer shared key prefix, then to the smaller form.
+
+        A depth-first walk that jumps back to the trie root at a morpheme
+        end allowed by the rules.  It carries one Levenshtein row
+        against the token key, banded to the cells that can hold a distance
+        within the limit, pushes a row per letter as soon as it reads the
+        letter, and drops a branch once the row's minimum exceeds the best
+        distance found so far.  A form that composes with a standalone
+        letter is passed over where it ends.
+        """
+        if limit < 0 or self._moves(self.rules.start, self.root) is None:
+            return None
+        m = len(token_key)
+        # no distance exceeds m + max_letters, so a wider band adds nothing
+        band = min(limit, m + self.max_letters)
+        width = 2 * band + 1
+
+        def push(prev: list[int], k: int, letter: str) -> list[int]:
+            """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
+            cur = []
+            left = _FAR
+            for t in range(width):
+                j = k - band + t
+                if j < 0 or j > m:
+                    v = _FAR
+                elif j == 0:
+                    v = k
+                else:
+                    v = prev[t] + (letter != token_key[j - 1])
+                    if t + 1 < width and prev[t + 1] + 1 < v:
+                        v = prev[t + 1] + 1
+                    if left + 1 < v:
+                        v = left + 1
+                cur.append(v)
+                left = v
+            return cur
+
+        best = None  # (distance, -shared_prefix, form): deviance keeps the onset
+        bound = band
+        row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
+        # frame: trie node, language state, row over the k letters read and
+        # its minimum, k, their shared prefix with the token key, the letters
+        stack = [(self.root, self.rules.start, row0, 0, 0, 0, "")]
+        moves = self.moves  # every pushed pair has moves
+        while stack:
+            node, lang, row, low, k, shared, letters = stack.pop()
+            if low > bound:
+                continue
+            targets, kids = moves.get((lang, node)) or self._moves(lang, node)
+            t = m - k + band
+            for lang2, final, again in targets:
+                if final and 0 <= t < width and row[t] <= bound:
+                    form = compose_letters(letters)
+                    rank = (row[t], -shared, form)
+                    if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
+                        best = rank
+                        bound = rank[0]
+                if again:
+                    stack.append((self.root, lang2, row, low, k, shared, letters))
+            for child, letter in kids:
+                row2 = push(row, k + 1, letter)
+                low2 = min(row2)
+                if low2 <= bound:
+                    shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
+                    stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
+        if best is None:
+            return None
+        return best[0], best[2]
+
+
 
 
 def read_entries(source: Iterable[str]) -> list[DictEntry]:

@@ -3,10 +3,11 @@
 The asset root defaults to the data shipped inside the package and can
 be overridden with the ``LGGNORM_ASSETS`` environment variable.  When a
 grammar directory is loaded, graphs referenced as subgraphs by other
-graphs are treated as helpers: only the remaining root graphs
-(``grammar.root_graphs``; two graphs of one name are a GraphError) are
-applied to text, in (file name, in-file) order — which is also the
-default grammar priority.  Dictionary files are read by
+graphs are treated as helpers: only the root graphs
+(``grammar.root_graphs``; two graphs of one name are a GraphError, and
+a recursive call no root reaches fails to compile) are applied to text,
+in (file name, in-file) order — which is also the default grammar
+priority.  Dictionary files are read by
 ``lexicon.read_entries_file``.
 """
 

@@ -225,6 +225,25 @@ def random_graph(rng: random.Random, **kwargs) -> GraphIR:
     return parse_graph(random_graph_text(rng, **kwargs))
 
 
+def box_reachability_by_fixed_point(g: GraphIR) -> tuple[set[int], set[int]]:
+    """(boxes reached from INITIAL, boxes that reach FINAL), each grown by
+    sweeping every box until a sweep adds nothing: no stack and no
+    reverse map.  A successor that is not a box of ``g`` is ignored."""
+    reach, coreach = {g.initial.id}, {g.final.id}
+    grew = True
+    while grew:
+        grew = False
+        for box in g.boxes.values():
+            targets = {s for s in box.successors if s in g.boxes}
+            if box.id in reach and not targets <= reach:
+                reach |= targets
+                grew = True
+            if box.id not in coreach and targets & coreach:
+                coreach.add(box.id)
+                grew = True
+    return reach, coreach
+
+
 def relation(fst: Fst, max_input_len: int) -> set[tuple[tuple[str, ...], str]]:
     """Brute-force enumeration of a transducer's transduction relation,
     inputs bounded by symbol count."""

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lggnorm.apply import (
     Anchor,
@@ -10,7 +12,7 @@ from lggnorm.apply import (
     transform,
 )
 from lggnorm.fst import compile_graph
-from lggnorm.grammar import parse_graph
+from lggnorm.grammar import TAG_PATTERN, parse_graph
 
 
 def test_abbreviation_match(library, lexicon):
@@ -154,3 +156,15 @@ def test_emoticon_matches_span_token_boundaries(library, lexicon):
     matches = find_matches("ㅜ_ㅜ 늦어요", library.fsts, lexicon)
     assert [m.surface for m in matches] == ["ㅜ_ㅜ"]
     assert matches[0].tag == "EMOTICON_SAD"
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.from_regex(TAG_PATTERN, fullmatch=True),
+       output=st.sampled_from(["웃음", "", "하하 웃음", "a.B"]))
+def test_strip_merge_undoes_merge_for_every_tag(lexicon, tag, output):
+    g = parse_graph(f'GRAPH Laugh TAG {tag}\n0 INITIAL -> 1\n'
+                    f'1 "ㅋㅋ|ㅎㅎ" / "{output}" -> 2\n2 FINAL\n')
+    text = "ㅋㅋ 진짜 웃겨 ㅎㅎ"
+    matches = find_matches(text, [compile_graph(g)], lexicon)
+    assert len(matches) == 2
+    assert strip_merge(transform(text, matches, Mode.MERGE)) == text

@@ -399,3 +399,73 @@ def test_cli_sweep_exits_with_a_documented_code(capsys, tmp_path):
                 assert "Traceback" not in err, argv
                 codes.append(code)
     assert set(codes) == {0, 1, 2, 3}
+
+
+SELF_CALL = "GRAPH A TAG T\n0 INITIAL -> 1\n1 :A -> 2\n2 FINAL\n"
+TWO_GRAPH_CYCLE = ("GRAPH A TAG T\n0 INITIAL -> 1\n1 :B -> 2\n2 FINAL\n"
+                   "GRAPH B TAG T\n0 INITIAL -> 1\n1 :A -> 2\n2 FINAL\n")
+RECURSION = pytest.mark.parametrize("text", [SELF_CALL, TWO_GRAPH_CYCLE],
+                                    ids=["self-call", "two-graph-cycle"])
+
+
+def write_grammar(tmp_path, text):
+    """{lgg, grammars, corpus} paths: ``text`` as the one grammar file."""
+    paths = {"grammars": tmp_path / "grammars", "corpus": tmp_path / "corpus.txt"}
+    paths["lgg"] = paths["grammars"] / "g.lgg"
+    paths["grammars"].mkdir()
+    paths["lgg"].write_text(text, encoding="utf-8")
+    paths["corpus"].write_text("영화 잼있어요", encoding="utf-8")
+    return paths
+
+
+@RECURSION
+def test_graph_validate_reports_recursion_no_root_reaches(capsys, tmp_path, text):
+    paths = write_grammar(tmp_path, text)
+    code, out, err = run_main(capsys, "graph", "validate", str(paths["lgg"]))
+    assert code == 2
+    assert err == ""
+    expected = {SELF_CALL: ["A: recursive-call: recursive subgraph call A -> A"],
+                TWO_GRAPH_CYCLE: ["A: recursive-call: recursive subgraph call B -> A",
+                                  "B: recursive-call: recursive subgraph call A -> B"]}
+    assert out.splitlines() == expected[text]
+
+
+@RECURSION
+@pytest.mark.parametrize("argv", [
+    ["graph", "compile", "{lgg}"],
+    ["normalize", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["classify", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+    ["concord", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
+], ids=["graph-compile", "normalize", "classify", "concord"])
+def test_recursion_no_root_reaches_is_a_parse_error(capsys, tmp_path, text, argv):
+    paths = write_grammar(tmp_path, text)
+    code, out, err = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    edge = "A -> A" if text == SELF_CALL else "B -> A"
+    assert err == f"error: A: recursive-call: recursive subgraph call {edge}\n"
+
+
+def test_graph_validate_prints_each_diagnostic_once(capsys, tmp_path):
+    """Two roots call one broken helper: its diagnostic is printed once."""
+    roots = "".join(f"GRAPH {name} TAG T\n0 INITIAL -> 1\n1 :H -> 2\n2 FINAL\n"
+                    for name in ("R1", "R2"))
+    helper = 'GRAPH H TAG T\n0 INITIAL -> 1\n1 "가" -> 2,7\n2 FINAL\n'
+    paths = write_grammar(tmp_path, roots + helper)
+    code, out, err = run_main(capsys, "graph", "validate", str(paths["lgg"]))
+    assert code == 2
+    assert out == "H: dangling-successor: box 1 points to missing box 7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "validate", "{lgg}"],
+    ["normalize", *DICT_ARGS, "--mode", "merge", "--grammars", "{grammars}", "{corpus}"],
+], ids=["graph-validate", "normalize-merge"])
+def test_a_tag_strip_merge_cannot_read_is_a_parse_error(capsys, tmp_path, argv):
+    paths = write_grammar(tmp_path, 'GRAPH J TAG joy-1\n0 INITIAL -> 1\n'
+                                    '1 "ㅋㅋ" / "웃음" -> 2\n2 FINAL\n')
+    code, out, err = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {paths['lgg']}: line 1: "
+                   "tag 'joy-1' does not match [A-Z][A-Z0-9_]*\n")

@@ -196,7 +196,22 @@ def test_loops_enumerate_and_compile_equally():
 
 
 def test_every_state_on_initial_final_path(library):
-    for fst in library.fsts:
+    """On the bundled transducers and on random libraries of one to three
+    graphs, each calling only later ones."""
+    rng = random.Random(13)
+    names = ("G0", "G1", "G2")
+    fsts = list(library.fsts)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        lib = [parse_graph(random_graph_text(rng, name=name, tag="T", max_boxes=6,
+                                             subgraphs=names[i + 1:n]))
+               for i, name in enumerate(names[:n])]
+        try:
+            fsts.append(compile_graph(lib[0], lib))
+        except CompileError:
+            pass
+    assert len(fsts) > len(library.fsts) + 50
+    for fst in fsts:
         fwd = {}
         rev = {}
         for src, _, _, dst in fst.transitions:

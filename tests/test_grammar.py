@@ -10,6 +10,7 @@ from lggnorm.grammar import (
     DuplicateInitial,
     GraphError,
     GraphSyntaxError,
+    TAG_PATTERN,
     Label,
     LabelKind,
     MissingFinal,
@@ -20,7 +21,7 @@ from lggnorm.grammar import (
     root_graphs,
     validate,
 )
-from oracles import random_graph_text, validate_by_recursion
+from oracles import box_reachability_by_fixed_point, random_graph_text, validate_by_recursion
 
 CHOCOLATE = """\
 GRAPH Choco TAG LOAN
@@ -212,3 +213,54 @@ def test_validate_matches_recursive_validate():
         assert diags == validate_by_recursion(lib[0], lib)
         found.update(d.code for d in diags)
     assert {DiagnosticCode.RECURSIVE_CALL, DiagnosticCode.UNKNOWN_SUBGRAPH} <= found
+
+
+def test_box_walks_match_fixed_point():
+    """unreachable-box and final-unreachable name exactly the boxes a
+    fixed-point sweep leaves out, also once one box's successors are
+    rewired to a missing box or back to an earlier one."""
+    rng = random.Random(12)
+    found = set()
+    for _ in range(300):
+        lines = random_graph_text(rng).splitlines()
+        if rng.random() < 0.7:  # lines[1:-1] are INITIAL and the plain boxes
+            k = rng.randrange(1, len(lines) - 1)
+            head = lines[k].split("->")[0].rstrip()
+            lines[k] = f"{head} -> {rng.choice(('99', '0', '1', '1,99', '2'))}"
+        g = parse_graph("\n".join(lines) + "\n")
+        reach, coreach = box_reachability_by_fixed_point(g)
+        diags = validate(g)
+        assert [d.box_id for d in diags if d.code is DiagnosticCode.UNREACHABLE_BOX] \
+            == sorted(set(g.boxes) - reach)
+        assert [d.box_id for d in diags if d.code is DiagnosticCode.FINAL_UNREACHABLE] \
+            == sorted(set(g.boxes) - coreach)
+        found.update(d.code for d in diags)
+    assert {DiagnosticCode.UNREACHABLE_BOX, DiagnosticCode.FINAL_UNREACHABLE,
+            DiagnosticCode.DANGLING_SUCCESSOR} <= found
+
+
+def test_root_graphs_append_the_graphs_no_root_reaches():
+    """A self-call and a two-graph cycle no root reaches follow the
+    roots, in library order; validating them reports the recursion."""
+    texts = {
+        "Loop": "GRAPH Loop TAG T\n0 INITIAL -> 1\n1 :Loop -> 2\n2 FINAL\n",
+        "A": "GRAPH A TAG T\n0 INITIAL -> 1\n1 :B -> 2\n2 FINAL\n",
+        "Root": "GRAPH Root TAG T\n0 INITIAL -> 1\n1 :Help -> 2\n2 FINAL\n",
+        "B": "GRAPH B TAG T\n0 INITIAL -> 1\n1 :A -> 2\n2 FINAL\n",
+        "Help": CHOCOLATE.replace("Choco", "Help"),
+    }
+    graphs = parse_graph_library("".join(texts.values()))
+    roots = root_graphs(graphs)
+    assert [g.name for g in roots] == ["Root", "Loop", "A", "B"]
+    assert validate(roots[0], graphs) == []
+    for g in roots[1:]:
+        assert [d.code for d in validate(g, graphs)] == [DiagnosticCode.RECURSIVE_CALL]
+
+
+@pytest.mark.parametrize("tag", ["joy-1", "joy", "Joy", "1JOY", "JOY-1", "JÖY"])
+def test_tag_outside_the_tag_pattern_is_rejected(tag):
+    text = f'# laughs\nGRAPH J TAG {tag}\n0 INITIAL -> 1\n1 "ㅋㅋ" / "웃음" -> 2\n2 FINAL\n'
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_graph(text)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: tag {tag!r} does not match {TAG_PATTERN}"
