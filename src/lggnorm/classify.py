@@ -23,7 +23,10 @@ Lookup and edit distance both work on the token's letters (hangul's
 distance alphabet).  The deviant candidate forms are the syllable-only
 words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV,
 DET, INTERJ or PROPER); lexicon.FormSearch finds the one nearest to the
-token within ``Thresholds.deviant`` edits.
+token within ``Thresholds.deviant`` edits.  The abbreviation, neologism
+and loanword dictionaries are lexicon.KeyTrie tries, searched for the
+entries a token's leading characters match: exactly for the first two,
+within ``Thresholds.loan`` edits for loanwords.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import distance_key, fold_letters, prefix_distances
-from .lexicon import DictEntry, FormSearch, Lexicon, Pos, RuleAutomaton, is_analyzable
+from .hangul import distance_key, fold_letters
+from .lexicon import DictEntry, FormSearch, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
 EMOTICON_SCALARS = frozenset("ㅋㅎㅠㅜㅇ_")
@@ -108,7 +111,9 @@ class Resources:
             cat = tag_category(f.tag)
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
-        self.loan_keys = [distance_key(e.surface) for e in self.loan_entries]
+        self.abbr_trie = KeyTrie(self.abbr_entries)
+        self.neo_trie = KeyTrie(self.neo_entries)
+        self.loan_trie = KeyTrie(self.loan_entries)
         self.deviant_search = FormSearch(self.lexicon, _DEVIANT)
 
     def grammars_for(self, cat: Category) -> list[Fst]:
@@ -165,12 +170,23 @@ def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     return Candidate(cat, f"grammar:{got[2].name}"), sug
 
 
-def _dict_prefix(index: TextIndex, cat: Category, entries, suggestion_of):
-    """First dictionary entry whose surface is a leading span of the token."""
-    for e in entries:
-        out = suggestion_of(e) if index.text.startswith(e.surface) else None
+def _prefix_matches(index: TextIndex, trie: KeyTrie, limit: int) -> list[tuple[int, int, int]]:
+    """(distance, prefix chars, entry order) of KeyTrie.prefix_matches
+    over the token's prefixes of whole characters: 잼 is a letter prefix
+    of 재미 but not one of its characters."""
+    chars = {u: n for n, u in enumerate(index.char_start_unit) if n}
+    return [(d, chars[end], order)
+            for d, end, order in trie.prefix_matches(distance_key(index.text), chars, limit)]
+
+
+def _dict_prefix(index: TextIndex, cat: Category, trie: KeyTrie, suggestion_of):
+    """First dictionary entry, in file order, whose surface is a leading
+    span of the token and that has a suggestion."""
+    for _, n_chars, order in sorted(_prefix_matches(index, trie, 0), key=lambda m: m[2]):
+        e = trie.entries[order]
+        out = suggestion_of(e)
         if out is not None:
-            sug = _splice(index.text, 0, len(e.surface), out, index.lexicon)
+            sug = _splice(index.text, 0, n_chars, out, index.lexicon)
             return Candidate(cat, f"dict:{e.surface}"), sug
     return None
 
@@ -178,7 +194,7 @@ def _dict_prefix(index: TextIndex, cat: Category, entries, suggestion_of):
 def _detect_abbreviation(index: TextIndex, res: Resources):
     cat = Category.ABBREVIATION
     return (_grammar_prefix(index, res, cat)
-            or _dict_prefix(index, cat, res.abbr_entries, lambda e: e.flag_value("exp")))
+            or _dict_prefix(index, cat, res.abbr_trie, lambda e: e.flag_value("exp")))
 
 
 def _hada_root(index: TextIndex, lexicon: Lexicon) -> str | None:
@@ -202,7 +218,7 @@ def _hada_root(index: TextIndex, lexicon: Lexicon) -> str | None:
 def _detect_neologism(index: TextIndex, res: Resources):
     cat = Category.NEOLOGISM
     got = (_grammar_prefix(index, res, cat)
-           or _dict_prefix(index, cat, res.neo_entries, lambda e: e.lemma))
+           or _dict_prefix(index, cat, res.neo_trie, lambda e: e.lemma))
     if got is None:
         root = _hada_root(index, res.lexicon)
         if root is not None:
@@ -217,25 +233,16 @@ def _detect_loanword(index: TextIndex, res: Resources):
 
 def _loanword_by_distance(index: TextIndex, res: Resources):
     """Loan entry nearest to a token prefix, ranked by (distance, -prefix
-    chars, entry order) within the loan threshold; one DP per entry gives
-    the distances of all char-aligned prefixes."""
-    limit = res.thresholds.loan
-    token_key = distance_key(index.text)
-    ends = index.char_start_unit[1:]
-    best = None  # (distance, -prefix_chars, entry_order) -> suggestion parts
-    for order, (entry, entry_key) in enumerate(zip(res.loan_entries, res.loan_keys)):
-        dists = prefix_distances(token_key, entry_key, limit)
-        for n_chars, end_unit in enumerate(ends, 1):
-            if end_unit < len(dists) and dists[end_unit] <= limit:
-                rank = (dists[end_unit], -n_chars, order)
-                if best is None or rank < best[0]:
-                    best = (rank, entry, n_chars)
-    if best is not None:
-        _, entry, n_chars = best
-        sug = _splice(index.text, 0, n_chars, entry.surface, index.lexicon)
-        return Candidate(Category.LOANWORD_VARIANT,
-                         f"distance:{entry.surface}"), sug
-    return None
+    chars, entry order) within the loan threshold; one walk of the loan
+    trie gives the distances of all char-aligned prefixes."""
+    best = min(_prefix_matches(index, res.loan_trie, res.thresholds.loan),
+               key=lambda m: (m[0], -m[1], m[2]), default=None)
+    if best is None:
+        return None
+    _, n_chars, order = best
+    entry = res.loan_trie.entries[order]
+    sug = _splice(index.text, 0, n_chars, entry.surface, index.lexicon)
+    return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
 
 
 def _detect_spacing(index: TextIndex, res: Resources):

@@ -227,8 +227,9 @@ def cmd_graph(args) -> int:
             return EXIT_PARSE
         print("OK")
         return EXIT_OK
-    for g in roots:
-        fst = compile_graph(g, graphs, max_states=args.max_states)
+    # compile every root before printing, so an error leaves stdout empty
+    fsts = [compile_graph(g, graphs, max_states=args.max_states) for g in roots]
+    for fst in fsts:
         sys.stdout.write(fst.dump())
     return EXIT_OK
 

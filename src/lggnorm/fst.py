@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grammar import Box, BoxKind, GraphIR, LabelKind, reachable, validate, _library_by_name
+from .grammar import Box, BoxKind, GraphIR, LabelKind, validate, _library_by_name
 from .hangul import jamo_units
 
 TOKEN_BOUNDARY = "<B>"
@@ -273,25 +273,21 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
     if init in final_outputs:
         raise EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")
 
-    # prune states not on an initial..final path, renumber breadth-first:
-    # walking from init through co-reachable states meets exactly those
+    # keep the states reachable from init, renumbered breadth-first; each
+    # also reaches a final state, because validate has every box reach FINAL
     fwd: dict[int, list[tuple[int, str, str, int]]] = {}
-    rev: dict[int, list[int]] = {}
     for arc in new_arcs:
         fwd.setdefault(arc[0], []).append(arc)
-        rev.setdefault(arc[3], []).append(arc[0])
-    coreach = reachable(final_outputs, rev)
 
     order: dict[int, int] = {init: 0}
     queue = [init]
     kept_arcs: list[tuple[int, str, str, int]] = []
     for s in queue:  # also walks the states appended on the way
         for _, sym, o, dst in fwd.get(s, ()):
-            if dst in coreach:
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-                kept_arcs.append((order[s], sym, o, order[dst]))
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+            kept_arcs.append((order[s], sym, o, order[dst]))
     finals = {
         order[s]: outs for s, outs in final_outputs.items() if s in order
     }

@@ -15,8 +15,10 @@ work per token is bounded by units × trie depth × rule states.  Analyses
 and the fewest-words split read the whole lattice with its edges; the
 analysability test steps the rule state once per part of speech at a
 trie node, keeps no edges and stops at the first complete segmentation.
-FormSearch, the classifier's fuzzy search, walks the same trie; no
-other module reads a trie node.
+FormSearch, the classifier's deviant-spelling search, walks the same
+trie; KeyTrie holds the classifier's side dictionaries, and both grow
+their edit-distance rows with BandedRows.  No other module reads a trie
+node.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
-from .hangul import compose_letters, fold_letters, is_compat_jamo
+from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo
 from .tokenizer import Token, TokenClass
 
 
@@ -382,20 +384,98 @@ def _precedes(a: tuple, b: tuple) -> bool:
 _FAR = 1 << 30  # stands for any distance beyond the band
 
 
+class BandedRows:
+    """Levenshtein rows of trie paths against one token key, shared by
+    the classifier's fuzzy searches.
+
+    The row of a path of k letters holds the cells j = k-band .. k+band
+    for the distance from the path to ``key[:j]``.  ``bound`` starts at
+    the band and a search lowers it to the best distance found; a path
+    whose row minimum exceeds it is dropped, since the minimum never
+    falls as a path grows.  A cell within the bound holds the exact
+    distance, because an alignment of that cost never leaves the band;
+    any other cell holds some value above the bound.
+    """
+
+    def __init__(self, key: tuple, limit: int, longest: float):
+        m = len(key)
+        self.key, self.m = key, m
+        # no distance exceeds m + longest, so a wider band adds nothing
+        self.band = band = min(limit, m + longest)
+        self.width = 2 * band + 1
+        self.bound = band
+        self.start = [t - band if 0 <= t - band <= m else _FAR for t in range(self.width)]  # no letters
+
+    def cell(self, row: list[int], k: int, j: int) -> int:
+        """Cell j of the row of a path of k letters."""
+        t = j - k + self.band
+        return row[t] if 0 <= t < self.width else _FAR
+
+    def grow(self, kids: dict, row: list[int], low: int, k: int) -> list[tuple]:
+        """(letter, child, row, minimum) of each of ``kids`` (letter ->
+        child) whose row at k + 1 letters keeps a cell within the bound;
+        ``row`` is the path's row at k letters, ``low`` its minimum.
+
+        Once ``low`` is the bound, a child's cell stays within it only by
+        a diagonal match from a cell at the bound (Schulz & Mihov 2002,
+        "Fast string correction with Levenshtein automata"): only the
+        token letters after those cells are looked up, in cell order, and
+        the child's row holds the bound in those cells alone."""
+        key, m, band, width, bound = self.key, self.m, self.band, self.width, self.bound
+        j0 = k - band  # the cell j of row[0]
+        grown = []
+        if low >= bound:
+            at: dict = {}  # token letter after a cell at the bound -> its row indices
+            for t in range(max(-j0, 0), min(m - j0, width)):
+                if row[t] == bound:
+                    at.setdefault(key[j0 + t], []).append(t)
+            for letter, ts in at.items():
+                child = kids.get(letter)
+                if child is not None:
+                    cur = [_FAR] * width
+                    for t in ts:
+                        cur[t] = bound
+                    grown.append((letter, child, cur, bound))
+            return grown
+        k += 1
+        j0 += 1
+        for letter, child in kids.items():
+            cur = []
+            left = _FAR
+            for t in range(width):
+                j = j0 + t
+                if j < 0 or j > m:
+                    v = _FAR
+                elif j == 0:
+                    v = k
+                else:
+                    v = row[t] + (letter != key[j - 1])
+                    if t + 1 < width and row[t + 1] + 1 < v:
+                        v = row[t + 1] + 1
+                    if left + 1 < v:
+                        v = left + 1
+                cur.append(v)
+                left = v
+            low2 = min(cur)
+            if low2 <= bound:
+                grown.append((letter, child, cur, low2))
+        return grown
+
+
 class FormSearch:
     """Nearest form of a rule language to a token: the forms are the
     dictionary letters of a word ``rules`` accepts, recomposed with
     compose_letters, where the recomposition leaves no letter standalone,
     so a form's letters are its distance key.  No list of forms is built:
-    the search runs ``rules`` along the lexicon's letter trie with one
-    Levenshtein row against the token, and drops every branch already
-    more than the limit away.
+    the search runs ``rules`` along the lexicon's letter trie with
+    BandedRows against the token, and drops every branch already farther
+    than the limit or than the best form found.
 
     ``moves`` maps a (rule state, trie node) pair, the first time the walk
     reaches it, to the rule states the node's entries lead to (each with
-    whether it is final and whether it takes another morpheme), its
-    children whose subtree ends an entry of a part of speech the rule
-    state takes, each with its letter; None when there are neither.
+    whether it is final and whether it takes another morpheme) and its
+    children, by letter, whose subtree ends an entry of a part of speech
+    the rule state takes; None when there are neither.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleAutomaton):
@@ -414,8 +494,8 @@ class FormSearch:
                              self._moves(s, self.root) is not None)
                             for s in {self.rules.step(state, pos) for pos in node.pos} if s)
             takes = sum(bit for pos, bit in POS_BIT.items() if self.rules.step(state, pos))
-            kids = tuple((child, letter)
-                         for letter, child in node.children.items() if child.below & takes)
+            kids = {letter: child for letter, child in node.children.items()
+                    if child.below & takes}
             got = (targets, kids) if targets or kids else None
             self.moves[state, node] = got
             return got
@@ -426,73 +506,97 @@ class FormSearch:
         longer shared key prefix, then to the smaller form.
 
         A depth-first walk that jumps back to the trie root at a morpheme
-        end allowed by the rules.  It carries one Levenshtein row
-        against the token key, banded to the cells that can hold a distance
-        within the limit, pushes a row per letter as soon as it reads the
-        letter, and drops a branch once the row's minimum exceeds the best
-        distance found so far.  A form that composes with a standalone
-        letter is passed over where it ends.
+        end allowed by the rules.  It grows a banded row per letter as it
+        reads the letter, only for the letters BandedRows.grow lets
+        through, and drops a branch once the row's minimum exceeds the
+        best distance found so far.  A form that composes with a
+        standalone letter is passed over where it ends.
         """
         if limit < 0 or self._moves(self.rules.start, self.root) is None:
             return None
-        m = len(token_key)
-        # no distance exceeds m + max_letters, so a wider band adds nothing
-        band = min(limit, m + self.max_letters)
-        width = 2 * band + 1
-
-        def push(prev: list[int], k: int, letter: str) -> list[int]:
-            """Row of candidate depth k (cells j = k-band .. k+band) from k-1."""
-            cur = []
-            left = _FAR
-            for t in range(width):
-                j = k - band + t
-                if j < 0 or j > m:
-                    v = _FAR
-                elif j == 0:
-                    v = k
-                else:
-                    v = prev[t] + (letter != token_key[j - 1])
-                    if t + 1 < width and prev[t + 1] + 1 < v:
-                        v = prev[t + 1] + 1
-                    if left + 1 < v:
-                        v = left + 1
-                cur.append(v)
-                left = v
-            return cur
-
+        rows = BandedRows(token_key, limit, self.max_letters)
+        m = rows.m
         best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-        bound = band
-        row0 = [t - band if 0 <= t - band <= m else _FAR for t in range(width)]
         # frame: trie node, language state, row over the k letters read and
         # its minimum, k, their shared prefix with the token key, the letters
-        stack = [(self.root, self.rules.start, row0, 0, 0, 0, "")]
+        stack = [(self.root, self.rules.start, rows.start, 0, 0, 0, "")]
         moves = self.moves  # every pushed pair has moves
         while stack:
             node, lang, row, low, k, shared, letters = stack.pop()
-            if low > bound:
+            if low > rows.bound:
                 continue
             targets, kids = moves.get((lang, node)) or self._moves(lang, node)
-            t = m - k + band
             for lang2, final, again in targets:
-                if final and 0 <= t < width and row[t] <= bound:
+                d = rows.cell(row, k, m) if final else _FAR
+                if d <= rows.bound:
                     form = compose_letters(letters)
-                    rank = (row[t], -shared, form)
+                    rank = (d, -shared, form)
                     if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
                         best = rank
-                        bound = rank[0]
+                        rows.bound = d
                 if again:
                     stack.append((self.root, lang2, row, low, k, shared, letters))
-            for child, letter in kids:
-                row2 = push(row, k + 1, letter)
-                low2 = min(row2)
-                if low2 <= bound:
-                    shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
-                    stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
+            for letter, child, row2, low2 in rows.grow(kids, row, low, k):
+                shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
+                stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
         if best is None:
             return None
         return best[0], best[2]
 
 
+class _KeyNode:
+    __slots__ = ("children", "orders")
+
+    def __init__(self):
+        self.children: dict = {}
+        self.orders: list[int] = []  # positions of the entries that end here
+
+
+class KeyTrie:
+    """Side-dictionary entries (abbreviations, neologisms, loanword
+    standards) in a trie of their surfaces' distance keys, searched for
+    the entries a token starts with, exactly or within some edits."""
+
+    def __init__(self, entries: Iterable[DictEntry]):
+        self.entries = tuple(entries)
+        self._root = _KeyNode()
+        self.longest = 0  # units in the longest key
+        for order, e in enumerate(self.entries):
+            key = distance_key(e.surface)
+            self.longest = max(self.longest, len(key))
+            node = self._root
+            for unit in key:
+                node = node.children.setdefault(unit, _KeyNode())
+            node.orders.append(order)
+
+    def prefix_matches(self, key: tuple, ends: Container[int],
+                       limit: int) -> list[tuple[int, int, int]]:
+        """(distance, end, order): entry ``order`` is ``distance`` edits
+        from ``key[:end]``, for an ``end`` in ``ends``, within ``limit``.
+        Every match at the least distance is listed, and perhaps some
+        farther ones found before it.
+
+        A depth-first walk of the trie with BandedRows; where an entry
+        ends, each cell of the row at one of ``ends`` within the bound is
+        a match, and the bound falls to its distance."""
+        if limit < 0:
+            return []
+        rows = BandedRows(key, limit, self.longest)
+        matches = []
+        stack = [(self._root, rows.start, 0, 0)]
+        while stack:
+            node, row, low, k = stack.pop()
+            if low > rows.bound:
+                continue
+            if node.orders:
+                j0 = k - rows.band  # the cell j of row[0]
+                for t, d in enumerate(row):
+                    if d <= rows.bound and j0 + t in ends:
+                        rows.bound = d
+                        matches.extend((d, j0 + t, order) for order in node.orders)
+            stack.extend((child, row2, low2, k + 1)
+                         for _, child, row2, low2 in rows.grow(node.children, row, low, k))
+        return matches
 
 
 def read_entries(source: Iterable[str]) -> list[DictEntry]:

@@ -654,6 +654,18 @@ def brute_loan_best(token: Token, res: Resources):
     return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
 
 
+def linear_dict_prefix(index: TextIndex, cat: Category, entries, suggestion_of):
+    """``startswith`` over every entry in file order: the first whose
+    surface is a leading span of the token and that has a suggestion, as
+    (Candidate, suggestion) or None."""
+    for e in entries:
+        out = suggestion_of(e) if index.text.startswith(e.surface) else None
+        if out is not None:
+            sug = _splice(index.text, 0, len(e.surface), out, index.lexicon)
+            return Candidate(cat, f"dict:{e.surface}"), sug
+    return None
+
+
 # ------------------------------------------ analysability by recursion
 
 def rule_positions(rule: _RulePattern, seq: tuple[Pos, ...]) -> set[int]:

@@ -14,6 +14,7 @@ from lggnorm.classify import (
     Thresholds,
     _detect_deviant,
     _deviant_by_distance,
+    _dict_prefix,
     _loanword_by_distance,
     classify_corpus,
     classify_token,
@@ -26,9 +27,9 @@ from lggnorm.hangul import (
     fold_letters,
     is_compat_jamo,
 )
-from lggnorm.lexicon import DictEntry, Lexicon, Pos, RuleAutomaton, is_analyzable
+from lggnorm.lexicon import DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best
+from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, linear_dict_prefix
 
 
 def tok(s):
@@ -354,3 +355,67 @@ def test_deviant_suggestions_hold_no_standalone_letter(entries, data, limit):
     got = _detect_deviant(TextIndex(draw_small_token(data, entries).surface, lexicon), res)
     if got is not None:
         assert not any(map(is_compat_jamo, got[1])), got
+
+
+# ------------------------------------------ side dictionaries against oracles
+
+def side_entries(surfaces, flag=st.just(frozenset())):
+    """Up to six entries of ``surfaces``, repeats allowed, in file order."""
+    return st.lists(st.tuples(st.sampled_from(surfaces), flag).map(
+        lambda sf: DictEntry(sf[0], sf[0] + "!", Pos.N, sf[1])), min_size=1, max_size=6)
+
+
+def side_token(data, entries) -> str:
+    """Entry surfaces, their syllables and a few others glued together,
+    then up to two jamo edits."""
+    pieces = sorted({e.surface for e in entries} | {ch for e in entries for ch in e.surface}
+                    | {"미", "있", "ㅋ"})
+    letters = list(fold_letters("".join(data.draw(
+        st.lists(st.sampled_from(pieces), min_size=1, max_size=3)))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(letters)))
+        op = data.draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op == "insert":
+            letters.insert(i, data.draw(st.sampled_from(EDIT_LETTERS)))
+        elif i < len(letters) > 1:
+            if op == "delete":
+                del letters[i]
+            else:
+                letters[i] = data.draw(st.sampled_from(EDIT_LETTERS))
+    return compose_letters(letters)
+
+
+# 잼 is a letter prefix of 재미 but not a character prefix; 각 and 가ㄱ
+# share their letters; a standalone ㄱ or ㅋ is its own unit
+PREFIX_SURFACES = ["잼", "재미", "재", "잼있", "가", "각", "가ㄱ", "ㄱ", "ㅋ", "강추", "강"]
+EXPANSION = st.sampled_from([frozenset(), frozenset({"exp=X"}), frozenset({"abbr", "exp=Y_Z"})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=side_entries(PREFIX_SURFACES, EXPANSION), data=st.data())
+def test_dict_prefix_matches_the_linear_scan(entries, data):
+    lexicon = Lexicon([DictEntry("재미", "재미", Pos.N), DictEntry("강", "강", Pos.N)])
+    index = TextIndex(side_token(data, entries), lexicon)
+    trie = KeyTrie(entries)
+    for cat, suggestion_of in ((Category.ABBREVIATION, lambda e: e.flag_value("exp")),
+                               (Category.NEOLOGISM, lambda e: e.lemma)):
+        assert (_dict_prefix(index, cat, trie, suggestion_of)
+                == linear_dict_prefix(index, cat, entries, suggestion_of))
+
+
+# shared prefixes, entries one edit apart and a standalone compatibility
+# letter inside an entry
+LOAN_SURFACES = ["텔레비전", "텔레비", "텔레", "테레비", "컴퓨터", "컴퓨", "컴", "초콜릿",
+                 "초코", "커ㅁ", "ㅋ"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=side_entries(LOAN_SURFACES), data=st.data(), limit=st.integers(0, 3))
+def test_loan_search_matches_oracle_on_small_dictionaries(entries, data, limit):
+    lexicon = Lexicon([DictEntry("텔레비전", "텔레비전", Pos.N), DictEntry("을", "을", Pos.JOSA)])
+    res = Resources(lexicon=lexicon, fsts=[], loan_entries=tuple(entries),
+                    thresholds=Thresholds(loan=limit))
+    surface = side_token(data, entries)
+    token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+    assert (_loanword_by_distance(TextIndex(surface, lexicon), res)
+            == brute_loan_best(token, res))

@@ -457,6 +457,16 @@ def test_graph_validate_prints_each_diagnostic_once(capsys, tmp_path):
     assert out == "H: dangling-successor: box 1 points to missing box 7\n"
 
 
+def test_graph_compile_prints_nothing_when_a_later_root_fails(capsys, tmp_path):
+    valid = 'GRAPH R TAG T\n0 INITIAL -> 1\n1 "가" -> 2\n2 FINAL\n'
+    dangling = 'GRAPH Bad TAG T\n0 INITIAL -> 1\n1 "나" -> 7\n2 FINAL\n'
+    paths = write_grammar(tmp_path, valid + dangling)
+    code, out, err = run_main(capsys, "graph", "compile", str(paths["lgg"]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "validate", "{lgg}"],
     ["normalize", *DICT_ARGS, "--mode", "merge", "--grammars", "{grammars}", "{corpus}"],

@@ -1,19 +1,21 @@
 """Long inputs: matching, analysis and graph compilation keep no call
 frame per consumed unit, morpheme, epsilon box or subgraph call."""
 
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 from lggnorm import resources
 from lggnorm.apply import TextIndex, normalize
-from lggnorm.classify import Category, Resources, _detect_spacing, classify_token
+from lggnorm.classify import Category, Resources, _detect_spacing, classify_corpus, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
 from lggnorm.hangul import fold_letters
-from lggnorm.lexicon import load_dictionary
+from lggnorm.lexicon import DictEntry, Pos, load_dictionary
 from lggnorm.tokenizer import tokenize
 
 
@@ -82,6 +84,22 @@ def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     got = _detect_spacing(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
     assert time.perf_counter() - start < 0.5
     assert got[1] == "가" * 2000 + " 나가"
+
+
+def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second(
+        classifier_resources, informal_text):
+    # seeded loanword-like entries of 2-5 open syllables; one distance
+    # computation per entry takes seconds here
+    rng = random.Random(0)
+    open_syllables = [chr(0xAC00 + 28 * i) for i in range(19 * 21)]
+    surfaces = ["".join(rng.choices(open_syllables, k=rng.randint(2, 5))) for _ in range(10000)]
+    res = replace(classifier_resources, loan_entries=classifier_resources.loan_entries
+                  + tuple(DictEntry(s, s, Pos.N, frozenset({"loan"})) for s in surfaces))
+    stream = tokenize(informal_text)
+    start = time.perf_counter()
+    out = classify_corpus(stream, res)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.results) == len(classify_corpus(stream, classifier_resources).results)
 
 
 def chain_graph(boxes: int, output: str = "") -> str:
