@@ -386,10 +386,10 @@ def root_graphs(graphs: list[GraphIR]) -> list[GraphIR]:
 
 
 def load_grammar_file(path) -> list[GraphIR]:
-    """The graphs of a grammar file; a file that is not UTF-8 or does not
-    parse raises GraphError naming it."""
+    """The graphs of a grammar file, less a leading byte order mark; a file
+    that is not UTF-8 or does not parse raises GraphError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_graph_library(fh.read())
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: not UTF-8 ({exc})") from exc

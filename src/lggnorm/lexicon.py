@@ -1,7 +1,8 @@
 """Machine-readable dictionary and the analyzability test.
 
 Dictionary lines look like ``surface,lemma.POS`` or
-``surface,lemma.POS+flag1+flag2``; ``#`` starts a comment.  Lookup runs
+``surface,lemma.POS+flag1+flag2``; ``#`` starts a comment, a file may
+start with a byte order mark and a surface must be NFC.  Lookup runs
 over letter-level jamo keys, so an ending written ``ㅂ니다`` joins a stem
 inside a shared syllable (추천합니다 = 추천 + 하 + ㅂ니다).
 
@@ -11,10 +12,12 @@ treats the complement — the non-analyzable tokens — as its problem space.
 
 Analyses, the analysability test and the fewest-words split all walk
 the letter trie over (unit, rule state) pairs, each expanded once, so the
-work per token is bounded by units × trie depth × rule states.  Analyses
-and the fewest-words split read the whole lattice with its edges; the
-analysability test steps the rule state once per part of speech at a
-trie node, keeps no edges and stops at the first complete segmentation.
+work per token is bounded by units × trie depth × rule states.  The
+fewest-words split reads the lattice with its edges; analyses mask the
+segment counts that finish the key from each pair and are then yielded
+lazily, so the first costs one pass over the lattice.  The analysability
+test steps the rule state once per part of speech at a trie node, keeps
+no edges and stops at the first complete segmentation.
 FormSearch, the classifier's deviant-spelling search, walks the same
 trie; KeyTrie holds the classifier's side dictionaries, and both grow
 their edit-distance rows with BandedRows.  No other module reads a trie
@@ -24,7 +27,9 @@ node.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator
 
@@ -92,6 +97,8 @@ def parse_entry(line: str) -> DictEntry:
     surface, sep, rest = line.partition(",")
     if not sep or not surface:
         raise ValueError("missing ',' separator")
+    if not unicodedata.is_normalized("NFC", surface):
+        raise ValueError("surface is not NFC")
     parts = rest.split("+")
     lemma, dot, pos_name = parts[0].rpartition(".")
     if not dot or not lemma or pos_name not in POS_NAMES:
@@ -316,69 +323,58 @@ class Lexicon:
             ends.append(rest[ends[-1]][1])
         return ends[1:] if ends[-1] == starts[-1] else None
 
-    def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
-        """All rule-satisfying segmentations of a letter-jamo key."""
+    def analyses(self, key: tuple[str, ...]) -> Iterator[MorphAnalysis]:
+        """The rule-satisfying segmentations of a letter-jamo key, fewest
+        segments first, then by each segment's (surface, POS, lemma), then
+        by the entries' dictionary order, the first segment varying slowest.
+        For each count of segments, a depth-first walk over the sorted
+        groups of edges of one (surface, POS, lemma) enters only the groups
+        whose next pair can finish in the segments left."""
         edges = self.lattice(key)
-        # segments that finish the key from each pair, in edge order; every
-        # edge moves right, so one pass by decreasing unit settles them
-        tails: dict[tuple[int, frozenset], list] = {}
+        counts: dict[tuple[int, frozenset], int] = {}  # bit n: can finish in n segments
         for pair in sorted(edges, key=lambda p: -p[0]):
-            done = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
-            tails[pair] = [()] if done else []
-            for e, dst in edges[pair]:
-                tails[pair] += [((e.surface, e),) + t for t in tails[dst]]
-        results = [MorphAnalysis(t) for t in tails[0, self._start]]
-        results.sort(key=lambda a: (
-            len(a.segments),
-            tuple((s, e.pos.value, e.lemma) for s, e in a.segments),
-        ))
-        return results
+            mask = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
+            for _, dst in edges[pair]:
+                mask |= counts[dst] << 1
+            counts[pair] = mask
+        groups: dict[tuple[int, frozenset], list] = {}  # pair -> [(segments, next pair)]
+
+        def grouped(pair):
+            if pair not in groups:
+                by_key: dict[tuple, tuple[list, tuple]] = {}
+                for e, dst in edges[pair]:
+                    group = by_key.setdefault((e.surface, e.pos.value, e.lemma), ([], dst))
+                    group[0].append((e.surface, e))
+                groups[pair] = [by_key[k] for k in sorted(by_key)]
+            return groups[pair]
+
+        start = (0, self._start)
+        todo = counts[start]
+        while todo:
+            n = (todo & -todo).bit_length() - 1  # the fewest segments not yet walked
+            todo &= todo - 1
+            stack = [(iter(grouped(start)), n, None)]  # (groups left, segments left, group in)
+            while stack:
+                rest, left, _ = stack[-1]
+                for group, dst in rest:
+                    if counts[dst] >> (left - 1) & 1:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                if left > 1:
+                    stack.append((iter(grouped(dst)), left - 1, group))
+                else:
+                    path = [taken for _, _, taken in stack[1:]] + [group]
+                    yield from map(MorphAnalysis, itertools.product(*path))
+
+    def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
+        """All of ``analyses(key)``."""
+        return list(self.analyses(key))
 
     def best_analysis(self, key: tuple[str, ...]) -> MorphAnalysis | None:
-        """``analyze_key(key)[0]``, or None when there is none, without
-        building the other analyses.  One pass over the lattice by
-        decreasing unit keeps, for each pair, the first tail that is
-        least under analyze_key's order; the order compares the segment
-        count first, so a tail's best continuation is the best tail of
-        the pair it leads to."""
-        edges = self.lattice(key)
-        # a tail is (segments, (surface, POS, lemma) of the first, the
-        # first, the rest); _END finishes the key
-        best: dict[tuple[int, frozenset], tuple | None] = {}
-        for pair in sorted(edges, key=lambda p: -p[0]):
-            done = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
-            chosen = _END if done else None
-            for e, dst in edges[pair]:
-                rest = best[dst]
-                if rest is not None:
-                    tail = (rest[0] + 1, (e.surface, e.pos.value, e.lemma), (e.surface, e), rest)
-                    if chosen is None or _precedes(tail, chosen):
-                        chosen = tail
-            best[pair] = chosen
-        tail = best[0, self._start]
-        if tail is None:
-            return None
-        segments = []
-        while tail is not _END:
-            segments.append(tail[2])
-            tail = tail[3]
-        return MorphAnalysis(tuple(segments))
-
-
-_END = (0, None, None, None)
-
-
-def _precedes(a: tuple, b: tuple) -> bool:
-    """Tail ``a`` sorts strictly before tail ``b``: fewer segments, then
-    the (surface, POS, lemma) of each segment in turn.  Tails of one
-    count reach _END together, or meet sooner in a shared rest."""
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    while a is not b:
-        if a[1] != b[1]:
-            return a[1] < b[1]
-        a, b = a[3], b[3]
-    return False
+        """The first of ``analyses(key)``, or None when there is none."""
+        return next(self.analyses(key), None)
 
 
 _FAR = 1 << 30  # stands for any distance beyond the band
@@ -618,11 +614,11 @@ def read_entries(source: Iterable[str]) -> list[DictEntry]:
 
 
 def read_entries_file(path) -> tuple[DictEntry, ...]:
-    """Entries of a dictionary file; a file that is not UTF-8 or holds a
-    malformed line raises MalformedEntry whose message starts with the
-    path."""
+    """Entries of a dictionary file, less a leading byte order mark; a
+    file that is not UTF-8 or holds a malformed line raises MalformedEntry
+    whose message starts with the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return tuple(read_entries(fh))
     except UnicodeDecodeError as exc:
         raise MalformedEntry(f"{path}: not UTF-8 ({exc})") from exc

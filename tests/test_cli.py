@@ -259,6 +259,19 @@ def test_non_utf8_dictionary_or_grammar_is_a_parse_error(capsys, tmp_path, argv)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("first, code, expected", [
+    ("\ufeff가", 0, ("가아\tyes\t가/V+아/EOMI\n", "")),
+    ("\u1100\u1161", 2, ("", "error: {dic}: malformed dictionary entry at line(s) 1\n")),
+], ids=["byte-order-mark", "nfd-surface"])
+def test_analyze_reads_a_bom_and_rejects_an_nfd_surface(capsys, tmp_path, first, code, expected):
+    dic, corpus = tmp_path / "tiny.dic", tmp_path / "corpus.txt"
+    dic.write_text(f"{first},가.V\n아,아.EOMI\n", encoding="utf-8")
+    corpus.write_text("가아", encoding="utf-8")
+    out, err = expected
+    assert run_main(capsys, "analyze", "--dict", str(dic), str(corpus)) == \
+        (code, out, err.format(dic=dic))
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],
     ["concord", *DICT_ARGS, "--grammars", "{grammars}", "{corpus}"],

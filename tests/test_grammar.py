@@ -15,6 +15,7 @@ from lggnorm.grammar import (
     LabelKind,
     MissingFinal,
     MissingInitial,
+    load_grammar_file,
     parse_graph,
     parse_graph_library,
     print_graph,
@@ -121,6 +122,12 @@ def test_final_with_successors_rejected():
 def test_output_on_initial_rejected():
     with pytest.raises(GraphSyntaxError):
         parse_graph('GRAPH G TAG T\n0 INITIAL / "x" -> 1\n1 FINAL\n')
+
+
+def test_grammar_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "choco.lgg"
+    path.write_bytes(("\ufeff" + CHOCOLATE).encode())
+    assert print_graph(load_grammar_file(path)[0]) == print_graph(parse_graph(CHOCOLATE))
 
 
 def test_parse_library_multiple_graphs():

@@ -192,8 +192,13 @@ def test_rule_automaton_matches_position_sets(rules, seq):
 
 
 def test_duplicate_entries_keep_dictionary_order():
-    lexicon = Lexicon(DUPLICATES)
-    key = fold_letters("사람들이")
-    got = lexicon.analyze_key(key)
-    assert len(got) > 1
-    assert segment_ids(got) == segment_ids(analyze_key_by_recursion(lexicon, key))
+    # 가/N and 이/JOSA twice each: 가이 has four N JOSA analyses that differ
+    # only in which entry each of its two segments takes
+    twice = [DictEntry("가", "가", Pos.N), DictEntry("이", "이", Pos.JOSA),
+             DictEntry("가", "가", Pos.V), DictEntry("이", "이", Pos.EOMI)]
+    twice += [replace(e, flags=frozenset({"src=extra"})) for e in twice[:2]]
+    for lexicon, surface in [(Lexicon(DUPLICATES), "사람들이"), (Lexicon(twice), "가이")]:
+        key = fold_letters(surface)
+        got = lexicon.analyze_key(key)
+        assert len(got) > 1
+        assert segment_ids(got) == segment_ids(analyze_key_by_recursion(lexicon, key))

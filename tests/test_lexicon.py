@@ -42,7 +42,9 @@ def test_load_collects_all_bad_lines():
 @pytest.mark.parametrize("data, detail", [
     ("caf\xe9,caf\xe9.N\n".encode("latin-1"), "not UTF-8"),
     ("재미,재미.N\nno commas here\n".encode(), "malformed dictionary entry at line(s) 2"),
-], ids=["latin-1", "malformed"])
+    # 가 decomposed: its letters could never match an NFC token
+    ("재미,재미.N\n\u1100\u1161,가.V\n".encode(), "malformed dictionary entry at line(s) 2"),
+], ids=["latin-1", "malformed", "nfd-surface"])
 def test_dictionary_file_errors_name_the_file(tmp_path, data, detail):
     path = tmp_path / "bad.dic"
     path.write_bytes(data)

@@ -1,6 +1,7 @@
 """Long inputs: matching, analysis and graph compilation keep no call
 frame per consumed unit, morpheme, epsilon box or subgraph call."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -59,6 +60,19 @@ def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
     best = lexicon.best_analysis(key)
     assert time.perf_counter() - start < 0.5
     assert [s for s, _ in best.segments] == ["가"] + ["아아"] * 1000
+
+
+def test_first_ten_analyses_of_a_verb_with_24_endings_within_a_twentieth_of_a_second():
+    # 가 + 24 아 has Fibonacci(25) = 75,025 analyses; the first ten come
+    # without building the others
+    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    key = fold_letters("가" + "아" * 24)
+    start = time.perf_counter()
+    first = list(itertools.islice(lexicon.analyses(key), 10))
+    assert time.perf_counter() - start < 0.05
+    assert [s for s, _ in first[0].segments] == ["가"] + ["아아"] * 12
+    assert [s for s, _ in first[1].segments] == ["가", "아", "아"] + ["아아"] * 11
+    assert [len(a.segments) for a in first] == [13] + [14] * 9
 
 
 def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifier_resources):
