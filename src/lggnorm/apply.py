@@ -14,10 +14,11 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .grammar import TAG_PATTERN
-from .hangul import jamo_units, unit_offsets
+from .hangul import distance_key, jamo_units, unit_offsets
 from .lexicon import Lexicon
 from .tokenizer import Token, TokenClass, byte_offsets, tokenize
 
@@ -50,7 +51,8 @@ class ApplyConfig:
 
 
 class TextIndex:
-    """Jamo units of a text plus the unit/char/byte/token cross-references."""
+    """Jamo units of a text plus the unit/char/byte/token cross-references,
+    and its distance key ``key``, computed on first read (by classify)."""
 
     def __init__(self, text: str, lexicon: Lexicon | None = None):
         self.text = text
@@ -69,6 +71,10 @@ class TextIndex:
             self.token_at_unit[u] = tok
             self.token_end_unit[u] = self.char_start_unit[start_char + len(tok.surface)]
         self._single_pos: dict[int, frozenset[str]] = {}
+
+    @cached_property
+    def key(self) -> tuple:
+        return distance_key(self.text)
 
     def char_of_unit(self, unit: int) -> int:
         """Index of the character a unit belongs to; len(text) past the end."""

@@ -20,13 +20,15 @@ Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
-distance alphabet).  The deviant candidate forms are the syllable-only
+distance alphabet); the searches below read its distance key once, as
+``TextIndex.key``.  The deviant candidate forms are the syllable-only
 words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV,
 DET, INTERJ or PROPER); lexicon.FormSearch finds the one nearest to the
 token within ``Thresholds.deviant`` edits.  The abbreviation, neologism
 and loanword dictionaries are lexicon.KeyTrie tries, searched for the
 entries a token's leading characters match: exactly for the first two,
-within ``Thresholds.loan`` edits for loanwords.
+within ``Thresholds.loan`` edits for loanwords.  Matches end where a
+character starts (잼 is not a prefix of 재미) and are ranked on that unit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import distance_key, fold_letters
+from .hangul import fold_letters
 from .lexicon import DictEntry, FormSearch, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -170,23 +172,15 @@ def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     return Candidate(cat, f"grammar:{got[2].name}"), sug
 
 
-def _prefix_matches(index: TextIndex, trie: KeyTrie, limit: int) -> list[tuple[int, int, int]]:
-    """(distance, prefix chars, entry order) of KeyTrie.prefix_matches
-    over the token's prefixes of whole characters: 잼 is a letter prefix
-    of 재미 but not one of its characters."""
-    chars = {u: n for n, u in enumerate(index.char_start_unit) if n}
-    return [(d, chars[end], order)
-            for d, end, order in trie.prefix_matches(distance_key(index.text), chars, limit)]
-
-
 def _dict_prefix(index: TextIndex, cat: Category, trie: KeyTrie, suggestion_of):
     """First dictionary entry, in file order, whose surface is a leading
     span of the token and that has a suggestion."""
-    for _, n_chars, order in sorted(_prefix_matches(index, trie, 0), key=lambda m: m[2]):
+    for _, end, order in sorted(trie.prefix_matches(index.key, index.char_aligned, 0),
+                                key=lambda m: m[2]):
         e = trie.entries[order]
         out = suggestion_of(e)
         if out is not None:
-            sug = _splice(index.text, 0, n_chars, out, index.lexicon)
+            sug = _splice(index.text, 0, index.char_of_unit(end), out, index.lexicon)
             return Candidate(cat, f"dict:{e.surface}"), sug
     return None
 
@@ -232,16 +226,17 @@ def _detect_loanword(index: TextIndex, res: Resources):
 
 
 def _loanword_by_distance(index: TextIndex, res: Resources):
-    """Loan entry nearest to a token prefix, ranked by (distance, -prefix
-    chars, entry order) within the loan threshold; one walk of the loan
-    trie gives the distances of all char-aligned prefixes."""
-    best = min(_prefix_matches(index, res.loan_trie, res.thresholds.loan),
+    """Loan entry nearest to a token prefix of whole characters, ranked by
+    (distance, -prefix units, entry order) within the loan threshold; one
+    walk of the loan trie gives the distances of all those prefixes."""
+    best = min(res.loan_trie.prefix_matches(index.key, index.char_aligned,
+                                            res.thresholds.loan),
                key=lambda m: (m[0], -m[1], m[2]), default=None)
     if best is None:
         return None
-    _, n_chars, order = best
+    _, end, order = best
     entry = res.loan_trie.entries[order]
-    sug = _splice(index.text, 0, n_chars, entry.surface, index.lexicon)
+    sug = _splice(index.text, 0, index.char_of_unit(end), entry.surface, index.lexicon)
     return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
 
 
@@ -276,7 +271,7 @@ _DEVIANT = RuleAutomaton(DEVIANT_RULES)
 
 
 def _deviant_by_distance(index: TextIndex, res: Resources):
-    got = res.deviant_search.nearest(distance_key(index.text), res.thresholds.deviant)
+    got = res.deviant_search.nearest(index.key, res.thresholds.deviant)
     if got is None:
         return None
     return Candidate(Category.DEVIANT_SPELLING, f"distance:{got[0]}"), got[1]

@@ -305,36 +305,26 @@ def distance_key(s: str) -> tuple:
 
 def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
     """Levenshtein distance over precomputed keys; with ``cap`` it is exact
-    when at most ``cap`` and some value above ``cap`` otherwise."""
+    when at most ``cap`` and some value above ``cap`` otherwise: the rows
+    stop after the first whose minimum exceeds ``cap``."""
     if cap is None:
         cap = max(len(ka), len(kb))  # no distance exceeds it
     if abs(len(ka) - len(kb)) > cap:
         return cap + 1
-    # the distance, or a value above cap where the rows stopped early
-    return prefix_distances(ka, kb, cap)[-1]
+    row = list(range(len(kb) + 1))
+    for ua in ka:
+        if min(row) > cap:
+            break  # no later row comes back within cap
+        cur = [row[0] + 1]
+        for j, ub in enumerate(kb, 1):
+            cur.append(min(row[j] + 1, cur[j - 1] + 1, row[j - 1] + (ua != ub)))
+        row = cur
+    return row[-1]
 
 
 def jamo_edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit costs over the two jamo sequences."""
     return key_distance(distance_key(a), distance_key(b))
-
-
-def prefix_distances(ka: tuple, kb: tuple, cap: int) -> list[int]:
-    """Levenshtein distance from every prefix of ``ka`` to ``kb`` in one DP
-    with a row per unit of ``ka``: entry i is the distance of ka[:i].  The
-    list stops after the first row whose minimum exceeds ``cap``, because
-    no longer prefix comes within ``cap`` after it."""
-    row = list(range(len(kb) + 1))
-    out = [row[-1]]
-    for ua in ka:
-        if min(row) > cap:
-            break
-        cur = [row[0] + 1]
-        for j, ub in enumerate(kb, 1):
-            cur.append(min(row[j] + 1, cur[j - 1] + 1, row[j - 1] + (ua != ub)))
-        row = cur
-        out.append(row[-1])
-    return out
 
 
 def compose_letters(letters: Iterable[str]) -> str:

@@ -99,6 +99,8 @@ def parse_entry(line: str) -> DictEntry:
         raise ValueError("missing ',' separator")
     if not unicodedata.is_normalized("NFC", surface):
         raise ValueError("surface is not NFC")
+    if any(map(str.isspace, surface)):
+        raise ValueError("surface holds whitespace")
     parts = rest.split("+")
     lemma, dot, pos_name = parts[0].rpartition(".")
     if not dot or not lemma or pos_name not in POS_NAMES:
@@ -568,9 +570,10 @@ class KeyTrie:
     def prefix_matches(self, key: tuple, ends: Container[int],
                        limit: int) -> list[tuple[int, int, int]]:
         """(distance, end, order): entry ``order`` is ``distance`` edits
-        from ``key[:end]``, for an ``end`` in ``ends``, within ``limit``.
-        Every match at the least distance is listed, and perhaps some
-        farther ones found before it.
+        from ``key[:end]``, for an ``end`` in ``ends`` other than 0 (the
+        empty prefix is never a match), within ``limit``.  Every match at
+        the least distance is listed, and perhaps some farther ones found
+        before it.
 
         A depth-first walk of the trie with BandedRows; where an entry
         ends, each cell of the row at one of ``ends`` within the bound is
@@ -587,7 +590,7 @@ class KeyTrie:
             if node.orders:
                 j0 = k - rows.band  # the cell j of row[0]
                 for t, d in enumerate(row):
-                    if d <= rows.bound and j0 + t in ends:
+                    if d <= rows.bound and j0 + t > 0 and j0 + t in ends:
                         rows.bound = d
                         matches.extend((d, j0 + t, order) for order in node.orders)
             stack.extend((child, row2, low2, k + 1)

@@ -204,6 +204,26 @@ def test_classify_corpus_checks_each_type_once(classifier_resources, informal_te
     assert out.results and len(checked) == len(set(checked))
 
 
+def test_classify_corpus_keys_each_type_at_most_once(classifier_resources, informal_text,
+                                                    monkeypatch):
+    # the searches share the TextIndex's one distance key: a count, so it
+    # holds on any host
+    import lggnorm.apply as apply_module
+    import lggnorm.classify as classify_module
+    from lggnorm.hangul import distance_key
+
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return distance_key(s)
+
+    for module in (apply_module, classify_module):
+        monkeypatch.setattr(module, "distance_key", counting, raising=False)
+    out = classify_corpus(tokenize(informal_text), classifier_resources)
+    assert out.results and len(calls) <= len(out.results)
+
+
 def test_suggestions_are_analyzable(classifier_resources, informal_text):
     from lggnorm.classify import _suggestion_ok
 

@@ -262,7 +262,9 @@ def test_non_utf8_dictionary_or_grammar_is_a_parse_error(capsys, tmp_path, argv)
 @pytest.mark.parametrize("first, code, expected", [
     ("\ufeff가", 0, ("가아\tyes\t가/V+아/EOMI\n", "")),
     ("\u1100\u1161", 2, ("", "error: {dic}: malformed dictionary entry at line(s) 1\n")),
-], ids=["byte-order-mark", "nfd-surface"])
+    ("가 ", 2, ("", "error: {dic}: malformed dictionary entry at line(s) 1\n")),
+    ("가\t", 2, ("", "error: {dic}: malformed dictionary entry at line(s) 1\n")),
+], ids=["byte-order-mark", "nfd-surface", "space-in-surface", "tab-in-surface"])
 def test_analyze_reads_a_bom_and_rejects_an_nfd_surface(capsys, tmp_path, first, code, expected):
     dic, corpus = tmp_path / "tiny.dic", tmp_path / "corpus.txt"
     dic.write_text(f"{first},가.V\n아,아.EOMI\n", encoding="utf-8")

@@ -23,8 +23,8 @@ from lggnorm.hangul import (
     initial,
     iter_all_syllables,
     jamo_edit_distance,
+    key_distance,
     medial,
-    prefix_distances,
     to_jamo_seq,
 )
 from oracles import brute_levenshtein
@@ -188,13 +188,12 @@ def test_letters_are_the_distance_key_of_syllable_only_text(s):
 
 
 @given(st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),
-       st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6),
-       st.integers(0, 3))
-def test_prefix_distances_match_levenshtein(a, b, cap):
+       st.text(alphabet=st.sampled_from(list("가각나ㅂ니다a")), max_size=6))
+def test_capped_key_distance_matches_levenshtein(a, b):
     ka, kb = distance_key(a), distance_key(b)
-    dists = prefix_distances(ka, kb, cap)
     for i in range(len(ka) + 1):
-        if i < len(dists):
-            assert dists[i] == brute_levenshtein(ka[:i], kb)
-        else:
-            assert brute_levenshtein(ka[:i], kb) > cap
+        exact = brute_levenshtein(ka[:i], kb)
+        assert key_distance(ka[:i], kb) == exact
+        for cap in range(4):
+            got = key_distance(ka[:i], kb, cap)
+            assert got == exact if exact <= cap else got > cap

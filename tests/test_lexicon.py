@@ -44,7 +44,9 @@ def test_load_collects_all_bad_lines():
     ("재미,재미.N\nno commas here\n".encode(), "malformed dictionary entry at line(s) 2"),
     # 가 decomposed: its letters could never match an NFC token
     ("재미,재미.N\n\u1100\u1161,가.V\n".encode(), "malformed dictionary entry at line(s) 2"),
-], ids=["latin-1", "malformed", "nfd-surface"])
+    # no token holds whitespace, so such a surface could never match
+    ("재미,재미.N\n가 나,가나.N\n".encode(), "malformed dictionary entry at line(s) 2"),
+], ids=["latin-1", "malformed", "nfd-surface", "whitespace-surface"])
 def test_dictionary_file_errors_name_the_file(tmp_path, data, detail):
     path = tmp_path / "bad.dic"
     path.write_bytes(data)
