@@ -2,10 +2,11 @@
 
 Compilation inlines subgraph calls (the call graph must be acyclic),
 expands every literal alternative into a chain of jamo-unit transitions,
-then removes epsilon transitions while pushing their outputs forward.
-Only the initial state and the targets of consuming transitions can be
-entered once epsilons are gone, so only their closures are computed.
-Outputs that would be emitted after the last consumed symbol survive as
+then removes epsilon transitions while pushing their outputs forward, in
+one breadth-first walk from the initial state: each state is numbered,
+closed over epsilons and given its consuming transitions when the walk
+first reaches it (on-demand epsilon removal, Mohri 2002).  Outputs that
+would be emitted after the last consumed symbol survive as
 per-final-state output strings, so the compiled relation is exactly the
 graph's input/output relation.
 
@@ -201,38 +202,22 @@ def _components(adj: dict[int, list[tuple[str, int]]]) -> dict[int, int]:
     return component
 
 
-def _epsilon_closure(eps: list[tuple[int, str, int]], states):
-    """Closure pairs (reachable state, accumulated output) of each of
-    ``states``, in deterministic DFS preorder.  Raises EpsilonCycle when
-    an epsilon cycle carries output (its closure would be infinite)."""
-    # successors in reverse arc order, so that they pop off a stack in order
-    adj: dict[int, list[tuple[str, int]]] = {}
-    for src, out, dst in reversed(eps):
-        adj.setdefault(src, []).append((out, dst))
-
-    # reject epsilon cycles that emit output: an arc is on a cycle exactly
-    # when both its ends are in one strongly connected component
-    component = _components(adj)
-    for src, out, dst in eps:
-        if out and component[src] == component[dst]:
-            raise EpsilonCycle(f"epsilon cycle through state {src} emits {out!r}")
-
-    closures: dict[int, list[tuple[int, str]]] = {}
-    for q in states:
-        pairs: list[tuple[int, str]] = []
-        seen: set[tuple[int, str]] = set()
-        stack = [(q, "")]
-        while stack:
-            pair = stack.pop()
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
-            state, out = pair
-            for o, dst in adj.get(state, ()):
-                stack.append((dst, out + o))
-        closures[q] = pairs
-    return closures
+def _epsilon_closure(eps: dict[int, list[tuple[str, int]]], q: int) -> list[tuple[int, str]]:
+    """Closure pairs (reachable state, accumulated output) of state ``q``
+    over the epsilon successors ``eps``, in deterministic DFS preorder."""
+    pairs: list[tuple[int, str]] = []
+    seen: set[tuple[int, str]] = set()
+    stack = [(q, "")]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        pairs.append(pair)
+        state, out = pair
+        for o, dst in eps.get(state, ()):
+            stack.append((dst, out + o))
+    return pairs
 
 
 def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) -> Fst:
@@ -244,58 +229,60 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
         raise GraphValidationError(diags)
 
     builder = _Builder(lib, max_states)
-    init, accept = builder.build(g)
-    # the only states that can be entered once epsilons are gone
-    entered = sorted({init}.union(arc[3] for arc in builder.arcs))
-    closures = _epsilon_closure(builder.eps, entered)
+    try:
+        init, accept = builder.build(g)
+    except CompileOverflow as exc:
+        raise CompileOverflow(f"graph {g.name!r}: {exc}") from None
 
-    # push epsilon outputs forward onto following consuming transitions
-    arcs_by_src: dict[int, list[tuple[int, str, str, int]]] = {}
+    # epsilon successors in reverse arc order, so that they pop off a stack in order
+    eps: dict[int, list[tuple[str, int]]] = {}
+    for src, out, dst in reversed(builder.eps):
+        eps.setdefault(src, []).append((out, dst))
+    # an epsilon cycle that emits would make the closure infinite; an arc
+    # is on a cycle exactly when both its ends are in one strongly
+    # connected component
+    component = _components(eps)
+    for src, out, dst in builder.eps:
+        if out and component[src] == component[dst]:
+            raise EpsilonCycle(f"graph {g.name!r}: an epsilon cycle emits {out!r}")
+
+    arcs: dict[int, list[tuple[int, str, str, int]]] = {}
     for arc in builder.arcs:
-        arcs_by_src.setdefault(arc[0], []).append(arc)
+        arcs.setdefault(arc[0], []).append(arc)
 
-    new_arcs: list[tuple[int, str, str, int]] = []
-    seen_arcs: set[tuple[int, str, str, int]] = set()
-    final_outputs: dict[int, tuple[str, ...]] = {}
-    for q in entered:
-        outs: list[str] = []
-        for r, w in closures[q]:
-            if r == accept and w not in outs:
-                outs.append(w)
-            for _, sym, o, dst in arcs_by_src.get(r, ()):
-                arc = (q, sym, w + o, dst)
-                if arc not in seen_arcs:
-                    seen_arcs.add(arc)
-                    new_arcs.append(arc)
-        if outs:
-            final_outputs[q] = tuple(outs)
-
-    if init in final_outputs:
-        raise EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")
-
-    # keep the states reachable from init, renumbered breadth-first; each
-    # also reaches a final state, because validate has every box reach FINAL
-    fwd: dict[int, list[tuple[int, str, str, int]]] = {}
-    for arc in new_arcs:
-        fwd.setdefault(arc[0], []).append(arc)
-
+    # one breadth-first walk from init: a state is numbered when first
+    # reached; when walked, it is closed over epsilons and the closure
+    # outputs are pushed onto the consuming arcs leaving the closure.
+    # Every state reached also reaches a final state, because validate
+    # has every box reach FINAL, so none needs pruning.
     order: dict[int, int] = {init: 0}
     queue = [init]
-    kept_arcs: list[tuple[int, str, str, int]] = []
+    transitions: list[tuple[int, str, str, int]] = []
+    final_outputs: dict[int, tuple[str, ...]] = {}
     for s in queue:  # also walks the states appended on the way
-        for _, sym, o, dst in fwd.get(s, ()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-            kept_arcs.append((order[s], sym, o, order[dst]))
-    finals = {
-        order[s]: outs for s, outs in final_outputs.items() if s in order
-    }
+        outs: list[str] = []
+        pushed: set[tuple[int, str, str, int]] = set()
+        for r, w in _epsilon_closure(eps, s):
+            if r == accept and w not in outs:
+                outs.append(w)
+            for _, sym, o, dst in arcs.get(r, ()):
+                if dst not in order:
+                    order[dst] = len(order)
+                    queue.append(dst)
+                arc = (order[s], sym, w + o, order[dst])
+                if arc not in pushed:
+                    pushed.add(arc)
+                    transitions.append(arc)
+        if outs:
+            final_outputs[order[s]] = tuple(outs)
+
+    if 0 in final_outputs:
+        raise EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")
     return Fst(
         name=g.name,
         tag=g.tag,
         n_states=len(order),
         initial=0,
-        final_outputs=finals,
-        transitions=tuple(kept_arcs),
+        final_outputs=final_outputs,
+        transitions=tuple(transitions),
     )

@@ -329,17 +329,16 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
     visiting: list[str] = []  # the call path from g, innermost last
     callees: list[Iterator[str]] = []  # callees left to visit, one per path entry
     visited: set[str] = set()
-    cycle_reported = set()
 
+    # each graph is expanded once and names each callee once, so each
+    # call edge, recursive or not, is met once
     def visit(name: str):
         if name in visiting:
             edge = (visiting[-1], name)
-            if edge not in cycle_reported:
-                cycle_reported.add(edge)
-                diags.append(Diagnostic(
-                    DiagnosticCode.RECURSIVE_CALL,
-                    f"recursive subgraph call {edge[0]} -> {edge[1]}",
-                    graph=g.name, detail=edge))
+            diags.append(Diagnostic(
+                DiagnosticCode.RECURSIVE_CALL,
+                f"recursive subgraph call {edge[0]} -> {edge[1]}",
+                graph=g.name, detail=edge))
             return
         if name in visited:
             return

@@ -13,7 +13,7 @@ from lggnorm.apply import TextIndex
 from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
-                             _library_by_name, _validate_structure, parse_graph)
+                             _library_by_name, _validate_structure, parse_graph, validate)
 from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_LETTERS, INITIAL_LETTERS,
                             MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo, JamoKind,
                             JamoSeq, compat, compose_letters, distance_key, final,
@@ -217,6 +217,34 @@ def random_graph_text(rng: random.Random, name: str = "Rand", tag: str = "RAND",
         succ = sorted(set(rng.choice(range(box + 1, final_id + 1))
                           for _ in range(rng.randint(1, 2))))
         lines.append(f"{box} {spec}{out} -> {','.join(map(str, succ))}")
+    lines.append(f"{final_id} FINAL")
+    return "\n".join(lines) + "\n"
+
+
+def random_cyclic_graph_text(rng: random.Random, name: str = "Cyc", tag: str = "CYC",
+                             max_boxes: int = 7) -> str:
+    """Text of a random graph whose successors may point back.
+
+    Each box holds ``<E>``, ``<E> / "x"``, a literal or a mask, the last
+    two with or without an output, and points to the next box plus up to
+    two boxes anywhere, FINAL included.  INITIAL points to box 1 and maybe
+    one more, so every box is reached and reaches FINAL; epsilon cycles,
+    emitting or not, and graphs that accept the empty input are common.
+    """
+    n_plain = rng.randint(1, max_boxes - 2)
+    final_id = n_plain + 1
+    lines = [f"GRAPH {name} TAG {tag}",
+             f"0 INITIAL -> {','.join(map(str, sorted({1, rng.randint(1, final_id)})))}"]
+    for box in range(1, n_plain + 1):
+        spec = rng.choice(["<E>", '<E> / "x"', "literal", "<N>"])
+        if spec == "literal":
+            spec = '"' + "|".join(rng.choice(LITERAL_SYLLABLES)
+                                  for _ in range(rng.randint(1, 2))) + '"'
+        if spec[0] == '"' or spec == "<N>":
+            spec += rng.choice(["", ' / "y"'])
+        succ = {box + 1}
+        succ.update(rng.randint(1, final_id) for _ in range(rng.randint(0, 2)))
+        lines.append(f"{box} {spec} -> {','.join(map(str, sorted(succ)))}")
     lines.append(f"{final_id} FINAL")
     return "\n".join(lines) + "\n"
 
@@ -428,6 +456,83 @@ def compile_graph_by_recursion(g: GraphIR, library=()) -> Fst:
     """fst.compile_graph with RecursiveBuilder inlining the subgraphs."""
     with mock.patch.object(fst_module, "_Builder", RecursiveBuilder):
         return fst_module.compile_graph(g, library)
+
+
+def compile_graph_in_passes(g: GraphIR, library=()) -> Fst:
+    """fst.compile_graph removing epsilons in separate passes over the
+    builder's states: the closure of every state that can be entered (the
+    initial state and the targets of consuming arcs), then the outputs
+    pushed onto one arc list over all of them, then a breadth-first walk
+    that renumbers and prunes the states."""
+    lib = _library_by_name(library)
+    lib.setdefault(g.name, g)
+    diags = validate(g, lib)
+    if diags:
+        raise fst_module.GraphValidationError(diags)
+    builder = fst_module._Builder(lib, fst_module.DEFAULT_MAX_STATES)
+    init, accept = builder.build(g)
+
+    adj: dict[int, list[tuple[str, int]]] = {}
+    for src, out, dst in reversed(builder.eps):
+        adj.setdefault(src, []).append((out, dst))
+    component = fst_module._components(adj)
+    for src, out, dst in builder.eps:
+        if out and component[src] == component[dst]:
+            raise fst_module.EpsilonCycle(f"epsilon cycle through state {src} emits {out!r}")
+
+    entered = sorted({init}.union(arc[3] for arc in builder.arcs))
+    closures: dict[int, list[tuple[int, str]]] = {}
+    for q in entered:
+        pairs: list[tuple[int, str]] = []
+        seen: set[tuple[int, str]] = set()
+        stack = [(q, "")]
+        while stack:
+            pair = stack.pop()
+            if pair in seen:
+                continue
+            seen.add(pair)
+            pairs.append(pair)
+            state, out = pair
+            for o, dst in adj.get(state, ()):
+                stack.append((dst, out + o))
+        closures[q] = pairs
+
+    arcs_by_src: dict[int, list[tuple[int, str, str, int]]] = {}
+    for arc in builder.arcs:
+        arcs_by_src.setdefault(arc[0], []).append(arc)
+    new_arcs: list[tuple[int, str, str, int]] = []
+    seen_arcs: set[tuple[int, str, str, int]] = set()
+    final_outputs: dict[int, tuple[str, ...]] = {}
+    for q in entered:
+        outs: list[str] = []
+        for r, w in closures[q]:
+            if r == accept and w not in outs:
+                outs.append(w)
+            for _, sym, o, dst in arcs_by_src.get(r, ()):
+                arc = (q, sym, w + o, dst)
+                if arc not in seen_arcs:
+                    seen_arcs.add(arc)
+                    new_arcs.append(arc)
+        if outs:
+            final_outputs[q] = tuple(outs)
+    if init in final_outputs:
+        raise fst_module.EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")
+
+    fwd: dict[int, list[tuple[int, str, str, int]]] = {}
+    for arc in new_arcs:
+        fwd.setdefault(arc[0], []).append(arc)
+    order: dict[int, int] = {init: 0}
+    queue = [init]
+    kept_arcs: list[tuple[int, str, str, int]] = []
+    for s in queue:
+        for _, sym, o, dst in fwd.get(s, ()):
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+            kept_arcs.append((order[s], sym, o, order[dst]))
+    finals = {order[s]: outs for s, outs in final_outputs.items() if s in order}
+    return Fst(name=g.name, tag=g.tag, n_states=len(order), initial=0,
+               final_outputs=finals, transitions=tuple(kept_arcs))
 
 
 # ------------------------------------------------- leftmost-longest oracle

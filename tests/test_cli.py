@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 import subprocess
 import sys
 import unicodedata
@@ -480,6 +481,29 @@ def test_graph_compile_prints_nothing_when_a_later_root_fails(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_an_emitting_epsilon_cycle_names_its_graph(capsys, tmp_path):
+    grammars = tmp_path / "grammars"
+    shutil.copytree(resources.grammar_dir(), grammars)
+    (grammars / "g.lgg").write_text('GRAPH G TAG T\n0 INITIAL -> 1\n1 "가" -> 2\n'
+                                    '2 <E> / "x" -> 3\n3 <E> -> 2,4\n4 FINAL\n',
+                                    encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("영화 잼있어요", encoding="utf-8")
+    code, out, err = run_main(capsys, "normalize", *DICT_ARGS, "--grammars", str(grammars),
+                              str(corpus))
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph 'G': an epsilon cycle emits 'x'\n"
+
+
+def test_a_state_cap_overflow_names_its_graph(capsys):
+    code, out, err = run_main(capsys, "graph", "compile", "--max-states", "10",
+                              str(resources.grammar_dir() / "abbr.lgg"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph 'Abbrev': state count exceeded cap 10\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,8 @@ from lggnorm.fst import (
     compile_graph,
 )
 from lggnorm.grammar import parse_graph
-from oracles import (compile_graph_by_recursion, enumerate_paths, random_graph_text, relation,
-                     text_to_symbols)
+from oracles import (compile_graph_by_recursion, compile_graph_in_passes, enumerate_paths,
+                     random_cyclic_graph_text, random_graph_text, relation, text_to_symbols)
 
 CHOCOLATE = """\
 GRAPH Choco TAG LOAN
@@ -294,3 +295,43 @@ def test_bundled_grammars_match_oracle(library):
             continue
         fst = next(f for f in library.fsts if f.name == g.name)
         assert machine_relation_text(fst, 12) == ir_relation_text(g, library.graphs, 12)
+
+
+def outcome_in_passes(g, library=()):
+    """The error type that compile_graph and compile_graph_in_passes both
+    raise, or "compiled" when both dump the same."""
+    try:
+        expected = compile_graph_in_passes(g, library).dump()
+    except CompileError as exc:
+        with pytest.raises(type(exc)):
+            compile_graph(g, library)
+        return type(exc)
+    assert compile_graph(g, library).dump() == expected
+    return "compiled"
+
+
+def test_bundled_roots_compile_as_in_passes(library):
+    for fst in library.fsts:
+        g = next(g for g in library.graphs if g.name == fst.name)
+        assert outcome_in_passes(g, library.graphs) == "compiled"
+
+
+def test_random_libraries_compile_as_in_passes():
+    """Libraries of four graphs, each calling only later ones."""
+    rng = random.Random(14)
+    names = ("G0", "G1", "G2", "G3")
+    outcomes = Counter()
+    for _ in range(400):
+        lib = [parse_graph(random_graph_text(rng, name=name, tag="T", max_boxes=6,
+                                             subgraphs=names[i + 1:]))
+               for i, name in enumerate(names)]
+        outcomes[outcome_in_passes(lib[0], lib)] += 1
+    assert outcomes["compiled"] > 30
+
+
+def test_random_cyclic_graphs_compile_as_in_passes():
+    """Graphs whose boxes point back: each outcome at least 100 times."""
+    rng = random.Random(14)
+    outcomes = Counter(outcome_in_passes(parse_graph(random_cyclic_graph_text(rng)))
+                       for _ in range(2000))
+    assert min(outcomes[k] for k in ("compiled", EpsilonCycle, EpsilonOnlyPath)) >= 100

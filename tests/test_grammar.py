@@ -222,6 +222,24 @@ def test_validate_matches_recursive_validate():
     assert {DiagnosticCode.RECURSIVE_CALL, DiagnosticCode.UNKNOWN_SUBGRAPH} <= found
 
 
+def test_validate_reports_each_diagnostic_once():
+    """Libraries of one to six graphs, each free to call itself, any other
+    or a missing name: no diagnostic comes twice, although validate keeps
+    no record of the recursive calls it reported."""
+    rng = random.Random(14)
+    recursive = 0
+    for _ in range(500):
+        names = tuple(f"G{i}" for i in range(rng.randint(1, 6)))
+        lib = [parse_graph(random_graph_text(rng, name=name, tag="T", max_boxes=6,
+                                             subgraphs=names + ("Missing",)))
+               for name in names]
+        for g in lib:
+            diags = validate(g, lib)
+            assert len(set(diags)) == len(diags)
+            recursive += sum(d.code is DiagnosticCode.RECURSIVE_CALL for d in diags)
+    assert recursive > 100
+
+
 def test_box_walks_match_fixed_point():
     """unreachable-box and final-unreachable name exactly the boxes a
     fixed-point sweep leaves out, also once one box's successors are

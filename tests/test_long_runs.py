@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from lggnorm import resources
+from lggnorm import fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import Category, Resources, _detect_spacing, classify_corpus, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
@@ -180,10 +180,15 @@ def test_a_chain_of_1100_subgraph_calls_compiles_within_half_a_second():
     assert fst == compile_graph(direct[0], direct)
 
 
+def alternatives_box(words: list[str]) -> str:
+    """A graph of one box whose alternatives are ``words``."""
+    return ("GRAPH Big TAG LOAN\n0 INITIAL -> 1\n"
+            f'1 "{"|".join(words)}" / "x" -> 2\n2 FINAL\n')
+
+
 def test_a_box_of_2000_alternatives_compiles_within_a_second():
     words = [chr(0xAC00 + 5 * i) + "요" for i in range(2000)]
-    g = parse_graph_library("GRAPH Big TAG LOAN\n0 INITIAL -> 1\n"
-                            f'1 "{"|".join(words)}" / "x" -> 2\n2 FINAL\n')[0]
+    g = parse_graph_library(alternatives_box(words))[0]
     start = time.perf_counter()
     fst = compile_graph(g)
     assert time.perf_counter() - start < 1.0
@@ -193,3 +198,31 @@ def test_a_box_of_2000_alternatives_compiles_within_a_second():
     assert fst.n_states == 2 + sum(n - 1 for n in lengths)
     assert len(fst.transitions) == sum(lengths)
     assert list(fst.final_outputs.values()) == [("",)]
+
+
+def closure_pairs(monkeypatch, text: str) -> int:
+    """Epsilon-closure pairs compile_graph computes for the first graph of
+    ``text``: a count that, unlike a time, no machine changes."""
+    closure = fst_module._epsilon_closure
+    sizes = []
+
+    def counted(eps, q):
+        pairs = closure(eps, q)
+        sizes.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(fst_module, "_epsilon_closure", counted)
+    graphs = parse_graph_library(text)
+    compile_graph(graphs[0], graphs)
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("n", [1200, 2400, 4800])
+def test_closure_pairs_grow_linearly_along_an_emitting_epsilon_chain(monkeypatch, n):
+    assert closure_pairs(monkeypatch, chain_graph(n, output="x")) <= 2 * n + 10
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_closure_pairs_grow_linearly_with_the_alternatives_of_a_box(monkeypatch, n):
+    words = [chr(0xAC00 + 5 * i) + "요" for i in range(n)]
+    assert closure_pairs(monkeypatch, alternatives_box(words)) <= 4 * n + 10
