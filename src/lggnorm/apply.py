@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .grammar import TAG_PATTERN
-from .hangul import distance_key, jamo_units, unit_offsets
+from .hangul import distance_key, fold_letters, jamo_units, unit_offsets
 from .lexicon import Lexicon
 from .tokenizer import Token, TokenClass, byte_offsets, tokenize
 
@@ -52,7 +52,8 @@ class ApplyConfig:
 
 class TextIndex:
     """Jamo units of a text plus the unit/char/byte/token cross-references,
-    and its distance key ``key``, computed on first read (by classify)."""
+    and its letters ``letters`` and distance key ``key``, each computed on
+    first read (by classify)."""
 
     def __init__(self, text: str, lexicon: Lexicon | None = None):
         self.text = text
@@ -71,6 +72,10 @@ class TextIndex:
             self.token_at_unit[u] = tok
             self.token_end_unit[u] = self.char_start_unit[start_char + len(tok.surface)]
         self._single_pos: dict[int, frozenset[str]] = {}
+
+    @cached_property
+    def letters(self) -> tuple[str, ...]:
+        return fold_letters(self.text)
 
     @cached_property
     def key(self) -> tuple:

@@ -20,15 +20,17 @@ Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
 
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
-distance alphabet); the searches below read its distance key once, as
-``TextIndex.key``.  The deviant candidate forms are the syllable-only
-words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV,
-DET, INTERJ or PROPER); lexicon.FormSearch finds the one nearest to the
-token within ``Thresholds.deviant`` edits.  The abbreviation, neologism
-and loanword dictionaries are lexicon.KeyTrie tries, searched for the
-entries a token's leading characters match: exactly for the first two,
-within ``Thresholds.loan`` edits for loanwords.  Matches end where a
-character starts (잼 is not a prefix of 재미) and are ranked on that unit.
+distance alphabet); the analysability test, the 하-root and the spacing
+split read its letters once, as ``TextIndex.letters``, and the searches
+below its distance key, as ``TextIndex.key``.  The deviant candidate
+forms are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV
+EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); lexicon.FormSearch
+finds the one nearest to the token within ``Thresholds.deviant`` edits.
+The abbreviation, neologism and loanword dictionaries are lexicon.KeyTrie
+tries, searched for the entries a token's leading characters match:
+exactly for the first two, within ``Thresholds.loan`` edits for
+loanwords.  Matches end where a character starts (잼 is not a prefix of
+재미) and are ranked on that unit.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def _detect_abbreviation(index: TextIndex, res: Resources):
 def _hada_root(index: TextIndex, lexicon: Lexicon) -> str | None:
     """Shortest unknown root followed by the 하 verbalizer and at least
     one ending that reach the end of the token."""
-    key = fold_letters(index.text)
+    key = index.letters
     n = len(key)
     # eomi_tail[u]: key[u:] is one or more endings
     eomi_tail = [False] * (n + 1)
@@ -243,7 +245,7 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
 def _detect_spacing(index: TextIndex, res: Resources):
     # fewest words, then the lexicographically smallest word tuple: of two
     # first words from one start the shorter is a prefix of the longer
-    ends = res.lexicon.fewest_words(fold_letters(index.text), index.char_start_unit)
+    ends = res.lexicon.fewest_words(index.letters, index.char_start_unit)
     if ends is None or len(ends) < 2:
         return None
     cuts = [0] + [index.char_of_unit(u) for u in ends]
@@ -292,9 +294,12 @@ _DETECTORS = (
 def classify_token(token: Token, res: Resources) -> ClassificationResult:
     """Classify one non-analyzable token; all firing detectors are kept
     as candidates and the first becomes the primary category."""
-    if is_analyzable(token, res.lexicon):
+    letters = fold_letters(token.surface) if token.cls is TokenClass.HANGUL else None
+    if res.lexicon.is_word(letters) if letters else is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
     index = TextIndex(token.surface, res.lexicon)
+    if letters:
+        index.letters = letters  # fills the cached property the detectors read
     candidates: list[Candidate] = []
     suggestion: str | None = None
     for detect, classes in _DETECTORS:

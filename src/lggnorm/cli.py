@@ -234,6 +234,11 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+MAX_STATES_HELP = ("cap on the states a graph builds before epsilon removal "
+                   "(default: %(default)s); a graph can need more than the "
+                   "'states' line of its compiled dump shows")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lggnorm",
                      description="Detect, classify and normalize non-standard "
@@ -255,7 +260,8 @@ def build_parser() -> _Parser:
                        help="comma-separated grammar priority order")
         if anchor:  # classify scans no text with the grammars
             p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
-        p.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
+        p.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
+                       metavar="N", help=MAX_STATES_HELP)
 
     p = sub.add_parser("tokenize", help="emit classified token spans as TSV")
     add_inputs(p)
@@ -307,7 +313,8 @@ def build_parser() -> _Parser:
         gp = gsub.add_parser(name)
         gp.add_argument("file")
         if name == "compile":  # validate compiles nothing
-            gp.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
+            gp.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
+                            metavar="N", help=MAX_STATES_HELP)
         gp.set_defaults(func=cmd_graph)
 
     return parser

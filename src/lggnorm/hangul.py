@@ -12,13 +12,14 @@ distance alphabet: ``distance_key`` differs from ``fold_letters`` only in
 that a compatibility letter outside any syllable becomes a 1-tuple, so
 the ㅋ of "ㅋㅋ" never equals the ㅋ of 크 and emoticon-style tokens
 survive verbatim.
+
+Units and letters each take one ``str.translate`` of the text, through a
+table that gains a character's entry the first time a text holds it.
 """
 
 from __future__ import annotations
 
 import enum
-import re
-import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -131,20 +132,40 @@ def is_compat_jamo(ch: str) -> bool:
     return len(ch) == 1 and COMPAT_FIRST <= ord(ch) <= COMPAT_LAST
 
 
-_SYLLABLE_RUN = re.compile(f"[{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}]+")
+class _SyllableTable(dict):
+    """A ``str.translate`` table filled on first use: a syllable maps to
+    ``spell(initial, medial, final)`` of its indices (final 0 = none), any
+    other character to itself.  Only the characters met get an entry, not
+    all 11,172 syllables; a character past the Basic Multilingual Plane
+    gets none, so the table never outgrows 65,536 entries."""
+
+    def __init__(self, spell):
+        super().__init__()
+        self._spell = spell
+
+    def __missing__(self, cp: int) -> str:
+        if SYLLABLE_BASE <= cp <= SYLLABLE_LAST:
+            ini, rest = divmod(cp - SYLLABLE_BASE, MEDIAL_COUNT * FINAL_COUNT)
+            out = self._spell(ini, *divmod(rest, FINAL_COUNT))
+        else:
+            out = chr(cp)
+        if cp <= 0xFFFF:
+            self[cp] = out
+        return out
 
 
-def _decompose_run(m: re.Match) -> str:
-    # a syllable's canonical decomposition is its conjoining initial,
-    # medial and optional final; jamo never reorder under NFD
-    return unicodedata.normalize("NFD", m.group())
+# a syllable's conjoining initial, medial and optional final, and their letters
+_UNITS = _SyllableTable(lambda i, m, f: chr(INITIAL_BASE + i) + chr(MEDIAL_BASE + m)
+                        + (chr(FINAL_BASE + f) if f else ""))
+_LETTERS = _SyllableTable(lambda i, m, f: INITIAL_LETTERS[i] + MEDIAL_LETTERS[m]
+                          + (FINAL_LETTERS[f - 1] if f else ""))
 
 
 def jamo_units(text: str) -> str:
     """``text`` as a string of jamo units, one character per unit: each
     precomposed syllable becomes its conjoining initial, medial and
     optional final, every other character stays as it is."""
-    return _SYLLABLE_RUN.sub(_decompose_run, text)
+    return text.translate(_UNITS)
 
 
 def unit_offsets(text: str) -> list[int]:
@@ -270,37 +291,24 @@ def from_jamo_seq(seq: JamoSeq) -> str:
     return "".join(out)
 
 
-# characters that keep their identity outside a syllable: stray
-# conjoining jamo, and in distance_key also compatibility letters
-_STRAY = re.compile("[\u1100-\u11ff]")
-_STRAY_OR_COMPAT = re.compile(f"[\u1100-\u11ff{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}]")
-
-
-def _letters(s: str, standalone: re.Pattern) -> tuple:
-    """jamo_units(s) with each positional jamo turned into its letter, one
-    tuple item per unit; a character of ``s`` outside any syllable that
-    ``standalone`` matches stays itself, or a 1-tuple for a compatibility
-    letter."""
-    units = jamo_units(s).translate(_LETTER_OF_UNIT)
-    if standalone.search(s) is None:
-        return tuple(units)
-    out = list(units)
-    for ch, start in zip(s, unit_offsets(s)):
-        if standalone.match(ch):
-            out[start] = (ch,) if is_compat_jamo(ch) else ch
-    return tuple(out)
+_COMPAT_LETTERS = frozenset(map(chr, range(COMPAT_FIRST, COMPAT_LAST + 1)))
 
 
 def fold_letters(s: str) -> tuple[str, ...]:
-    """Letter-level key for dictionary lookup: positional and compat jamo
-    with the same letter fold together, other characters stay themselves."""
-    return _letters(s, _STRAY)
+    """Letter-level key for dictionary lookup: jamo_units(s) with each
+    positional jamo turned into its letter, one item per unit, so
+    positional and compat jamo with the same letter fold together; other
+    characters, stray conjoining jamo among them, stay themselves."""
+    return tuple(s.translate(_LETTERS))
 
 
 def distance_key(s: str) -> tuple:
     """Unit-comparison key for key_distance: the letters of ``s``, with a
     compatibility letter outside any syllable as a 1-tuple."""
-    return _letters(s, _STRAY_OR_COMPAT)
+    if _COMPAT_LETTERS.isdisjoint(s):
+        return tuple(s.translate(_LETTERS))
+    return tuple(unit for ch in s
+                 for unit in (((ch,),) if ch in _COMPAT_LETTERS else _LETTERS[ord(ch)]))
 
 
 def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:

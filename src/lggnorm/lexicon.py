@@ -10,14 +10,17 @@ A token is analyzable when at least one segmentation into dictionary
 entries satisfies the part-of-speech concatenation rules; classification
 treats the complement — the non-analyzable tokens — as its problem space.
 
+The concatenation rules compile to one integer transition table,
+RuleAutomaton: a rule state is a row number and a part of speech a
+column, ``Pos.index``; trie nodes keep their parts of speech as indices.
 Analyses, the analysability test and the fewest-words split all walk
 the letter trie over (unit, rule state) pairs, each expanded once, so the
 work per token is bounded by units × trie depth × rule states.  The
 fewest-words split reads the lattice with its edges; analyses mask the
 segment counts that finish the key from each pair and are then yielded
 lazily, so the first costs one pass over the lattice.  The analysability
-test steps the rule state once per part of speech at a trie node, keeps
-no edges and stops at the first complete segmentation.
+test reads one table row per pair and one cell per part of speech at a
+trie node, keeps no edges and stops at the first complete segmentation.
 FormSearch, the classifier's deviant-spelling search, walks the same
 trie; KeyTrie holds the classifier's side dictionaries, and both grow
 their edit-distance rows with BandedRows.  No other module reads a trie
@@ -38,6 +41,9 @@ from .tokenizer import Token, TokenClass
 
 
 class Pos(enum.Enum):
+    """A part of speech; ``index`` is its place in the declaration, the
+    column of rule tables."""
+
     N = "N"
     V = "V"
     ADJ = "ADJ"
@@ -49,9 +55,12 @@ class Pos(enum.Enum):
     XSV = "XSV"  # verbalizing suffix (하다/되다 pattern)
     PROPER = "PROPER"
 
+    def __init__(self, value):
+        self.index = len(type(self)._member_names_)  # the members declared before
+
 
 POS_NAMES = frozenset(p.value for p in Pos)
-POS_BIT = {p: 1 << i for i, p in enumerate(Pos)}
+_NAME_OF_INDEX = tuple(p.value for p in Pos)
 
 DEFAULT_CONCAT_RULES = (
     "N JOSA*",
@@ -117,8 +126,8 @@ class _TrieNode:
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
         self.entries: list[DictEntry] = []
-        self.pos: list[Pos] = []  # distinct parts of speech of the entries
-        self.below = 0  # POS_BIT mask of the parts of speech in the subtree
+        self.pos: list[int] = []  # distinct Pos.index of the entries
+        self.below = 0  # bit Pos.index set for each part of speech in the subtree
 
 
 class _RulePattern:
@@ -143,41 +152,57 @@ class _RulePattern:
 
 
 class RuleAutomaton:
-    """The part-of-speech sequences some concatenation rule accepts.  A
-    state is the frozenset of (rule, atom) positions reached, empty once
-    no rule fits; steps are memoized."""
+    """The part-of-speech sequences some concatenation rule accepts, as a
+    deterministic automaton over integer states.
+
+    The states are numbered at construction by a breadth-first subset
+    construction (Mohri 1997, "Finite-state transducers in language and
+    speech processing") over the sets of (rule, atom) positions reached,
+    each set a bit mask: ``table[state][pos.index]`` is the state after one
+    more morpheme, ``final[state]`` whether some rule is complete.  State
+    0 is the dead state, where no rule fits; ``start`` is 1.
+    """
 
     def __init__(self, rules: Iterable[str]):
-        self._rules = [_RulePattern(r) for r in rules]
-        self.start = frozenset((r, i) for r, rule in enumerate(self._rules)
-                               for i in rule.skip(0))
-        self.finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
-        self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
+        patterns = [_RulePattern(r) for r in rules]
+        bit = {}  # (rule, atom) position -> its bit; atom len(atoms) ends the rule
+        for r, rule in enumerate(patterns):
+            for i in range(len(rule.atoms) + 1):
+                bit[r, i] = 1 << len(bit)
+
+        def reach(r: int, i: int) -> int:
+            return sum(bit[r, j] for j in patterns[r].skip(i))
+
+        # (position bit, Pos.index, positions one morpheme of that part of speech reaches)
+        moves = [(bit[r, i], pos.index, reach(r, i + 1) | (bit[r, i] if repeat else 0))
+                 for r, rule in enumerate(patterns)
+                 for i, (pos, _, repeat) in enumerate(rule.atoms)]
+        ends = sum(bit[r, len(rule.atoms)] for r, rule in enumerate(patterns))
+        masks = [0, sum(reach(r, 0) for r in range(len(patterns)))]
+        number = {mask: state for state, mask in enumerate(masks)}
+        self.start = 1
+        self.table: list[tuple[int, ...]] = []
+        for mask in masks:  # grows as new position sets are met
+            row = [0] * len(Pos)
+            for b, p, reached in moves:
+                if mask & b:
+                    row[p] |= reached
+            for nxt in row:
+                if nxt not in number:
+                    number[nxt] = len(masks)
+                    masks.append(nxt)
+            self.table.append(tuple(number[nxt] for nxt in row))
+        self.final = [bool(mask & ends) for mask in masks]
         # morphemes in the longest sequence accepted; None when a rule repeats
         self.max_morphemes = (
-            None if any(atom[2] for rule in self._rules for atom in rule.atoms)
-            else max((len(rule.atoms) for rule in self._rules), default=0))
-
-    def step(self, state: frozenset, pos: Pos) -> frozenset:
-        """Rule state after one more morpheme of ``pos``."""
-        try:
-            return self._steps[state, pos]
-        except KeyError:
-            nxt = set()
-            for r, i in state:
-                atoms = self._rules[r].atoms
-                if i < len(atoms) and atoms[i][0] is pos:
-                    nxt.update((r, j) for j in self._rules[r].skip(i + 1))
-                    if atoms[i][2]:
-                        nxt.add((r, i))
-            self._steps[state, pos] = frozenset(nxt)
-            return self._steps[state, pos]
+            None if any(atom[2] for rule in patterns for atom in rule.atoms)
+            else max((len(rule.atoms) for rule in patterns), default=0))
 
     def accepts(self, seq: tuple[Pos, ...]) -> bool:
         state = self.start
         for pos in seq:
-            state = self.step(state, pos)
-        return bool(seq) and not state.isdisjoint(self.finals)
+            state = self.table[state][pos.index]
+        return bool(seq) and self.final[state]
 
 
 @dataclass
@@ -205,8 +230,8 @@ class Lexicon:
         self.max_key_len = 0  # letters in the longest surface
         self.concat_rules = tuple(concat_rules)
         self._rules = RuleAutomaton(self.concat_rules)
-        self._start, self._finals, self._step = (
-            self._rules.start, self._rules.finals, self._rules.step)
+        self._start, self._table, self._final = (
+            self._rules.start, self._rules.table, self._rules.final)
         for e in entries:
             self._insert(e)
 
@@ -216,13 +241,13 @@ class Lexicon:
         self._entries.append(entry)
         key = fold_letters(entry.surface)
         self.max_key_len = max(self.max_key_len, len(key))
-        node, bit = self._root, POS_BIT[entry.pos]
+        node, p = self._root, entry.pos.index
         for letter in key:
             node = node.children.setdefault(letter, _TrieNode())
-            node.below |= bit
+            node.below |= 1 << p
         node.entries.append(entry)
-        if entry.pos not in node.pos:
-            node.pos.append(entry.pos)
+        if p not in node.pos:
+            node.pos.append(p)
 
     def __len__(self):
         return len(self._entries)
@@ -254,38 +279,52 @@ class Lexicon:
         """Every (unit, rule state) pair reachable from the start state at
         the ``starts`` units, with its edges (entry, next pair) in
         iter_prefix_entries order.  Each pair is expanded once."""
-        edges: dict[tuple[int, frozenset], list] = {}
+        root, table, n = self._root, self._table, len(key)
+        edges: dict[tuple[int, int], list] = {}
         stack = [(u, self._start) for u in starts]
         while stack:
             pair = stack.pop()
-            if pair not in edges:
-                steps = [(e, (end, self._step(pair[1], e.pos)))
-                         for end, e in self.iter_prefix_entries(key, pair[0])]
-                edges[pair] = [(e, dst) for e, dst in steps if dst[1]]
-                stack.extend(dst for _, dst in edges[pair])
+            if pair in edges:
+                continue
+            unit, state = pair
+            row = table[state]
+            out = edges[pair] = []
+            node = root
+            for end in range(unit + 1, n + 1):
+                node = node.children.get(key[end - 1])
+                if node is None:
+                    break
+                for e in node.entries:
+                    nxt = row[e.pos.index]
+                    if nxt:
+                        out.append((e, (end, nxt)))
+            stack.extend(dst for _, dst in out)
         return edges
 
     def _word_walk(self, key: tuple[str, ...], goal: int | None) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends;
         stops as soon as one ends at ``goal``.  Walks the (unit, rule
-        state) pairs of ``lattice`` without its edges, stepping the rule
-        state once per part of speech at a trie node."""
+        state) pairs of ``lattice`` without its edges, reading the rule
+        state's table row once per pair and one cell per part of speech
+        at a trie node."""
+        root, table, final, n = self._root, self._table, self._final, len(key)
         ends: set[int] = set()
         seen = {(0, self._start)}
         stack = [(0, self._start)]
         while stack:
             unit, state = stack.pop()
-            node = self._root
-            for end in range(unit + 1, len(key) + 1):
+            row = table[state]
+            node = root
+            for end in range(unit + 1, n + 1):
                 node = node.children.get(key[end - 1])
                 if node is None:
                     break
-                for pos in node.pos:
-                    nxt = self._step(state, pos)
+                for p in node.pos:
+                    nxt = row[p]
                     if nxt and (end, nxt) not in seen:
                         seen.add((end, nxt))
                         stack.append((end, nxt))
-                        if not nxt.isdisjoint(self._finals):
+                        if final[nxt]:
                             ends.add(end)
                             if end == goal:
                                 return ends
@@ -306,17 +345,18 @@ class Lexicon:
         None when no such split exists.  A shortest path over the lattice
         from all starts, settled right to left."""
         edges = self.lattice(key, starts[:-1])
+        start, final = self._start, self._final
         aligned = set(starts)
         # (words, end of the first word) of the best split from a start,
         # and of the best way to finish the word under way at a pair
         rest = {starts[-1]: (0, starts[-1])}
         ahead = {}
-        for pair in sorted(edges, key=lambda p: (-p[0], p[1] != self._start)):
+        for pair in sorted(edges, key=lambda p: (-p[0], p[1] != start)):
             unit, state = pair
             ranks = [ahead[dst] for _, dst in edges[pair] if dst in ahead]
-            if ranks and unit in aligned and state == self._start:
+            if ranks and unit in aligned and state == start:
                 rest[unit] = min(ranks)
-            if unit in rest and not state.isdisjoint(self._finals):
+            if unit in rest and final[state]:
                 ranks.append((rest[unit][0] + 1, unit))
             if ranks:
                 ahead[pair] = min(ranks)
@@ -333,21 +373,22 @@ class Lexicon:
         groups of edges of one (surface, POS, lemma) enters only the groups
         whose next pair can finish in the segments left."""
         edges = self.lattice(key)
-        counts: dict[tuple[int, frozenset], int] = {}  # bit n: can finish in n segments
+        counts: dict[tuple[int, int], int] = {}  # bit n: can finish in n segments
         for pair in sorted(edges, key=lambda p: -p[0]):
-            mask = pair[0] == len(key) > 0 and not pair[1].isdisjoint(self._finals)
+            mask = pair[0] == len(key) > 0 and self._final[pair[1]]
             for _, dst in edges[pair]:
                 mask |= counts[dst] << 1
             counts[pair] = mask
-        groups: dict[tuple[int, frozenset], list] = {}  # pair -> [(segments, next pair)]
+        groups: dict[tuple[int, int], list] = {}  # pair -> [(segments, next pair)]
 
         def grouped(pair):
             if pair not in groups:
-                by_key: dict[tuple, tuple[list, tuple]] = {}
+                by_key: dict[tuple, tuple[list, tuple]] = {}  # (surface, Pos.index, lemma)
                 for e, dst in edges[pair]:
-                    group = by_key.setdefault((e.surface, e.pos.value, e.lemma), ([], dst))
+                    group = by_key.setdefault((e.surface, e.pos.index, e.lemma), ([], dst))
                     group[0].append((e.surface, e))
-                groups[pair] = [by_key[k] for k in sorted(by_key)]
+                groups[pair] = [by_key[k] for k in sorted(
+                    by_key, key=lambda k: (k[0], _NAME_OF_INDEX[k[1]], k[2]))]
             return groups[pair]
 
         start = (0, self._start)
@@ -482,16 +523,16 @@ class FormSearch:
         # letters in the longest form: one entry per morpheme of a rule
         n = rules.max_morphemes
         self.max_letters = math.inf if n is None else n * lexicon.max_key_len
-        self.moves: dict[tuple[frozenset, object], tuple | None] = {}
+        self.moves: dict[tuple[int, object], tuple | None] = {}
 
-    def _moves(self, state: frozenset, node) -> tuple | None:
+    def _moves(self, state: int, node) -> tuple | None:
         try:
             return self.moves[state, node]
         except KeyError:
-            targets = tuple((s, not s.isdisjoint(self.rules.finals),
-                             self._moves(s, self.root) is not None)
-                            for s in {self.rules.step(state, pos) for pos in node.pos} if s)
-            takes = sum(bit for pos, bit in POS_BIT.items() if self.rules.step(state, pos))
+            row, final = self.rules.table[state], self.rules.final
+            targets = tuple((s, final[s], self._moves(s, self.root) is not None)
+                            for s in dict.fromkeys(row[p] for p in node.pos) if s)
+            takes = sum(1 << p for p, s in enumerate(row) if s)
             kids = {letter: child for letter, child in node.children.items()
                     if child.below & takes}
             got = (targets, kids) if targets or kids else None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import unicodedata
 from functools import lru_cache
 from unittest import mock
 
@@ -14,11 +15,11 @@ from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
                              _library_by_name, _validate_structure, parse_graph, validate)
-from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_LETTERS, INITIAL_LETTERS,
-                            MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo, JamoKind,
-                            JamoSeq, compat, compose_letters, distance_key, final,
+from lggnorm.hangul import (_LETTER_OF_UNIT, COMPAT_FIRST, COMPAT_LAST, FINAL_LETTERS,
+                            INITIAL_LETTERS, MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo,
+                            JamoKind, JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
-                            medial)
+                            medial, unit_offsets)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
 from lggnorm.tokenizer import (PUNCT_CHARS, Token, TokenClass, TokenStream, byte_offsets,
                                tokenize)
@@ -146,6 +147,38 @@ def distance_key_by_unit(s: str) -> tuple:
             return ("jamo", letter(u))
         return ("char", u)
     return tuple(key(u) for u in jamo_seq(s).units)
+
+
+_SYLLABLE_RUN = re.compile(f"[{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}]+")
+
+
+def jamo_units_by_nfd(text: str) -> str:
+    """Each run of syllables replaced by its canonical decomposition, the
+    conjoining initial, medial and optional final of each syllable."""
+    return _SYLLABLE_RUN.sub(lambda m: unicodedata.normalize("NFD", m.group()), text)
+
+
+def _letters_by_regex(s: str, standalone: re.Pattern) -> tuple:
+    units = jamo_units_by_nfd(s).translate(_LETTER_OF_UNIT)
+    if standalone.search(s) is None:
+        return tuple(units)
+    out = list(units)
+    for ch, start in zip(s, unit_offsets(s)):
+        if standalone.match(ch):
+            out[start] = (ch,) if is_compat_jamo(ch) else ch
+    return tuple(out)
+
+
+def fold_letters_by_regex(s: str) -> tuple[str, ...]:
+    """jamo_units_by_nfd(s) with each unit turned into its letter, where
+    a stray conjoining jamo of ``s`` stays itself."""
+    return _letters_by_regex(s, re.compile("[\u1100-\u11ff]"))
+
+
+def distance_key_by_regex(s: str) -> tuple:
+    """fold_letters_by_regex, where also a compatibility letter of ``s``
+    becomes a 1-tuple."""
+    return _letters_by_regex(s, re.compile(f"[\u1100-\u11ff{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}]"))
 
 
 def text_offsets(text: str):
@@ -892,5 +925,33 @@ def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
 
 def word_ends_by_lattice(lexicon: Lexicon, key: tuple[str, ...]) -> set[int]:
     """Lexicon.word_ends read off the whole lattice, edges included."""
-    return {u for u, state in lexicon.lattice(key)
-            if u and not state.isdisjoint(lexicon._finals)}
+    return {u for u, state in lexicon.lattice(key) if u and lexicon._final[state]}
+
+
+class PositionSetAutomaton:
+    """The concatenation rules as sets of (rule, atom) positions: a state
+    is the frozenset of positions reached, empty once no rule fits; steps
+    are memoized."""
+
+    def __init__(self, rules):
+        self._rules = [_RulePattern(r) for r in rules]
+        self.start = frozenset((r, i) for r, rule in enumerate(self._rules)
+                               for i in rule.skip(0))
+        self.finals = frozenset((r, len(rule.atoms)) for r, rule in enumerate(self._rules))
+        self._steps: dict[tuple[frozenset, Pos], frozenset] = {}
+
+    def step(self, state: frozenset, pos: Pos) -> frozenset:
+        """Rule state after one more morpheme of ``pos``."""
+        if (state, pos) not in self._steps:
+            nxt = set()
+            for r, i in state:
+                atoms = self._rules[r].atoms
+                if i < len(atoms) and atoms[i][0] is pos:
+                    nxt.update((r, j) for j in self._rules[r].skip(i + 1))
+                    if atoms[i][2]:
+                        nxt.add((r, i))
+            self._steps[state, pos] = frozenset(nxt)
+        return self._steps[state, pos]
+
+    def is_final(self, state: frozenset) -> bool:
+        return not state.isdisjoint(self.finals)

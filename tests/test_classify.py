@@ -224,6 +224,43 @@ def test_classify_corpus_keys_each_type_at_most_once(classifier_resources, infor
     assert out.results and len(calls) <= len(out.results)
 
 
+def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, informal_text,
+                                                     monkeypatch):
+    # the analysability test, the 하-root and the spacing split share the
+    # TextIndex's letters; only a suggestion's words are folded besides
+    import lggnorm.apply as apply_module
+    import lggnorm.classify as classify_module
+    import lggnorm.lexicon as lexicon_module
+
+    folds = {"token": 0, "suggestion": 0}
+    suggested_words = []
+    inside = []
+
+    def counting(s):
+        folds["suggestion" if inside else "token"] += 1
+        return fold_letters(s)
+
+    suggestion_ok = classify_module._suggestion_ok
+
+    def counting_suggestion_ok(s, lexicon):
+        suggested_words.extend(s.split(" "))
+        inside.append(s)
+        try:
+            return suggestion_ok(s, lexicon)
+        finally:
+            inside.pop()
+
+    for module in (apply_module, classify_module, lexicon_module):
+        monkeypatch.setattr(module, "fold_letters", counting)
+    monkeypatch.setattr(classify_module, "_suggestion_ok", counting_suggestion_ok)
+    stream = tokenize(informal_text)
+    out = classify_corpus(stream, classifier_resources)
+    hangul_types = {t.surface for t in stream if t.cls is TokenClass.HANGUL}
+    assert out.results and suggested_words
+    assert folds["token"] == len(hangul_types)
+    assert 0 < folds["suggestion"] <= len(suggested_words)
+
+
 def test_suggestions_are_analyzable(classifier_resources, informal_text):
     from lggnorm.classify import _suggestion_ok
 

@@ -506,6 +506,16 @@ def test_a_state_cap_overflow_names_its_graph(capsys):
     assert err == "error: graph 'Abbrev': state count exceeded cap 10\n"
 
 
+def test_max_states_help_says_the_cap_counts_states_before_epsilon_removal():
+    # abbr.lgg needs cap 16 although its dump's states line reads 12
+    r = subprocess.run([sys.executable, "-m", "lggnorm", "graph", "compile", "--help"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    text = " ".join(r.stdout.split())
+    assert "--max-states N cap on the states a graph builds before epsilon removal" in text
+    assert "a graph can need more than the 'states' line of its compiled dump shows" in text
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "validate", "{lgg}"],
     ["normalize", *DICT_ARGS, "--mode", "merge", "--grammars", "{grammars}", "{corpus}"],

@@ -1,6 +1,8 @@
 """The jamo unit string and every key and offset derived from it, checked
 against the one-Jamo-object-per-unit encodings kept in oracles.py."""
 
+import subprocess
+import sys
 import unicodedata
 
 from hypothesis import given, settings
@@ -20,9 +22,12 @@ from lggnorm.hangul import (
 )
 from oracles import (
     char_index_of_unit,
+    distance_key_by_regex,
     distance_key_by_unit,
+    fold_letters_by_regex,
     fold_letters_by_unit,
     jamo_seq,
+    jamo_units_by_nfd,
     letter,
     text_offsets,
     unit_symbols,
@@ -101,3 +106,28 @@ def test_stray_jamo_stay_apart_from_syllable_jamo():
     assert jamo_edit_distance("\u1100\u1161", "가") == 2
     assert jamo_edit_distance("가\u11a8", "각") == 1
     assert jamo_edit_distance("각", "가기") == 1  # a final still meets its initial
+
+
+# every syllable, every conjoining jamo and every compatibility letter
+TABLE_CHARS = [chr(cp) for block in ((0xAC00, 0xD7A3), (0x1100, 0x11FF), (0x3131, 0x318E))
+               for cp in range(block[0], block[1] + 1)]
+
+
+def test_tables_match_the_regex_and_nfd_reference_on_every_jamo_character():
+    for ch in TABLE_CHARS:
+        assert jamo_units(ch) == jamo_units_by_nfd(ch), ch
+        assert fold_letters(ch) == fold_letters_by_regex(ch), ch
+        assert distance_key(ch) == distance_key_by_regex(ch), ch
+    text = "a".join(TABLE_CHARS)
+    assert jamo_units(text) == jamo_units_by_nfd(text)
+    assert fold_letters(text) == fold_letters_by_regex(text)
+    assert distance_key(text) == distance_key_by_regex(text)
+
+
+def test_tables_are_empty_after_import():
+    # the tables fill on first use; the package and its CLI fill none on import
+    code = ("import lggnorm, lggnorm.cli; from lggnorm import hangul; "
+            "print(len(hangul._UNITS), len(hangul._LETTERS))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 0\n"

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import pytest
 
 from lggnorm.apply import TextIndex
-from lggnorm.classify import Resources, _detect_spacing, _hada_root
+from lggnorm.classify import DEVIANT_RULES, Resources, _detect_spacing, _hada_root
 from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compose_letters, fold_letters
-from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, _RulePattern,
-                             is_analyzable)
+from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, RuleAutomaton,
+                             _RulePattern, is_analyzable)
 from lggnorm.resources import load_lexicon
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import (analyze_key_by_recursion, hada_root_by_suffixes, rule_positions,
-                     spacing_by_substrings, word_ends_by_lattice)
+from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_by_suffixes,
+                     rule_positions, spacing_by_substrings, word_ends_by_lattice)
 
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
@@ -153,13 +153,18 @@ def test_word_walk_expands_each_pair_once():
     # each (unit, rule state) pair once
     lexicon = Lexicon([DictEntry("가", "가", Pos.N), DictEntry("가", "가", Pos.JOSA),
                        DictEntry("가가", "가가", Pos.JOSA)])
-    steps = []
-    step = lexicon._step
-    lexicon._step = lambda state, pos: steps.append(pos) or step(state, pos)
+    rows = []
+
+    class CountingTable(list):
+        def __getitem__(self, state):
+            rows.append(state)
+            return super().__getitem__(state)
+
+    lexicon._table = CountingTable(lexicon._table)
     key = fold_letters("가" * 24 + "ㅋ")
     assert lexicon.word_ends(key) == set(range(2, 49, 2))
     assert not lexicon.is_word(key)
-    assert len(steps) < 400
+    assert len(rows) < 400
 
 
 @pytest.mark.parametrize("surface, rules", [
@@ -189,6 +194,39 @@ def test_rule_automaton_matches_position_sets(rules, seq):
     expected = bool(seq) and any(len(r.atoms) in rule_positions(r, seq)
                                  for r in map(_RulePattern, rules))
     assert lexicon.pos_seq_allowed(seq) == expected
+
+
+def assert_table_matches_position_sets(rules):
+    """Each state of the table stands for one position set of the oracle,
+    matched from the start states: every row cell is the oracle's step and
+    every final flag the oracle's, and no two states share a set."""
+    automaton, oracle = RuleAutomaton(rules), PositionSetAutomaton(rules)
+    assert automaton.table[0] == (0,) * len(Pos) and not automaton.final[0]
+    set_of = {0: frozenset(), automaton.start: oracle.start}
+    todo = [automaton.start]
+    while todo:
+        state = todo.pop()
+        for pos in Pos:
+            nxt, want = automaton.table[state][pos.index], oracle.step(set_of[state], pos)
+            if nxt not in set_of:
+                set_of[nxt] = want
+                todo.append(nxt)
+            assert set_of[nxt] == want, (rules, state, pos)
+    assert len(set(set_of.values())) == len(set_of) == len(automaton.table) == len(automaton.final)
+    assert all(automaton.final[s] == oracle.is_final(set_of[s]) for s in set_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=concat_rules)
+def test_rule_table_matches_position_sets(rules):
+    assert_table_matches_position_sets(rules)
+
+
+@pytest.mark.parametrize("rules", [DEFAULT_CONCAT_RULES, DEVIANT_RULES],
+                         ids=["default", "deviant"])
+def test_rule_tables_of_the_bundled_rules(rules):
+    assert_table_matches_position_sets(rules)
+    assert len(RuleAutomaton(rules).table) == 1 + 13  # the dead state and 13 live ones
 
 
 def test_duplicate_entries_keep_dictionary_order():

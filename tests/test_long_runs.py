@@ -62,6 +62,21 @@ def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
     assert [s for s, _ in best.segments] == ["가"] + ["아아"] * 1000
 
 
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_lattice_of_a_verb_with_n_endings_holds_a_pair_per_ending(n):
+    # a count, so it holds on any host: 가/V, then one (unit, rule state)
+    # pair per 아 ending, n + 2 in all
+    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    assert len(lexicon.lattice(fold_letters("가" + "아" * n))) <= n + 10
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_lattice_of_a_noun_with_n_josas_holds_a_pair_per_syllable(n):
+    # 가 is a noun and a josa: one pair per 가, n + 1 in all; the ㅋ ends none
+    lexicon = load_dictionary(["가,가.N", "가,가.JOSA"])
+    assert len(lexicon.lattice(fold_letters("가" * n + "ㅋ"))) <= n + 10
+
+
 def test_first_ten_analyses_of_a_verb_with_24_endings_within_a_twentieth_of_a_second():
     # 가 + 24 아 has Fibonacci(25) = 75,025 analyses; the first ten come
     # without building the others
