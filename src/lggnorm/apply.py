@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +20,7 @@ from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .grammar import TAG_PATTERN
 from .hangul import distance_key, fold_letters, jamo_units, unit_offsets
 from .lexicon import Lexicon
-from .tokenizer import Token, TokenClass, byte_offsets, tokenize
+from .tokenizer import TokenClass, token_spans, utf8_offsets
 
 
 class Mode(enum.Enum):
@@ -51,26 +51,22 @@ class ApplyConfig:
 
 
 class TextIndex:
-    """Jamo units of a text plus the unit/char/byte/token cross-references,
-    and its letters ``letters`` and distance key ``key``, each computed on
-    first read (by classify)."""
+    """Jamo units of a text and its unit/char/token cross-references (no
+    byte offsets), and its letters ``letters`` and distance key ``key``,
+    each computed on first read (by classify).  ``spans`` are the tokens,
+    (start char, end char, class); the tokenizer's regex finds them if None."""
 
-    def __init__(self, text: str, lexicon: Lexicon | None = None):
+    def __init__(self, text: str, lexicon: Lexicon | None = None, spans=None):
         self.text = text
         self.lexicon = lexicon
         self.units = jamo_units(text)
-        # unit and byte offset of each character, then the totals
-        self.char_start_unit = unit_offsets(text)
-        self.byte_of_char = byte_offsets(text)
-        self.char_aligned = set(self.char_start_unit)
-
-        self.token_at_unit: dict[int, Token] = {}
-        self.token_end_unit: dict[int, int] = {}
-        for tok in tokenize(text):
-            start_char = bisect_left(self.byte_of_char, tok.start)
-            u = self.char_start_unit[start_char]
-            self.token_at_unit[u] = tok
-            self.token_end_unit[u] = self.char_start_unit[start_char + len(tok.surface)]
+        # unit offset of each character, then the unit count
+        self.char_start_unit = starts = unit_offsets(text)
+        self.char_aligned = set(starts)
+        # start unit of each token -> (surface, class, end unit)
+        self.token_at_unit: dict[int, tuple[str, TokenClass, int]] = {
+            starts[start]: (text[start:end], cls, starts[end])
+            for start, end, cls in (token_spans(text) if spans is None else spans)}
         self._single_pos: dict[int, frozenset[str]] = {}
 
     @cached_property
@@ -93,10 +89,9 @@ class TextIndex:
     def single_pos(self, unit: int) -> frozenset[str]:
         """POS names under which the token starting here is one bare word."""
         if unit not in self._single_pos:
-            tok = self.token_at_unit.get(unit)
-            entries = (self.lexicon.lookup(tok.surface)
-                       if tok is not None and tok.cls is TokenClass.HANGUL and self.lexicon
-                       else ())
+            surface, cls, _ = self.token_at_unit.get(unit, (None, None, None))
+            entries = (self.lexicon.lookup(surface)
+                       if cls is TokenClass.HANGUL and self.lexicon else ())
             self._single_pos[unit] = frozenset(
                 e.pos.value for e in entries if self.lexicon.pos_seq_allowed((e.pos,)))
         return self._single_pos[unit]
@@ -110,7 +105,7 @@ class TextIndex:
         if symbol == TOKEN_BOUNDARY:
             return unit + 1 if self.units[unit].isspace() else None
         if symbol[1:-1] in self.single_pos(unit):
-            return self.token_end_unit[unit]
+            return self.token_at_unit[unit][2]
         return None
 
 
@@ -173,7 +168,7 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
 
     index = TextIndex(text, lexicon)
     positions = index.scan_positions(config.anchor)
-    matches: list[Match] = []
+    spans: list[tuple[int, int, str, Fst]] = []  # characters, output, grammar
     i = 0
     while i < len(positions):
         pos = positions[i]
@@ -186,19 +181,14 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
             i += 1
             continue
         end_unit, output, fst = chosen
-        start_char = index.char_of_unit(pos)
-        end_char = index.char_of_unit(end_unit)
-        matches.append(Match(
-            start=index.byte_of_char[start_char],
-            end=index.byte_of_char[end_char],
-            surface=text[start_char:end_char],
-            output=output,
-            grammar=fst.name,
-            tag=fst.tag,
-        ))
+        spans.append((index.char_of_unit(pos), index.char_of_unit(end_unit), output, fst))
         while i < len(positions) and positions[i] < end_unit:
             i += 1
-    return matches
+    # the spans ascend without overlap, so their starts and ends, taken
+    # in turn, ascend too; zip reads each span's start byte, then its end
+    offsets = utf8_offsets(text, [c for start, end, _, _ in spans for c in (start, end)])
+    return [Match(start_byte, end_byte, text[start:end], output, fst.name, fst.tag)
+            for (start, end, output, fst), start_byte, end_byte in zip(spans, offsets, offsets)]
 
 
 def transform(text: str, matches: list[Match], mode: Mode) -> str:

@@ -297,7 +297,8 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     letters = fold_letters(token.surface) if token.cls is TokenClass.HANGUL else None
     if res.lexicon.is_word(letters) if letters else is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
-    index = TextIndex(token.surface, res.lexicon)
+    # the surface is one token by construction: no need to tokenize it
+    index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
     if letters:
         index.letters = letters  # fills the cached property the detectors read
     candidates: list[Candidate] = []

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .apply import Match
-from .tokenizer import byte_offsets
 
 
 class ConcordSort(enum.Enum):
@@ -35,12 +33,16 @@ class ConcordLine:
 def build_concordance(text: str, matches: list[Match], left_width: int = 24,
                       right_width: int = 24,
                       sort: ConcordSort = ConcordSort.TEXT_ORDER) -> list[ConcordLine]:
-    """One context line per match; widths count characters, not bytes."""
-    byte_of_char = byte_offsets(text)
+    """One context line per match; widths count characters, not bytes.
+    Each match's byte offset becomes a character offset by decoding the
+    bytes since the previous match, in start order."""
+    data = text.encode("utf-8")
     lines = []
-    for m in matches:
-        start = bisect_left(byte_of_char, m.start)
-        end = bisect_left(byte_of_char, m.end)
+    prev = start = 0
+    for m in sorted(matches, key=lambda m: m.start):
+        start += len(data[prev:m.start].decode("utf-8"))
+        prev = m.start
+        end = start + len(m.surface)
         left = text[max(0, start - left_width):start]
         right = text[end:end + right_width]
         lines.append(ConcordLine(left, text[start:end], right, m.start))

@@ -4,9 +4,9 @@ Each non-space character belongs to exactly one class; a token is a
 maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
 
-One compiled regex holds one group per class; ``tokenize`` finds the
-runs with it and sums byte offsets per run, not per character, and
-``char_class`` reads one character's class from the same regex.
+One compiled regex holds one group per class: ``tokenize`` sums byte
+offsets per run, ``token_spans`` reads the runs in characters, and
+``char_class`` reads one character's class.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .hangul import COMPAT_FIRST, COMPAT_LAST, SYLLABLE_BASE, SYLLABLE_LAST
 
@@ -84,15 +84,22 @@ def char_class(ch: str) -> TokenClass | None:
     return _GROUP_CLASS[_RUNS.fullmatch(ch).lastindex]
 
 
-def byte_offsets(text: str) -> list[int]:
-    """UTF-8 byte offset of each character of ``text``, plus the byte
-    length at the end."""
-    offsets = [0]
-    n = 0
-    for ch in text:
-        n += len(ch.encode("utf-8"))
-        offsets.append(n)
-    return offsets
+def token_spans(text: str) -> list[tuple[int, int, TokenClass]]:
+    """(start char, end char, class) of each token of NFC text, in order."""
+    if not unicodedata.is_normalized("NFC", text):
+        raise InvalidEncoding("input must be NFC-normalized")
+    found = ((m.start(), m.end(), _GROUP_CLASS[m.lastindex]) for m in _RUNS.finditer(text))
+    return [span for span in found if span[2] is not None]
+
+
+def utf8_offsets(text: str, chars: Iterable[int]) -> Iterator[int]:
+    """UTF-8 byte offset of each of the ascending character offsets
+    ``chars`` into ``text``: one running sum over the gaps between them."""
+    prev = byte = 0
+    for char in chars:
+        byte += len(text[prev:char].encode("utf-8"))
+        prev = char
+        yield byte
 
 
 def tokenize(text: str) -> TokenStream:

@@ -6,12 +6,14 @@ import itertools
 import random
 import re
 import unicodedata
+from bisect import bisect_left
 from functools import lru_cache
 from unittest import mock
 
 from lggnorm import fst as fst_module
 from lggnorm.apply import TextIndex
 from lggnorm.classify import Candidate, Category, Resources, _splice
+from lggnorm.concord import ConcordLine, ConcordSort
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
                              _library_by_name, _validate_structure, parse_graph, validate)
@@ -21,8 +23,7 @@ from lggnorm.hangul import (_LETTER_OF_UNIT, COMPAT_FIRST, COMPAT_LAST, FINAL_LE
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
                             medial, unit_offsets)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
-from lggnorm.tokenizer import (PUNCT_CHARS, Token, TokenClass, TokenStream, byte_offsets,
-                               tokenize)
+from lggnorm.tokenizer import PUNCT_CHARS, Token, TokenClass, TokenStream, tokenize
 
 
 def brute_levenshtein(a: tuple, b: tuple) -> int:
@@ -41,6 +42,17 @@ def brute_levenshtein(a: tuple, b: tuple) -> int:
 
 
 # ------------------------------------------------ tokenizer, per character
+
+def byte_offsets(text: str) -> list[int]:
+    """UTF-8 byte offset of each character of ``text``, plus the byte
+    length at the end: one loop over the characters."""
+    offsets = [0]
+    n = 0
+    for ch in text:
+        n += len(ch.encode("utf-8"))
+        offsets.append(n)
+    return offsets
+
 
 def char_class_by_rules(ch: str) -> TokenClass | None:
     """Class of one scalar by code-point range and str predicates; None
@@ -183,24 +195,23 @@ def distance_key_by_regex(s: str) -> tuple:
 
 def text_offsets(text: str):
     """(unit -> char, char -> start unit, char -> byte, token start unit
-    -> token end unit) of NFC text, from a byte loop and a byte -> char
-    dict."""
+    -> (surface, class, token end unit)) of NFC text, from a byte loop
+    and a byte -> char dict."""
     unit_chars = char_index_of_unit(jamo_seq(text))
     char_start_unit = []
     for i, c in enumerate(unit_chars):
         if c == len(char_start_unit):
             char_start_unit.append(i)
-    byte_of_char = [0]
-    for ch in text:
-        byte_of_char.append(byte_of_char[-1] + len(ch.encode("utf-8")))
+    byte_of_char = byte_offsets(text)
     char_of_byte = {b: i for i, b in enumerate(byte_of_char)}
-    token_end_unit = {}
+    token_at_unit = {}
     for tok in tokenize(text):
         start_char = char_of_byte[tok.start]
         end_char = start_char + len(tok.surface)
-        token_end_unit[char_start_unit[start_char]] = (
-            char_start_unit[end_char] if end_char < len(char_start_unit) else len(unit_chars))
-    return unit_chars, char_start_unit, byte_of_char, token_end_unit
+        end_unit = (char_start_unit[end_char] if end_char < len(char_start_unit)
+                    else len(unit_chars))
+        token_at_unit[char_start_unit[start_char]] = (tok.surface, tok.cls, end_unit)
+    return unit_chars, char_start_unit, byte_of_char, token_at_unit
 
 
 # ---------------------------------------------------------------- graphs
@@ -713,6 +724,29 @@ class BruteMatcher:
             while i < len(positions) and positions[i] < best[1]:
                 i += 1
         return chosen
+
+
+# ------------------------------------------- concordance, by bisection
+
+def concordance_by_bisect(text: str, matches, left_width: int, right_width: int,
+                          sort: ConcordSort) -> list[ConcordLine]:
+    """Concordance lines with each match's characters found by bisecting
+    the per-character byte table, matches taken in the order given."""
+    byte_of_char = byte_offsets(text)
+    lines = []
+    for m in matches:
+        start = bisect_left(byte_of_char, m.start)
+        end = bisect_left(byte_of_char, m.end)
+        left = text[max(0, start - left_width):start]
+        right = text[end:end + right_width]
+        lines.append(ConcordLine(left, text[start:end], right, m.start))
+    if sort is ConcordSort.KEYWORD:
+        lines.sort(key=lambda l: (l.keyword, l.offset))
+    elif sort is ConcordSort.RIGHT_CONTEXT:
+        lines.sort(key=lambda l: (l.right, l.offset))
+    else:
+        lines.sort(key=lambda l: l.offset)
+    return lines
 
 
 # ------------------------------------------------- classifier fuzzy scans

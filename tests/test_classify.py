@@ -261,6 +261,27 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
     assert 0 < folds["suggestion"] <= len(suggested_words)
 
 
+def test_classify_corpus_tokenizes_nothing(classifier_resources, informal_text, monkeypatch):
+    # a classified token is one token by construction, so its index is
+    # built from its one span: the tokenizer's run regex (behind tokenize,
+    # token_spans and char_class) is never searched.  A count, so it
+    # holds on any host
+    import lggnorm.tokenizer as tokenizer_module
+
+    runs = tokenizer_module._RUNS
+    searches = []
+
+    class CountingRuns:
+        def __getattr__(self, name):
+            searches.append(name)
+            return getattr(runs, name)
+
+    stream = tokenize(informal_text)
+    monkeypatch.setattr(tokenizer_module, "_RUNS", CountingRuns())
+    out = classify_corpus(stream, classifier_resources)
+    assert out.results and searches == []
+
+
 def test_suggestions_are_analyzable(classifier_resources, informal_text):
     from lggnorm.classify import _suggestion_ok
 

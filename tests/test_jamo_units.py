@@ -20,6 +20,7 @@ from lggnorm.hangul import (
     to_jamo_seq,
     unit_offsets,
 )
+from lggnorm.tokenizer import utf8_offsets
 from oracles import (
     char_index_of_unit,
     distance_key_by_regex,
@@ -74,15 +75,18 @@ def test_units_and_keys_match_the_per_unit_encodings(s):
 @settings(max_examples=300)
 @given(TEXT)
 def test_text_index_offsets_match_the_byte_loop(s):
+    # the index holds no bytes: the tokens it reads in characters must sit
+    # where the byte-addressed tokens do, and the running sum that turns
+    # match characters into bytes must agree with the per-character loop
     text = unicodedata.normalize("NFC", s)
     index = TextIndex(text)
-    unit_chars, char_start_unit, byte_of_char, token_end_unit = text_offsets(text)
+    unit_chars, char_start_unit, byte_of_char, token_at_unit = text_offsets(text)
     assert index.units == "".join(unit_symbols(text))
     assert [index.char_of_unit(u) for u in range(len(index.units))] == list(unit_chars)
     assert index.char_of_unit(len(index.units)) == len(text)
     assert index.char_start_unit == char_start_unit + [len(unit_chars)]
-    assert index.byte_of_char == byte_of_char
-    assert index.token_end_unit == token_end_unit
+    assert index.token_at_unit == token_at_unit
+    assert list(utf8_offsets(text, range(len(text) + 1))) == byte_of_char
 
 
 SYLLABLE_TEXT = st.text(alphabet=st.one_of(

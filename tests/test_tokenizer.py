@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lggnorm.apply import TextIndex
 from lggnorm.tokenizer import (
     PUNCT_CHARS,
     InvalidEncoding,
@@ -139,11 +140,16 @@ def test_runs_match_per_character_grouping(text):
 
 @settings(max_examples=300)
 @given(MIXED)
-def test_a_token_surface_tokenizes_to_itself(text):
-    # the classifier indexes a token by tokenizing its surface alone
+def test_a_token_surface_tokenizes_to_itself(lexicon, text):
+    # the classifier indexes a token through its one span, without
+    # tokenizing its surface: that index must equal the tokenized one
     for tok in tokenize(text):
         alone = tokenize(tok.surface).tokens
         assert alone == (tok._replace(start=0, end=tok.end - tok.start),)
+        one_span = TextIndex(tok.surface, lexicon, [(0, len(tok.surface), tok.cls)])
+        tokenized = TextIndex(tok.surface, lexicon)
+        assert one_span.token_at_unit == tokenized.token_at_unit
+        assert one_span.single_pos(0) == tokenized.single_pos(0)
 
 
 @given(NFC_SAFE)
