@@ -13,13 +13,15 @@ that a compatibility letter outside any syllable becomes a 1-tuple, so
 the ㅋ of "ㅋㅋ" never equals the ㅋ of 크 and emoticon-style tokens
 survive verbatim.
 
-Units and letters each take one ``str.translate`` of the text, through a
-table that gains a character's entry the first time a text holds it.
+Units, letters and unit offsets each take one ``str.translate`` of the
+text, through a table that gains a character's entry the first time a
+text holds it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -135,20 +137,22 @@ def is_compat_jamo(ch: str) -> bool:
 class _SyllableTable(dict):
     """A ``str.translate`` table filled on first use: a syllable maps to
     ``spell(initial, medial, final)`` of its indices (final 0 = none), any
-    other character to itself.  Only the characters met get an entry, not
-    all 11,172 syllables; a character past the Basic Multilingual Plane
-    gets none, so the table never outgrows 65,536 entries."""
+    other character to ``other(code point)``, by default itself.  Only the
+    characters met get an entry, not all 11,172 syllables; a character
+    past the Basic Multilingual Plane gets none, so the table never
+    outgrows 65,536 entries."""
 
-    def __init__(self, spell):
+    def __init__(self, spell, other=chr):
         super().__init__()
         self._spell = spell
+        self._other = other
 
     def __missing__(self, cp: int) -> str:
         if SYLLABLE_BASE <= cp <= SYLLABLE_LAST:
             ini, rest = divmod(cp - SYLLABLE_BASE, MEDIAL_COUNT * FINAL_COUNT)
             out = self._spell(ini, *divmod(rest, FINAL_COUNT))
         else:
-            out = chr(cp)
+            out = self._other(cp)
         if cp <= 0xFFFF:
             self[cp] = out
         return out
@@ -159,6 +163,10 @@ _UNITS = _SyllableTable(lambda i, m, f: chr(INITIAL_BASE + i) + chr(MEDIAL_BASE 
                         + (chr(FINAL_BASE + f) if f else ""))
 _LETTERS = _SyllableTable(lambda i, m, f: INITIAL_LETTERS[i] + MEDIAL_LETTERS[m]
                           + (FINAL_LETTERS[f - 1] if f else ""))
+# each character's unit count (3 for a syllable with a final, 2 without,
+# 1 for any other character) as the character of that code point, so the
+# translated text encodes to one count byte per character
+_UNIT_COUNTS = _SyllableTable(lambda i, m, f: "\3" if f else "\2", lambda cp: "\1")
 
 
 def jamo_units(text: str) -> str:
@@ -170,16 +178,9 @@ def jamo_units(text: str) -> str:
 
 def unit_offsets(text: str) -> list[int]:
     """Index in ``jamo_units(text)`` where each character's units begin,
-    plus the unit count at the end."""
-    offsets = [0]
-    n = 0
-    for ch in text:
-        if SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST:
-            n += 3 if (ord(ch) - SYLLABLE_BASE) % FINAL_COUNT else 2
-        else:
-            n += 1
-        offsets.append(n)
-    return offsets
+    plus the unit count at the end: a running sum of the characters'
+    unit counts."""
+    return list(itertools.accumulate(text.translate(_UNIT_COUNTS).encode("ascii"), initial=0))
 
 
 def _positional(unit: str) -> Jamo:

@@ -13,18 +13,23 @@ treats the complement — the non-analyzable tokens — as its problem space.
 The concatenation rules compile to one integer transition table,
 RuleAutomaton: a rule state is a row number and a part of speech a
 column, ``Pos.index``; trie nodes keep their parts of speech as indices.
-Analyses, the analysability test and the fewest-words split all walk
-the letter trie over (unit, rule state) pairs, each expanded once, so the
-work per token is bounded by units × trie depth × rule states.  The
-fewest-words split reads the lattice with its edges; analyses mask the
-segment counts that finish the key from each pair and are then yielded
-lazily, so the first costs one pass over the lattice.  The analysability
-test reads one table row per pair and one cell per part of speech at a
-trie node, keeps no edges and stops at the first complete segmentation.
-FormSearch, the classifier's deviant-spelling search, walks the same
-trie; KeyTrie holds the classifier's side dictionaries, and both grow
-their edit-distance rows with BandedRows.  No other module reads a trie
-node.
+Analyses and the fewest-words split walk the letter trie over (unit,
+rule state) pairs, each expanded once, so the work per token is bounded
+by units × trie depth × rule states.  The fewest-words split reads the
+lattice with its edges; analyses mask the segment counts that finish the
+key from each pair and are then yielded lazily, so the first costs one
+pass over the lattice.  The analysability test needs no edges: it runs a
+deterministic letter automaton, the subset construction (Aho, Sethi &
+Ullman, "Compilers", §3.7) over (trie node, rule state) pairs done lazily.
+A state is the set of pairs live after a prefix of the key, and a letter
+step follows each pair's trie child and, at a part of speech the rule
+state takes, returns to the root in the next rule state.  Each state and
+each transition is made the first time a key reaches it and kept by the
+Lexicon, so a key costs one dict lookup per letter once its steps are
+known, and the states never outnumber the letters stepped.  FormSearch,
+the classifier's deviant-spelling search, walks the same trie; KeyTrie
+holds the classifier's side dictionaries, and both grow their
+edit-distance rows with BandedRows.  No other module reads a trie node.
 """
 
 from __future__ import annotations
@@ -159,8 +164,10 @@ class RuleAutomaton:
     construction (Mohri 1997, "Finite-state transducers in language and
     speech processing") over the sets of (rule, atom) positions reached,
     each set a bit mask: ``table[state][pos.index]`` is the state after one
-    more morpheme, ``final[state]`` whether some rule is complete.  State
-    0 is the dead state, where no rule fits; ``start`` is 1.
+    more morpheme, ``final[state]`` whether some rule is complete and
+    ``takes[state]`` has bit ``pos.index`` set for each part of speech
+    whose cell is live.  State 0 is the dead state, where no rule fits;
+    ``start`` is 1.
     """
 
     def __init__(self, rules: Iterable[str]):
@@ -193,6 +200,7 @@ class RuleAutomaton:
                     masks.append(nxt)
             self.table.append(tuple(number[nxt] for nxt in row))
         self.final = [bool(mask & ends) for mask in masks]
+        self.takes = [sum(1 << p for p, nxt in enumerate(row) if nxt) for row in self.table]
         # morphemes in the longest sequence accepted; None when a rule repeats
         self.max_morphemes = (
             None if any(atom[2] for rule in patterns for atom in rule.atoms)
@@ -221,7 +229,11 @@ class MorphAnalysis:
 
 
 class Lexicon:
-    """Immutable multimap surface -> entries behind a letter-jamo trie."""
+    """Multimap surface -> entries behind a letter-jamo trie.  The entries
+    never change; the letter automaton of ``is_word`` and ``word_ends``
+    grows as keys are read, by one transition and at most one state per
+    (state, letter) first met, so one Lexicon is not for concurrent
+    threads."""
 
     def __init__(self, entries: Iterable[DictEntry],
                  concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES):
@@ -230,10 +242,20 @@ class Lexicon:
         self.max_key_len = 0  # letters in the longest surface
         self.concat_rules = tuple(concat_rules)
         self._rules = RuleAutomaton(self.concat_rules)
-        self._start, self._table, self._final = (
-            self._rules.start, self._rules.table, self._rules.final)
+        self._start, self._table, self._final, self._takes = (
+            self._rules.start, self._rules.table, self._rules.final, self._rules.takes)
         for e in entries:
             self._insert(e)
+        # the letter automaton of is_word and word_ends, built as keys are
+        # read: state n is the set of live (trie node, rule state) pairs
+        # _pairs[n], _delta[n] maps a letter to the next state and
+        # _accepts[n] tells whether a word ends; state 0 is dead.  Each
+        # _step adds one transition and at most one state, so the states
+        # never outnumber 2 + the letters stepped.
+        self._pairs = [frozenset(), frozenset({(self._root, self._start)})]
+        self._number = {pairs: n for n, pairs in enumerate(self._pairs)}
+        self._delta: list[dict[str, int]] = [{}, {}]
+        self._accepts = [False, self._final[self._start]]
 
     def _insert(self, entry: DictEntry):
         if not entry.surface:
@@ -301,42 +323,66 @@ class Lexicon:
             stack.extend(dst for _, dst in out)
         return edges
 
-    def _word_walk(self, key: tuple[str, ...], goal: int | None) -> set[int]:
-        """Units where a rule-satisfying word that starts the key ends;
-        stops as soon as one ends at ``goal``.  Walks the (unit, rule
-        state) pairs of ``lattice`` without its edges, reading the rule
-        state's table row once per pair and one cell per part of speech
-        at a trie node."""
-        root, table, final, n = self._root, self._table, self._final, len(key)
-        ends: set[int] = set()
-        seen = {(0, self._start)}
-        stack = [(0, self._start)]
-        while stack:
-            unit, state = stack.pop()
-            row = table[state]
-            node = root
-            for end in range(unit + 1, n + 1):
-                node = node.children.get(key[end - 1])
-                if node is None:
-                    break
-                for p in node.pos:
-                    nxt = row[p]
-                    if nxt and (end, nxt) not in seen:
-                        seen.add((end, nxt))
-                        stack.append((end, nxt))
-                        if final[nxt]:
-                            ends.add(end)
-                            if end == goal:
-                                return ends
-        return ends
+    def _step(self, state: int, letter: str) -> int:
+        """The letter automaton's state after ``letter`` from ``state``,
+        made and numbered the first time it is reached, and stored in
+        ``_delta``.  Each pair follows its trie child, kept while the
+        child's subtree holds a part of speech the rule state takes, and
+        each part of speech at the child that the rule state takes ends a
+        morpheme: the pair (root, next rule state).  A new state's
+        ``_accepts`` entry is in place before its number is stored."""
+        pairs = []
+        accepts = False
+        for node, s in self._pairs[state]:
+            child = node.children.get(letter)
+            if child is None:
+                continue
+            if child.below & self._takes[s]:
+                pairs.append((child, s))
+            for p in child.pos:
+                nxt = self._table[s][p]
+                if nxt:
+                    pairs.append((self._root, nxt))
+                    accepts = accepts or self._final[nxt]
+        nxt = 0
+        if pairs:
+            pairs = frozenset(pairs)
+            nxt = self._number.get(pairs)
+            if nxt is None:
+                nxt = len(self._pairs)
+                self._pairs.append(pairs)
+                self._delta.append({})
+                self._accepts.append(accepts)
+                self._number[pairs] = nxt
+        self._delta[state][letter] = nxt
+        return nxt
 
+    # is_word and word_ends each run the automaton in their own loop: every
+    # shared loop tried (an optional ends set, a generator or a list of
+    # states, len(key) in word_ends(key)) made is_word 1.5x slower per key
+    # on stored transitions.
     def word_ends(self, key: tuple[str, ...]) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends."""
-        return self._word_walk(key, None)
+        delta, accepts, state = self._delta, self._accepts, 1
+        ends = set()
+        for end, letter in enumerate(key, 1):
+            nxt = delta[state].get(letter)
+            state = self._step(state, letter) if nxt is None else nxt
+            if not state:
+                break
+            if accepts[state]:
+                ends.add(end)
+        return ends
 
     def is_word(self, key: tuple[str, ...]) -> bool:
         """The whole key is one rule-satisfying word."""
-        return len(key) in self._word_walk(key, len(key))
+        delta, state = self._delta, 1
+        for letter in key:
+            nxt = delta[state].get(letter)
+            state = self._step(state, letter) if nxt is None else nxt
+            if not state:
+                return False
+        return bool(key) and self._accepts[state]
 
     def fewest_words(self, key: tuple[str, ...], starts: list[int]) -> list[int] | None:
         """Ends of the fewest rule-satisfying words that cover the key,
@@ -532,7 +578,7 @@ class FormSearch:
             row, final = self.rules.table[state], self.rules.final
             targets = tuple((s, final[s], self._moves(s, self.root) is not None)
                             for s in dict.fromkeys(row[p] for p in node.pos) if s)
-            takes = sum(1 << p for p, s in enumerate(row) if s)
+            takes = self.rules.takes[state]
             kids = {letter: child for letter, child in node.children.items()
                     if child.below & takes}
             got = (targets, kids) if targets or kids else None

@@ -5,8 +5,7 @@ maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
 
 One compiled regex holds one group per class: ``tokenize`` sums byte
-offsets per run, ``token_spans`` reads the runs in characters, and
-``char_class`` reads one character's class.
+offsets per run and ``token_spans`` reads the runs in characters.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ _CLASS_SETS = (
 _RUNS = re.compile("|".join(f"([{chars}]+)" for _, chars in _CLASS_SETS)
                    + "|([^" + "".join(chars for _, chars in _CLASS_SETS) + "]+)")
 _GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS), TokenClass.SYMBOL)
-
-
-def char_class(ch: str) -> TokenClass | None:
-    """Class of one scalar; None for whitespace (token gap)."""
-    return _GROUP_CLASS[_RUNS.fullmatch(ch).lastindex]
 
 
 def token_spans(text: str) -> list[tuple[int, int, TokenClass]]:

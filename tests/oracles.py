@@ -21,9 +21,10 @@ from lggnorm.hangul import (_LETTER_OF_UNIT, COMPAT_FIRST, COMPAT_LAST, FINAL_LE
                             INITIAL_LETTERS, MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo,
                             JamoKind, JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
-                            medial, unit_offsets)
+                            medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
-from lggnorm.tokenizer import PUNCT_CHARS, Token, TokenClass, TokenStream, tokenize
+from lggnorm.tokenizer import (_GROUP_CLASS, _RUNS, PUNCT_CHARS, Token, TokenClass, TokenStream,
+                               tokenize)
 
 
 def brute_levenshtein(a: tuple, b: tuple) -> int:
@@ -52,6 +53,12 @@ def byte_offsets(text: str) -> list[int]:
         n += len(ch.encode("utf-8"))
         offsets.append(n)
     return offsets
+
+
+def char_class(ch: str) -> TokenClass | None:
+    """Class of one scalar by the tokenizer's run regex; None for
+    whitespace (token gap)."""
+    return _GROUP_CLASS[_RUNS.fullmatch(ch).lastindex]
 
 
 def char_class_by_rules(ch: str) -> TokenClass | None:
@@ -161,6 +168,20 @@ def distance_key_by_unit(s: str) -> tuple:
     return tuple(key(u) for u in jamo_seq(s).units)
 
 
+def unit_offsets_by_loop(text: str) -> list[int]:
+    """hangul.unit_offsets by one loop over the characters: a syllable
+    with a final is 3 units, one without 2, any other character 1."""
+    offsets = [0]
+    n = 0
+    for ch in text:
+        if SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST:
+            n += 3 if (ord(ch) - SYLLABLE_BASE) % 28 else 2
+        else:
+            n += 1
+        offsets.append(n)
+    return offsets
+
+
 _SYLLABLE_RUN = re.compile(f"[{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}]+")
 
 
@@ -175,7 +196,7 @@ def _letters_by_regex(s: str, standalone: re.Pattern) -> tuple:
     if standalone.search(s) is None:
         return tuple(units)
     out = list(units)
-    for ch, start in zip(s, unit_offsets(s)):
+    for ch, start in zip(s, unit_offsets_by_loop(s)):
         if standalone.match(ch):
             out[start] = (ch,) if is_compat_jamo(ch) else ch
     return tuple(out)
@@ -955,6 +976,35 @@ def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
                     and not word_analyzable_by_recursion(root, lexicon)):
                 return root
     return None
+
+
+def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -> set[int]:
+    """Lexicon.word_ends by a walk of the trie from each (unit, rule
+    state) pair, each expanded once, without the lattice's edges; stops
+    as soon as a word ends at ``goal``, so ``goal in word_walk(lexicon,
+    key, goal)`` is Lexicon.is_word for a non-empty key."""
+    root, table, final, n = lexicon._root, lexicon._table, lexicon._final, len(key)
+    ends: set[int] = set()
+    seen = {(0, lexicon._start)}
+    stack = [(0, lexicon._start)]
+    while stack:
+        unit, state = stack.pop()
+        row = table[state]
+        node = root
+        for end in range(unit + 1, n + 1):
+            node = node.children.get(key[end - 1])
+            if node is None:
+                break
+            for p in node.pos:
+                nxt = row[p]
+                if nxt and (end, nxt) not in seen:
+                    seen.add((end, nxt))
+                    stack.append((end, nxt))
+                    if final[nxt]:
+                        ends.add(end)
+                        if end == goal:
+                            return ends
+    return ends
 
 
 def word_ends_by_lattice(lexicon: Lexicon, key: tuple[str, ...]) -> set[int]:

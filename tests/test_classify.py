@@ -263,9 +263,8 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
 
 def test_classify_corpus_tokenizes_nothing(classifier_resources, informal_text, monkeypatch):
     # a classified token is one token by construction, so its index is
-    # built from its one span: the tokenizer's run regex (behind tokenize,
-    # token_spans and char_class) is never searched.  A count, so it
-    # holds on any host
+    # built from its one span: the tokenizer's run regex (behind tokenize
+    # and token_spans) is never searched.  A count, so it holds on any host
     import lggnorm.tokenizer as tokenizer_module
 
     runs = tokenizer_module._RUNS

@@ -31,6 +31,7 @@ from oracles import (
     jamo_units_by_nfd,
     letter,
     text_offsets,
+    unit_offsets_by_loop,
     unit_symbols,
 )
 from oracles import literal_symbols as literal_symbols_by_unit
@@ -67,6 +68,7 @@ def test_units_and_keys_match_the_per_unit_encodings(s):
     assert fold_letters(s) == fold_letters_by_unit(s)
     assert same_equalities(distance_key(s), distance_key_by_unit(s))
     starts = unit_offsets(s)
+    assert starts == unit_offsets_by_loop(s)
     unit_chars = char_index_of_unit(jamo_seq(s))
     assert starts[-1] == len(unit_chars)
     assert [unit_chars[u] for u in starts[:-1]] == list(range(len(s)))
@@ -115,6 +117,8 @@ def test_stray_jamo_stay_apart_from_syllable_jamo():
 # every syllable, every conjoining jamo and every compatibility letter
 TABLE_CHARS = [chr(cp) for block in ((0xAC00, 0xD7A3), (0x1100, 0x11FF), (0x3131, 0x318E))
                for cp in range(block[0], block[1] + 1)]
+# characters past the Basic Multilingual Plane, which the tables never store
+ASTRAL_CHARS = ["\U00010000", "😀", "\U0002A6D6", "\U0010FFFF"]
 
 
 def test_tables_match_the_regex_and_nfd_reference_on_every_jamo_character():
@@ -128,10 +132,17 @@ def test_tables_match_the_regex_and_nfd_reference_on_every_jamo_character():
     assert distance_key(text) == distance_key_by_regex(text)
 
 
+def test_unit_offsets_match_the_loop_on_every_jamo_and_astral_character():
+    for ch in TABLE_CHARS + ASTRAL_CHARS:
+        assert unit_offsets(ch) == unit_offsets_by_loop(ch), ch
+    text = "a".join(TABLE_CHARS + ASTRAL_CHARS * 2)
+    assert unit_offsets(text) == unit_offsets_by_loop(text)
+
+
 def test_tables_are_empty_after_import():
     # the tables fill on first use; the package and its CLI fill none on import
     code = ("import lggnorm, lggnorm.cli; from lggnorm import hangul; "
-            "print(len(hangul._UNITS), len(hangul._LETTERS))")
+            "print(len(hangul._UNITS), len(hangul._LETTERS), len(hangul._UNIT_COUNTS))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "0 0\n"
+    assert r.stdout == "0 0 0\n"

@@ -13,9 +13,10 @@ from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compo
 from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, RuleAutomaton,
                              _RulePattern, is_analyzable)
 from lggnorm.resources import load_lexicon
+from lggnorm.stats import corpus_stats
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_by_suffixes,
-                     rule_positions, spacing_by_substrings, word_ends_by_lattice)
+                     rule_positions, spacing_by_substrings, word_ends_by_lattice, word_walk)
 
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
@@ -149,8 +150,9 @@ def test_best_analysis_breaks_count_ties_by_segments_not_edge_order():
 
 
 def test_word_walk_expands_each_pair_once():
-    # 가 splits into 가 and 가가 JOSAs in Fibonacci(24) ways, but reaches
-    # each (unit, rule state) pair once
+    # 가 splits into 가 and 가가 JOSAs in Fibonacci(24) ways, but the letter
+    # automaton builds each step once, reading one table cell for each
+    # part of speech at the child of a (trie node, rule state) pair
     lexicon = Lexicon([DictEntry("가", "가", Pos.N), DictEntry("가", "가", Pos.JOSA),
                        DictEntry("가가", "가가", Pos.JOSA)])
     rows = []
@@ -164,7 +166,59 @@ def test_word_walk_expands_each_pair_once():
     key = fold_letters("가" * 24 + "ㅋ")
     assert lexicon.word_ends(key) == set(range(2, 49, 2))
     assert not lexicon.is_word(key)
-    assert len(rows) < 400
+    assert 0 < len(rows) < 400
+
+
+def assert_letter_automaton_matches_the_walk(lexicon, key):
+    ends = word_walk(lexicon, key)
+    assert lexicon.word_ends(key) == ends, key
+    assert lexicon.is_word(key) == (bool(key) and len(key) in word_walk(lexicon, key, len(key))), key
+    assert 0 not in ends
+
+
+# a few syllables that spell words of each other, and compatibility letters
+WORD_CHARS = st.sampled_from(list("가각나아하합니다ㄱㅂㅏ"))
+random_entries = st.lists(st.builds(lambda s, pos: DictEntry(s, s, pos),
+                                    st.text(WORD_CHARS, min_size=1, max_size=3),
+                                    st.sampled_from(RULE_POS)),
+                          max_size=12)
+random_keys = st.lists(st.text(WORD_CHARS, max_size=8).map(fold_letters), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=random_entries, rules=concat_rules, keys=random_keys, data=st.data())
+def test_letter_automaton_matches_the_walk_over_many_keys(entries, rules, keys, data):
+    # one lexicon for every key, read twice in two orders: a transition
+    # stored for one key and read for another must still be right
+    lexicon = Lexicon(entries, rules)
+    for key in keys + data.draw(st.permutations(keys)) + [()]:
+        assert_letter_automaton_matches_the_walk(lexicon, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=random_entries, rules=st.lists(concat_rules, min_size=2, max_size=2, unique=True),
+       keys=random_keys)
+def test_lexicons_with_other_rules_share_no_states(entries, rules, keys):
+    lexicons = [Lexicon(entries, r) for r in rules]
+    for key in keys:
+        for lexicon in lexicons:
+            assert_letter_automaton_matches_the_walk(lexicon, key)
+
+
+def test_letter_automaton_states_stay_within_the_letters_stepped(formal_text, informal_text):
+    # every state but the dead and the start state is made by one letter
+    # step, so after stats on both corpora it holds at most one per letter
+    lexicon = load_lexicon()
+    letters = 0
+    for text in (formal_text, informal_text):
+        stream = tokenize(text)
+        corpus_stats(stream, lexicon)
+        letters += sum(len(fold_letters(surface)) for surface in
+                       {t.surface for t in stream if t.cls is TokenClass.HANGUL})
+    assert len(lexicon._pairs) <= 2 + letters
+    for surface in {t.surface for t in tokenize(formal_text + informal_text)
+                    if t.cls is TokenClass.HANGUL}:
+        assert_letter_automaton_matches_the_walk(lexicon, fold_letters(surface))
 
 
 @pytest.mark.parametrize("surface, rules", [

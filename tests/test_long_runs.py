@@ -71,6 +71,17 @@ def test_lattice_of_a_verb_with_n_endings_holds_a_pair_per_ending(n):
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_letter_automaton_of_a_verb_with_n_endings_holds_a_few_states(n):
+    # a count, so it holds on any host: after 가 the states repeat with
+    # each 아, whatever the number of endings
+    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    key = fold_letters("가" + "아" * n)
+    assert lexicon.is_word(key)
+    assert lexicon.word_ends(key) == set(range(4, len(key) + 1, 2))
+    assert len(lexicon._pairs) <= 12
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
 def test_lattice_of_a_noun_with_n_josas_holds_a_pair_per_syllable(n):
     # 가 is a noun and a josa: one pair per 가, n + 1 in all; the ㅋ ends none
     lexicon = load_dictionary(["가,가.N", "가,가.JOSA"])

@@ -10,11 +10,10 @@ from lggnorm.tokenizer import (
     PUNCT_CHARS,
     InvalidEncoding,
     TokenClass,
-    char_class,
     tokenize,
     type_census,
 )
-from oracles import char_class_by_rules, tokenize_by_groupby
+from oracles import char_class, char_class_by_rules, tokenize_by_groupby
 
 NFC_SAFE = st.text(
     alphabet=st.one_of(
