@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from .apply import TextIndex, run_from
 from .fst import Fst
-from .hangul import fold_letters
+from .hangul import fold_letters, letter_str
 from .lexicon import DictEntry, FormSearch, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -126,7 +126,7 @@ class Resources:
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
     """Every space-separated word of ``s`` is one analyzable word."""
-    return all(map(lexicon.is_word, map(fold_letters, s.split(" "))))
+    return all(map(lexicon.is_word, map(letter_str, s.split(" "))))
 
 
 def _splice(surface: str, start_char: int, end_char: int, output: str,

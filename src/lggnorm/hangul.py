@@ -303,6 +303,11 @@ def fold_letters(s: str) -> tuple[str, ...]:
     return tuple(s.translate(_LETTERS))
 
 
+def letter_str(s: str) -> str:
+    """fold_letters(s) as one string, for a lookup that only iterates it."""
+    return s.translate(_LETTERS)
+
+
 def distance_key(s: str) -> tuple:
     """Unit-comparison key for key_distance: the letters of ``s``, with a
     compatibility letter outside any syllable as a 1-tuple."""

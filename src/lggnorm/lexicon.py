@@ -39,9 +39,9 @@ import itertools
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator
+from typing import Collection, Container, Iterable, Iterator, Sequence
 
-from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo
+from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, letter_str
 from .tokenizer import Token, TokenClass
 
 
@@ -361,7 +361,7 @@ class Lexicon:
     # shared loop tried (an optional ends set, a generator or a list of
     # states, len(key) in word_ends(key)) made is_word 1.5x slower per key
     # on stored transitions.
-    def word_ends(self, key: tuple[str, ...]) -> set[int]:
+    def word_ends(self, key: Sequence[str]) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends."""
         delta, accepts, state = self._delta, self._accepts, 1
         ends = set()
@@ -374,7 +374,7 @@ class Lexicon:
                 ends.add(end)
         return ends
 
-    def is_word(self, key: tuple[str, ...]) -> bool:
+    def is_word(self, key: Sequence[str]) -> bool:
         """The whole key is one rule-satisfying word."""
         delta, state = self._delta, 1
         for letter in key:
@@ -733,10 +733,14 @@ def analyze_token(token: Token, lexicon: Lexicon) -> list[MorphAnalysis]:
     return lexicon.analyze_key(fold_letters(token.surface))
 
 
+def count_analyzable(cls: TokenClass, surfaces: Collection[str], lexicon: Lexicon) -> int:
+    """How many of ``surfaces``, all of class ``cls``, are analyzable:
+    HANGUL those with an analysis, JAMO/SYMBOL none, LATIN/DIGIT/PUNCT all."""
+    if cls is TokenClass.HANGUL:
+        return sum(map(lexicon.is_word, map(letter_str, surfaces)))
+    return 0 if cls in (TokenClass.JAMO, TokenClass.SYMBOL) else len(surfaces)
+
+
 def is_analyzable(token: Token, lexicon: Lexicon) -> bool:
-    """HANGUL: has an analysis; JAMO/SYMBOL: never; LATIN/DIGIT/PUNCT: always."""
-    if token.cls is TokenClass.HANGUL:
-        return lexicon.is_word(fold_letters(token.surface))
-    if token.cls in (TokenClass.JAMO, TokenClass.SYMBOL):
-        return False
-    return True
+    """Whether the token is analyzable (see count_analyzable)."""
+    return count_analyzable(token.cls, (token.surface,), lexicon) == 1

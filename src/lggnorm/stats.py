@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexicon import Lexicon, is_analyzable
-from .tokenizer import TokenStream, fold_surface
+from .lexicon import Lexicon, count_analyzable
+from .tokenizer import TokenStream
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,11 @@ class CorpusStats:
 
 def corpus_stats(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
     """Token/type counts plus how many types the dictionary rejects."""
-    representatives = {}
-    for token in stream:
-        representatives.setdefault(fold_surface(token), token)
-    non_analyzable = sum(
-        1 for token in representatives.values() if not is_analyzable(token, lexicon)
-    )
-    return CorpusStats.from_counts(len(stream.tokens), len(representatives),
-                                   non_analyzable)
+    census = stream.census
+    types = sum(map(len, census.values()))
+    analyzable = sum(count_analyzable(cls, runs, lexicon) for cls, runs in census.items())
+    return CorpusStats.from_counts(sum(sum(runs.values()) for runs in census.values()),
+                                   types, types - analyzable)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Each non-space character belongs to exactly one class; a token is a
 maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
 
-One compiled regex holds one group per class: ``tokenize`` sums byte
-offsets per run and ``token_spans`` reads the runs in characters.
+One regex with a group per class finds a TokenStream's tokens on first
+read, byte offsets summed per run, and the runs ``token_spans`` reads in
+characters; the census reads one run regex per class instead.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .hangul import COMPAT_FIRST, COMPAT_LAST, SYLLABLE_BASE, SYLLABLE_LAST
@@ -49,19 +51,8 @@ class Token(NamedTuple):
         return f"Token({self.surface!r}/{self.cls.value} @{self.start}:{self.end})"
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[Token, ...]
-    source_len: int  # byte count
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
-
-
-# character set of each class but SYMBOL (None: whitespace, a token gap)
+# character set of each class (None: whitespace, a token gap); SYMBOL's
+# takes every character the others do not
 _CLASS_SETS = (
     (TokenClass.HANGUL, f"{chr(SYLLABLE_BASE)}-{chr(SYLLABLE_LAST)}"),
     (TokenClass.JAMO, f"{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}"),
@@ -70,12 +61,46 @@ _CLASS_SETS = (
     (None, r"\s"),
     (TokenClass.PUNCT, re.escape("".join(sorted(PUNCT_CHARS)))),
 )
-# one group per class; SYMBOL's takes every character the others do not.
-# The sets are disjoint, so each match is a maximal same-class run and
-# the matches tile the text.
-_RUNS = re.compile("|".join(f"([{chars}]+)" for _, chars in _CLASS_SETS)
-                   + "|([^" + "".join(chars for _, chars in _CLASS_SETS) + "]+)")
-_GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS), TokenClass.SYMBOL)
+_CLASS_SETS += ((TokenClass.SYMBOL, "^" + "".join(chars for _, chars in _CLASS_SETS)),)
+# one group per class; the sets are disjoint, so the matches tile the text
+_RUNS = re.compile("|".join(f"([{chars}]+)" for _, chars in _CLASS_SETS))
+_GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS))
+_CLASS_RUNS = tuple((cls, re.compile(f"[{chars}]+")) for cls, chars in _CLASS_SETS if cls)
+
+
+@dataclass(frozen=True)
+class TokenStream:
+    """The tokens of one NFC text, found on first read; ``census`` reads
+    one run regex per class instead and builds no Token."""
+
+    text: str
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        tokens: list[Token] = []
+        start = 0
+        for m in _RUNS.finditer(self.text):
+            run = m.group()
+            end = start + len(run.encode("utf-8"))
+            if cls := _GROUP_CLASS[m.lastindex]:
+                tokens.append(Token(run, cls, start, end))
+            start = end
+        return tuple(tokens)
+
+    source_len = cached_property(lambda self: len(self.text.encode("utf-8")))  # bytes
+
+    @cached_property
+    def census(self) -> dict[TokenClass, Counter[str]]:
+        """Tokens per surface of each class, LATIN surfaces lowercased."""
+        found = ((cls, runs.findall(self.text)) for cls, runs in _CLASS_RUNS)
+        return {cls: Counter(map(str.lower, surfaces) if cls is TokenClass.LATIN else surfaces)
+                for cls, surfaces in found}
+
+    def __iter__(self):
+        return iter(self.tokens)
+
+    def __len__(self):
+        return len(self.tokens)
 
 
 def token_spans(text: str) -> list[tuple[int, int, TokenClass]]:
@@ -100,25 +125,9 @@ def tokenize(text: str) -> TokenStream:
     """Split NFC text into maximal same-class runs with byte offsets."""
     if not unicodedata.is_normalized("NFC", text):
         raise InvalidEncoding("input must be NFC-normalized")
-    tokens: list[Token] = []
-    start = 0
-    for m in _RUNS.finditer(text):
-        run = m.group()
-        end = start + len(run.encode("utf-8"))
-        cls = _GROUP_CLASS[m.lastindex]
-        if cls is not None:
-            tokens.append(Token(run, cls, start, end))
-        start = end
-    return TokenStream(tuple(tokens), start)
-
-
-def fold_surface(token: Token) -> str:
-    """Census key for a token: LATIN lowercased, everything else verbatim."""
-    if token.cls is TokenClass.LATIN:
-        return token.surface.lower()
-    return token.surface
+    return TokenStream(text)
 
 
 def type_census(stream: TokenStream) -> dict[str, int]:
     """Occurrence count per distinct (case-folded) surface."""
-    return dict(Counter(fold_surface(t) for t in stream))
+    return {surface: n for runs in stream.census.values() for surface, n in runs.items()}

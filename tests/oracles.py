@@ -22,7 +22,8 @@ from lggnorm.hangul import (_LETTER_OF_UNIT, COMPAT_FIRST, COMPAT_LAST, FINAL_LE
                             JamoKind, JamoSeq, compat, compose_letters, distance_key, final,
                             fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
                             medial)
-from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern
+from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern, is_analyzable
+from lggnorm.stats import CorpusStats
 from lggnorm.tokenizer import (_GROUP_CLASS, _RUNS, PUNCT_CHARS, Token, TokenClass, TokenStream,
                                tokenize)
 
@@ -81,10 +82,10 @@ def char_class_by_rules(ch: str) -> TokenClass | None:
     return TokenClass.SYMBOL
 
 
-def tokenize_by_groupby(text: str) -> TokenStream:
-    """Maximal same-class runs found by classifying every character with
-    char_class_by_rules and grouping equal neighbours; byte offsets per
-    character."""
+def tokenize_by_groupby(text: str) -> tuple[tuple[Token, ...], int]:
+    """(tokens, byte count) of a TokenStream: maximal same-class runs
+    found by classifying every character with char_class_by_rules and
+    grouping equal neighbours; byte offsets per character."""
     offsets = byte_offsets(text)
     tokens: list[Token] = []
     start = 0
@@ -93,7 +94,27 @@ def tokenize_by_groupby(text: str) -> TokenStream:
         if cls is not None:
             tokens.append(Token(text[start:end], cls, offsets[start], offsets[end]))
         start = end
-    return TokenStream(tuple(tokens), offsets[-1])
+    return tuple(tokens), offsets[-1]
+
+
+def fold_surface(token: Token) -> str:
+    """Census key for a token: LATIN lowercased, everything else verbatim."""
+    if token.cls is TokenClass.LATIN:
+        return token.surface.lower()
+    return token.surface
+
+
+def corpus_stats_by_tokens(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
+    """corpus_stats from the stream's tokens: the first token of each
+    folded surface stands for its type."""
+    representatives = {}
+    for token in stream:
+        representatives.setdefault(fold_surface(token), token)
+    non_analyzable = sum(
+        1 for token in representatives.values() if not is_analyzable(token, lexicon)
+    )
+    return CorpusStats.from_counts(len(stream.tokens), len(representatives),
+                                   non_analyzable)
 
 
 # ------------------------------------------- jamo units, one object per unit

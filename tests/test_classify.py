@@ -26,6 +26,7 @@ from lggnorm.hangul import (
     compose_letters,
     fold_letters,
     is_compat_jamo,
+    letter_str,
 )
 from lggnorm.lexicon import DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from lggnorm.tokenizer import Token, TokenClass, tokenize
@@ -227,7 +228,8 @@ def test_classify_corpus_keys_each_type_at_most_once(classifier_resources, infor
 def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, informal_text,
                                                      monkeypatch):
     # the analysability test, the 하-root and the spacing split share the
-    # TextIndex's letters; only a suggestion's words are folded besides
+    # TextIndex's letters; only a suggestion's words are folded besides,
+    # as tuples or as letter strings
     import lggnorm.apply as apply_module
     import lggnorm.classify as classify_module
     import lggnorm.lexicon as lexicon_module
@@ -236,9 +238,11 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
     suggested_words = []
     inside = []
 
-    def counting(s):
-        folds["suggestion" if inside else "token"] += 1
-        return fold_letters(s)
+    def counting(fold):
+        def counted(s):
+            folds["suggestion" if inside else "token"] += 1
+            return fold(s)
+        return counted
 
     suggestion_ok = classify_module._suggestion_ok
 
@@ -251,7 +255,9 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
             inside.pop()
 
     for module in (apply_module, classify_module, lexicon_module):
-        monkeypatch.setattr(module, "fold_letters", counting)
+        monkeypatch.setattr(module, "fold_letters", counting(fold_letters))
+    for module in (classify_module, lexicon_module):
+        monkeypatch.setattr(module, "letter_str", counting(letter_str))
     monkeypatch.setattr(classify_module, "_suggestion_ok", counting_suggestion_ok)
     stream = tokenize(informal_text)
     out = classify_corpus(stream, classifier_resources)
@@ -264,7 +270,8 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
 def test_classify_corpus_tokenizes_nothing(classifier_resources, informal_text, monkeypatch):
     # a classified token is one token by construction, so its index is
     # built from its one span: the tokenizer's run regex (behind tokenize
-    # and token_spans) is never searched.  A count, so it holds on any host
+    # and token_spans) is searched once, for the stream's own tokens on
+    # first iteration, and never for a token.  A count, so it holds on any host
     import lggnorm.tokenizer as tokenizer_module
 
     runs = tokenizer_module._RUNS
@@ -278,7 +285,7 @@ def test_classify_corpus_tokenizes_nothing(classifier_resources, informal_text, 
     stream = tokenize(informal_text)
     monkeypatch.setattr(tokenizer_module, "_RUNS", CountingRuns())
     out = classify_corpus(stream, classifier_resources)
-    assert out.results and searches == []
+    assert out.results and searches == ["finditer"]
 
 
 def test_suggestions_are_analyzable(classifier_resources, informal_text):

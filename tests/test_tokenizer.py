@@ -134,7 +134,8 @@ MIXED = st.text(
 @settings(max_examples=300)
 @given(MIXED)
 def test_runs_match_per_character_grouping(text):
-    assert tokenize(text) == tokenize_by_groupby(text)
+    stream = tokenize(text)
+    assert (stream.tokens, stream.source_len) == tokenize_by_groupby(text)
 
 
 @settings(max_examples=300)
