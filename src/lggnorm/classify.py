@@ -24,8 +24,9 @@ distance alphabet); the analysability test, the 하-root and the spacing
 split read its letters once, as ``TextIndex.letters``, and the searches
 below its distance key, as ``TextIndex.key``.  The deviant candidate
 forms are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV
-EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); lexicon.FormSearch
-finds the one nearest to the token within ``Thresholds.deviant`` edits.
+EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a
+lexicon.LetterAutomaton of those rules finds the one nearest to the
+token within ``Thresholds.deviant`` edits.
 The abbreviation, neologism and loanword dictionaries are lexicon.KeyTrie
 tries, searched for the entries a token's leading characters match:
 exactly for the first two, within ``Thresholds.loan`` edits for
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from .apply import TextIndex, run_from
 from .fst import Fst
 from .hangul import fold_letters, letter_str
-from .lexicon import DictEntry, FormSearch, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
+from .lexicon import DictEntry, KeyTrie, LetterAutomaton, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
 EMOTICON_SCALARS = frozenset("ㅋㅎㅠㅜㅇ_")
@@ -100,7 +101,9 @@ class ClassificationResult:
 
 @dataclass
 class Resources:
-    """Everything classification consults besides the token itself."""
+    """Everything classification consults besides the token itself.  The
+    deviant automaton grows as tokens are classified, so one Resources is
+    not for concurrent threads."""
 
     lexicon: Lexicon                       # analyzability dictionary
     fsts: list[Fst]                        # compiled root grammars
@@ -118,7 +121,7 @@ class Resources:
         self.abbr_trie = KeyTrie(self.abbr_entries)
         self.neo_trie = KeyTrie(self.neo_entries)
         self.loan_trie = KeyTrie(self.loan_entries)
-        self.deviant_search = FormSearch(self.lexicon, _DEVIANT)
+        self.deviant_search = LetterAutomaton(self.lexicon, _DEVIANT)
 
     def grammars_for(self, cat: Category) -> list[Fst]:
         return self._by_category.get(cat, [])

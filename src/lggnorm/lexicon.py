@@ -13,23 +13,24 @@ treats the complement — the non-analyzable tokens — as its problem space.
 The concatenation rules compile to one integer transition table,
 RuleAutomaton: a rule state is a row number and a part of speech a
 column, ``Pos.index``; trie nodes keep their parts of speech as indices.
-Analyses and the fewest-words split walk the letter trie over (unit,
-rule state) pairs, each expanded once, so the work per token is bounded
-by units × trie depth × rule states.  The fewest-words split reads the
-lattice with its edges; analyses mask the segment counts that finish the
-key from each pair and are then yielded lazily, so the first costs one
-pass over the lattice.  The analysability test needs no edges: it runs a
-deterministic letter automaton, the subset construction (Aho, Sethi &
-Ullman, "Compilers", §3.7) over (trie node, rule state) pairs done lazily.
-A state is the set of pairs live after a prefix of the key, and a letter
-step follows each pair's trie child and, at a part of speech the rule
-state takes, returns to the root in the next rule state.  Each state and
-each transition is made the first time a key reaches it and kept by the
-Lexicon, so a key costs one dict lookup per letter once its steps are
-known, and the states never outnumber the letters stepped.  FormSearch,
-the classifier's deviant-spelling search, walks the same trie; KeyTrie
-holds the classifier's side dictionaries, and both grow their
-edit-distance rows with BandedRows.  No other module reads a trie node.
+Analyses and the fewest-words split need the edges, so they walk the
+letter trie over (unit, rule state) pairs, each expanded once, and the
+work per token is bounded by units × trie depth × rule states.  The
+fewest-words split reads the lattice with its edges; analyses mask the
+segment counts that finish the key from each pair and are then yielded
+lazily, so the first costs one pass over the lattice.  Otherwise a
+LetterAutomaton answers, for the analysability test and for the
+classifier's deviant-spelling search: the subset construction (Aho,
+Sethi & Ullman, "Compilers", §3.7) over (trie node, rule state) pairs,
+done lazily.  A state is the set of pairs live after a prefix of
+letters, and a letter step follows each pair's trie child and, at a part
+of speech the rule state takes, returns to the root in the next rule
+state.  Each state and each transition is made the first time it is
+reached and kept, so a key costs one dict lookup per letter once its
+steps are known, and the states never outnumber the letters stepped.
+KeyTrie holds the classifier's side dictionaries; it and the deviant
+search grow their edit-distance rows with BandedRows.  No other module
+reads a trie node.
 """
 
 from __future__ import annotations
@@ -230,9 +231,8 @@ class MorphAnalysis:
 
 class Lexicon:
     """Multimap surface -> entries behind a letter-jamo trie.  The entries
-    never change; the letter automaton of ``is_word`` and ``word_ends``
-    grows as keys are read, by one transition and at most one state per
-    (state, letter) first met, so one Lexicon is not for concurrent
+    never change; the LetterAutomaton of ``is_word`` and ``word_ends``
+    grows as keys are read, so one Lexicon is not for concurrent
     threads."""
 
     def __init__(self, entries: Iterable[DictEntry],
@@ -242,20 +242,15 @@ class Lexicon:
         self.max_key_len = 0  # letters in the longest surface
         self.concat_rules = tuple(concat_rules)
         self._rules = RuleAutomaton(self.concat_rules)
-        self._start, self._table, self._final, self._takes = (
-            self._rules.start, self._rules.table, self._rules.final, self._rules.takes)
+        self._start, self._table, self._final = (
+            self._rules.start, self._rules.table, self._rules.final)
         for e in entries:
             self._insert(e)
-        # the letter automaton of is_word and word_ends, built as keys are
-        # read: state n is the set of live (trie node, rule state) pairs
-        # _pairs[n], _delta[n] maps a letter to the next state and
-        # _accepts[n] tells whether a word ends; state 0 is dead.  Each
-        # _step adds one transition and at most one state, so the states
-        # never outnumber 2 + the letters stepped.
-        self._pairs = [frozenset(), frozenset({(self._root, self._start)})]
-        self._number = {pairs: n for n, pairs in enumerate(self._pairs)}
-        self._delta: list[dict[str, int]] = [{}, {}]
-        self._accepts = [False, self._final[self._start]]
+        # is_word and word_ends read these aliases, not self._words.delta
+        # and so on: the automaton's lists grow in place
+        self._words = LetterAutomaton(self, self._rules)
+        self._delta, self._accepts, self._step = (
+            self._words.delta, self._words.accepts, self._words.step)
 
     def _insert(self, entry: DictEntry):
         if not entry.surface:
@@ -322,40 +317,6 @@ class Lexicon:
                         out.append((e, (end, nxt)))
             stack.extend(dst for _, dst in out)
         return edges
-
-    def _step(self, state: int, letter: str) -> int:
-        """The letter automaton's state after ``letter`` from ``state``,
-        made and numbered the first time it is reached, and stored in
-        ``_delta``.  Each pair follows its trie child, kept while the
-        child's subtree holds a part of speech the rule state takes, and
-        each part of speech at the child that the rule state takes ends a
-        morpheme: the pair (root, next rule state).  A new state's
-        ``_accepts`` entry is in place before its number is stored."""
-        pairs = []
-        accepts = False
-        for node, s in self._pairs[state]:
-            child = node.children.get(letter)
-            if child is None:
-                continue
-            if child.below & self._takes[s]:
-                pairs.append((child, s))
-            for p in child.pos:
-                nxt = self._table[s][p]
-                if nxt:
-                    pairs.append((self._root, nxt))
-                    accepts = accepts or self._final[nxt]
-        nxt = 0
-        if pairs:
-            pairs = frozenset(pairs)
-            nxt = self._number.get(pairs)
-            if nxt is None:
-                nxt = len(self._pairs)
-                self._pairs.append(pairs)
-                self._delta.append({})
-                self._accepts.append(accepts)
-                self._number[pairs] = nxt
-        self._delta[state][letter] = nxt
-        return nxt
 
     # is_word and word_ends each run the automaton in their own loop: every
     # shared loop tried (an optional ends set, a generator or a list of
@@ -547,83 +508,115 @@ class BandedRows:
         return grown
 
 
-class FormSearch:
-    """Nearest form of a rule language to a token: the forms are the
-    dictionary letters of a word ``rules`` accepts, recomposed with
-    compose_letters, where the recomposition leaves no letter standalone,
-    so a form's letters are its distance key.  No list of forms is built:
-    the search runs ``rules`` along the lexicon's letter trie with
-    BandedRows against the token, and drops every branch already farther
-    than the limit or than the best form found.
+class LetterAutomaton:
+    """The words of ``rules`` over the lexicon's letter trie, as a
+    deterministic letter automaton built as it is read.
 
-    ``moves`` maps a (rule state, trie node) pair, the first time the walk
-    reaches it, to the rule states the node's entries lead to (each with
-    whether it is final and whether it takes another morpheme) and its
-    children, by letter, whose subtree ends an entry of a part of speech
-    the rule state takes; None when there are neither.
+    State n is the set of live (trie node, rule state) pairs ``pairs[n]``,
+    ``delta[n]`` maps a letter to the next state and ``accepts[n]`` tells
+    whether a word ends; state 0 is dead and state 1 is {(root, start)}.
+    Each ``step`` adds one transition and at most one state, so the
+    states never outnumber 2 + the letters stepped.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleAutomaton):
         self.root = lexicon._root
-        self.rules = rules
-        # letters in the longest form: one entry per morpheme of a rule
+        self.table, self.final, self.takes = rules.table, rules.final, rules.takes
+        self.pairs = [frozenset(), frozenset({(self.root, rules.start)})]
+        self.number = {pairs: n for n, pairs in enumerate(self.pairs)}
+        self.delta: list[dict[str, int]] = [{}, {}]
+        self.accepts = [False, self.final[rules.start]]
+        self.outs: dict[int, dict[str, int]] = {}
+        # letters in the longest word: one entry per morpheme of a rule
         n = rules.max_morphemes
         self.max_letters = math.inf if n is None else n * lexicon.max_key_len
-        self.moves: dict[tuple[int, object], tuple | None] = {}
 
-    def _moves(self, state: int, node) -> tuple | None:
+    def step(self, state: int, letter: str) -> int:
+        """The state after ``letter`` from ``state``, made and numbered the
+        first time it is reached, and stored in ``delta``.  Each pair
+        follows its trie child, kept while the child's subtree holds a part
+        of speech the rule state takes, and each part of speech at the
+        child that the rule state takes ends a morpheme: the pair (root,
+        next rule state).  A new state's ``accepts`` entry is in place
+        before its number is stored."""
+        pairs = []
+        accepts = False
+        for node, s in self.pairs[state]:
+            child = node.children.get(letter)
+            if child is None:
+                continue
+            if child.below & self.takes[s]:
+                pairs.append((child, s))
+            for p in child.pos:
+                nxt = self.table[s][p]
+                if nxt:
+                    pairs.append((self.root, nxt))
+                    accepts = accepts or self.final[nxt]
+        nxt = 0
+        if pairs:
+            pairs = frozenset(pairs)
+            nxt = self.number.get(pairs)
+            if nxt is None:
+                nxt = len(self.pairs)
+                self.pairs.append(pairs)
+                self.delta.append({})
+                self.accepts.append(accepts)
+                self.number[pairs] = nxt
+        self.delta[state][letter] = nxt
+        return nxt
+
+    def out(self, state: int) -> dict[str, int]:
+        """Each letter that leads from ``state`` to a live state, mapped to
+        that state; made once per state.  The letters of root pairs, which
+        start a morpheme, come first, so a depth-first walk that pushes
+        them first finishes a morpheme before it starts the next one."""
         try:
-            return self.moves[state, node]
+            return self.outs[state]
         except KeyError:
-            row, final = self.rules.table[state], self.rules.final
-            targets = tuple((s, final[s], self._moves(s, self.root) is not None)
-                            for s in dict.fromkeys(row[p] for p in node.pos) if s)
-            takes = self.rules.takes[state]
-            kids = {letter: child for letter, child in node.children.items()
-                    if child.below & takes}
-            got = (targets, kids) if targets or kids else None
-            self.moves[state, node] = got
+            pairs = sorted(self.pairs[state], key=lambda pair: pair[0] is not self.root)
+            letters = dict.fromkeys(letter for node, s in pairs
+                                    for letter, child in node.children.items()
+                                    if child.below & self.takes[s])
+            got = self.outs[state] = {letter: self.step(state, letter) for letter in letters}
             return got
 
     def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
-        """(distance, form) of the syllable-only form whose letters are
-        nearest to ``token_key`` within ``limit`` edits; ties go to the
-        longer shared key prefix, then to the smaller form.
+        """(distance, form) of the nearest form within ``limit`` edits of
+        ``token_key``; ties go to the longer shared key prefix, then to
+        the smaller form.  A form is the dictionary letters of a word,
+        recomposed with compose_letters, where the recomposition leaves no
+        letter standalone, so a form's letters are its distance key.
 
-        A depth-first walk that jumps back to the trie root at a morpheme
-        end allowed by the rules.  It grows a banded row per letter as it
-        reads the letter, only for the letters BandedRows.grow lets
-        through, and drops a branch once the row's minimum exceeds the
-        best distance found so far.  A form that composes with a
-        standalone letter is passed over where it ends.
+        A depth-first walk of the automaton that grows a banded row per
+        letter as it reads the letter, only for the letters BandedRows.grow
+        lets through, and drops a branch once the row's minimum exceeds the
+        best distance found so far.  A form that composes with a standalone
+        letter is passed over where it ends.
         """
-        if limit < 0 or self._moves(self.rules.start, self.root) is None:
+        if limit < 0:
             return None
         rows = BandedRows(token_key, limit, self.max_letters)
         m = rows.m
         best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-        # frame: trie node, language state, row over the k letters read and
-        # its minimum, k, their shared prefix with the token key, the letters
-        stack = [(self.root, self.rules.start, rows.start, 0, 0, 0, "")]
-        moves = self.moves  # every pushed pair has moves
+        # frame: state, row over the k letters read and its minimum, k,
+        # their shared prefix with the token key, the letters
+        stack = [(1, rows.start, 0, 0, 0, "")]
+        accepts = self.accepts
         while stack:
-            node, lang, row, low, k, shared, letters = stack.pop()
+            state, row, low, k, shared, letters = stack.pop()
             if low > rows.bound:
                 continue
-            targets, kids = moves.get((lang, node)) or self._moves(lang, node)
-            for lang2, final, again in targets:
-                d = rows.cell(row, k, m) if final else _FAR
+            if accepts[state] and k:
+                d = rows.cell(row, k, m)
                 if d <= rows.bound:
                     form = compose_letters(letters)
                     rank = (d, -shared, form)
                     if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
                         best = rank
                         rows.bound = d
-                if again:
-                    stack.append((self.root, lang2, row, low, k, shared, letters))
-            for letter, child, row2, low2 in rows.grow(kids, row, low, k):
+            for letter, nxt, row2, low2 in rows.grow(self.out(state), row, low, k):
                 shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
-                stack.append((child, lang, row2, low2, k + 1, shared2, letters + letter))
+                stack.append((nxt, row2, low2, k + 1, shared2, letters + letter))
         if best is None:
             return None
         return best[0], best[2]

@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lggnorm import resources
 from lggnorm.apply import TextIndex
 from lggnorm.classify import (
     DEVIANT_RULES,
@@ -28,7 +33,7 @@ from lggnorm.hangul import (
     is_compat_jamo,
     letter_str,
 )
-from lggnorm.lexicon import DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
+from lggnorm.lexicon import BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, linear_dict_prefix
 
@@ -421,13 +426,76 @@ def draw_small_token(data, entries) -> Token:
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=small_lexicons, data=st.data(), limit=st.sampled_from([0, 1, 2]))
+@given(entries=small_lexicons, data=st.data(), limit=st.sampled_from([0, 1, 2, 6]))
 def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
+    # several tokens through one Resources: the deviant automaton already
+    # holds the states of the earlier tokens when it searches a later one
     lexicon = Lexicon(entries)
     res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
-    token = draw_small_token(data, entries)
-    index = TextIndex(token.surface, lexicon)
-    assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)
+    for _ in range(data.draw(st.integers(1, 4))):
+        token = draw_small_token(data, entries)
+        index = TextIndex(token.surface, lexicon)
+        assert _deviant_by_distance(index, res) == brute_deviant_best(token, res), token.surface
+
+
+def deviant_work(limit: int) -> tuple[int, int, int, int]:
+    """(rows, states, steps, transitions) after classifying both bundled
+    corpora at deviant threshold ``limit`` through one fresh Resources:
+    the rows BandedRows.grow returns inside the deviant search, and the
+    deviant automaton's states, step calls and stored transitions."""
+    res = resources.load_classifier_resources(thresholds=Thresholds(deviant=limit))
+    search, grow = res.deviant_search, BandedRows.grow
+    nearest, step = search.nearest, search.step
+    work = {"rows": 0, "steps": 0, "searching": False}
+
+    def counting_grow(self, *args):
+        got = grow(self, *args)
+        work["rows"] += len(got) if work["searching"] else 0
+        return got
+
+    def counting_nearest(*args):
+        work["searching"] = True
+        try:
+            return nearest(*args)
+        finally:
+            work["searching"] = False
+
+    def counting_step(*args):
+        work["steps"] += 1
+        return step(*args)
+
+    search.nearest, search.step = counting_nearest, counting_step
+    BandedRows.grow = counting_grow
+    try:
+        for name in ("formal_sample.txt", "informal_sample.txt"):
+            classify_corpus(tokenize(resources.corpus_path(name).read_text(encoding="utf-8")), res)
+    finally:
+        BandedRows.grow = grow
+    return work["rows"], len(search.pairs), work["steps"], sum(map(len, search.delta))
+
+
+@pytest.mark.parametrize("limit", [1, 6])
+def test_deviant_automaton_states_stay_within_the_letters_stepped(limit):
+    # every state but the dead and the start state is made by one step,
+    # and each (state, letter) is stepped once
+    _, states, steps, transitions = deviant_work(limit)
+    assert states <= 2 + steps
+    assert steps == transitions
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_deviant_search_grows_no_more_rows_than_per_pair_frames(hash_seed):
+    # a walk with a frame per (trie node, rule state) pair, which finished
+    # a morpheme before starting the next one, grew 11,017 rows here.  The
+    # rows hang on the order the walk reads letters in: the dictionary's
+    # order, and set iteration within it, which may vary between
+    # processes; the walk that reads them in reverse grows 23,055
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "from test_classify import deviant_work; print(deviant_work(6)[0])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) <= 1.1 * 11_017
 
 
 @settings(max_examples=200, deadline=None)

@@ -162,7 +162,7 @@ def test_word_walk_expands_each_pair_once():
             rows.append(state)
             return super().__getitem__(state)
 
-    lexicon._table = CountingTable(lexicon._table)
+    lexicon._words.table = CountingTable(lexicon._words.table)
     key = fold_letters("가" * 24 + "ㅋ")
     assert lexicon.word_ends(key) == set(range(2, 49, 2))
     assert not lexicon.is_word(key)
@@ -215,7 +215,7 @@ def test_letter_automaton_states_stay_within_the_letters_stepped(formal_text, in
         corpus_stats(stream, lexicon)
         letters += sum(len(fold_letters(surface)) for surface in
                        {t.surface for t in stream if t.cls is TokenClass.HANGUL})
-    assert len(lexicon._pairs) <= 2 + letters
+    assert len(lexicon._words.pairs) <= 2 + letters
     for surface in {t.surface for t in tokenize(formal_text + informal_text)
                     if t.cls is TokenClass.HANGUL}:
         assert_letter_automaton_matches_the_walk(lexicon, fold_letters(surface))

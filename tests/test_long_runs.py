@@ -78,7 +78,7 @@ def test_letter_automaton_of_a_verb_with_n_endings_holds_a_few_states(n):
     key = fold_letters("가" + "아" * n)
     assert lexicon.is_word(key)
     assert lexicon.word_ends(key) == set(range(4, len(key) + 1, 2))
-    assert len(lexicon._pairs) <= 12
+    assert len(lexicon._words.pairs) <= 12
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])
@@ -101,18 +101,35 @@ def test_first_ten_analyses_of_a_verb_with_24_endings_within_a_twentieth_of_a_se
     assert [len(a.segments) for a in first] == [13] + [14] * 9
 
 
-def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifier_resources):
+def glued_words() -> list[str]:
+    """Ten words repeated until they hold 2,000 characters."""
     words = ["영화를", "가격이", "배송도", "좋아요", "맛있다", "제품은", "받았다", "친구와",
              "사람들이", "추천합니다"]
     glued = []
     while sum(map(len, glued)) < 2000:
         glued.append(words[len(glued) % len(words)])
+    return glued
+
+
+def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifier_resources):
+    glued = glued_words()
     token = tokenize("".join(glued)).tokens[0]
     start = time.perf_counter()
     result = classify_token(token, classifier_resources)
     assert time.perf_counter() - start < 1.0
     assert result.primary is Category.SPACING
     assert result.suggestion == " ".join(glued)
+
+
+def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_letters(
+        classifier_resources):
+    # a count, so it holds on any host: from a fresh deviant automaton,
+    # the search steps only the letters near the token's first words
+    res = replace(classifier_resources)
+    search, step, steps = res.deviant_search, res.deviant_search.step, []
+    search.step = lambda *args: steps.append(args) or step(*args)
+    classify_token(tokenize("".join(glued_words())).tokens[0], res)
+    assert 0 < len(steps) <= 200
 
 
 def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
