@@ -28,9 +28,10 @@ of speech the rule state takes, returns to the root in the next rule
 state.  Each state and each transition is made the first time it is
 reached and kept, so a key costs one dict lookup per letter once its
 steps are known, and the states never outnumber the letters stepped.
-KeyTrie holds the classifier's side dictionaries; it and the deviant
-search grow their edit-distance rows with BandedRows.  No other module
-reads a trie node.
+KeyTrie holds the classifier's side dictionaries.  The deviant,
+loanword, abbreviation and neologism lookups are one fuzzy search,
+BandedRows.walk: a depth-first walk of the deviant automaton or a KeyTrie
+beside banded edit-distance rows.  No other module reads a trie node.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Collection, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, letter_str
 from .tokenizer import Token, TokenClass
@@ -431,8 +432,8 @@ _FAR = 1 << 30  # stands for any distance beyond the band
 
 
 class BandedRows:
-    """Levenshtein rows of trie paths against one token key, shared by
-    the classifier's fuzzy searches.
+    """Levenshtein rows of trie paths against one token key, and the one
+    walk that the classifier's fuzzy searches share.
 
     The row of a path of k letters holds the cells j = k-band .. k+band
     for the distance from the path to ``key[:j]``.  ``bound`` starts at
@@ -450,12 +451,28 @@ class BandedRows:
         self.band = band = min(limit, m + longest)
         self.width = 2 * band + 1
         self.bound = band
-        self.start = [t - band if 0 <= t - band <= m else _FAR for t in range(self.width)]  # no letters
 
     def cell(self, row: list[int], k: int, j: int) -> int:
         """Cell j of the row of a path of k letters."""
         t = j - k + self.band
         return row[t] if 0 <= t < self.width else _FAR
+
+    def walk(self, start, kids: Callable[[object], dict]) -> Iterator[tuple]:
+        """(node, row, k, letters) of each path of k ``letters`` (a tuple)
+        from ``start`` whose row keeps a cell within the bound, depth first;
+        ``kids(node)`` maps a letter to a child.  A path comes before its
+        children, grown in ``kids`` order: a hit that lowers ``bound`` prunes them."""
+        band, m = self.band, self.m
+        row = [t - band if 0 <= t - band <= m else _FAR for t in range(self.width)]
+        stack = [(start, row, 0, 0, ())]
+        pop, push, grow = stack.pop, stack.append, self.grow  # extend(genexpr) costs 15%
+        while stack:
+            node, row, low, k, letters = pop()
+            if low > self.bound:
+                continue
+            yield node, row, k, letters
+            for letter, child, row2, low2 in grow(kids(node), row, low, k):
+                push((child, row2, low2, k + 1, letters + (letter,)))
 
     def grow(self, kids: dict, row: list[int], low: int, k: int) -> list[tuple]:
         """(letter, child, row, minimum) of each of ``kids`` (letter ->
@@ -567,14 +584,11 @@ class LetterAutomaton:
 
     def out(self, state: int) -> dict[str, int]:
         """Each letter that leads from ``state`` to a live state, mapped to
-        that state; made once per state.  The letters of root pairs, which
-        start a morpheme, come first, so a depth-first walk that pushes
-        them first finishes a morpheme before it starts the next one."""
+        that state; made once per state."""
         try:
             return self.outs[state]
         except KeyError:
-            pairs = sorted(self.pairs[state], key=lambda pair: pair[0] is not self.root)
-            letters = dict.fromkeys(letter for node, s in pairs
+            letters = dict.fromkeys(letter for node, s in self.pairs[state]
                                     for letter, child in node.children.items()
                                     if child.below & self.takes[s])
             got = self.outs[state] = {letter: self.step(state, letter) for letter in letters}
@@ -587,36 +601,26 @@ class LetterAutomaton:
         recomposed with compose_letters, where the recomposition leaves no
         letter standalone, so a form's letters are its distance key.
 
-        A depth-first walk of the automaton that grows a banded row per
-        letter as it reads the letter, only for the letters BandedRows.grow
-        lets through, and drops a branch once the row's minimum exceeds the
-        best distance found so far.  A form that composes with a standalone
-        letter is passed over where it ends.
+        A BandedRows walk of the automaton, whose bound falls to each
+        nearer form; a form that composes with a standalone letter is
+        passed over where it ends.
         """
         if limit < 0:
             return None
         rows = BandedRows(token_key, limit, self.max_letters)
-        m = rows.m
+        m, accepts = rows.m, self.accepts
         best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-        # frame: state, row over the k letters read and its minimum, k,
-        # their shared prefix with the token key, the letters
-        stack = [(1, rows.start, 0, 0, 0, "")]
-        accepts = self.accepts
-        while stack:
-            state, row, low, k, shared, letters = stack.pop()
-            if low > rows.bound:
-                continue
+        for state, row, k, letters in rows.walk(1, self.out):
             if accepts[state] and k:
                 d = rows.cell(row, k, m)
                 if d <= rows.bound:
                     form = compose_letters(letters)
+                    shared = next((i for i, (a, b) in enumerate(zip(letters, token_key))
+                                   if a != b), min(k, m))
                     rank = (d, -shared, form)
                     if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
                         best = rank
                         rows.bound = d
-            for letter, nxt, row2, low2 in rows.grow(self.out(state), row, low, k):
-                shared2 = shared + 1 if shared == k < m and letter == token_key[k] else shared
-                stack.append((nxt, row2, low2, k + 1, shared2, letters + letter))
         if best is None:
             return None
         return best[0], best[2]
@@ -655,26 +659,20 @@ class KeyTrie:
         the least distance is listed, and perhaps some farther ones found
         before it.
 
-        A depth-first walk of the trie with BandedRows; where an entry
-        ends, each cell of the row at one of ``ends`` within the bound is
-        a match, and the bound falls to its distance."""
+        A BandedRows walk of the trie; where an entry ends, each cell of
+        the row at one of ``ends`` within the bound is a match, and the
+        bound falls to its distance."""
         if limit < 0:
             return []
         rows = BandedRows(key, limit, self.longest)
         matches = []
-        stack = [(self._root, rows.start, 0, 0)]
-        while stack:
-            node, row, low, k = stack.pop()
-            if low > rows.bound:
-                continue
+        for node, row, k, _ in rows.walk(self._root, lambda node: node.children):
             if node.orders:
                 j0 = k - rows.band  # the cell j of row[0]
                 for t, d in enumerate(row):
                     if d <= rows.bound and j0 + t > 0 and j0 + t in ends:
                         rows.bound = d
                         matches.extend((d, j0 + t, order) for order in node.orders)
-            stack.extend((child, row2, low2, k + 1)
-                         for _, child, row2, low2 in rows.grow(node.children, row, low, k))
         return matches
 
 

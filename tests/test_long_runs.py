@@ -16,7 +16,7 @@ from lggnorm.classify import Category, Resources, _detect_spacing, classify_corp
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
 from lggnorm.hangul import fold_letters
-from lggnorm.lexicon import DictEntry, Pos, load_dictionary
+from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, load_dictionary
 from lggnorm.tokenizer import tokenize
 
 
@@ -132,10 +132,13 @@ def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_lette
     assert 0 < len(steps) <= 200
 
 
+NOUN_AND_JOSA = ["가,가.N", "가,가.JOSA", "나,나.N"]
+
+
 def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     # every 가 both starts and continues a word, so a word walk per start
     # would read the whole run from each of its 2,000 starts
-    lexicon = load_dictionary(["가,가.N", "가,가.JOSA", "나,나.N"])
+    lexicon = load_dictionary(NOUN_AND_JOSA)
     text = "가" * 2000 + "나가"
     start = time.perf_counter()
     got = _detect_spacing(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
@@ -143,20 +146,83 @@ def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     assert got[1] == "가" * 2000 + " 나가"
 
 
-def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second(
-        classifier_resources, informal_text):
-    # seeded loanword-like entries of 2-5 open syllables; one distance
-    # computation per entry takes seconds here
+def spacing_lattice_pairs(monkeypatch, index: TextIndex, res: Resources) -> int:
+    """Lattice pairs _detect_spacing builds for ``index``: a count that,
+    unlike a time, no machine changes."""
+    lattice, sizes = Lexicon.lattice, []
+
+    def counted(self, *args):
+        edges = lattice(self, *args)
+        sizes.append(len(edges))
+        return edges
+
+    monkeypatch.setattr(Lexicon, "lattice", counted)
+    assert _detect_spacing(index, res) is not None
+    return sum(sizes)
+
+
+def test_spacing_lattice_of_a_noun_and_josa_run_holds_two_pairs_per_unit(monkeypatch):
+    # 6,004 pairs at 4,004 units; a word walk per start would read about
+    # units² / 2
+    lexicon = load_dictionary(NOUN_AND_JOSA)
+    index = TextIndex("가" * 2000 + "나가", lexicon)
+    res = Resources(lexicon=lexicon, fsts=[])
+    assert spacing_lattice_pairs(monkeypatch, index, res) <= 2 * len(index.units)
+
+
+def test_spacing_lattice_of_a_2000_char_glued_token_holds_two_pairs_per_unit(
+        monkeypatch, classifier_resources):
+    # 3,698 pairs at 4,973 units
+    index = TextIndex("".join(glued_words()), classifier_resources.lexicon)
+    assert spacing_lattice_pairs(monkeypatch, index, classifier_resources) <= 2 * len(index.units)
+
+
+def with_10000_loan_entries(res: Resources) -> Resources:
+    """``res`` with 10,000 seeded loanword-like entries of 2-5 open
+    syllables after its own loan entries."""
     rng = random.Random(0)
     open_syllables = [chr(0xAC00 + 28 * i) for i in range(19 * 21)]
     surfaces = ["".join(rng.choices(open_syllables, k=rng.randint(2, 5))) for _ in range(10000)]
-    res = replace(classifier_resources, loan_entries=classifier_resources.loan_entries
-                  + tuple(DictEntry(s, s, Pos.N, frozenset({"loan"})) for s in surfaces))
+    return replace(res, loan_entries=res.loan_entries
+                   + tuple(DictEntry(s, s, Pos.N, frozenset({"loan"})) for s in surfaces))
+
+
+def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second(
+        classifier_resources, informal_text):
+    # one distance computation per entry takes seconds here
+    res = with_10000_loan_entries(classifier_resources)
     stream = tokenize(informal_text)
     start = time.perf_counter()
     out = classify_corpus(stream, res)
     assert time.perf_counter() - start < 0.5
     assert len(out.results) == len(classify_corpus(stream, classifier_resources).results)
+
+
+def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
+        monkeypatch, classifier_resources, informal_text):
+    # a count, so it holds on any host: the rows BandedRows.grow returns
+    # inside the loan search, 9,396 measured; trie children follow entry
+    # order, so the count is the same in every process
+    res = with_10000_loan_entries(classifier_resources)
+    grow, prefix_matches = BandedRows.grow, res.loan_trie.prefix_matches
+    work = {"rows": 0, "searching": False}
+
+    def counting_grow(self, *args):
+        got = grow(self, *args)
+        work["rows"] += len(got) if work["searching"] else 0
+        return got
+
+    def counting_prefix_matches(*args):
+        work["searching"] = True
+        try:
+            return prefix_matches(*args)
+        finally:
+            work["searching"] = False
+
+    monkeypatch.setattr(BandedRows, "grow", counting_grow)
+    monkeypatch.setattr(res.loan_trie, "prefix_matches", counting_prefix_matches)
+    classify_corpus(tokenize(informal_text), res)
+    assert 0 < work["rows"] <= 1.1 * 9_396
 
 
 def chain_graph(boxes: int, output: str = "") -> str:
