@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grammar import Box, BoxKind, GraphIR, LabelKind, validate, _library_by_name
+from .grammar import BoxKind, GraphIR, LabelKind, validate, _library_by_name
 from .hangul import jamo_units
 
 TOKEN_BOUNDARY = "<B>"
@@ -110,62 +110,52 @@ class _Builder:
         return self.n - 1
 
     def build(self, g: GraphIR) -> tuple[int, int]:
-        """Wire a graph and, depth first, every subgraph it calls; returns
-        (entry state, accept state).  A graph waits for each callee on an
-        explicit stack of ``_wire`` frames, so a long call chain keeps no
-        interpreter frame per graph."""
-        frames = [self._wire(g)]
-        sent = None
-        while True:
-            try:
-                callee = frames[-1].send(sent)
-            except StopIteration as done:
-                frames.pop()
-                if not frames:
-                    return done.value
-                sent = done.value
-            else:
-                frames.append(self._wire(callee))
-                sent = None
+        """Wire a graph and every subgraph it calls; returns (entry state,
+        accept state).  A call takes its callee's entry and accept states
+        at once and leaves the callee on a work list, wired when popped, so
+        a long call chain keeps no interpreter frame per graph.  The pop
+        order changes no state's arcs or their order, and epsilon removal
+        renumbers the states, so the compiled Fst does not depend on it."""
+        entry, accept = self.new_state(), self.new_state()
+        todo = [(g, entry, accept)]
+        while todo:
+            self._wire(*todo.pop(), todo)
+        return entry, accept
 
-    def _wire(self, g: GraphIR):
-        """Wire one graph: yields each called subgraph in call order and is
-        sent back its (entry, accept) states; returns its own."""
+    def _wire(self, g: GraphIR, entry: int, accept: int, todo: list) -> None:
+        """Wire one graph from ``entry`` to ``accept``, pushing each graph it
+        calls onto ``todo`` with the states the call wires it between."""
         enter: dict[int, int] = {}
         exit_: dict[int, int] = {}
-        for box_id in g.boxes:
-            box = g.boxes[box_id]
-            s = self.new_state()
-            enter[box_id] = s
-            exit_[box_id] = s if box.kind is not BoxKind.PLAIN else self.new_state()
-
-        for box_id in g.boxes:
-            box = g.boxes[box_id]
+        for box_id, box in g.boxes.items():
             if box.kind is BoxKind.PLAIN:
-                yield from self._wire_alternatives(box, enter[box_id], exit_[box_id])
-            for succ in box.successors:
-                self.eps.append((exit_[box_id], "", enter[succ]))
-        return enter[g.initial.id], enter[g.final.id]
+                enter[box_id], exit_[box_id] = self.new_state(), self.new_state()
+            else:
+                enter[box_id] = exit_[box_id] = entry if box.kind is BoxKind.INITIAL else accept
 
-    def _wire_alternatives(self, box: Box, src: int, dst: int):
-        output = box.output or ""
-        for label in box.alternatives:
-            if label.kind is LabelKind.LITERAL:
-                syms = literal_symbols(label.payload)
-                cur = src
-                for i, sym in enumerate(syms):
-                    last = i == len(syms) - 1
-                    nxt = dst if last else self.new_state()
-                    self.arcs.append((cur, sym, output if last else "", nxt))
-                    cur = nxt
-            elif label.kind is LabelKind.MASK:
-                self.arcs.append((src, mask_symbol(label.payload), output, dst))
-            elif label.kind is LabelKind.EPSILON:
-                self.eps.append((src, output, dst))
-            else:  # SUBGRAPH
-                sub_in, sub_out = yield self.library[label.payload]
-                self.eps.append((src, "", sub_in))
-                self.eps.append((sub_out, output, dst))
+        for box_id, box in g.boxes.items():
+            src, dst = enter[box_id], exit_[box_id]
+            output = box.output or ""
+            for label in box.alternatives:
+                if label.kind is LabelKind.LITERAL:
+                    syms = literal_symbols(label.payload)
+                    cur = src
+                    for i, sym in enumerate(syms):
+                        last = i == len(syms) - 1
+                        nxt = dst if last else self.new_state()
+                        self.arcs.append((cur, sym, output if last else "", nxt))
+                        cur = nxt
+                elif label.kind is LabelKind.MASK:
+                    self.arcs.append((src, mask_symbol(label.payload), output, dst))
+                elif label.kind is LabelKind.EPSILON:
+                    self.eps.append((src, output, dst))
+                else:  # SUBGRAPH
+                    sub_in, sub_out = self.new_state(), self.new_state()
+                    todo.append((self.library[label.payload], sub_in, sub_out))
+                    self.eps.append((src, "", sub_in))
+                    self.eps.append((sub_out, output, dst))
+            for succ in box.successors:
+                self.eps.append((dst, "", enter[succ]))
 
 
 def _components(adj: dict[int, list[tuple[str, int]]]) -> dict[int, int]:

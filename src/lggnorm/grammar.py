@@ -226,34 +226,6 @@ def parse_graph_library(text: str) -> list[GraphIR]:
     return graphs
 
 
-def print_graph(g: GraphIR) -> str:
-    """Render a GraphIR back to its text form (parse/print round-trips)."""
-    lines = [f"GRAPH {g.name} TAG {g.tag}"]
-    for box_id in sorted(g.boxes):
-        box = g.boxes[box_id]
-        if box.kind is BoxKind.INITIAL:
-            spec = "INITIAL"
-        elif box.kind is BoxKind.FINAL:
-            spec = "FINAL"
-        else:
-            first = box.alternatives[0]
-            if first.kind is LabelKind.LITERAL:
-                spec = '"' + "|".join(l.payload for l in box.alternatives) + '"'
-            elif first.kind is LabelKind.MASK:
-                spec = f"<{first.payload}>"
-            elif first.kind is LabelKind.EPSILON:
-                spec = "<E>"
-            else:
-                spec = f":{first.payload}"
-        parts = [str(box_id), spec]
-        if box.output is not None:
-            parts.append(f'/ "{box.output}"')
-        if box.successors:
-            parts.append("-> " + ",".join(str(s) for s in box.successors))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 class DiagnosticCode(enum.Enum):
     UNREACHABLE_BOX = "unreachable-box"
     FINAL_UNREACHABLE = "final-unreachable"

@@ -336,11 +336,6 @@ def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
     return row[-1]
 
 
-def jamo_edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit costs over the two jamo sequences."""
-    return key_distance(distance_key(a), distance_key(b))
-
-
 def compose_letters(letters: Iterable[str]) -> str:
     """Greedy recomposition of a letter-level sequence into syllables.
 

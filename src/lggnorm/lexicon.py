@@ -707,21 +707,9 @@ def read_entries_file(path) -> tuple[DictEntry, ...]:
         raise MalformedEntry(f"{path}: {exc}", exc.errors) from exc
 
 
-def load_dictionary(source: Iterable[str]) -> Lexicon:
-    """Build a Lexicon from dictionary lines."""
-    return Lexicon(read_entries(source))
-
-
 def load_dictionary_file(path) -> Lexicon:
     """Build a Lexicon from a dictionary file (see read_entries_file)."""
     return Lexicon(read_entries_file(path))
-
-
-def analyze_token(token: Token, lexicon: Lexicon) -> list[MorphAnalysis]:
-    """All admissible segmentations of a HANGUL token, fewest segments first."""
-    if token.cls is not TokenClass.HANGUL:
-        raise ValueError(f"analyze_token expects a HANGUL token, got {token.cls.value}")
-    return lexicon.analyze_key(fold_letters(token.surface))
 
 
 def count_analyzable(cls: TokenClass, surfaces: Collection[str], lexicon: Lexicon) -> int:

@@ -126,8 +126,3 @@ def tokenize(text: str) -> TokenStream:
     if not unicodedata.is_normalized("NFC", text):
         raise InvalidEncoding("input must be NFC-normalized")
     return TokenStream(text)
-
-
-def type_census(stream: TokenStream) -> dict[str, int]:
-    """Occurrence count per distinct (case-folded) surface."""
-    return {surface: n for runs in stream.census.values() for surface, n in runs.items()}

@@ -18,7 +18,6 @@ from lggnorm.grammar import (
     load_grammar_file,
     parse_graph,
     parse_graph_library,
-    print_graph,
     root_graphs,
     validate,
 )
@@ -127,25 +126,13 @@ def test_output_on_initial_rejected():
 def test_grammar_file_may_start_with_a_byte_order_mark(tmp_path):
     path = tmp_path / "choco.lgg"
     path.write_bytes(("\ufeff" + CHOCOLATE).encode())
-    assert print_graph(load_grammar_file(path)[0]) == print_graph(parse_graph(CHOCOLATE))
+    assert load_grammar_file(path) == [parse_graph(CHOCOLATE)]
 
 
 def test_parse_library_multiple_graphs():
     text = CHOCOLATE + "\nGRAPH Other TAG T\n0 INITIAL -> 1\n1 FINAL\n"
     graphs = parse_graph_library(text)
     assert [g.name for g in graphs] == ["Choco", "Other"]
-
-
-def test_print_parse_round_trip():
-    g = parse_graph(CHOCOLATE)
-    assert parse_graph(print_graph(g)) == g
-
-
-def test_print_parse_round_trip_random():
-    rng = random.Random(3)
-    for _ in range(50):
-        g = parse_graph(random_graph_text(rng))
-        assert parse_graph(print_graph(g)) == g
 
 
 def test_validate_clean_graph():

@@ -22,7 +22,6 @@ from lggnorm.hangul import (
     from_jamo_seq,
     initial,
     iter_all_syllables,
-    jamo_edit_distance,
     key_distance,
     medial,
     to_jamo_seq,
@@ -126,44 +125,46 @@ def test_string_round_trip(s):
     assert from_jamo_seq(to_jamo_seq(s)) == s
 
 
+def jamo_distance(a: str, b: str) -> int:
+    return key_distance(distance_key(a), distance_key(b))
+
+
 def test_edit_distance_examples():
-    assert jamo_edit_distance("초콜렛", "초콜릿") == 1  # medial ㅔ -> ㅣ
-    assert jamo_edit_distance("너무", "넘") == 1       # one deletion after folding
-    assert jamo_edit_distance("세요", "세욤") == 1
-    assert jamo_edit_distance("", "") == 0
-    assert jamo_edit_distance("abc", "abd") == 1
+    assert jamo_distance("초콜렛", "초콜릿") == 1  # medial ㅔ -> ㅣ
+    assert jamo_distance("너무", "넘") == 1       # one deletion after folding
+    assert jamo_distance("세요", "세욤") == 1
+    assert jamo_distance("", "") == 0
+    assert jamo_distance("abc", "abd") == 1
 
 
 def test_edit_distance_compat_stays_distinct():
     # a standalone ㅋ is not the same unit as the initial of 크
-    assert jamo_edit_distance("ㅋ", "크") == 2
+    assert jamo_distance("ㅋ", "크") == 2
 
 
 @given(MIXED_TEXT)
 def test_edit_distance_identity(s):
-    assert jamo_edit_distance(s, s) == 0
+    assert jamo_distance(s, s) == 0
 
 
 @given(MIXED_TEXT, MIXED_TEXT)
 def test_edit_distance_symmetry(a, b):
-    assert jamo_edit_distance(a, b) == jamo_edit_distance(b, a)
+    assert jamo_distance(a, b) == jamo_distance(b, a)
 
 
 @settings(max_examples=60)
 @given(MIXED_TEXT, MIXED_TEXT, MIXED_TEXT)
 def test_edit_distance_triangle(a, b, c):
-    assert jamo_edit_distance(a, c) <= jamo_edit_distance(a, b) + jamo_edit_distance(b, c)
+    assert jamo_distance(a, c) <= jamo_distance(a, b) + jamo_distance(b, c)
 
 
 def test_edit_distance_against_brute_force():
-    from lggnorm.hangul import distance_key
-
     rng = random.Random(7)
     pool = "가나다한너무넘좋아료ㅋㅠab "
     for _ in range(150):
         a = "".join(rng.choice(pool) for _ in range(rng.randint(0, 5)))
         b = "".join(rng.choice(pool) for _ in range(rng.randint(0, 5)))
-        assert jamo_edit_distance(a, b) == brute_levenshtein(
+        assert jamo_distance(a, b) == brute_levenshtein(
             distance_key(a), distance_key(b))
 
 

@@ -15,8 +15,8 @@ from lggnorm.hangul import (
     compose_letters,
     distance_key,
     fold_letters,
-    jamo_edit_distance,
     jamo_units,
+    key_distance,
     to_jamo_seq,
     unit_offsets,
 )
@@ -108,10 +108,11 @@ def test_stray_jamo_stay_apart_from_syllable_jamo():
     # U+1100 and U+1161 are also the initial and medial of 가, U+11A8 the
     # final of 각; standing outside a syllable they are other units
     assert fold_letters("\u1100가") == ("\u1100", "ㄱ", "ㅏ")
-    assert jamo_edit_distance("\u1100", "ㄱ") == 1
-    assert jamo_edit_distance("\u1100\u1161", "가") == 2
-    assert jamo_edit_distance("가\u11a8", "각") == 1
-    assert jamo_edit_distance("각", "가기") == 1  # a final still meets its initial
+    assert key_distance(distance_key("\u1100"), distance_key("ㄱ")) == 1
+    assert key_distance(distance_key("\u1100\u1161"), distance_key("가")) == 2
+    assert key_distance(distance_key("가\u11a8"), distance_key("각")) == 1
+    # a final still meets its initial
+    assert key_distance(distance_key("각"), distance_key("가기")) == 1
 
 
 # every syllable, every conjoining jamo and every compatibility letter

@@ -53,6 +53,10 @@ _resources: dict = {}
 
 def resources_for(entries, rules) -> Resources:
     if (len(entries), rules) not in _resources:
+        if len(_resources) >= 16:
+            # a lexicon per drawn pair would stay on the heap, and every
+            # later gen-2 collection would walk it inside a timed test
+            _resources.clear()
         _resources[len(entries), rules] = Resources(lexicon=Lexicon(entries, rules), fsts=[])
     return _resources[len(entries), rules]
 

@@ -8,11 +8,10 @@ from lggnorm.lexicon import (
     Lexicon,
     MalformedEntry,
     Pos,
-    analyze_token,
     is_analyzable,
-    load_dictionary,
     load_dictionary_file,
     parse_entry,
+    read_entries,
 )
 from lggnorm.tokenizer import tokenize
 
@@ -35,7 +34,7 @@ def test_parse_entry_flags():
 
 def test_load_collects_all_bad_lines():
     with pytest.raises(MalformedEntry) as exc:
-        load_dictionary(["bad line", "재미,재미.N", "also bad", "x,y.NOPE"])
+        Lexicon(read_entries(["bad line", "재미,재미.N", "also bad", "x,y.NOPE"]))
     assert [n for n, _ in exc.value.errors] == [1, 3, 4]
 
 
@@ -56,37 +55,37 @@ def test_dictionary_file_errors_name_the_file(tmp_path, data, detail):
 
 
 def test_load_skips_comments_and_blanks():
-    lex = load_dictionary(["# comment", "", "재미,재미.N"])
+    lex = Lexicon(read_entries(["# comment", "", "재미,재미.N"]))
     assert len(lex) == 1
 
 
 def test_duplicates_allowed():
-    lex = load_dictionary(["이,이.JOSA", "이,이.DET"])
+    lex = Lexicon(read_entries(["이,이.JOSA", "이,이.DET"]))
     assert {e.pos for e in lex.lookup("이")} == {Pos.JOSA, Pos.DET}
 
 
 def test_analyze_with_josa(lexicon):
-    analyses = analyze_token(tok("색깔이"), lexicon)
+    analyses = lexicon.analyze_key(fold_letters("색깔이"))
     assert [(s, e.pos) for s, e in analyses[0].segments] == [
         ("색깔", Pos.N), ("이", Pos.JOSA)]
 
 
 def test_analyze_non_word(lexicon):
-    assert analyze_token(tok("잼"), lexicon) == []
+    assert lexicon.analyze_key(fold_letters("잼")) == []
 
 
 def test_analyze_adverb(lexicon):
-    analyses = analyze_token(tok("너무"), lexicon)
+    analyses = lexicon.analyze_key(fold_letters("너무"))
     assert analyses and analyses[0].segments[0][1].pos is Pos.ADV
 
 
 def test_analyze_sub_syllable_join(lexicon):
-    analyses = analyze_token(tok("추천합니다"), lexicon)
+    analyses = lexicon.analyze_key(fold_letters("추천합니다"))
     assert [e.surface for _, e in analyses[0].segments] == ["추천", "하", "ㅂ니다"]
 
 
 def test_analyses_ordered_fewest_segments_first(lexicon):
-    analyses = analyze_token(tok("나온다"), lexicon)
+    analyses = lexicon.analyze_key(fold_letters("나온다"))
     assert len(analyses) >= 1
     sizes = [len(a.segments) for a in analyses]
     assert sizes == sorted(sizes)
@@ -94,8 +93,7 @@ def test_analyses_ordered_fewest_segments_first(lexicon):
 
 def test_every_analysis_reconcatenates(lexicon):
     for word in ["색깔이", "추천합니다", "좋아요", "주민들이", "시작됐다"]:
-        token = tok(word)
-        for a in analyze_token(token, lexicon):
+        for a in lexicon.analyze_key(fold_letters(word)):
             joined = []
             for s, _ in a.segments:
                 joined.extend(fold_letters(s))
@@ -111,12 +109,7 @@ def test_is_analyzable(lexicon):
     assert not is_analyzable(tok("*_*"), lexicon)
     assert is_analyzable(tok("."), lexicon)
     assert is_analyzable(tok("잼"), lexicon) is False
-    assert is_analyzable(tok("너무"), lexicon) == bool(analyze_token(tok("너무"), lexicon))
-
-
-def test_analyze_requires_hangul(lexicon):
-    with pytest.raises(ValueError):
-        analyze_token(tok("abc"), lexicon)
+    assert is_analyzable(tok("너무"), lexicon) == bool(lexicon.analyze_key(fold_letters("너무")))
 
 
 def _linear_scan_analyses(entries, key, rules_lex):

@@ -16,7 +16,7 @@ from lggnorm.classify import Category, Resources, _detect_spacing, classify_corp
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library
 from lggnorm.hangul import fold_letters
-from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, load_dictionary
+from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
 
 
@@ -54,7 +54,7 @@ def test_cli_analyses_a_token_of_1501_morphemes(tmp_path, command):
 def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
     # 가 + 아 EOMIs: the number of analyses grows like Fibonacci(2000), the
     # best one is found in one pass over the lattice
-    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
     key = fold_letters("가" + "아" * 2000)
     start = time.perf_counter()
     best = lexicon.best_analysis(key)
@@ -66,7 +66,7 @@ def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
 def test_lattice_of_a_verb_with_n_endings_holds_a_pair_per_ending(n):
     # a count, so it holds on any host: 가/V, then one (unit, rule state)
     # pair per 아 ending, n + 2 in all
-    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
     assert len(lexicon.lattice(fold_letters("가" + "아" * n))) <= n + 10
 
 
@@ -74,7 +74,7 @@ def test_lattice_of_a_verb_with_n_endings_holds_a_pair_per_ending(n):
 def test_letter_automaton_of_a_verb_with_n_endings_holds_a_few_states(n):
     # a count, so it holds on any host: after 가 the states repeat with
     # each 아, whatever the number of endings
-    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
     key = fold_letters("가" + "아" * n)
     assert lexicon.is_word(key)
     assert lexicon.word_ends(key) == set(range(4, len(key) + 1, 2))
@@ -84,14 +84,14 @@ def test_letter_automaton_of_a_verb_with_n_endings_holds_a_few_states(n):
 @pytest.mark.parametrize("n", [500, 1000, 2000])
 def test_lattice_of_a_noun_with_n_josas_holds_a_pair_per_syllable(n):
     # 가 is a noun and a josa: one pair per 가, n + 1 in all; the ㅋ ends none
-    lexicon = load_dictionary(["가,가.N", "가,가.JOSA"])
+    lexicon = Lexicon(read_entries(["가,가.N", "가,가.JOSA"]))
     assert len(lexicon.lattice(fold_letters("가" * n + "ㅋ"))) <= n + 10
 
 
 def test_first_ten_analyses_of_a_verb_with_24_endings_within_a_twentieth_of_a_second():
     # 가 + 24 아 has Fibonacci(25) = 75,025 analyses; the first ten come
     # without building the others
-    lexicon = load_dictionary(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"])
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
     key = fold_letters("가" + "아" * 24)
     start = time.perf_counter()
     first = list(itertools.islice(lexicon.analyses(key), 10))
@@ -138,7 +138,7 @@ NOUN_AND_JOSA = ["가,가.N", "가,가.JOSA", "나,나.N"]
 def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     # every 가 both starts and continues a word, so a word walk per start
     # would read the whole run from each of its 2,000 starts
-    lexicon = load_dictionary(NOUN_AND_JOSA)
+    lexicon = Lexicon(read_entries(NOUN_AND_JOSA))
     text = "가" * 2000 + "나가"
     start = time.perf_counter()
     got = _detect_spacing(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
@@ -164,7 +164,7 @@ def spacing_lattice_pairs(monkeypatch, index: TextIndex, res: Resources) -> int:
 def test_spacing_lattice_of_a_noun_and_josa_run_holds_two_pairs_per_unit(monkeypatch):
     # 6,004 pairs at 4,004 units; a word walk per start would read about
     # units² / 2
-    lexicon = load_dictionary(NOUN_AND_JOSA)
+    lexicon = Lexicon(read_entries(NOUN_AND_JOSA))
     index = TextIndex("가" * 2000 + "나가", lexicon)
     res = Resources(lexicon=lexicon, fsts=[])
     assert spacing_lattice_pairs(monkeypatch, index, res) <= 2 * len(index.units)
@@ -335,3 +335,8 @@ def test_closure_pairs_grow_linearly_along_an_emitting_epsilon_chain(monkeypatch
 def test_closure_pairs_grow_linearly_with_the_alternatives_of_a_box(monkeypatch, n):
     words = [chr(0xAC00 + 5 * i) + "요" for i in range(n)]
     assert closure_pairs(monkeypatch, alternatives_box(words)) <= 4 * n + 10
+
+
+@pytest.mark.parametrize("n", [1100, 2200, 4400])
+def test_closure_pairs_grow_linearly_along_a_chain_of_subgraph_calls(monkeypatch, n):
+    assert closure_pairs(monkeypatch, call_chain(n)) <= 4 * n + 10

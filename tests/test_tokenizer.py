@@ -11,7 +11,6 @@ from lggnorm.tokenizer import (
     InvalidEncoding,
     TokenClass,
     tokenize,
-    type_census,
 )
 from oracles import char_class, char_class_by_rules, tokenize_by_groupby
 
@@ -155,17 +154,18 @@ def test_a_token_surface_tokenizes_to_itself(lexicon, text):
 @given(NFC_SAFE)
 def test_census_counts_sum_to_token_count(text):
     stream = tokenize(text)
-    assert sum(type_census(stream).values()) == len(stream)
+    assert sum(runs.total() for runs in stream.census.values()) == len(stream)
 
 
 def test_census_counts():
     stream = tokenize("영화 잼있어요 영화")
-    assert type_census(stream) == {"영화": 2, "잼있어요": 1}
+    assert {cls: runs for cls, runs in stream.census.items() if runs} == {
+        TokenClass.HANGUL: {"영화": 2, "잼있어요": 1}}
 
 
 def test_census_folds_latin_case():
-    assert type_census(tokenize("GG gg")) == {"gg": 2}
+    assert tokenize("GG gg").census[TokenClass.LATIN] == {"gg": 2}
 
 
 def test_census_empty():
-    assert type_census(tokenize("")) == {}
+    assert not any(tokenize("").census.values())
