@@ -12,6 +12,10 @@ Label specs: ``"alt1|alt2"`` literal alternatives, ``<POS>`` a
 part-of-speech mask, ``:Name`` a subgraph call, ``<E>`` epsilon wiring.
 ``/ "output"`` attaches a transduction output to the box; a tag matches
 TAG_PATTERN.  ``#`` starts a comment line; blank lines are ignored.
+
+A text that does not parse raises GraphSyntaxError, which carries the
+line, when one line is at fault, and GraphError otherwise: a graph with
+no INITIAL or no FINAL box, or a text with no graph.
 """
 
 from __future__ import annotations
@@ -32,33 +36,6 @@ class GraphSyntaxError(GraphError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-class DuplicateBoxId(GraphError):
-    def __init__(self, line: int, box_id: int):
-        self.line = line
-        self.box_id = box_id
-        super().__init__(f"line {line}: duplicate box id {box_id}")
-
-
-class MissingInitial(GraphError):
-    pass
-
-
-class DuplicateInitial(GraphError):
-    def __init__(self, line: int):
-        self.line = line
-        super().__init__(f"line {line}: second INITIAL box")
-
-
-class MissingFinal(GraphError):
-    pass
-
-
-class DuplicateFinal(GraphError):
-    def __init__(self, line: int):
-        self.line = line
-        super().__init__(f"line {line}: second FINAL box")
 
 
 class LabelKind(enum.Enum):
@@ -168,9 +145,9 @@ def parse_graph_library(text: str) -> list[GraphIR]:
         nonlocal boxes, initial_line, final_line
         if name is not None:
             if initial_line is None:
-                raise MissingInitial(f"graph {name!r} (line {header_line}) has no INITIAL box")
+                raise GraphError(f"graph {name!r} (line {header_line}) has no INITIAL box")
             if final_line is None:
-                raise MissingFinal(f"graph {name!r} (line {header_line}) has no FINAL box")
+                raise GraphError(f"graph {name!r} (line {header_line}) has no FINAL box")
             graphs.append(GraphIR(name, tag, boxes))
         boxes = {}
         initial_line = final_line = None
@@ -194,21 +171,21 @@ def parse_graph_library(text: str) -> list[GraphIR]:
             raise GraphSyntaxError(lineno, f"cannot parse box line {line!r}")
         box_id = int(m.group("id"))
         if box_id in boxes:
-            raise DuplicateBoxId(lineno, box_id)
+            raise GraphSyntaxError(lineno, f"duplicate box id {box_id}")
         spec = m.group("spec")
         output = m.group("output")
         succ = tuple(int(s.strip()) for s in m.group("succ").split(",")) if m.group("succ") else ()
 
         if spec == "INITIAL":
             if initial_line is not None:
-                raise DuplicateInitial(lineno)
+                raise GraphSyntaxError(lineno, "second INITIAL box")
             if output is not None:
                 raise GraphSyntaxError(lineno, "INITIAL box cannot carry an output")
             initial_line = lineno
             boxes[box_id] = Box(box_id, BoxKind.INITIAL, (), None, succ)
         elif spec == "FINAL":
             if final_line is not None:
-                raise DuplicateFinal(lineno)
+                raise GraphSyntaxError(lineno, "second FINAL box")
             if output is not None or succ:
                 raise GraphSyntaxError(lineno, "FINAL box carries no output or successors")
             final_line = lineno
@@ -297,16 +274,16 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
     lib.setdefault(g.name, g)
     diags: list[Diagnostic] = []
 
-    missing_reported = set()
-    visiting: list[str] = []  # the call path from g, innermost last
-    callees: list[Iterator[str]] = []  # callees left to visit, one per path entry
-    visited: set[str] = set()
+    # the call path from g, innermost last: each graph on it maps to its
+    # callees not yet visited, so a membership test costs O(1) at any depth
+    path: dict[str, Iterator[str]] = {}
+    visited: set[str] = set()  # expanded graphs and reported unknown names
 
     # each graph is expanded once and names each callee once, so each
     # call edge, recursive or not, is met once
     def visit(name: str):
-        if name in visiting:
-            edge = (visiting[-1], name)
+        if name in path:
+            edge = (next(reversed(path)), name)
             diags.append(Diagnostic(
                 DiagnosticCode.RECURSIVE_CALL,
                 f"recursive subgraph call {edge[0]} -> {edge[1]}",
@@ -314,27 +291,23 @@ def validate(g: GraphIR, library=()) -> list[Diagnostic]:
             return
         if name in visited:
             return
+        visited.add(name)
         graph = lib.get(name)
         if graph is None:
-            if name not in missing_reported:
-                missing_reported.add(name)
-                diags.append(Diagnostic(
-                    DiagnosticCode.UNKNOWN_SUBGRAPH,
-                    f"subgraph {name!r} is not in the library",
-                    graph=visiting[-1] if visiting else g.name, detail=(name,)))
+            diags.append(Diagnostic(
+                DiagnosticCode.UNKNOWN_SUBGRAPH,
+                f"subgraph {name!r} is not in the library",
+                graph=next(reversed(path), g.name), detail=(name,)))
             return
-        visited.add(name)
         diags.extend(_validate_structure(graph))
-        visiting.append(name)
-        callees.append(iter(graph.subgraph_names()))
+        path[name] = iter(graph.subgraph_names())
 
-    # depth first over the call graph, from an explicit stack
+    # depth first over the call graph, from the path itself
     visit(g.name)
-    while callees:
-        callee = next(callees[-1], None)
+    while path:
+        callee = next(path[next(reversed(path))], None)
         if callee is None:
-            callees.pop()
-            visiting.pop()
+            path.popitem()
         else:
             visit(callee)
     return diags

@@ -13,12 +13,14 @@ treats the complement — the non-analyzable tokens — as its problem space.
 The concatenation rules compile to one integer transition table,
 RuleAutomaton: a rule state is a row number and a part of speech a
 column, ``Pos.index``; trie nodes keep their parts of speech as indices.
-Analyses and the fewest-words split need the edges, so they walk the
-letter trie over (unit, rule state) pairs, each expanded once, and the
-work per token is bounded by units × trie depth × rule states.  The
-fewest-words split reads the lattice with its edges; analyses mask the
-segment counts that finish the key from each pair and are then yielded
-lazily, so the first costs one pass over the lattice.  Otherwise a
+Analyses and the fewest-words split need the edges, so they read the
+lattice of (unit, rule state) pairs: each pair is expanded once, from
+the entries ``iter_prefix_entries`` finds at its unit, the one exact
+descent of the letter trie, and the work per token is bounded by
+units × trie depth × rule states.  The fewest-words split reads the
+lattice with its edges; analyses mask the segment counts that finish
+the key from each pair and are then yielded lazily, so the first costs
+one pass over the lattice.  Otherwise a
 LetterAutomaton answers, for the analysability test and for the
 classifier's deviant-spelling search: the subset construction (Aho,
 Sethi & Ullman, "Compilers", §3.7) over (trie node, rule state) pairs,
@@ -221,10 +223,6 @@ class MorphAnalysis:
 
     segments: tuple[tuple[str, DictEntry], ...]
 
-    @property
-    def pos_seq(self) -> tuple[Pos, ...]:
-        return tuple(e.pos for _, e in self.segments)
-
     def __repr__(self):
         inner = "+".join(f"{s}/{e.pos.value}" for s, e in self.segments)
         return f"MorphAnalysis({inner})"
@@ -297,25 +295,18 @@ class Lexicon:
         """Every (unit, rule state) pair reachable from the start state at
         the ``starts`` units, with its edges (entry, next pair) in
         iter_prefix_entries order.  Each pair is expanded once."""
-        root, table, n = self._root, self._table, len(key)
         edges: dict[tuple[int, int], list] = {}
         stack = [(u, self._start) for u in starts]
         while stack:
             pair = stack.pop()
             if pair in edges:
                 continue
-            unit, state = pair
-            row = table[state]
+            row = self._table[pair[1]]
             out = edges[pair] = []
-            node = root
-            for end in range(unit + 1, n + 1):
-                node = node.children.get(key[end - 1])
-                if node is None:
-                    break
-                for e in node.entries:
-                    nxt = row[e.pos.index]
-                    if nxt:
-                        out.append((e, (end, nxt)))
+            for end, e in self.iter_prefix_entries(key, pair[0]):
+                nxt = row[e.pos.index]
+                if nxt:
+                    out.append((e, (end, nxt)))
             stack.extend(dst for _, dst in out)
         return edges
 

@@ -87,8 +87,6 @@ class TokenStream:
             start = end
         return tuple(tokens)
 
-    source_len = cached_property(lambda self: len(self.text.encode("utf-8")))  # bytes
-
     @cached_property
     def census(self) -> dict[TokenClass, Counter[str]]:
         """Tokens per surface of each class, LATIN surfaces lowercased."""

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,15 +7,11 @@ from lggnorm.fst import compile_graph, CompileError, EpsilonOnlyPath
 from lggnorm.grammar import (
     BoxKind,
     DiagnosticCode,
-    DuplicateBoxId,
-    DuplicateInitial,
     GraphError,
     GraphSyntaxError,
     TAG_PATTERN,
     Label,
     LabelKind,
-    MissingFinal,
-    MissingInitial,
     load_grammar_file,
     parse_graph,
     parse_graph_library,
@@ -42,23 +39,39 @@ def test_parse_chocolate_graph():
     assert box.successors == (1,)
 
 
+def exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 def test_two_initials_is_duplicate_not_missing():
     text = "GRAPH G TAG T\n0 INITIAL -> 2\n1 INITIAL -> 2\n2 FINAL\n"
-    with pytest.raises(DuplicateInitial):
+    with pytest.raises(GraphSyntaxError, match=exactly("line 3: second INITIAL box")) as exc:
         parse_graph(text)
+    assert exc.value.line == 3
+
+
+def test_two_finals_is_a_syntax_error():
+    text = "GRAPH G TAG T\n0 INITIAL -> 1\n1 FINAL\n2 FINAL\n"
+    with pytest.raises(GraphSyntaxError, match=exactly("line 4: second FINAL box")) as exc:
+        parse_graph(text)
+    assert exc.value.line == 4
 
 
 def test_missing_initial_and_final():
-    with pytest.raises(MissingInitial):
+    # no one line is at fault, so these are plain GraphErrors
+    with pytest.raises(GraphError, match=exactly("graph 'G' (line 1) has no INITIAL box")) as exc:
         parse_graph("GRAPH G TAG T\n1 FINAL\n")
-    with pytest.raises(MissingFinal):
+    assert type(exc.value) is GraphError
+    with pytest.raises(GraphError, match=exactly("graph 'G' (line 1) has no FINAL box")) as exc:
         parse_graph("GRAPH G TAG T\n0 INITIAL -> 0\n")
+    assert type(exc.value) is GraphError
 
 
 def test_duplicate_box_id():
     text = 'GRAPH G TAG T\n0 INITIAL -> 1\n1 "a" -> 2\n1 "b" -> 2\n2 FINAL\n'
-    with pytest.raises(DuplicateBoxId):
+    with pytest.raises(GraphSyntaxError, match=exactly("line 4: duplicate box id 1")) as exc:
         parse_graph(text)
+    assert exc.value.line == 4
 
 
 def test_subgraph_label():

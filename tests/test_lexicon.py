@@ -98,7 +98,7 @@ def test_every_analysis_reconcatenates(lexicon):
             for s, _ in a.segments:
                 joined.extend(fold_letters(s))
             assert tuple(joined) == fold_letters(word)
-            assert lexicon.pos_seq_allowed(a.pos_seq)
+            assert lexicon.pos_seq_allowed(tuple(e.pos for _, e in a.segments))
 
 
 def test_is_analyzable(lexicon):

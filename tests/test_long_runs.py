@@ -14,7 +14,7 @@ from lggnorm import fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import Category, Resources, _detect_spacing, classify_corpus, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
-from lggnorm.grammar import parse_graph_library
+from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
@@ -287,6 +287,23 @@ def test_a_chain_of_1100_subgraph_calls_compiles_within_half_a_second():
     fst = compile_graph(calls[0], calls)
     assert time.perf_counter() - start < 0.5
     assert fst == compile_graph(direct[0], direct)
+
+
+def best_of_3(run) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_validate_grows_linearly_along_a_chain_of_subgraph_calls():
+    # each callee is checked against the call path; a scan of the path
+    # would make 4x the calls cost 16x the time
+    short, long = (parse_graph_library(call_chain(n)) for n in (2200, 8800))
+    assert validate(long[0], long) == [] == validate(short[0], short)
+    assert best_of_3(lambda: validate(long[0], long)) <= 8 * best_of_3(lambda: validate(short[0], short))
 
 
 def alternatives_box(words: list[str]) -> str:

@@ -40,8 +40,7 @@ def test_jamo_token():
 
 
 def test_empty():
-    stream = tokenize("")
-    assert len(stream) == 0 and stream.source_len == 0
+    assert len(tokenize("")) == 0
 
 
 def test_symbol_runs_stay_single_tokens():
@@ -134,7 +133,7 @@ MIXED = st.text(
 @given(MIXED)
 def test_runs_match_per_character_grouping(text):
     stream = tokenize(text)
-    assert (stream.tokens, stream.source_len) == tokenize_by_groupby(text)
+    assert (stream.tokens, len(text.encode())) == tokenize_by_groupby(text)
 
 
 @settings(max_examples=300)
