@@ -1,11 +1,11 @@
 """Run compiled transducers over text and rewrite the matched spans.
 
 Scanning is leftmost-longest: positions are tried left to right (token
-starts by default), every transducer runs at each position, the longest
-consumed span wins, ties fall to grammar priority order and then to the
-graph's own alternative order.  Accepted matches never overlap; REPLACE
-splices outputs into the text, MERGE decorates spans in place as
-``{surface,output.TAG}``.
+starts by default), and at each one ``longest_match`` runs every
+transducer and ranks the runs: the longest consumed span wins, ties fall
+to grammar priority order and then to the graph's own alternative order.
+Accepted matches never overlap; REPLACE splices outputs into the text,
+MERGE decorates spans in place as ``{surface,output.TAG}``.
 """
 
 from __future__ import annotations
@@ -157,6 +157,18 @@ def order_grammars(fsts: list[Fst], priority: tuple[str, ...]) -> list[Fst]:
     return [by_name[name] for name in priority]
 
 
+def longest_match(fsts: list[Fst], index: TextIndex, unit: int) -> tuple[int, str, Fst] | None:
+    """Longest accept of any of ``fsts`` from a unit, as (end unit,
+    output, fst); on an equal end the earlier transducer wins.  The only
+    place runs of different grammars are ranked against each other."""
+    best = None
+    for fst in fsts:
+        got = run_from(fst, index, unit)
+        if got is not None and (best is None or got[0] > best[0]):
+            best = (got[0], got[1], fst)
+    return best
+
+
 def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
                  config: ApplyConfig | None = None) -> list[Match]:
     """Non-overlapping leftmost-longest matches of all transducers.  The
@@ -167,23 +179,15 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
                if config.grammar_priority else fsts)
 
     index = TextIndex(text, lexicon)
-    positions = index.scan_positions(config.anchor)
     spans: list[tuple[int, int, str, Fst]] = []  # characters, output, grammar
-    i = 0
-    while i < len(positions):
-        pos = positions[i]
-        chosen: tuple[int, str, Fst] | None = None
-        for fst in ordered:
-            got = run_from(fst, index, pos)
-            if got is not None and (chosen is None or got[0] > chosen[0]):
-                chosen = (got[0], got[1], fst)
-        if chosen is None:
-            i += 1
-            continue
-        end_unit, output, fst = chosen
-        spans.append((index.char_of_unit(pos), index.char_of_unit(end_unit), output, fst))
-        while i < len(positions) and positions[i] < end_unit:
-            i += 1
+    end_unit = 0
+    for pos in index.scan_positions(config.anchor):
+        if pos < end_unit:
+            continue  # inside the last match
+        got = longest_match(ordered, index, pos)
+        if got is not None:
+            end_unit, output, fst = got
+            spans.append((index.char_of_unit(pos), index.char_of_unit(end_unit), output, fst))
     # the spans ascend without overlap, so their starts and ends, taken
     # in turn, ascend too; zip reads each span's start byte, then its end
     offsets = utf8_offsets(text, [c for start, end, _, _ in spans for c in (start, end)])

@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .apply import TextIndex, run_from
+from .apply import TextIndex, longest_match, run_from  # perfbench/selftest.py reads run_from
 from .fst import Fst
 from .hangul import fold_letters, letter_str
 from .lexicon import DictEntry, KeyTrie, LetterAutomaton, Lexicon, Pos, RuleAutomaton, is_analyzable
@@ -147,21 +147,10 @@ def _splice(surface: str, start_char: int, end_char: int, output: str,
     return direct
 
 
-def _grammar_span(index: TextIndex, fsts: list[Fst], start_unit: int):
-    """Longest accept over several transducers from one unit; returns
-    (end_unit, output, fst) or None."""
-    best = None
-    for f in fsts:
-        got = run_from(f, index, start_unit)
-        if got is not None and (best is None or got[0] > best[0]):
-            best = (got[0], got[1], f)
-    return best
-
-
 def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str | None] | None:
     if all(ch in EMOTICON_SCALARS for ch in index.text):
         return Candidate(Category.EMOTICON, "emoticon-scalars"), None
-    got = _grammar_span(index, res.grammars_for(Category.EMOTICON), 0)
+    got = longest_match(res.grammars_for(Category.EMOTICON), index, 0)
     if got is not None and got[0] == len(index.units):
         return Candidate(Category.EMOTICON, f"grammar:{got[2].name}"), got[1] or None
     return None
@@ -170,7 +159,7 @@ def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str |
 def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     """The category's grammars matched from the token start, with the
     matched span replaced in the suggestion."""
-    got = _grammar_span(index, res.grammars_for(cat), 0)
+    got = longest_match(res.grammars_for(cat), index, 0)
     if got is None:
         return None
     sug = _splice(index.text, 0, index.char_of_unit(got[0]), got[1], index.lexicon)
@@ -259,7 +248,7 @@ def _detect_spacing(index: TextIndex, res: Resources):
 def _detect_deviant(index: TextIndex, res: Resources):
     fsts = res.grammars_for(Category.DEVIANT_SPELLING)
     for start_char, start_unit in enumerate(index.char_start_unit[:-1]):
-        got = _grammar_span(index, fsts, start_unit)
+        got = longest_match(fsts, index, start_unit)
         if got is not None and got[0] == len(index.units):
             sug = _splice(index.text, start_char, len(index.text), got[1],
                           res.lexicon)

@@ -47,13 +47,6 @@ _INITIAL_BY_LETTER = {ch: i for i, ch in enumerate(INITIAL_LETTERS)}
 _MEDIAL_BY_LETTER = {ch: i for i, ch in enumerate(MEDIAL_LETTERS)}
 _FINAL_BY_LETTER = {ch: i + 1 for i, ch in enumerate(FINAL_LETTERS)}
 
-# Compatibility letter of each conjoining jamo a syllable decomposes into.
-_LETTER_OF_UNIT = {
-    **{INITIAL_BASE + i: letter for i, letter in enumerate(INITIAL_LETTERS)},
-    **{MEDIAL_BASE + i: letter for i, letter in enumerate(MEDIAL_LETTERS)},
-    **{FINAL_BASE + i: letter for i, letter in enumerate(FINAL_LETTERS, 1)},
-}
-
 
 class HangulError(ValueError):
     """Base class for jamo/syllable errors."""
@@ -99,11 +92,6 @@ class Jamo:
     @property
     def char(self) -> str:
         return chr(self.codepoint)
-
-    @property
-    def letter(self) -> str:
-        """Compatibility-block letter naming this jamo (position folded away)."""
-        return _LETTER_OF_UNIT.get(self.codepoint, self.char)
 
     def __repr__(self):
         return f"Jamo({self.kind.value} {self.char!r})"

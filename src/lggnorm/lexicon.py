@@ -452,8 +452,10 @@ class BandedRows:
         """(node, row, k, letters) of each path of k ``letters`` (a tuple)
         from ``start`` whose row keeps a cell within the bound, depth first;
         ``kids(node)`` maps a letter to a child.  A path comes before its
-        children, grown in ``kids`` order: a hit that lowers ``bound`` prunes them."""
-        band, m = self.band, self.m
+        children, and the child on the token's next letter, ``key[k]``,
+        is walked first, whatever the ``kids`` order: it is the likeliest
+        to reach a near hit, and a hit that lowers ``bound`` prunes the rest."""
+        key, band, m = self.key, self.band, self.m
         row = [t - band if 0 <= t - band <= m else _FAR for t in range(self.width)]
         stack = [(start, row, 0, 0, ())]
         pop, push, grow = stack.pop, stack.append, self.grow  # extend(genexpr) costs 15%
@@ -462,7 +464,10 @@ class BandedRows:
             if low > self.bound:
                 continue
             yield node, row, k, letters
-            for letter, child, row2, low2 in grow(kids(node), row, low, k):
+            grown = grow(kids(node), row, low, k)
+            if len(grown) > 1 and k < m:  # the child on key[k] last, so it is popped first
+                grown.sort(key=lambda g: g[0] == key[k])
+            for letter, child, row2, low2 in grown:
                 push((child, row2, low2, k + 1, letters + (letter,)))
 
     def grow(self, kids: dict, row: list[int], low: int, k: int) -> list[tuple]:

@@ -11,17 +11,17 @@ from functools import lru_cache
 from unittest import mock
 
 from lggnorm import fst as fst_module
-from lggnorm.apply import TextIndex
+from lggnorm.apply import Anchor, TextIndex
 from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.concord import ConcordLine, ConcordSort
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
                              _library_by_name, _validate_structure, parse_graph, validate)
-from lggnorm.hangul import (_LETTER_OF_UNIT, COMPAT_FIRST, COMPAT_LAST, FINAL_LETTERS,
-                            INITIAL_LETTERS, MEDIAL_LETTERS, SYLLABLE_BASE, SYLLABLE_LAST, Jamo,
-                            JamoKind, JamoSeq, compat, compose_letters, distance_key, final,
-                            fold_letters, initial, is_compat_jamo, is_syllable, key_distance,
-                            medial)
+from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_BASE, FINAL_LETTERS, INITIAL_BASE,
+                            INITIAL_LETTERS, MEDIAL_BASE, MEDIAL_LETTERS, SYLLABLE_BASE,
+                            SYLLABLE_LAST, Jamo, JamoKind, JamoSeq, compat, compose_letters,
+                            distance_key, final, fold_letters, initial, is_compat_jamo,
+                            is_syllable, key_distance, medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern, is_analyzable
 from lggnorm.stats import CorpusStats
 from lggnorm.tokenizer import (_GROUP_CLASS, _RUNS, PUNCT_CHARS, Token, TokenClass, TokenStream,
@@ -173,6 +173,19 @@ def letter(u: Jamo) -> str:
     return u.char
 
 
+# Compatibility letter of each conjoining jamo a syllable decomposes into.
+LETTER_OF_UNIT = {
+    **{INITIAL_BASE + i: letter for i, letter in enumerate(INITIAL_LETTERS)},
+    **{MEDIAL_BASE + i: letter for i, letter in enumerate(MEDIAL_LETTERS)},
+    **{FINAL_BASE + i: letter for i, letter in enumerate(FINAL_LETTERS, 1)},
+}
+
+
+def unit_letter(u: Jamo) -> str:
+    """Compatibility letter of a jamo, by LETTER_OF_UNIT."""
+    return u.char.translate(LETTER_OF_UNIT)
+
+
 def fold_letters_by_unit(s: str) -> tuple[str, ...]:
     return tuple(letter(u) if isinstance(u, Jamo) else u for u in jamo_seq(s).units)
 
@@ -213,7 +226,7 @@ def jamo_units_by_nfd(text: str) -> str:
 
 
 def _letters_by_regex(s: str, standalone: re.Pattern) -> tuple:
-    units = jamo_units_by_nfd(s).translate(_LETTER_OF_UNIT)
+    units = jamo_units_by_nfd(s).translate(LETTER_OF_UNIT)
     if standalone.search(s) is None:
         return tuple(units)
     out = list(units)
@@ -718,8 +731,9 @@ class BruteMatcher:
                         found.append((pos, end, gi, pi, pair[1]))
         return found
 
-    def select(self, text: str):
-        """Greedy leftmost-longest with priority and alternative-order ties."""
+    def select(self, text: str, anchor: Anchor = Anchor.TOKEN_START):
+        """Greedy leftmost-longest with priority and alternative-order ties,
+        from token starts, or from every character start under ANYWHERE."""
         seq = jamo_seq(text)
         unit_chars = char_index_of_unit(seq)
         char_start_unit = []
@@ -749,7 +763,7 @@ class BruteMatcher:
                         poses.add(a.segments[0][1].pos.value)
             token_info[u] = (end_u, poses)
 
-        positions = sorted(token_info)
+        positions = sorted(token_info) if anchor is Anchor.TOKEN_START else char_start_unit
         found = self.all_matches(text, positions, char_aligned, token_info)
         chosen = []
         i = 0

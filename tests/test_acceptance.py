@@ -3,7 +3,7 @@
 import random
 import time
 
-from lggnorm.apply import find_matches, normalize, strip_merge, transform, Mode
+from lggnorm.apply import Anchor, ApplyConfig, find_matches, normalize, strip_merge, transform, Mode
 from lggnorm.classify import classify_corpus
 from lggnorm.fst import EpsilonOnlyPath, compile_graph
 from lggnorm.grammar import parse_graph, validate
@@ -180,21 +180,32 @@ def _random_case_grammars(rng):
     return graphs
 
 
-def test_acceptance_6_leftmost_longest_equivalence():
+def _check_leftmost_longest(anchor: Anchor):
     rng = random.Random(99)
+    config = ApplyConfig(anchor=anchor)
     for case in range(500):
         graphs = _random_case_grammars(rng)
         fsts = [compile_graph(g) for g in graphs]
         text = " ".join(rng.choice(TOKEN_POOL)
                         for _ in range(rng.randint(1, 6)))
         matcher = BruteMatcher(graphs, CASE_LEXICON)
-        expected = matcher.select(text)
+        expected = matcher.select(text, anchor)
         got = []
-        for m in find_matches(text, fsts, CASE_LEXICON):
+        for m in find_matches(text, fsts, CASE_LEXICON, config):
             start_char = len(text.encode("utf-8")[:m.start].decode("utf-8"))
             got.append((start_char, start_char + len(m.surface), m.grammar, m.output))
         assert got == expected, f"case {case}: {text!r} {got} != {expected}"
+
+
+def test_acceptance_6_leftmost_longest_equivalence():
+    _check_leftmost_longest(Anchor.TOKEN_START)
     report(6, "500 randomized cases equal the all-matches + greedy oracle")
+
+
+def test_acceptance_6_leftmost_longest_equivalence_from_every_character():
+    # matches may start inside a token, as the deviant-ending grammars do
+    _check_leftmost_longest(Anchor.ANYWHERE)
+    report(6, "500 randomized cases equal the oracle from every character start")
 
 
 # 7 ------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from lggnorm.hangul import (
     medial,
     to_jamo_seq,
 )
-from oracles import brute_levenshtein
+from oracles import brute_levenshtein, unit_letter
 
 HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 MIXED_TEXT = st.text(
@@ -42,14 +42,14 @@ MIXED_TEXT = st.text(
 def test_decompose_first_syllable():
     ini, med, fin = decompose_syllable("가")
     assert (ini.index, med.index, fin) == (0, 0, None)
-    assert ini.letter == "ㄱ" and med.letter == "ㅏ"
+    assert unit_letter(ini) == "ㄱ" and unit_letter(med) == "ㅏ"
 
 
 def test_decompose_han_matches_nfd():
     ini, med, fin = decompose_syllable("한")
     # independent check: canonical decomposition gives the conjoining jamo
     assert [ini.char, med.char, fin.char] == list(unicodedata.normalize("NFD", "한"))
-    assert (ini.letter, med.letter, fin.letter) == ("ㅎ", "ㅏ", "ㄴ")
+    assert (unit_letter(ini), unit_letter(med), unit_letter(fin)) == ("ㅎ", "ㅏ", "ㄴ")
 
 
 def test_decompose_rejects_non_syllable():
@@ -91,7 +91,7 @@ def test_round_trip_all_syllables():
 
 def test_to_jamo_seq_jaem():
     seq = to_jamo_seq("잼")
-    assert [u.letter for u in seq.units] == ["ㅈ", "ㅐ", "ㅁ"]
+    assert [unit_letter(u) for u in seq.units] == ["ㅈ", "ㅐ", "ㅁ"]
     assert seq.syllable_boundaries == (0,)
 
 
@@ -104,7 +104,7 @@ def test_to_jamo_seq_empty():
 def test_to_jamo_seq_passthrough():
     seq = to_jamo_seq("a한b")
     assert seq.units[0] == "a" and seq.units[-1] == "b"
-    assert [u.letter for u in seq.units[1:4]] == ["ㅎ", "ㅏ", "ㄴ"]
+    assert [unit_letter(u) for u in seq.units[1:4]] == ["ㅎ", "ㅏ", "ㄴ"]
     assert seq.syllable_boundaries == (1,)
 
 

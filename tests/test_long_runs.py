@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from lggnorm import fst as fst_module, resources
+from lggnorm import apply, fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import Category, Resources, _detect_spacing, classify_corpus, classify_token
 from lggnorm.fst import compile_graph, literal_symbols
@@ -24,6 +24,29 @@ def test_long_laugh_run_normalizes_like_a_short_one(library, lexicon):
     # 900 letters fit the interpreter's recursion limit, 3,000 do not
     short = normalize("ㅋ" * 900, library.fsts, lexicon)
     assert normalize("ㅋ" * 3000, library.fsts, lexicon) == short
+
+
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_long_laugh_run_consumes_each_letter_about_once(monkeypatch, library, lexicon, n):
+    # counts, so they hold on any host: the run is one token, so each root
+    # grammar runs once from its start, and the runs together step through
+    # about one symbol per letter (n + 25 measured)
+    consume, run_from = TextIndex.consume, apply.run_from
+    work = {"consume": 0, "run_from": 0}
+
+    def counting_consume(*args):
+        work["consume"] += 1
+        return consume(*args)
+
+    def counting_run_from(*args):
+        work["run_from"] += 1
+        return run_from(*args)
+
+    monkeypatch.setattr(TextIndex, "consume", counting_consume)
+    monkeypatch.setattr(apply, "run_from", counting_run_from)
+    normalize("ㅋ" * n, library.fsts, lexicon)
+    assert work["consume"] <= n + 50
+    assert work["run_from"] <= len(library.fsts) == 8
 
 
 def test_cli_normalizes_a_long_laugh_run(tmp_path):
