@@ -75,7 +75,7 @@ def _read_text(path: str) -> str:
         with open(path, "rb") as fh:
             data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a byte order mark is not text
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"{path}: not valid UTF-8 ({exc})") from exc
     if not unicodedata.is_normalized("NFC", text):

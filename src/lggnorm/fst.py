@@ -5,10 +5,12 @@ expands every literal alternative into a chain of jamo-unit transitions,
 then removes epsilon transitions while pushing their outputs forward, in
 one breadth-first walk from the initial state: each state is numbered,
 closed over epsilons and given its consuming transitions when the walk
-first reaches it (on-demand epsilon removal, Mohri 2002).  Outputs that
-would be emitted after the last consumed symbol survive as
-per-final-state output strings, so the compiled relation is exactly the
-graph's input/output relation.
+first reaches it (on-demand epsilon removal, Mohri 2002).  The closure
+is a depth-first walk that keeps its path, so it also finds an epsilon
+cycle that emits (which would make the relation infinite) when it first
+goes round one.  Outputs that would be emitted after the last consumed
+symbol survive as per-final-state output strings, so the compiled
+relation is exactly the graph's input/output relation.
 
 Input symbols are single characters (the jamo units of
 ``hangul.jamo_units``: conjoining jamo for decomposed syllables,
@@ -158,55 +160,34 @@ class _Builder:
                 self.eps.append((dst, "", enter[succ]))
 
 
-def _components(adj: dict[int, list[tuple[str, int]]]) -> dict[int, int]:
-    """Strongly connected component (named by its root) of every state of
-    the graph ``adj``: Tarjan's algorithm on an explicit stack."""
-    low: dict[int, int] = {}  # every visited state
-    component: dict[int, int] = {}
-    unassigned: list[int] = []  # visited states without a component yet
-    path: list[tuple[int, int, object]] = []  # (state, visit number, successors left)
-
-    def enter(v: int):
-        low[v] = len(low)
-        unassigned.append(v)
-        path.append((v, low[v], iter(adj.get(v, ()))))
-
-    for root in adj:
-        if root not in low:
-            enter(root)
-        while path:
-            v, number, succ = path[-1]
-            for _, w in succ:
-                if w not in low:
-                    enter(w)
-                    break
-                if w not in component:
-                    low[v] = min(low[v], low[w])
-            else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    low[u] = min(low[u], low[v])
-                while low[v] == number and v not in component:
-                    component[unassigned.pop()] = v
-    return component
-
-
 def _epsilon_closure(eps: dict[int, list[tuple[str, int]]], q: int) -> list[tuple[int, str]]:
     """Closure pairs (reachable state, accumulated output) of state ``q``
-    over the epsilon successors ``eps``, in deterministic DFS preorder."""
-    pairs: list[tuple[int, str]] = []
-    seen: set[tuple[int, str]] = set()
-    stack = [(q, "")]
+    over the epsilon successors ``eps``, in depth-first preorder.  The walk
+    keeps the states on its path with the output each had there; coming
+    back to one of them with other output means it went once round a cycle
+    that emits, which would make the closure infinite, so it raises
+    EpsilonCycle naming that trip's output."""
+    pairs = [(q, "")]
+    seen = set(pairs)
+    path = {q: ""}
+    stack = [(q, "", iter(eps.get(q, ())))]
     while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        pairs.append(pair)
-        state, out = pair
-        for o, dst in eps.get(state, ()):
-            stack.append((dst, out + o))
+        state, out, succ = stack[-1]
+        for o, dst in succ:
+            w = out + o
+            pair = (dst, w)
+            if pair in seen:
+                continue
+            if dst in path:
+                raise EpsilonCycle(f"an epsilon cycle emits {w[len(path[dst]):]!r}")
+            seen.add(pair)
+            pairs.append(pair)
+            path[dst] = w
+            stack.append((dst, w, iter(eps.get(dst, ()))))
+            break
+        else:
+            stack.pop()
+            del path[state]
     return pairs
 
 
@@ -221,50 +202,41 @@ def compile_graph(g: GraphIR, library=(), max_states: int = DEFAULT_MAX_STATES) 
     builder = _Builder(lib, max_states)
     try:
         init, accept = builder.build(g)
-    except CompileOverflow as exc:
-        raise CompileOverflow(f"graph {g.name!r}: {exc}") from None
+        eps: dict[int, list[tuple[str, int]]] = {}
+        for src, out, dst in builder.eps:
+            eps.setdefault(src, []).append((out, dst))
+        arcs: dict[int, list[tuple[int, str, str, int]]] = {}
+        for arc in builder.arcs:
+            arcs.setdefault(arc[0], []).append(arc)
 
-    # epsilon successors in reverse arc order, so that they pop off a stack in order
-    eps: dict[int, list[tuple[str, int]]] = {}
-    for src, out, dst in reversed(builder.eps):
-        eps.setdefault(src, []).append((out, dst))
-    # an epsilon cycle that emits would make the closure infinite; an arc
-    # is on a cycle exactly when both its ends are in one strongly
-    # connected component
-    component = _components(eps)
-    for src, out, dst in builder.eps:
-        if out and component[src] == component[dst]:
-            raise EpsilonCycle(f"graph {g.name!r}: an epsilon cycle emits {out!r}")
-
-    arcs: dict[int, list[tuple[int, str, str, int]]] = {}
-    for arc in builder.arcs:
-        arcs.setdefault(arc[0], []).append(arc)
-
-    # one breadth-first walk from init: a state is numbered when first
-    # reached; when walked, it is closed over epsilons and the closure
-    # outputs are pushed onto the consuming arcs leaving the closure.
-    # Every state reached also reaches a final state, because validate
-    # has every box reach FINAL, so none needs pruning.
-    order: dict[int, int] = {init: 0}
-    queue = [init]
-    transitions: list[tuple[int, str, str, int]] = []
-    final_outputs: dict[int, tuple[str, ...]] = {}
-    for s in queue:  # also walks the states appended on the way
-        outs: list[str] = []
-        pushed: set[tuple[int, str, str, int]] = set()
-        for r, w in _epsilon_closure(eps, s):
-            if r == accept and w not in outs:
-                outs.append(w)
-            for _, sym, o, dst in arcs.get(r, ()):
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-                arc = (order[s], sym, w + o, order[dst])
-                if arc not in pushed:
-                    pushed.add(arc)
-                    transitions.append(arc)
-        if outs:
-            final_outputs[order[s]] = tuple(outs)
+        # one breadth-first walk from init: a state is numbered when first
+        # reached; when walked, it is closed over epsilons (which rejects
+        # an epsilon cycle that emits) and the closure outputs are pushed
+        # onto the consuming arcs leaving the closure.  Every state reached
+        # also reaches a final state, because validate has every box reach
+        # FINAL, so none needs pruning.
+        order: dict[int, int] = {init: 0}
+        queue = [init]
+        transitions: list[tuple[int, str, str, int]] = []
+        final_outputs: dict[int, tuple[str, ...]] = {}
+        for s in queue:  # also walks the states appended on the way
+            outs: list[str] = []
+            pushed: set[tuple[int, str, str, int]] = set()
+            for r, w in _epsilon_closure(eps, s):
+                if r == accept and w not in outs:
+                    outs.append(w)
+                for _, sym, o, dst in arcs.get(r, ()):
+                    if dst not in order:
+                        order[dst] = len(order)
+                        queue.append(dst)
+                    arc = (order[s], sym, w + o, order[dst])
+                    if arc not in pushed:
+                        pushed.add(arc)
+                        transitions.append(arc)
+            if outs:
+                final_outputs[order[s]] = tuple(outs)
+    except (CompileOverflow, EpsilonCycle) as exc:
+        raise type(exc)(f"graph {g.name!r}: {exc}") from None
 
     if 0 in final_outputs:
         raise EpsilonOnlyPath(f"graph {g.name!r} accepts the empty input")

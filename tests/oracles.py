@@ -16,7 +16,8 @@ from lggnorm.classify import Candidate, Category, Resources, _splice
 from lggnorm.concord import ConcordLine, ConcordSort
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
-                             _library_by_name, _validate_structure, parse_graph, validate)
+                             _library_by_name, _validate_structure, parse_graph, reachable,
+                             validate)
 from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_BASE, FINAL_LETTERS, INITIAL_BASE,
                             INITIAL_LETTERS, MEDIAL_BASE, MEDIAL_LETTERS, SYLLABLE_BASE,
                             SYLLABLE_LAST, Jamo, JamoKind, JamoSeq, compat, compose_letters,
@@ -559,7 +560,8 @@ def compile_graph_by_recursion(g: GraphIR, library=()) -> Fst:
 
 def compile_graph_in_passes(g: GraphIR, library=()) -> Fst:
     """fst.compile_graph removing epsilons in separate passes over the
-    builder's states: the closure of every state that can be entered (the
+    builder's states: a check of every emitting epsilon arc for a cycle
+    back to its source, the closure of every state that can be entered (the
     initial state and the targets of consuming arcs), then the outputs
     pushed onto one arc list over all of them, then a breadth-first walk
     that renumbers and prunes the states."""
@@ -574,9 +576,13 @@ def compile_graph_in_passes(g: GraphIR, library=()) -> Fst:
     adj: dict[int, list[tuple[str, int]]] = {}
     for src, out, dst in reversed(builder.eps):
         adj.setdefault(src, []).append((out, dst))
-    component = fst_module._components(adj)
+    # an emitting arc is on a cycle when its source is reached back from
+    # its target: one reachability walk per emitting arc
+    succ: dict[int, list[int]] = {}
+    for src, _, dst in builder.eps:
+        succ.setdefault(src, []).append(dst)
     for src, out, dst in builder.eps:
-        if out and component[src] == component[dst]:
+        if out and src in reachable([dst], succ):
             raise fst_module.EpsilonCycle(f"epsilon cycle through state {src} emits {out!r}")
 
     entered = sorted({init}.union(arc[3] for arc in builder.arcs))

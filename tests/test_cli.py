@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import string
 import subprocess
 import sys
 import unicodedata
@@ -496,6 +497,50 @@ def test_an_emitting_epsilon_cycle_names_its_graph(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: graph 'G': an epsilon cycle emits 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", *DICT_ARGS], ["classify", *DICT_ARGS], ["analyze", *DICT_ARGS], ["tokenize"],
+    ["normalize", *DICT_ARGS],
+], ids=["stats", "classify", "analyze", "tokenize", "normalize"])
+def test_a_byte_order_mark_before_an_input_is_no_text(capsys, tmp_path, argv):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("영화 잼있어요\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run_main(capsys, *argv, str(marked)) == run_main(capsys, *argv, str(plain))
+
+
+FUZZ_POOLS = ("".join(map(chr, range(0xAC00, 0xD7A4))),  # Hangul syllables
+              "".join(map(chr, range(0x3131, 0x318F))),  # compatibility jamo
+              string.ascii_letters, string.digits, string.punctuation, "*_@", "\U0001F602",
+              " \u3000\u00a0\t\n")  # ASCII, ideographic and no-break spaces
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """200 seeded random NFC texts of 0-40 characters, one file each."""
+    rng = random.Random(24)
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i in range(200):
+        text = "".join(rng.choice(rng.choice(FUZZ_POOLS)) for _ in range(rng.randint(0, 40)))
+        assert unicodedata.is_normalized("NFC", text)
+        paths.append(root / f"{i}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize"], ["analyze", *DICT_ARGS], ["normalize", *DICT_ARGS],
+    ["normalize", *DICT_ARGS, "--mode", "merge", "--anchor", "anywhere"],
+    ["classify", *DICT_ARGS],
+    ["classify", *DICT_ARGS, "--deviant-threshold", "3", "--format", "json"],
+    ["stats", *DICT_ARGS], ["concord", *DICT_ARGS, "--anchor", "anywhere"],
+], ids=["tokenize", "analyze", "normalize", "normalize-merge-anywhere", "classify",
+        "classify-deviant-3-json", "stats", "concord-anywhere"])
+def test_any_nfc_text_exits_0_without_a_traceback(capsys, fuzz_inputs, argv):
+    code, _, err = run_main(capsys, *argv, *fuzz_inputs)
+    assert (code, err) == (0, "")
 
 
 def test_a_state_cap_overflow_names_its_graph(capsys):

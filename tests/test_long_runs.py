@@ -281,12 +281,13 @@ def test_a_chain_of_4800_emitting_epsilons_compiles_within_a_second():
     assert [arc[2] for arc in fst.arcs[fst.initial]] == ["x" * 4800] * 2
 
 
-def call_chain(graphs: int) -> str:
-    """``graphs`` graphs, each calling the next; the last holds one literal."""
+def call_chain(graphs: int, last: str = '1 "짱|대박" / "진짜" -> 2\n2 FINAL') -> str:
+    """``graphs`` graphs, each calling the next; the last holds the boxes
+    ``last`` after its initial box, by default one literal."""
     lines = []
-    for i in range(graphs):
-        label = f":G{i + 1}" if i < graphs - 1 else '"짱|대박" / "진짜"'
-        lines += [f"GRAPH G{i} TAG CHAIN", "0 INITIAL -> 1", f"1 {label} -> 2", "2 FINAL"]
+    for i in range(graphs - 1):
+        lines += [f"GRAPH G{i} TAG CHAIN", "0 INITIAL -> 1", f"1 :G{i + 1} -> 2", "2 FINAL"]
+    lines += [f"GRAPH G{graphs - 1} TAG CHAIN", "0 INITIAL -> 1", last]
     return "\n".join(lines) + "\n"
 
 
@@ -301,6 +302,16 @@ def test_cli_handles_a_chain_of_1100_subgraph_calls(tmp_path, command):
     else:
         direct = parse_graph_library(call_chain(1))
         assert r.stdout.decode() == compile_graph(direct[0], direct).dump()
+
+
+def test_cli_names_the_root_of_a_chain_of_1100_calls_ending_in_an_emitting_cycle(tmp_path):
+    path = tmp_path / "cycle.lgg"
+    cycle = '1 "짱" -> 2\n2 <E> / "x" -> 3\n3 <E> / "y" -> 2,9\n9 FINAL'
+    path.write_text(call_chain(1100, last=cycle), encoding="utf-8")
+    r = run_cli("graph", "compile", path)
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr.decode() == "error: graph 'G0': an epsilon cycle emits 'xy'\n"
 
 
 def test_a_chain_of_1100_subgraph_calls_compiles_within_half_a_second():
