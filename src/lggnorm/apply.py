@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .fst import Fst, TOKEN_BOUNDARY, is_sentinel
 from .grammar import TAG_PATTERN
@@ -33,8 +33,7 @@ class Anchor(enum.Enum):
     ANYWHERE = "anywhere"
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     start: int  # byte offsets
     end: int
     surface: str
@@ -43,8 +42,7 @@ class Match:
     tag: str
 
 
-@dataclass(frozen=True)
-class ApplyConfig:
+class ApplyConfig(NamedTuple):
     mode: Mode = Mode.REPLACE
     anchor: Anchor = Anchor.TOKEN_START
     grammar_priority: tuple[str, ...] = ()

@@ -37,7 +37,7 @@ loanwords.  Matches end where a character starts (잼 is not a prefix of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .apply import TextIndex, longest_match, run_from  # perfbench/selftest.py reads run_from
 from .fst import Fst
@@ -79,40 +79,36 @@ class PreconditionViolated(ValueError):
     """classify_token was handed an analyzable token."""
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     loan: int = 2     # max jamo edits from a loanword standard
     deviant: int = 1  # max jamo edits from an analyzable form
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     category: Category
     evidence: str
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     token: Token
     primary: Category
     candidates: tuple[Candidate, ...]
     suggestion: str | None
 
 
-@dataclass
 class Resources:
     """Everything classification consults besides the token itself.  The
-    deviant automaton grows as tokens are classified, so one Resources is
-    not for concurrent threads."""
+    side dictionaries are built into tries here, and the deviant automaton
+    grows as tokens are classified, so one Resources is not for concurrent
+    threads."""
 
-    lexicon: Lexicon                       # analyzability dictionary
-    fsts: list[Fst]                        # compiled root grammars
-    abbr_entries: tuple[DictEntry, ...] = ()
-    neo_entries: tuple[DictEntry, ...] = ()
-    loan_entries: tuple[DictEntry, ...] = ()
-    thresholds: Thresholds = field(default_factory=Thresholds)
-
-    def __post_init__(self):
+    def __init__(self, lexicon: Lexicon, fsts: list[Fst],
+                 abbr_entries: tuple[DictEntry, ...] = (),
+                 neo_entries: tuple[DictEntry, ...] = (),
+                 loan_entries: tuple[DictEntry, ...] = (),
+                 thresholds: Thresholds = Thresholds()):
+        self.lexicon, self.fsts, self.thresholds = lexicon, fsts, thresholds
+        self.abbr_entries, self.neo_entries, self.loan_entries = abbr_entries, neo_entries, loan_entries
         self._by_category: dict[Category, list[Fst]] = {}
         for f in self.fsts:
             cat = tag_category(f.tag)
@@ -311,8 +307,7 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
                                 tuple(candidates), suggestion)
 
 
-@dataclass(frozen=True)
-class CorpusClassification:
+class CorpusClassification(NamedTuple):
     results: tuple[ClassificationResult, ...]
     counts: dict[Category, int]
 

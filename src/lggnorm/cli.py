@@ -88,7 +88,7 @@ def _load_library(args):
     if args.priority:
         wanted = tuple(p.strip() for p in args.priority.split(",") if p.strip())
         try:
-            library.fsts = order_grammars(library.fsts, wanted)
+            library = library._replace(fsts=order_grammars(library.fsts, wanted))
         except ValueError:
             raise UsageError(
                 "--priority must list every loaded grammar exactly once; "

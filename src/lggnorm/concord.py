@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .apply import Match
 
@@ -19,8 +19,7 @@ def flat(s: str) -> str:
     return s.replace("\n", "⏎")
 
 
-@dataclass(frozen=True)
-class ConcordLine:
+class ConcordLine(NamedTuple):
     left: str
     keyword: str
     right: str

@@ -21,7 +21,6 @@ mask sentinels bound to whole tokens at application time, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .grammar import BoxKind, GraphIR, LabelKind, validate, _library_by_name
@@ -66,16 +65,14 @@ def literal_symbols(text: str) -> list[str]:
     return [TOKEN_BOUNDARY if u == " " else u for u in jamo_units(text)]
 
 
-@dataclass(frozen=True)
 class Fst:
     """Epsilon-free transducer: transitions are (src, symbol, output, dst)."""
 
-    name: str
-    tag: str
-    n_states: int
-    initial: int
-    final_outputs: dict[int, tuple[str, ...]]
-    transitions: tuple[tuple[int, str, str, int], ...]
+    def __init__(self, name: str, tag: str, n_states: int, initial: int,
+                 final_outputs: dict[int, tuple[str, ...]],
+                 transitions: tuple[tuple[int, str, str, int], ...]):
+        self.name, self.tag, self.n_states, self.initial = name, tag, n_states, initial
+        self.final_outputs, self.transitions = final_outputs, transitions
 
     @cached_property
     def arcs(self) -> dict[int, list[tuple[int, str, str, int]]]:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .lexicon import POS_NAMES
 
@@ -45,23 +44,26 @@ class LabelKind(enum.Enum):
     EPSILON = "epsilon"
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple("Label", [("kind", LabelKind), ("payload", str)])):
     """One alternative of a box.  The rules of a well-formed label live
     here, so a parsed box and one built in code are checked alike: a
     literal is non-empty, a mask names a part of speech and an epsilon
     carries nothing.  The parser adds the line number."""
 
-    kind: LabelKind
-    payload: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is LabelKind.LITERAL and not self.payload:
+    def __new__(cls, kind: LabelKind, payload: str = ""):
+        if kind is LabelKind.LITERAL and not payload:
             raise GraphError("empty literal alternative (use <E>)")
-        if self.kind is LabelKind.MASK and self.payload not in POS_NAMES:
-            raise GraphError(f"unknown POS mask <{self.payload}>")
-        if self.kind is LabelKind.EPSILON and self.payload:
+        if kind is LabelKind.MASK and payload not in POS_NAMES:
+            raise GraphError(f"unknown POS mask <{payload}>")
+        if kind is LabelKind.EPSILON and payload:
             raise GraphError("epsilon label carries no payload")
+        return super().__new__(cls, kind, payload)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace checks the new label too
+        return cls(*fields)
 
 
 class BoxKind(enum.Enum):
@@ -70,8 +72,7 @@ class BoxKind(enum.Enum):
     PLAIN = "PLAIN"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     id: int
     kind: BoxKind
     alternatives: tuple[Label, ...] = ()
@@ -79,8 +80,7 @@ class Box:
     successors: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class GraphIR:
+class GraphIR(NamedTuple):
     name: str
     tag: str
     boxes: dict[int, Box]
@@ -211,13 +211,12 @@ class DiagnosticCode(enum.Enum):
     RECURSIVE_CALL = "recursive-call"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: DiagnosticCode
     message: str
     graph: str = ""
     box_id: int | None = None
-    detail: tuple[str, ...] = field(default=())
+    detail: tuple[str, ...] = ()
 
     def __str__(self):
         return f"{self.graph}: {self.code.value}: {self.message}"

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 SYLLABLE_BASE = 0xAC00
 SYLLABLE_LAST = 0xD7A3
@@ -71,23 +70,25 @@ class JamoKind(enum.Enum):
     COMPAT = "compat"
 
 
-@dataclass(frozen=True)
-class Jamo:
+class Jamo(NamedTuple("Jamo", [("kind", JamoKind), ("index", int), ("codepoint", int)])):
     """One jamo unit: positional (initial/medial/final) or standalone compat letter."""
 
-    kind: JamoKind
-    index: int
-    codepoint: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is JamoKind.INITIAL and not 0 <= self.index < INITIAL_COUNT:
-            raise IndexOutOfRange(f"initial index {self.index} not in 0..18")
-        if self.kind is JamoKind.MEDIAL and not 0 <= self.index < MEDIAL_COUNT:
-            raise IndexOutOfRange(f"medial index {self.index} not in 0..20")
-        if self.kind is JamoKind.FINAL and not 1 <= self.index < FINAL_COUNT:
-            raise IndexOutOfRange(f"final index {self.index} not in 1..27")
-        if self.kind is JamoKind.COMPAT and not COMPAT_FIRST <= self.codepoint <= COMPAT_LAST:
-            raise IndexOutOfRange(f"compat codepoint {self.codepoint:#x} not in U+3131..U+318E")
+    def __new__(cls, kind: JamoKind, index: int, codepoint: int):
+        if kind is JamoKind.INITIAL and not 0 <= index < INITIAL_COUNT:
+            raise IndexOutOfRange(f"initial index {index} not in 0..18")
+        if kind is JamoKind.MEDIAL and not 0 <= index < MEDIAL_COUNT:
+            raise IndexOutOfRange(f"medial index {index} not in 0..20")
+        if kind is JamoKind.FINAL and not 1 <= index < FINAL_COUNT:
+            raise IndexOutOfRange(f"final index {index} not in 1..27")
+        if kind is JamoKind.COMPAT and not COMPAT_FIRST <= codepoint <= COMPAT_LAST:
+            raise IndexOutOfRange(f"compat codepoint {codepoint:#x} not in U+3131..U+318E")
+        return super().__new__(cls, kind, index, codepoint)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace checks the new jamo too
+        return cls(*fields)
 
     @property
     def char(self) -> str:
@@ -211,7 +212,6 @@ def compose_syllable(ini: Union[Jamo, int], med: Union[Jamo, int],
 Unit = Union[Jamo, str]  # str = passthrough character
 
 
-@dataclass(frozen=True)
 class JamoSeq:
     """A string decomposed to jamo units, non-Hangul characters passed through.
 
@@ -220,8 +220,8 @@ class JamoSeq:
     units and carry no boundary entry.
     """
 
-    units: tuple[Unit, ...]
-    syllable_boundaries: tuple[int, ...] = field(default=())
+    def __init__(self, units: tuple[Unit, ...], syllable_boundaries: tuple[int, ...] = ()):
+        self.units, self.syllable_boundaries = units, syllable_boundaries
 
     def __len__(self):
         return len(self.units)

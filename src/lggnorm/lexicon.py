@@ -42,8 +42,7 @@ import enum
 import itertools
 import math
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, letter_str
 from .tokenizer import Token, TokenClass
@@ -92,12 +91,11 @@ class MalformedEntry(ValueError):
         self.errors = list(errors)
 
 
-@dataclass(frozen=True)
-class DictEntry:
+class DictEntry(NamedTuple):
     surface: str
     lemma: str
     pos: Pos
-    flags: frozenset[str] = field(default=frozenset())
+    flags: frozenset[str] = frozenset()
 
     def flag_value(self, name: str) -> str | None:
         """Value of a ``name=value`` flag, with ``_`` decoded as space."""
@@ -217,8 +215,7 @@ class RuleAutomaton:
         return bool(seq) and self.final[state]
 
 
-@dataclass
-class MorphAnalysis:
+class MorphAnalysis(NamedTuple):
     """One segmentation of a token into dictionary entries."""
 
     segments: tuple[tuple[str, DictEntry], ...]

@@ -14,9 +14,8 @@ priority.  Dictionary files are read by
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import Resources, Thresholds
 from .fst import DEFAULT_MAX_STATES, Fst, compile_graph
@@ -30,7 +29,7 @@ def asset_root() -> Path:
     override = os.environ.get(ASSETS_ENV)
     if override:
         return Path(override)
-    return Path(importlib_resources.files("lggnorm") / "assets")
+    return Path(__file__).parent / "assets"
 
 
 def dictionary_path(name: str) -> Path:
@@ -45,11 +44,9 @@ def grammar_dir() -> Path:
     return asset_root() / "grammars"
 
 
-@dataclass
-class GrammarLibrary:
-    """All graphs from a directory plus the compiled root transducers."""
+class GrammarLibrary(NamedTuple):
+    """The compiled root transducers of a grammar directory."""
 
-    graphs: list[GraphIR]
     fsts: list[Fst]
 
     @property
@@ -64,7 +61,7 @@ def load_grammar_library(directory: Path | str | None = None,
     for path in sorted(directory.glob("*.lgg")):
         graphs.extend(load_grammar_file(path))
     fsts = [compile_graph(g, graphs, max_states=max_states) for g in root_graphs(graphs)]
-    return GrammarLibrary(graphs, fsts)
+    return GrammarLibrary(fsts)
 
 
 def load_lexicon(paths=None) -> Lexicon:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import Lexicon, count_analyzable
 from .tokenizer import TokenStream
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     token_count: int
     type_count: int
     non_analyzable_types: int
@@ -46,8 +45,7 @@ def corpus_stats(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
                                    types, types - analyzable)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     a: CorpusStats
     b: CorpusStats
 

@@ -15,7 +15,6 @@ import enum
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -68,12 +67,12 @@ _GROUP_CLASS = (None, *(cls for cls, _ in _CLASS_SETS))
 _CLASS_RUNS = tuple((cls, re.compile(f"[{chars}]+")) for cls, chars in _CLASS_SETS if cls)
 
 
-@dataclass(frozen=True)
 class TokenStream:
     """The tokens of one NFC text, found on first read; ``census`` reads
     one run regex per class instead and builds no Token."""
 
-    text: str
+    def __init__(self, text: str):
+        self.text = text
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:

@@ -1,6 +1,7 @@
 import pytest
 
 from lggnorm import resources
+from lggnorm.grammar import load_grammar_file
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +12,13 @@ def lexicon():
 @pytest.fixture(scope="session")
 def library():
     return resources.load_grammar_library()
+
+
+@pytest.fixture(scope="session")
+def graphs():
+    """Every graph of the bundled grammar files, in load order."""
+    return [g for path in sorted(resources.grammar_dir().glob("*.lgg"))
+            for g in load_grammar_file(path)]
 
 
 @pytest.fixture(scope="session")

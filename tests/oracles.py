@@ -837,6 +837,16 @@ def deviant_forms(lexicon: Lexicon) -> list[tuple[tuple, str]]:
     return [(k, f) for f, k in forms.items()]
 
 
+def rebuilt(res: Resources, **changes) -> Resources:
+    """A new Resources built from the six fields of ``res``, with
+    ``changes`` in their place, so its tries follow its entries and its
+    deviant automaton starts afresh."""
+    fields = dict(lexicon=res.lexicon, fsts=res.fsts, abbr_entries=res.abbr_entries,
+                  neo_entries=res.neo_entries, loan_entries=res.loan_entries,
+                  thresholds=res.thresholds)
+    return Resources(**{**fields, **changes})
+
+
 def brute_deviant_best(token: Token, res: Resources):
     """Linear scan of deviant_forms: the nearest form within the deviant
     threshold, ranked by (distance, -shared key prefix, form), as

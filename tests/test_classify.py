@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +36,7 @@ from lggnorm.hangul import (
 from lggnorm.lexicon import (BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable,
                              read_entries_file)
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, linear_dict_prefix
+from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, linear_dict_prefix, rebuilt
 
 
 def tok(s):
@@ -133,7 +132,7 @@ def test_deviant_fuzzy_candidate_forms(classifier_resources, surface, suggestion
     (2, Category.DEVIANT_SPELLING, "좋아요"),
 ])
 def test_deviant_threshold(classifier_resources, limit, primary, suggestion):
-    res = replace(classifier_resources, thresholds=Thresholds(deviant=limit))
+    res = rebuilt(classifier_resources, thresholds=Thresholds(deviant=limit))
     r = classify("조아요", res)
     assert r.primary is primary and r.suggestion == suggestion
 
@@ -321,7 +320,7 @@ HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 
 
 def assert_searches_match_oracles(surface, res, limit):
-    res = replace(res, thresholds=Thresholds(loan=limit, deviant=limit))
+    res = rebuilt(res, thresholds=Thresholds(loan=limit, deviant=limit))
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
     index = TextIndex(token.surface, res.lexicon)
     assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)

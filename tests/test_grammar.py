@@ -152,9 +152,9 @@ def test_validate_clean_graph():
     assert validate(parse_graph(CHOCOLATE)) == []
 
 
-def test_validate_bundled_library(library):
-    for g in library.graphs:
-        assert validate(g, library.graphs) == []
+def test_validate_bundled_library(graphs):
+    for g in graphs:
+        assert validate(g, graphs) == []
 
 
 def test_dangling_successor():

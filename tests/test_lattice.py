@@ -1,7 +1,5 @@
 """The lexicon lattice against the recursive analysers it replaced."""
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +19,8 @@ from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_b
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
 # the same entries again, as loaded from a second and a third dictionary
-DUPLICATES = (CORE + tuple(replace(e) for e in CORE[::3])
-              + tuple(replace(e, flags=frozenset({"src=extra"})) for e in CORE[::4]))
+DUPLICATES = (CORE + tuple(e._replace() for e in CORE[::3])
+              + tuple(e._replace(flags=frozenset({"src=extra"})) for e in CORE[::4]))
 
 RULE_POS = [Pos.N, Pos.V, Pos.ADJ, Pos.JOSA, Pos.EOMI, Pos.XSV, Pos.ADV, Pos.DET]
 BY_POS: dict = {}
@@ -296,7 +294,7 @@ def test_duplicate_entries_keep_dictionary_order():
     # only in which entry each of its two segments takes
     twice = [DictEntry("가", "가", Pos.N), DictEntry("이", "이", Pos.JOSA),
              DictEntry("가", "가", Pos.V), DictEntry("이", "이", Pos.EOMI)]
-    twice += [replace(e, flags=frozenset({"src=extra"})) for e in twice[:2]]
+    twice += [e._replace(flags=frozenset({"src=extra"})) for e in twice[:2]]
     for lexicon, surface in [(Lexicon(DUPLICATES), "사람들이"), (Lexicon(twice), "가이")]:
         key = fold_letters(surface)
         got = lexicon.analyze_key(key)

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -18,6 +17,7 @@ from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
+from oracles import rebuilt
 
 
 def test_long_laugh_run_normalizes_like_a_short_one(library, lexicon):
@@ -148,7 +148,7 @@ def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_lette
         classifier_resources):
     # a count, so it holds on any host: from a fresh deviant automaton,
     # the search steps only the letters near the token's first words
-    res = replace(classifier_resources)
+    res = rebuilt(classifier_resources)
     search, step, steps = res.deviant_search, res.deviant_search.step, []
     search.step = lambda *args: steps.append(args) or step(*args)
     classify_token(tokenize("".join(glued_words())).tokens[0], res)
@@ -206,7 +206,7 @@ def with_10000_loan_entries(res: Resources) -> Resources:
     rng = random.Random(0)
     open_syllables = [chr(0xAC00 + 28 * i) for i in range(19 * 21)]
     surfaces = ["".join(rng.choices(open_syllables, k=rng.randint(2, 5))) for _ in range(10000)]
-    return replace(res, loan_entries=res.loan_entries
+    return rebuilt(res, loan_entries=res.loan_entries
                    + tuple(DictEntry(s, s, Pos.N, frozenset({"loan"})) for s in surfaces))
 
 
@@ -268,7 +268,7 @@ def test_cli_compiles_a_long_epsilon_chain(tmp_path):
     start = time.perf_counter()
     fst = compile_graph(chained[0], chained)
     assert time.perf_counter() - start < 0.5
-    assert fst == compile_graph(direct[0], direct)
+    assert fst.dump() == compile_graph(direct[0], direct).dump()
     assert r.stdout.decode() == fst.dump()
 
 
@@ -320,7 +320,7 @@ def test_a_chain_of_1100_subgraph_calls_compiles_within_half_a_second():
     start = time.perf_counter()
     fst = compile_graph(calls[0], calls)
     assert time.perf_counter() - start < 0.5
-    assert fst == compile_graph(direct[0], direct)
+    assert fst.dump() == compile_graph(direct[0], direct).dump()
 
 
 def best_of_3(run) -> float:
