@@ -70,20 +70,24 @@ class JamoKind(enum.Enum):
     COMPAT = "compat"
 
 
+# each kind's (first index, last index, code point of index 0)
+_JAMO_RANGE = {JamoKind.INITIAL: (0, INITIAL_COUNT - 1, INITIAL_BASE),
+               JamoKind.MEDIAL: (0, MEDIAL_COUNT - 1, MEDIAL_BASE),
+               JamoKind.FINAL: (1, FINAL_COUNT - 1, FINAL_BASE),
+               JamoKind.COMPAT: (0, COMPAT_LAST - COMPAT_FIRST, COMPAT_FIRST)}
+
+
 class Jamo(NamedTuple("Jamo", [("kind", JamoKind), ("index", int), ("codepoint", int)])):
     """One jamo unit: positional (initial/medial/final) or standalone compat letter."""
 
     __slots__ = ()
 
     def __new__(cls, kind: JamoKind, index: int, codepoint: int):
-        if kind is JamoKind.INITIAL and not 0 <= index < INITIAL_COUNT:
-            raise IndexOutOfRange(f"initial index {index} not in 0..18")
-        if kind is JamoKind.MEDIAL and not 0 <= index < MEDIAL_COUNT:
-            raise IndexOutOfRange(f"medial index {index} not in 0..20")
-        if kind is JamoKind.FINAL and not 1 <= index < FINAL_COUNT:
-            raise IndexOutOfRange(f"final index {index} not in 1..27")
-        if kind is JamoKind.COMPAT and not COMPAT_FIRST <= codepoint <= COMPAT_LAST:
-            raise IndexOutOfRange(f"compat codepoint {codepoint:#x} not in U+3131..U+318E")
+        first, last, base = _JAMO_RANGE[kind]
+        if not first <= index <= last:
+            raise IndexOutOfRange(f"{kind.value} index {index} not in {first}..{last}")
+        if codepoint != base + index:
+            raise IndexOutOfRange(f"codepoint {codepoint:#x} is not {kind.value} jamo {index}")
         return super().__new__(cls, kind, index, codepoint)
 
     @classmethod

@@ -14,13 +14,10 @@ The concatenation rules compile to one integer transition table,
 RuleAutomaton: a rule state is a row number and a part of speech a
 column, ``Pos.index``; trie nodes keep their parts of speech as indices.
 Analyses and the fewest-words split need the edges, so they read the
-lattice of (unit, rule state) pairs: each pair is expanded once, from
-the entries ``iter_prefix_entries`` finds at its unit, the one exact
-descent of the letter trie, and the work per token is bounded by
-units × trie depth × rule states.  The fewest-words split reads the
-lattice with its edges; analyses mask the segment counts that finish
-the key from each pair and are then yielded lazily, so the first costs
-one pass over the lattice.  Otherwise a
+lattice of (unit, rule state) pairs, each expanded once from the entries
+``iter_prefix_entries`` finds at its unit (units × trie depth × rule
+states of work at most), and settle it right to left, a pair after the
+pairs its edges reach.  Otherwise a
 LetterAutomaton answers, for the analysability test and for the
 classifier's deviant-spelling search: the subset construction (Aho,
 Sethi & Ullman, "Compilers", §3.7) over (trie node, rule state) pairs,
@@ -39,7 +36,6 @@ beside banded edit-distance rows.  No other module reads a trie node.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import unicodedata
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Sequence
@@ -68,7 +64,6 @@ class Pos(enum.Enum):
 
 
 POS_NAMES = frozenset(p.value for p in Pos)
-_NAME_OF_INDEX = tuple(p.value for p in Pos)
 
 DEFAULT_CONCAT_RULES = (
     "N JOSA*",
@@ -361,59 +356,44 @@ class Lexicon:
             ends.append(rest[ends[-1]][1])
         return ends[1:] if ends[-1] == starts[-1] else None
 
-    def analyses(self, key: tuple[str, ...]) -> Iterator[MorphAnalysis]:
-        """The rule-satisfying segmentations of a letter-jamo key, fewest
-        segments first, then by each segment's (surface, POS, lemma), then
-        by the entries' dictionary order, the first segment varying slowest.
-        For each count of segments, a depth-first walk over the sorted
-        groups of edges of one (surface, POS, lemma) enters only the groups
-        whose next pair can finish in the segments left."""
-        edges = self.lattice(key)
-        counts: dict[tuple[int, int], int] = {}  # bit n: can finish in n segments
-        for pair in sorted(edges, key=lambda p: -p[0]):
-            mask = pair[0] == len(key) > 0 and self._final[pair[1]]
-            for _, dst in edges[pair]:
-                mask |= counts[dst] << 1
-            counts[pair] = mask
-        groups: dict[tuple[int, int], list] = {}  # pair -> [(segments, next pair)]
-
-        def grouped(pair):
-            if pair not in groups:
-                by_key: dict[tuple, tuple[list, tuple]] = {}  # (surface, Pos.index, lemma)
-                for e, dst in edges[pair]:
-                    group = by_key.setdefault((e.surface, e.pos.index, e.lemma), ([], dst))
-                    group[0].append((e.surface, e))
-                groups[pair] = [by_key[k] for k in sorted(
-                    by_key, key=lambda k: (k[0], _NAME_OF_INDEX[k[1]], k[2]))]
-            return groups[pair]
-
-        start = (0, self._start)
-        todo = counts[start]
-        while todo:
-            n = (todo & -todo).bit_length() - 1  # the fewest segments not yet walked
-            todo &= todo - 1
-            stack = [(iter(grouped(start)), n, None)]  # (groups left, segments left, group in)
-            while stack:
-                rest, left, _ = stack[-1]
-                for group, dst in rest:
-                    if counts[dst] >> (left - 1) & 1:
-                        break
-                else:
-                    stack.pop()
-                    continue
-                if left > 1:
-                    stack.append((iter(grouped(dst)), left - 1, group))
-                else:
-                    path = [taken for _, _, taken in stack[1:]] + [group]
-                    yield from map(MorphAnalysis, itertools.product(*path))
-
     def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
-        """All of ``analyses(key)``."""
-        return list(self.analyses(key))
+        """Every rule-satisfying segmentation of a letter-jamo key, fewest
+        segments first, then by each segment's (surface, POS, lemma), then
+        by the entries' dictionary order: a stable sort of the segment
+        tuples that each pair, right to left, finds to finish the key."""
+        edges = self.lattice(key)
+        finish: dict[tuple[int, int], list] = {}  # pair -> segment tuples
+        for pair in sorted(edges, key=lambda p: -p[0]):
+            done = [()] if pair[0] == len(key) > 0 and self._final[pair[1]] else []
+            finish[pair] = done + [((e.surface, e),) + rest
+                                   for e, dst in edges[pair] for rest in finish[dst]]
+        found = sorted(finish[0, self._start], key=lambda segments: (
+            len(segments), [(s, e.pos.value, e.lemma) for s, e in segments]))
+        return list(map(MorphAnalysis, found))
 
     def best_analysis(self, key: tuple[str, ...]) -> MorphAnalysis | None:
-        """The first of ``analyses(key)``, or None when there is none."""
-        return next(self.analyses(key), None)
+        """The first of ``analyze_key(key)``, or None when there is none: a
+        shortest path settled right to left (Mohri 2002, "Semiring frameworks
+        and algorithms for shortest-distance problems").  A pair keeps its
+        edge of least (segments, (surface, POS, lemma)); two such edges
+        reach the same next pair, and ``min`` keeps the first of them."""
+        edges = self.lattice(key)
+        best = {}  # pair -> (segments, (surface, POS, lemma), entry, next pair)
+        for pair in sorted(edges, key=lambda p: -p[0]):
+            ranked = [(best[dst][0] + 1, (e.surface, e.pos.value, e.lemma), e, dst)
+                      for e, dst in edges[pair] if dst in best]
+            if pair[0] == len(key) > 0 and self._final[pair[1]]:
+                ranked.append((0, (), None, None))
+            if ranked:
+                best[pair] = min(ranked, key=lambda r: r[:2])
+        pair = (0, self._start)
+        if pair not in best:
+            return None
+        segments = []
+        while best[pair][0]:
+            _, _, e, pair = best[pair]
+            segments.append((e.surface, e))
+        return MorphAnalysis(tuple(segments))
 
 
 _FAR = 1 << 30  # stands for any distance beyond the band

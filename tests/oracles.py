@@ -8,6 +8,7 @@ import re
 import unicodedata
 from bisect import bisect_left
 from functools import lru_cache
+from typing import Iterator
 from unittest import mock
 
 from lggnorm import fst as fst_module
@@ -967,6 +968,53 @@ def analyze_key_by_recursion(lexicon: Lexicon, key: tuple[str, ...]) -> list[Mor
         tuple((s, e.pos.value, e.lemma) for s, e in a.segments),
     ))
     return results
+
+
+def analyses_by_count_masks(lexicon: Lexicon, key: tuple[str, ...]) -> Iterator[MorphAnalysis]:
+    """The rule-satisfying segmentations of a letter-jamo key, lazily, in
+    ``analyze_key_by_recursion`` order, the entries' dictionary order last,
+    the first segment varying slowest.  Each lattice pair masks the
+    segment counts that finish the key from it (bit n: n segments); for
+    each count, a depth-first walk over the sorted groups of edges of one
+    (surface, POS, lemma) enters only the groups whose next pair can
+    finish in the segments left, so the first analysis costs one pass."""
+    edges = lexicon.lattice(key)
+    counts: dict[tuple[int, int], int] = {}
+    for pair in sorted(edges, key=lambda p: -p[0]):
+        mask = pair[0] == len(key) > 0 and lexicon._final[pair[1]]
+        for _, dst in edges[pair]:
+            mask |= counts[dst] << 1
+        counts[pair] = mask
+    groups: dict[tuple[int, int], list] = {}  # pair -> [(segments, next pair)]
+
+    def grouped(pair):
+        if pair not in groups:
+            by_key: dict[tuple, tuple[list, tuple]] = {}  # (surface, POS, lemma)
+            for e, dst in edges[pair]:
+                group = by_key.setdefault((e.surface, e.pos.value, e.lemma), ([], dst))
+                group[0].append((e.surface, e))
+            groups[pair] = [by_key[k] for k in sorted(by_key)]
+        return groups[pair]
+
+    start = (0, lexicon._start)
+    todo = counts[start]
+    while todo:
+        n = (todo & -todo).bit_length() - 1  # the fewest segments not yet walked
+        todo &= todo - 1
+        stack = [(iter(grouped(start)), n, None)]  # (groups left, segments left, group in)
+        while stack:
+            rest, left, _ = stack[-1]
+            for group, dst in rest:
+                if counts[dst] >> (left - 1) & 1:
+                    break
+            else:
+                stack.pop()
+                continue
+            if left > 1:
+                stack.append((iter(grouped(dst)), left - 1, group))
+            else:
+                path = [taken for _, _, taken in stack[1:]] + [group]
+                yield from map(MorphAnalysis, itertools.product(*path))
 
 
 def word_analyzable_by_recursion(word: str, lexicon: Lexicon) -> bool:

@@ -573,3 +573,65 @@ def test_a_tag_strip_merge_cannot_read_is_a_parse_error(capsys, tmp_path, argv):
     assert out == ""
     assert err == (f"error: {paths['lgg']}: line 1: "
                    "tag 'joy-1' does not match [A-Z][A-Z0-9_]*\n")
+
+
+# characters the grammar and dictionary formats give a meaning, a few
+# letters, and a conjoining final (U+11A8) that leaves an open syllable
+# before it not NFC
+EDIT_CHARS = ' \t,.+#"|/:<>-*=_0129ENVGRAPHTAGFINALINITIAL가나짱ㅋㅏ\u11a8'
+# one token per detector, a laugh run and plain text
+EDITED_ASSETS_TEXT = "넘 좋아요 ㅋㅋㅋ 영화했니다 색깔이예뻐요 클래식하다 잼있어요 깜놀했어요 프로그렘 사람들이\n"
+
+
+def edit_lines(lines: list[str], rng: random.Random) -> None:
+    """Delete, duplicate or swap a line of ``lines``, or replace, delete
+    or insert one character of a line, in place."""
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.choice(["delete", "duplicate", "swap", "replace", "drop", "insert"])
+    if kind == "delete":
+        if len(lines) > 1:
+            del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        at = rng.randrange(len(lines[i]) + 1)
+        new = "" if kind == "drop" else rng.choice(EDIT_CHARS)
+        lines[i] = lines[i][:at] + new + lines[i][at + (kind != "insert"):]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_edited_grammar_and_dictionary_files_exit_0_or_2(capsys, tmp_path, seed):
+    """Copies of the bundled grammar and dictionary files after 1-4
+    seeded line or character edits, through every command that reads
+    them: each exits 0, or 2 with one error line, and none raises."""
+    rng = random.Random(seed)
+    grammars, dicts = tmp_path / "grammars", tmp_path / "dict"
+    grammars.mkdir()
+    dicts.mkdir()
+    files = {grammars / p.name: p for p in sorted(resources.grammar_dir().glob("*.lgg"))}
+    files.update((dicts / n, resources.dictionary_path(n))
+                 for n in ("abbr.dic", "core.dic", "loan.dic", "neo.dic"))
+    lines = {target: source.read_text(encoding="utf-8").splitlines(keepends=True)
+             for target, source in files.items()}
+    for _ in range(rng.randint(1, 4)):
+        edit_lines(lines[rng.choice(list(files))], rng)
+    for target in files:
+        target.write_text("".join(lines[target]), encoding="utf-8")
+    text = tmp_path / "text.txt"
+    text.write_text(EDITED_ASSETS_TEXT, encoding="utf-8")
+    dict_args = ["--dict", str(dicts / "core.dic"), "--dict", str(dicts / "loan.dic")]
+    side_args = [arg for n in ("abbr", "neo", "loan")
+                 for arg in (f"--{n}-dict", str(dicts / f"{n}.dic"))]
+    runs = [["graph", command, str(path)] for path in sorted(grammars.iterdir())
+            for command in ("validate", "compile")]
+    runs += [[command, *dict_args, *extra, str(text)] for command, extra in [
+        ("normalize", ["--grammars", str(grammars)]),
+        ("classify", [*side_args, "--grammars", str(grammars)]), ("stats", []), ("analyze", [])]]
+    for argv in runs:
+        code, _, err = run_main(capsys, *argv)
+        assert code in (0, 2), argv
+        # exit 2 prints one error line, or graph validate's diagnostics on stdout
+        assert err == "" or (code == 2 and err.startswith("error: ") and err.count("\n") == 1), \
+            (argv, err)

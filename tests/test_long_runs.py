@@ -17,7 +17,7 @@ from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
-from oracles import rebuilt
+from oracles import analyses_by_count_masks, rebuilt
 
 
 def test_long_laugh_run_normalizes_like_a_short_one(library, lexicon):
@@ -85,6 +85,31 @@ def test_best_analysis_of_a_verb_with_2000_endings_within_half_a_second():
     assert [s for s, _ in best.segments] == ["가"] + ["아아"] * 1000
 
 
+def segment_ids(analysis) -> list[tuple[str, int]]:
+    return [(s, id(e)) for s, e in analysis.segments]
+
+
+def test_best_analysis_of_a_long_key_is_the_first_of_the_count_mask_oracle():
+    # too many analyses for the recursive oracle; the lazy one yields the
+    # first after one pass
+    verb = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
+    core = resources.load_lexicon([resources.dictionary_path("core.dic")])
+    for lex, word in [(verb, "가" + "아" * 2000), (core, "사람" + "들" * 1500)]:
+        key = fold_letters(word)
+        first = next(analyses_by_count_masks(lex, key))
+        assert segment_ids(lex.best_analysis(key)) == segment_ids(first)
+
+
+def test_best_analysis_grows_linearly_with_the_endings_of_a_verb():
+    # a settle that carried each suffix's key tuple would be quadratic:
+    # 4x the endings would cost about 16x the time, yet pass the 0.5 s
+    # gate at 2,000 endings
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
+    short, long = (fold_letters("가" + "아" * n) for n in (2000, 8000))
+    assert best_of_3(lambda: lexicon.best_analysis(long)) <= 8 * best_of_3(
+        lambda: lexicon.best_analysis(short))
+
+
 @pytest.mark.parametrize("n", [500, 1000, 2000])
 def test_lattice_of_a_verb_with_n_endings_holds_a_pair_per_ending(n):
     # a count, so it holds on any host: 가/V, then one (unit, rule state)
@@ -117,7 +142,7 @@ def test_first_ten_analyses_of_a_verb_with_24_endings_within_a_twentieth_of_a_se
     lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
     key = fold_letters("가" + "아" * 24)
     start = time.perf_counter()
-    first = list(itertools.islice(lexicon.analyses(key), 10))
+    first = list(itertools.islice(analyses_by_count_masks(lexicon, key), 10))
     assert time.perf_counter() - start < 0.05
     assert [s for s, _ in first[0].segments] == ["가"] + ["아아"] * 12
     assert [s for s, _ in first[1].segments] == ["가", "아", "아"] + ["아아"] * 11

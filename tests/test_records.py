@@ -73,6 +73,17 @@ def test_label_and_jamo_check_their_replacements_too():
     assert Label(LabelKind.LITERAL, "넘")._replace(payload="너무") == Label(LabelKind.LITERAL, "너무")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Jamo(JamoKind.INITIAL, 1, 0x1100),
+    lambda: initial(0)._replace(index=1),
+    lambda: Jamo(JamoKind.MEDIAL, 0, 0x1100),
+    lambda: Jamo(JamoKind.COMPAT, 1, 0x3131),
+], ids=["initial", "initial-replaced", "medial", "compat"])
+def test_a_jamo_codepoint_must_be_that_of_its_index(make):
+    with pytest.raises(IndexOutOfRange):
+        make()
+
+
 def test_entries_hash_as_their_field_tuples():
     # the frozen dataclass hashed its field tuple too, so sets and dicts
     # of entries keep their iteration order, and with it every output
