@@ -1,7 +1,9 @@
 """Classify non-analyzable tokens into the six non-standard-form categories.
 
-Detectors run in a fixed priority order and all firing detectors are
-collected; the first one becomes the primary category:
+Detectors run as one lazy cascade in a fixed priority order.  The first
+one that fires gives the primary category, and ``classify_token`` stops
+there; ``detections`` yields the ones after it, each with its own
+suggestion, on demand:
 
 1. EMOTICON        jamo/symbol token made of laugh/cry letters, or an
                    emoticon grammar accepts the whole token
@@ -15,8 +17,10 @@ collected; the first one becomes the primary category:
 6. DEVIANT_SPELLING deviant-ending grammar matches a suffix, or the token
                    is within the deviant threshold of a candidate form
 
-Cheap exact tests outrank fuzzy distance tests; a clean multi-word split
-(SPACING) is stronger evidence than a one-jamo edit (DEVIANT_SPELLING).
+Cheap exact tests outrank fuzzy distance tests, so the loanword and
+deviant distance searches run only for a token no exact test claims; a
+clean multi-word split (SPACING) is stronger evidence than a one-jamo
+edit (DEVIANT_SPELLING).
 
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
@@ -37,7 +41,7 @@ loanwords.  Matches end where a character starts (잼 is not a prefix of
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .apply import TextIndex, longest_match, run_from  # perfbench/selftest.py reads run_from
 from .fst import Fst
@@ -92,6 +96,8 @@ class Candidate(NamedTuple):
 class ClassificationResult(NamedTuple):
     token: Token
     primary: Category
+    # the primary's candidate, or () for UNKNOWN; ``detections`` yields
+    # every firing detector
     candidates: tuple[Candidate, ...]
     suggestion: str | None
 
@@ -279,9 +285,11 @@ _DETECTORS = (
 )
 
 
-def classify_token(token: Token, res: Resources) -> ClassificationResult:
-    """Classify one non-analyzable token; all firing detectors are kept
-    as candidates and the first becomes the primary category."""
+def detections(token: Token, res: Resources) -> Iterator[tuple[Candidate, str | None]]:
+    """Each firing detector's (candidate, suggestion) for one
+    non-analyzable token, in priority order; a detector runs only when
+    the next item is read, so the fuzzy searches run only for a token no
+    earlier detector claims."""
     letters = fold_letters(token.surface) if token.cls is TokenClass.HANGUL else None
     if res.lexicon.is_word(letters) if letters else is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
@@ -289,22 +297,21 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
     index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
     if letters:
         index.letters = letters  # fills the cached property the detectors read
-    candidates: list[Candidate] = []
-    suggestion: str | None = None
     for detect, classes in _DETECTORS:
-        if token.cls not in classes:
-            continue
-        got = detect(index, res)
-        if got is None:
-            continue
-        cand, sug = got
-        candidates.append(cand)
-        if len(candidates) == 1:
-            suggestion = sug
-    if not candidates:
+        if token.cls in classes:
+            got = detect(index, res)
+            if got is not None:
+                yield got
+
+
+def classify_token(token: Token, res: Resources) -> ClassificationResult:
+    """Classify one non-analyzable token by the first detector that fires:
+    its category, candidate and suggestion."""
+    got = next(detections(token, res), None)
+    if got is None:
         return ClassificationResult(token, Category.UNKNOWN, (), None)
-    return ClassificationResult(token, candidates[0].category,
-                                tuple(candidates), suggestion)
+    candidate, suggestion = got
+    return ClassificationResult(token, candidate.category, (candidate,), suggestion)
 
 
 class CorpusClassification(NamedTuple):

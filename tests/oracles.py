@@ -13,7 +13,8 @@ from unittest import mock
 
 from lggnorm import fst as fst_module
 from lggnorm.apply import Anchor, TextIndex
-from lggnorm.classify import Candidate, Category, Resources, _splice
+from lggnorm.classify import (_DETECTORS, Candidate, Category, PreconditionViolated, Resources,
+                              _splice, detections)
 from lggnorm.concord import ConcordLine, ConcordSort
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
@@ -846,6 +847,38 @@ def rebuilt(res: Resources, **changes) -> Resources:
                   neo_entries=res.neo_entries, loan_entries=res.loan_entries,
                   thresholds=res.thresholds)
     return Resources(**{**fields, **changes})
+
+
+def detections_by_eager_loop(token: Token, res: Resources) -> list[tuple]:
+    """Every detector of the token's class, each run on one TextIndex of
+    its surface in priority order: the (Candidate, suggestion) of each
+    one that fires.  Raises PreconditionViolated on an analyzable token."""
+    if is_analyzable(token, res.lexicon):
+        raise PreconditionViolated(f"token {token.surface!r} is analyzable")
+    index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
+    found = []
+    for detect, classes in _DETECTORS:
+        if token.cls not in classes:
+            continue
+        got = detect(index, res)
+        if got is not None:
+            found.append(got)
+    return found
+
+
+def every_detection(stream: TokenStream, res: Resources) -> dict[str, tuple]:
+    """``tuple(detections(token, res))`` of each distinct non-analyzable
+    type of ``stream`` in first-occurrence order: the types classify_corpus
+    classifies, with every detector run on each, not only up to the first
+    that fires."""
+    found: dict[str, tuple | None] = {}
+    for token in stream:
+        if token.surface not in found:
+            try:
+                found[token.surface] = tuple(detections(token, res))
+            except PreconditionViolated:
+                found[token.surface] = None
+    return {surface: got for surface, got in found.items() if got is not None}
 
 
 def brute_deviant_best(token: Token, res: Resources):

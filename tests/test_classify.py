@@ -23,6 +23,7 @@ from lggnorm.classify import (
     _loanword_by_distance,
     classify_corpus,
     classify_token,
+    detections,
 )
 from lggnorm.hangul import (
     FINAL_LETTERS,
@@ -36,7 +37,8 @@ from lggnorm.hangul import (
 from lggnorm.lexicon import (BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable,
                              read_entries_file)
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, linear_dict_prefix, rebuilt
+from oracles import (DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, detections_by_eager_loop,
+                     every_detection, linear_dict_prefix, rebuilt)
 
 
 def tok(s):
@@ -163,7 +165,8 @@ def test_candidates_contain_primary(classifier_resources):
 def test_abbreviation_collects_hada_candidate_too(classifier_resources):
     r = classify("강추합니다", classifier_resources)
     assert r.primary is Category.ABBREVIATION
-    cats = [c.category for c in r.candidates]
+    cats = [c.category for c, _ in detections(tok("강추합니다"), classifier_resources)]
+    assert cats[0] is Category.ABBREVIATION
     assert Category.NEOLOGISM in cats  # unknown root + 하 + ending also fired
 
 
@@ -440,11 +443,13 @@ def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
 
 
 def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple[int, int, int, int]:
-    """(rows, states, steps, transitions) after classifying both bundled
-    corpora at deviant threshold ``limit`` through one fresh Resources
-    (on ``lexicon``, by default the bundled one): the rows BandedRows.grow
-    returns inside the deviant search, and the deviant automaton's
-    states, step calls and stored transitions."""
+    """(rows, states, steps, transitions) after running every detector on
+    each type of both bundled corpora at deviant threshold ``limit``
+    through one fresh Resources (on ``lexicon``, by default the bundled
+    one): the rows BandedRows.grow returns inside the deviant search, and
+    the deviant automaton's states, step calls and stored transitions.
+    Classify itself stops at the first detector that fires, which leaves
+    the deviant search to few of the types."""
     res = resources.load_classifier_resources(lexicon, thresholds=Thresholds(deviant=limit))
     search, grow = res.deviant_search, BandedRows.grow
     nearest, step = search.nearest, search.step
@@ -470,7 +475,7 @@ def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple[int, int, 
     BandedRows.grow = counting_grow
     try:
         for name in ("formal_sample.txt", "informal_sample.txt"):
-            classify_corpus(tokenize(resources.corpus_path(name).read_text(encoding="utf-8")), res)
+            every_detection(tokenize(resources.corpus_path(name).read_text(encoding="utf-8")), res)
     finally:
         BandedRows.grow = grow
     return work["rows"], len(search.pairs), work["steps"], sum(map(len, search.delta))
@@ -524,6 +529,96 @@ def test_deviant_suggestions_hold_no_standalone_letter(entries, data, limit):
     got = _detect_deviant(TextIndex(draw_small_token(data, entries).surface, lexicon), res)
     if got is not None:
         assert not any(map(is_compat_jamo, got[1])), got
+
+
+# ------------------------------------------ the cascade against the eager loop
+
+def assert_cascade_matches_eager_loop(token: Token, res: Resources) -> int | None:
+    """The lazy cascade, exhausted, yields what the eager loop finds, and
+    classify_token keeps its first item; the number of items found, or
+    None for an analyzable token, which both turn away."""
+    try:
+        want = detections_by_eager_loop(token, res)
+    except PreconditionViolated:
+        with pytest.raises(PreconditionViolated):
+            classify_token(token, res)
+        return None
+    assert tuple(detections(token, res)) == tuple(want), token.surface
+    r = classify_token(token, res)
+    if want:
+        candidate, suggestion = want[0]
+        assert (r.primary, r.suggestion, r.candidates) == (candidate.category, suggestion,
+                                                           (candidate,)), token.surface
+    else:
+        assert (r.primary, r.suggestion, r.candidates) == (Category.UNKNOWN, None, ()), \
+            token.surface
+    return len(want)
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+def test_cascade_matches_the_eager_loop_on_the_corpora_and_gold(
+        classifier_resources, formal_text, informal_text, gold_rows, limit):
+    res = rebuilt(classifier_resources, thresholds=Thresholds(deviant=limit))
+    types = {t.surface: t for text in (formal_text, informal_text) for t in tokenize(text)}
+    found = [assert_cascade_matches_eager_loop(t, res) for t in types.values()]
+    # analyzable types are turned away, and some type has a detector
+    # firing after the first
+    assert None in found and max(n for n in found if n is not None) > 1
+    # a detector fires on every gold type
+    assert all(assert_cascade_matches_eager_loop(tok(s), res) for s in gold_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.one_of(st.none(), small_lexicons), data=st.data(),
+       limit=st.sampled_from([1, 3]))
+def test_cascade_matches_the_eager_loop_on_drawn_tokens(classifier_resources, entries, data,
+                                                        limit):
+    # the bundled grammars and side dictionaries, over the bundled lexicon
+    # (entries None) or a small one
+    lexicon = classifier_resources.lexicon if entries is None else Lexicon(entries)
+    res = rebuilt(classifier_resources, lexicon=lexicon, thresholds=Thresholds(deviant=limit))
+    for _ in range(data.draw(st.integers(1, 4))):
+        assert_cascade_matches_eager_loop(draw_small_token(data, entries or lexicon.entries), res)
+
+
+def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
+        monkeypatch, classifier_resources, formal_text, informal_text):
+    # counts, so they hold on any host: the deviant search runs only for a
+    # HANGUL type that ends UNKNOWN or deviant by distance (3 here; 18 when
+    # every detector ran on every type), and the loan distance search only
+    # for one that no abbreviation, neologism or loan grammar claims (5; 12)
+    import lggnorm.classify as classify_module
+
+    res = rebuilt(classifier_resources)
+    nearest, loan_by_distance = res.deviant_search.nearest, classify_module._loanword_by_distance
+    calls = {"deviant": 0, "loan": 0}
+
+    def counting_nearest(*args):
+        calls["deviant"] += 1
+        return nearest(*args)
+
+    def counting_loan_by_distance(*args):
+        calls["loan"] += 1
+        return loan_by_distance(*args)
+
+    res.deviant_search.nearest = counting_nearest
+    monkeypatch.setattr(classify_module, "_loanword_by_distance", counting_loan_by_distance)
+    out = classify_corpus(tokenize(formal_text + "\n" + informal_text), res)
+
+    def searched(r, after, by_distance):
+        """Whether r's type reached a search: its primary comes after the
+        search, or is the search's own category with distance evidence."""
+        return r.token.cls is TokenClass.HANGUL and (
+            r.primary in after or r.primary is by_distance
+            and r.candidates[0].evidence.startswith("distance:"))
+
+    deviant = [r for r in out.results
+               if searched(r, {Category.UNKNOWN}, Category.DEVIANT_SPELLING)]
+    loan = [r for r in out.results
+            if searched(r, {Category.SPACING, Category.DEVIANT_SPELLING, Category.UNKNOWN},
+                        Category.LOANWORD_VARIANT)]
+    assert calls["deviant"] == len(deviant) == 3
+    assert calls["loan"] == len(loan) == 5
 
 
 # ------------------------------------------ side dictionaries against oracles

@@ -11,13 +11,14 @@ import pytest
 
 from lggnorm import apply, fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
-from lggnorm.classify import Category, Resources, _detect_spacing, classify_corpus, classify_token
+from lggnorm.classify import (Category, Resources, _detect_spacing, classify_corpus, classify_token,
+                              detections)
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
-from oracles import analyses_by_count_masks, rebuilt
+from oracles import analyses_by_count_masks, every_detection, rebuilt
 
 
 def test_long_laugh_run_normalizes_like_a_short_one(library, lexicon):
@@ -167,16 +168,22 @@ def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifie
     assert time.perf_counter() - start < 1.0
     assert result.primary is Category.SPACING
     assert result.suggestion == " ".join(glued)
+    # and every detector, the deviant search too, within the same bound
+    start = time.perf_counter()
+    found = tuple(detections(token, classifier_resources))
+    assert time.perf_counter() - start < 1.0
+    assert found[0] == (result.candidates[0], result.suggestion)
 
 
 def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_letters(
         classifier_resources):
     # a count, so it holds on any host: from a fresh deviant automaton,
-    # the search steps only the letters near the token's first words
+    # the search steps only the letters near the token's first words.
+    # classify stops at SPACING, so every detector is run to reach it
     res = rebuilt(classifier_resources)
     search, step, steps = res.deviant_search, res.deviant_search.step, []
     search.step = lambda *args: steps.append(args) or step(*args)
-    classify_token(tokenize("".join(glued_words())).tokens[0], res)
+    tuple(detections(tokenize("".join(glued_words())).tokens[0], res))
     assert 0 < len(steps) <= 200
 
 
@@ -244,13 +251,21 @@ def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second
     out = classify_corpus(stream, res)
     assert time.perf_counter() - start < 0.5
     assert len(out.results) == len(classify_corpus(stream, classifier_resources).results)
+    # and every detector on each type, from a fresh deviant automaton,
+    # within the same bound
+    res = rebuilt(res)
+    start = time.perf_counter()
+    found = every_detection(stream, res)
+    assert time.perf_counter() - start < 0.5
+    assert list(found) == [r.token.surface for r in out.results]
 
 
 def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
         monkeypatch, classifier_resources, informal_text):
     # a count, so it holds on any host: the rows BandedRows.grow returns
-    # inside the loan search, 9,396 measured; trie children follow entry
-    # order, so the count is the same in every process
+    # inside the loan search with every detector run on each type, 7,096
+    # measured; trie children follow entry order, so the count is the
+    # same in every process
     res = with_10000_loan_entries(classifier_resources)
     grow, prefix_matches = BandedRows.grow, res.loan_trie.prefix_matches
     work = {"rows": 0, "searching": False}
@@ -269,7 +284,7 @@ def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
 
     monkeypatch.setattr(BandedRows, "grow", counting_grow)
     monkeypatch.setattr(res.loan_trie, "prefix_matches", counting_prefix_matches)
-    classify_corpus(tokenize(informal_text), res)
+    every_detection(tokenize(informal_text), res)
     assert 0 < work["rows"] <= 1.1 * 9_396
 
 
