@@ -27,7 +27,9 @@ of speech the rule state takes, returns to the root in the next rule
 state.  Each state and each transition is made the first time it is
 reached and kept, so a key costs one dict lookup per letter once its
 steps are known, and the states never outnumber the letters stepped.
-KeyTrie holds the classifier's side dictionaries.  The deviant,
+At a limit of 0 or 1 the deviant search first tries to prove a miss by
+exact runs of the key's halves, the second backward through a twin over
+reversed letters.  KeyTrie holds the classifier's side dictionaries.  The deviant,
 loanword, abbreviation and neologism lookups are one fuzzy search,
 BandedRows.walk: a depth-first walk of the deviant automaton or a KeyTrie
 beside banded edit-distance rows.  No other module reads a trie node.
@@ -132,6 +134,17 @@ class _TrieNode:
         self.below = 0  # bit Pos.index set for each part of speech in the subtree
 
 
+def _add_key(root: _TrieNode, key: Sequence[str], p: int) -> _TrieNode:
+    """The node of ``key`` below ``root``, made as needed, marked with ``p``."""
+    node = root
+    for letter in key:
+        node = node.children.setdefault(letter, _TrieNode())
+        node.below |= 1 << p
+    if p not in node.pos:
+        node.pos.append(p)
+    return node
+
+
 class _RulePattern:
     """One concatenation rule, e.g. ``N XSV EOMI+`` (quantifiers: none, *, +)."""
 
@@ -168,7 +181,8 @@ class RuleAutomaton:
     """
 
     def __init__(self, rules: Iterable[str]):
-        patterns = [_RulePattern(r) for r in rules]
+        self.rules = tuple(rules)
+        patterns = [_RulePattern(r) for r in self.rules]
         bit = {}  # (rule, atom) position -> its bit; atom len(atoms) ends the rule
         for r, rule in enumerate(patterns):
             for i in range(len(rule.atoms) + 1):
@@ -202,6 +216,10 @@ class RuleAutomaton:
         self.max_morphemes = (
             None if any(atom[2] for rule in patterns for atom in rule.atoms)
             else max((len(rule.atoms) for rule in patterns), default=0))
+
+    def reversed(self) -> RuleAutomaton:
+        """Each rule's atoms in reverse order: ``N XSV EOMI`` as ``EOMI XSV N``."""
+        return RuleAutomaton(" ".join(rule.split()[::-1]) for rule in self.rules)
 
     def accepts(self, seq: tuple[Pos, ...]) -> bool:
         state = self.start
@@ -249,13 +267,7 @@ class Lexicon:
         self._entries.append(entry)
         key = fold_letters(entry.surface)
         self.max_key_len = max(self.max_key_len, len(key))
-        node, p = self._root, entry.pos.index
-        for letter in key:
-            node = node.children.setdefault(letter, _TrieNode())
-            node.below |= 1 << p
-        node.entries.append(entry)
-        if p not in node.pos:
-            node.pos.append(p)
+        _add_key(self._root, key, entry.pos.index).entries.append(entry)
 
     def __len__(self):
         return len(self._entries)
@@ -509,8 +521,9 @@ class LetterAutomaton:
     states never outnumber 2 + the letters stepped.
     """
 
-    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton):
-        self.root = lexicon._root
+    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton, root: _TrieNode | None = None):
+        self.lexicon, self.rules, self._backward = lexicon, rules, None
+        self.root = lexicon._root if root is None else root
         self.table, self.final, self.takes = rules.table, rules.final, rules.takes
         self.pairs = [frozenset(), frozenset({(self.root, rules.start)})]
         self.number = {pairs: n for n, pairs in enumerate(self.pairs)}
@@ -555,16 +568,40 @@ class LetterAutomaton:
         self.delta[state][letter] = nxt
         return nxt
 
+    @property
+    def backward(self) -> LetterAutomaton:
+        """The automaton of the reversed words, over a trie of the entries'
+        reversed letters under the reversed rules; made on first use."""
+        if self._backward is None:
+            root = _TrieNode()
+            for e in self.lexicon.entries:
+                _add_key(root, fold_letters(e.surface)[::-1], e.pos.index)
+            self._backward = LetterAutomaton(self.lexicon, self.rules.reversed(), root)
+        return self._backward
+
+    def run(self, key: Sequence[str]) -> int:
+        """The state after ``key`` from state 1: 0 proves that no word
+        starts with ``key``; a live state may be one no word completes."""
+        delta, state = self.delta, 1
+        for letter in key:
+            nxt = delta[state].get(letter)
+            state = self.step(state, letter) if nxt is None else nxt
+            if not state:
+                break
+        return state
+
     def out(self, state: int) -> dict[str, int]:
         """Each letter that leads from ``state`` to a live state, mapped to
-        that state; made once per state."""
+        that state; made once per state, stepping only unstored letters."""
         try:
             return self.outs[state]
         except KeyError:
+            delta = self.delta[state]
             letters = dict.fromkeys(letter for node, s in self.pairs[state]
                                     for letter, child in node.children.items()
                                     if child.below & self.takes[s])
-            got = self.outs[state] = {letter: self.step(state, letter) for letter in letters}
+            got = self.outs[state] = {letter: delta[letter] if letter in delta
+                                      else self.step(state, letter) for letter in letters}
             return got
 
     def nearest(self, token_key: tuple, limit: int) -> tuple[int, str] | None:
@@ -576,9 +613,16 @@ class LetterAutomaton:
 
         A BandedRows walk of the automaton, whose bound falls to each
         nearer form; a form that composes with a standalone letter is
-        passed over where it ends.
+        passed over where it ends.  At a ``limit`` of 0 or 1 a form keeps
+        the key's first ceil(m/2) letters or the rest whole (Mihov & Schulz
+        2004), so when ``run`` of the first half and ``backward.run`` of the
+        rest reversed both die, no walk is needed.
         """
         if limit < 0:
+            return None
+        half = (len(token_key) + 1) // 2
+        if limit <= 1 and not self.run(token_key[:half]) \
+                and not self.backward.run(token_key[half:][::-1]):
             return None
         rows = BandedRows(token_key, limit, self.max_letters)
         m, accepts = rows.m, self.accepts

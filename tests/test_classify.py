@@ -38,7 +38,7 @@ from lggnorm.lexicon import (BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleA
                              read_entries_file)
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import (DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, detections_by_eager_loop,
-                     every_detection, linear_dict_prefix, rebuilt)
+                     deviant_forms, every_detection, linear_dict_prefix, rebuilt)
 
 
 def tok(s):
@@ -442,18 +442,55 @@ def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
         assert _deviant_by_distance(index, res) == brute_deviant_best(token, res), token.surface
 
 
-def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple[int, int, int, int]:
-    """(rows, states, steps, transitions) after running every detector on
-    each type of both bundled corpora at deviant threshold ``limit``
-    through one fresh Resources (on ``lexicon``, by default the bundled
-    one): the rows BandedRows.grow returns inside the deviant search, and
-    the deviant automaton's states, step calls and stored transitions.
-    Classify itself stops at the first detector that fires, which leaves
-    the deviant search to few of the types."""
+@settings(max_examples=200, deadline=None)
+@given(entries=small_lexicons, data=st.data(), limit=st.sampled_from([0, 1]))
+def test_deviant_search_matches_oracle_on_far_tokens(entries, data, limit):
+    # letters drawn from the whole alphabet rather than edits of a form:
+    # most keys have no whole half and skip the walk
+    lexicon = Lexicon(entries)
+    res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
+    for _ in range(data.draw(st.integers(1, 4))):
+        surface = compose_letters(data.draw(st.lists(st.sampled_from(EDIT_LETTERS),
+                                                     min_size=1, max_size=12)))
+        token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+        index = TextIndex(surface, lexicon)
+        assert _deviant_by_distance(index, res) == brute_deviant_best(token, res), surface
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=small_lexicons, data=st.data())
+def test_dead_runs_prove_that_no_form_starts_or_ends_so(entries, data):
+    # a live state may be one no form completes, so only a dead run is
+    # checked: no form key starts with x, or ends with it for the twin
+    search = Resources(lexicon=Lexicon(entries), fsts=[]).deviant_search
+    keys = [key for key, _ in deviant_forms(search.lexicon)]
+    for _ in range(data.draw(st.integers(1, 6))):
+        if keys and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(keys))
+            i = data.draw(st.integers(0, len(key)))
+            x = data.draw(st.sampled_from([key[:i], key[i:]]))
+        else:
+            x = tuple(data.draw(st.lists(st.sampled_from(EDIT_LETTERS), max_size=5)))
+        if not search.run(x):
+            assert not any(key[:len(x)] == x for key in keys), x
+        if not search.backward.run(x[::-1]):
+            assert not any(key[len(key) - len(x):] == x for key in keys), x
+
+
+def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple:
+    """(rows, forward, backward) after running every detector on each type
+    of both bundled corpora at deviant threshold ``limit`` through one
+    fresh Resources (on ``lexicon``, by default the bundled one): the rows
+    BandedRows.grow returns inside the deviant search, and the (states,
+    step calls, stored transitions) of the deviant automaton and of its
+    backward twin.  Classify itself stops at the first detector that
+    fires, which leaves the deviant search to few of the types."""
     res = resources.load_classifier_resources(lexicon, thresholds=Thresholds(deviant=limit))
     search, grow = res.deviant_search, BandedRows.grow
-    nearest, step = search.nearest, search.step
-    work = {"rows": 0, "steps": 0, "searching": False}
+    automata = (search, search.backward)
+    nearest = search.nearest
+    work = {"rows": 0, "searching": False}
+    steps = dict.fromkeys(automata, 0)
 
     def counting_grow(self, *args):
         got = grow(self, *args)
@@ -467,27 +504,45 @@ def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple[int, int, 
         finally:
             work["searching"] = False
 
-    def counting_step(*args):
-        work["steps"] += 1
-        return step(*args)
+    def counting_step(automaton):
+        step = automaton.step
 
-    search.nearest, search.step = counting_nearest, counting_step
+        def counted(*args):
+            steps[automaton] += 1
+            return step(*args)
+        return counted
+
+    search.nearest = counting_nearest
+    for automaton in automata:
+        automaton.step = counting_step(automaton)
     BandedRows.grow = counting_grow
     try:
         for name in ("formal_sample.txt", "informal_sample.txt"):
             every_detection(tokenize(resources.corpus_path(name).read_text(encoding="utf-8")), res)
     finally:
         BandedRows.grow = grow
-    return work["rows"], len(search.pairs), work["steps"], sum(map(len, search.delta))
+    return (work["rows"], *((len(a.pairs), steps[a], sum(map(len, a.delta)))
+                            for a in automata))
 
 
 @pytest.mark.parametrize("limit", [1, 6])
 def test_deviant_automaton_states_stay_within_the_letters_stepped(limit):
     # every state but the dead and the start state is made by one step,
-    # and each (state, letter) is stepped once
-    _, states, steps, transitions = deviant_work(limit)
-    assert states <= 2 + steps
-    assert steps == transitions
+    # and each (state, letter) is stepped once, in the deviant automaton
+    # and in its backward twin, which only limits 0 and 1 run
+    _, forward, backward = deviant_work(limit)
+    for states, steps, transitions in (forward, backward):
+        assert states <= 2 + steps
+        assert steps == transitions
+    assert (backward[1] > 0) == (limit <= 1)
+
+
+@pytest.mark.parametrize("limit, rows", [(1, 552), (2, 2_261)])
+def test_deviant_search_skips_the_walk_only_at_limits_up_to_one(limit, rows):
+    # at limit 1 a key whose first half starts no form and whose second
+    # half ends none is never walked: the walk grew 679 rows here when
+    # every key was walked.  Limit 2 walks every key, as before
+    assert deviant_work(limit)[0] <= 1.1 * rows
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
