@@ -32,10 +32,11 @@ EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a
 lexicon.LetterAutomaton of those rules finds the one nearest to the
 token within ``Thresholds.deviant`` edits.
 The abbreviation, neologism and loanword dictionaries are lexicon.KeyTrie
-tries, searched for the entries a token's leading characters match:
-exactly for the first two, within ``Thresholds.loan`` edits for
-loanwords.  Matches end where a character starts (잼 is not a prefix of
-재미) and are ranked on that unit.
+tries, searched for the entries a token's leading characters match.  The
+first two are exact: one walk down the token key's path in the trie.
+Loanwords are within ``Thresholds.loan`` edits: a banded walk, which the
+deviant search shares.  Matches end where a character starts (잼 is not
+a prefix of 재미) and are ranked on that unit.
 """
 
 from __future__ import annotations
@@ -170,9 +171,11 @@ def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
 
 def _dict_prefix(index: TextIndex, cat: Category, trie: KeyTrie, suggestion_of):
     """First dictionary entry, in file order, whose surface is a leading
-    span of the token and that has a suggestion."""
-    for _, end, order in sorted(trie.prefix_matches(index.key, index.char_aligned, 0),
-                                key=lambda m: m[2]):
+    span of the token and that has a suggestion: the entries on the
+    token key's path down the trie that end where a character starts."""
+    aligned = index.char_aligned
+    for order, end in sorted((order, end) for end, order in trie.prefix_items(index.key, 0)
+                             if end in aligned):
         e = trie.entries[order]
         out = suggestion_of(e)
         if out is not None:

@@ -13,11 +13,14 @@ treats the complement — the non-analyzable tokens — as its problem space.
 The concatenation rules compile to one integer transition table,
 RuleAutomaton: a rule state is a row number and a part of speech a
 column, ``Pos.index``; trie nodes keep their parts of speech as indices.
+Every dictionary is one _Trie (the lexicon, its twin over reversed
+letters and each side dictionary, a KeyTrie), and an exact lookup is the
+key's one path down it, ``_Trie.prefix_items``.
 Analyses and the fewest-words split need the edges, so they read the
 lattice of (unit, rule state) pairs, each expanded once from the entries
-``iter_prefix_entries`` finds at its unit (units × trie depth × rule
-states of work at most), and settle it right to left, a pair after the
-pairs its edges reach.  Otherwise a
+``prefix_items`` finds at its unit (units × trie depth × rule states of
+work at most), and settle it right to left, a pair after the pairs its
+edges reach.  Otherwise a
 LetterAutomaton answers, for the analysability test and for the
 classifier's deviant-spelling search: the subset construction (Aho,
 Sethi & Ullman, "Compilers", §3.7) over (trie node, rule state) pairs,
@@ -28,11 +31,12 @@ state.  Each state and each transition is made the first time it is
 reached and kept, so a key costs one dict lookup per letter once its
 steps are known, and the states never outnumber the letters stepped.
 At a limit of 0 or 1 the deviant search first tries to prove a miss by
-exact runs of the key's halves, the second backward through a twin over
-reversed letters.  KeyTrie holds the classifier's side dictionaries.  The deviant,
-loanword, abbreviation and neologism lookups are one fuzzy search,
-BandedRows.walk: a depth-first walk of the deviant automaton or a KeyTrie
-beside banded edit-distance rows.  No other module reads a trie node.
+exact runs of the key's halves, the second backward through the
+automaton of the reversed twin.  The deviant and loanword searches are
+one fuzzy search, BandedRows.walk: a depth-first walk of the deviant
+automaton or the loan KeyTrie beside banded edit-distance rows; the
+exact abbreviation and neologism lookups grow no rows.  No other module
+reads a trie node.
 """
 
 from __future__ import annotations
@@ -129,20 +133,41 @@ class _TrieNode:
 
     def __init__(self):
         self.children: dict[str, _TrieNode] = {}
-        self.entries: list[DictEntry] = []
-        self.pos: list[int] = []  # distinct Pos.index of the entries
+        self.entries: list = []  # the items whose keys end here
+        self.pos: list[int] = []  # distinct Pos.index of those items
         self.below = 0  # bit Pos.index set for each part of speech in the subtree
 
 
-def _add_key(root: _TrieNode, key: Sequence[str], p: int) -> _TrieNode:
-    """The node of ``key`` below ``root``, made as needed, marked with ``p``."""
-    node = root
-    for letter in key:
-        node = node.children.setdefault(letter, _TrieNode())
-        node.below |= 1 << p
-    if p not in node.pos:
-        node.pos.append(p)
-    return node
+class _Trie:
+    """Items under letter keys, from (key, Pos.index, item) triples, each
+    node's items in their order: the lexicon, its reversed twin and each
+    side dictionary.  ``longest`` is the most letters in a key."""
+
+    def __init__(self, keyed: Iterable[tuple[Sequence, int, object]]):
+        self.root = _TrieNode()
+        self.longest = 0
+        for key, p, item in keyed:
+            self.longest = max(self.longest, len(key))
+            node = self.root
+            for letter in key:
+                node = node.children.setdefault(letter, _TrieNode())
+                node.below |= 1 << p
+            if p not in node.pos:
+                node.pos.append(p)
+            node.entries.append(item)
+
+    def prefix_items(self, key: Sequence, start: int) -> Iterator[tuple[int, object]]:
+        """(end, item) for each item whose key is key[start:end], by end:
+        the one path of the key down the trie."""
+        node = self.root
+        i = start
+        while i < len(key):
+            node = node.children.get(key[i])
+            if node is None:
+                return
+            i += 1
+            for item in node.entries:
+                yield i, item
 
 
 class _RulePattern:
@@ -246,28 +271,19 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[DictEntry],
                  concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES):
-        self._root = _TrieNode()
-        self._entries: list[DictEntry] = []
-        self.max_key_len = 0  # letters in the longest surface
+        self._entries: list[DictEntry] = list(entries)
+        if not all(e.surface for e in self._entries):
+            raise ValueError("entry surface must be non-empty")
+        self._trie = _Trie((fold_letters(e.surface), e.pos.index, e) for e in self._entries)
         self.concat_rules = tuple(concat_rules)
         self._rules = RuleAutomaton(self.concat_rules)
         self._start, self._table, self._final = (
             self._rules.start, self._rules.table, self._rules.final)
-        for e in entries:
-            self._insert(e)
         # is_word and word_ends read these aliases, not self._words.delta
         # and so on: the automaton's lists grow in place
         self._words = LetterAutomaton(self, self._rules)
         self._delta, self._accepts, self._step = (
             self._words.delta, self._words.accepts, self._words.step)
-
-    def _insert(self, entry: DictEntry):
-        if not entry.surface:
-            raise ValueError("entry surface must be non-empty")
-        self._entries.append(entry)
-        key = fold_letters(entry.surface)
-        self.max_key_len = max(self.max_key_len, len(key))
-        _add_key(self._root, key, entry.pos.index).entries.append(entry)
 
     def __len__(self):
         return len(self._entries)
@@ -282,15 +298,7 @@ class Lexicon:
 
     def iter_prefix_entries(self, key: tuple[str, ...], start: int) -> Iterator[tuple[int, DictEntry]]:
         """Yield (end_index, entry) for every entry matching key[start:end]."""
-        node = self._root
-        i = start
-        while i < len(key):
-            node = node.children.get(key[i])
-            if node is None:
-                return
-            i += 1
-            for e in node.entries:
-                yield i, e
+        return self._trie.prefix_items(key, start)
 
     def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
         return self._rules.accepts(seq)
@@ -307,7 +315,7 @@ class Lexicon:
                 continue
             row = self._table[pair[1]]
             out = edges[pair] = []
-            for end, e in self.iter_prefix_entries(key, pair[0]):
+            for end, e in self._trie.prefix_items(key, pair[0]):
                 nxt = row[e.pos.index]
                 if nxt:
                     out.append((e, (end, nxt)))
@@ -521,9 +529,10 @@ class LetterAutomaton:
     states never outnumber 2 + the letters stepped.
     """
 
-    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton, root: _TrieNode | None = None):
+    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton, trie: _Trie | None = None):
         self.lexicon, self.rules, self._backward = lexicon, rules, None
-        self.root = lexicon._root if root is None else root
+        trie = lexicon._trie if trie is None else trie
+        self.root = trie.root
         self.table, self.final, self.takes = rules.table, rules.final, rules.takes
         self.pairs = [frozenset(), frozenset({(self.root, rules.start)})]
         self.number = {pairs: n for n, pairs in enumerate(self.pairs)}
@@ -532,7 +541,7 @@ class LetterAutomaton:
         self.outs: dict[int, dict[str, int]] = {}
         # letters in the longest word: one entry per morpheme of a rule
         n = rules.max_morphemes
-        self.max_letters = math.inf if n is None else n * lexicon.max_key_len
+        self.max_letters = math.inf if n is None else n * trie.longest
 
     def step(self, state: int, letter: str) -> int:
         """The state after ``letter`` from ``state``, made and numbered the
@@ -573,10 +582,9 @@ class LetterAutomaton:
         """The automaton of the reversed words, over a trie of the entries'
         reversed letters under the reversed rules; made on first use."""
         if self._backward is None:
-            root = _TrieNode()
-            for e in self.lexicon.entries:
-                _add_key(root, fold_letters(e.surface)[::-1], e.pos.index)
-            self._backward = LetterAutomaton(self.lexicon, self.rules.reversed(), root)
+            trie = _Trie((fold_letters(e.surface)[::-1], e.pos.index, e)
+                         for e in self.lexicon.entries)
+            self._backward = LetterAutomaton(self.lexicon, self.rules.reversed(), trie)
         return self._backward
 
     def run(self, key: Sequence[str]) -> int:
@@ -643,30 +651,16 @@ class LetterAutomaton:
         return best[0], best[2]
 
 
-class _KeyNode:
-    __slots__ = ("children", "orders")
-
-    def __init__(self):
-        self.children: dict = {}
-        self.orders: list[int] = []  # positions of the entries that end here
-
-
-class KeyTrie:
+class KeyTrie(_Trie):
     """Side-dictionary entries (abbreviations, neologisms, loanword
-    standards) in a trie of their surfaces' distance keys, searched for
-    the entries a token starts with, exactly or within some edits."""
+    standards) in a trie of their surfaces' distance keys whose nodes
+    hold entry positions, searched for the entries a token starts with:
+    exactly by ``prefix_items``, within some edits by ``prefix_matches``."""
 
     def __init__(self, entries: Iterable[DictEntry]):
         self.entries = tuple(entries)
-        self._root = _KeyNode()
-        self.longest = 0  # units in the longest key
-        for order, e in enumerate(self.entries):
-            key = distance_key(e.surface)
-            self.longest = max(self.longest, len(key))
-            node = self._root
-            for unit in key:
-                node = node.children.setdefault(unit, _KeyNode())
-            node.orders.append(order)
+        super().__init__((distance_key(e.surface), e.pos.index, order)
+                         for order, e in enumerate(self.entries))
 
     def prefix_matches(self, key: tuple, ends: Container[int],
                        limit: int) -> list[tuple[int, int, int]]:
@@ -683,13 +677,13 @@ class KeyTrie:
             return []
         rows = BandedRows(key, limit, self.longest)
         matches = []
-        for node, row, k, _ in rows.walk(self._root, lambda node: node.children):
-            if node.orders:
+        for node, row, k, _ in rows.walk(self.root, lambda node: node.children):
+            if node.entries:
                 j0 = k - rows.band  # the cell j of row[0]
                 for t, d in enumerate(row):
                     if d <= rows.bound and j0 + t > 0 and j0 + t in ends:
                         rows.bound = d
-                        matches.extend((d, j0 + t, order) for order in node.orders)
+                        matches.extend((d, j0 + t, order) for order in node.entries)
         return matches
 
 

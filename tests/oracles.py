@@ -1115,7 +1115,7 @@ def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -
     state) pair, each expanded once, without the lattice's edges; stops
     as soon as a word ends at ``goal``, so ``goal in word_walk(lexicon,
     key, goal)`` is Lexicon.is_word for a non-empty key."""
-    root, table, final, n = lexicon._root, lexicon._table, lexicon._final, len(key)
+    root, table, final, n = lexicon._trie.root, lexicon._table, lexicon._final, len(key)
     ends: set[int] = set()
     seen = {(0, lexicon._start)}
     stack = [(0, lexicon._start)]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -676,6 +677,45 @@ def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
     assert calls["loan"] == len(loan) == 5
 
 
+def test_only_the_loan_and_deviant_searches_build_banded_rows(
+        monkeypatch, classifier_resources, formal_text, informal_text):
+    # counts, so they hold on any host: an abbreviation or neologism
+    # lookup walks the token key's one path down its trie, so banded rows
+    # are built only by the two distance searches.  Walked as banded rows
+    # at no edits, every dictionary lookup built one
+    import lggnorm.classify as classify_module
+
+    res = rebuilt(classifier_resources)
+    init = BandedRows.__init__
+    built, calls, running = Counter(), Counter(), [None]
+
+    def counting_init(self, *args):
+        built[running[0]] += 1
+        init(self, *args)
+
+    def watched(name, search):
+        def counted(*args):
+            calls[name] += 1
+            running[0] = name
+            try:
+                return search(*args)
+            finally:
+                running[0] = None
+        return counted
+
+    monkeypatch.setattr(BandedRows, "__init__", counting_init)
+    monkeypatch.setattr(classify_module, "_dict_prefix",
+                        watched("dict", classify_module._dict_prefix))
+    monkeypatch.setattr(classify_module, "_loanword_by_distance",
+                        watched("loan", classify_module._loanword_by_distance))
+    res.deviant_search.nearest = watched("deviant", res.deviant_search.nearest)
+    stream = tokenize(formal_text + "\n" + informal_text)
+    classify_corpus(stream, res)
+    every_detection(stream, res)
+    assert calls["dict"] > 0 and built["loan"] > 0 and built["deviant"] > 0
+    assert set(built) == {"loan", "deviant"}, built
+
+
 # ------------------------------------------ side dictionaries against oracles
 
 def side_entries(surfaces, flag=st.just(frozenset())):
@@ -720,6 +760,21 @@ def test_dict_prefix_matches_the_linear_scan(entries, data):
                                (Category.NEOLOGISM, lambda e: e.lemma)):
         assert (_dict_prefix(index, cat, trie, suggestion_of)
                 == linear_dict_prefix(index, cat, entries, suggestion_of))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=side_entries(PREFIX_SURFACES), data=st.data())
+def test_exact_trie_walk_matches_the_banded_walk_at_no_edits(entries, data):
+    # the banded walk, which the loan search keeps, is the reference for
+    # the exact walk of the abbreviation and neologism lookups: at no
+    # edits both find the entries on the key's path, by depth, that end
+    # where a character starts (a standalone ㄱ or ㅋ is a character)
+    lexicon = Lexicon([DictEntry("재미", "재미", Pos.N), DictEntry("강", "강", Pos.N)])
+    index = TextIndex(side_token(data, entries), lexicon)
+    trie = KeyTrie(entries)
+    exact = [(0, end, order) for end, order in trie.prefix_items(index.key, 0)
+             if end in index.char_aligned]
+    assert exact == trie.prefix_matches(index.key, index.char_aligned, 0)
 
 
 # shared prefixes, entries one edit apart and a standalone compatibility
