@@ -30,13 +30,17 @@ of speech the rule state takes, returns to the root in the next rule
 state.  Each state and each transition is made the first time it is
 reached and kept, so a key costs one dict lookup per letter once its
 steps are known, and the states never outnumber the letters stepped.
-At a limit of 0 or 1 the deviant search first tries to prove a miss by
-exact runs of the key's halves, the second backward through the
-automaton of the reversed twin.  The deviant and loanword searches are
-one fuzzy search, BandedRows.walk: a depth-first walk of the deviant
-automaton or the loan KeyTrie beside banded edit-distance rows; the
-exact abbreviation and neologism lookups grow no rows.  No other module
-reads a trie node.
+The deviant and loanword searches are one fuzzy search, BandedRows.walk:
+a depth-first walk of the deviant automaton or the loan KeyTrie beside
+banded edit-distance rows; the exact abbreviation and neologism lookups
+grow no rows.  Both fuzzy searches start from what must match exactly.
+At a limit of 0 or 1 a form keeps one half of the key whole, so the
+deviant search runs the first half forward and the second backward,
+through the automaton of the reversed twin, and walks on only from the
+states those exact runs reach.  An entry within k edits of a key prefix
+keeps one of its k + 1 pieces whole, near its offset, so the loan search
+walks only a key that holds such a piece.  No other module reads a trie
+node.
 """
 
 from __future__ import annotations
@@ -445,16 +449,20 @@ class BandedRows:
         t = j - k + self.band
         return row[t] if 0 <= t < self.width else _FAR
 
-    def walk(self, start, kids: Callable[[object], dict]) -> Iterator[tuple]:
+    def walk(self, start, kids: Callable[[object], dict], k0: int = 0) -> Iterator[tuple]:
         """(node, row, k, letters) of each path of k ``letters`` (a tuple)
         from ``start`` whose row keeps a cell within the bound, depth first;
-        ``kids(node)`` maps a letter to a child.  A path comes before its
-        children, and the child on the token's next letter, ``key[k]``,
-        is walked first, whatever the ``kids`` order: it is the likeliest
-        to reach a near hit, and a hit that lowers ``bound`` prunes the rest."""
+        ``kids(node)`` maps a letter to a child.  The walk starts from what
+        must match exactly: ``start`` is the node of the token's first
+        ``k0`` letters (the root at 0), which every path starts with, and
+        its row is that exact path's, cell j holding |j - k0|.  A path comes
+        before its children, and the child on the token's next letter,
+        ``key[k]``, is walked first, whatever the ``kids`` order: it is the
+        likeliest to reach a near hit, and a hit that lowers ``bound``
+        prunes the rest."""
         key, band, m = self.key, self.band, self.m
-        row = [t - band if 0 <= t - band <= m else _FAR for t in range(self.width)]
-        stack = [(start, row, 0, 0, ())]
+        row = [abs(t - band) if 0 <= k0 - band + t <= m else _FAR for t in range(self.width)]
+        stack = [(start, row, 0, k0, key[:k0])]
         pop, push, grow = stack.pop, stack.append, self.grow  # extend(genexpr) costs 15%
         while stack:
             node, row, low, k, letters = pop()
@@ -623,29 +631,43 @@ class LetterAutomaton:
         nearer form; a form that composes with a standalone letter is
         passed over where it ends.  At a ``limit`` of 0 or 1 a form keeps
         the key's first ceil(m/2) letters or the rest whole (Mihov & Schulz
-        2004), so when ``run`` of the first half and ``backward.run`` of the
-        rest reversed both die, no walk is needed.
+        2004), so the search starts from what must match exactly: one walk
+        from the state ``run`` of the first half reaches, and one through
+        ``backward`` over the reversed key from the state of the rest
+        reversed, under the first walk's bound.  The rank is a minimum
+        over the union of the two walks' forms, and a half whose run dies
+        is not walked.  Greater limits walk the whole automaton.
         """
         if limit < 0:
             return None
-        half = (len(token_key) + 1) // 2
-        if limit <= 1 and not self.run(token_key[:half]) \
-                and not self.backward.run(token_key[half:][::-1]):
-            return None
-        rows = BandedRows(token_key, limit, self.max_letters)
-        m, accepts = rows.m, self.accepts
+        if limit > 1:
+            walks = [(self, 1, token_key, 0, 1)]
+        else:
+            half = (len(token_key) + 1) // 2
+            rest = token_key[half:][::-1]
+            walks = [(self, self.run(token_key[:half]), token_key, half, 1),
+                     (self.backward, self.backward.run(rest), token_key[::-1], len(rest), -1)]
+        m = len(token_key)
         best = None  # (distance, -shared_prefix, form): deviance keeps the onset
-        for state, row, k, letters in rows.walk(1, self.out):
-            if accepts[state] and k:
-                d = rows.cell(row, k, m)
-                if d <= rows.bound:
-                    form = compose_letters(letters)
-                    shared = next((i for i, (a, b) in enumerate(zip(letters, token_key))
-                                   if a != b), min(k, m))
-                    rank = (d, -shared, form)
-                    if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
-                        best = rank
-                        rows.bound = d
+        for automaton, start, key, k0, direction in walks:
+            if not start:
+                continue
+            rows = BandedRows(key, limit, self.max_letters)
+            if best is not None:
+                rows.bound = best[0]
+            accepts = automaton.accepts
+            for state, row, k, letters in rows.walk(start, automaton.out, k0):
+                if accepts[state] and k:
+                    d = rows.cell(row, k, m)
+                    if d <= rows.bound:
+                        letters = letters[::direction]  # the backward walk's letters are reversed
+                        form = compose_letters(letters)
+                        shared = next((i for i, (a, b) in enumerate(zip(letters, token_key))
+                                       if a != b), min(k, m))
+                        rank = (d, -shared, form)
+                        if (best is None or rank < best) and not any(map(is_compat_jamo, form)):
+                            best = rank
+                            rows.bound = d
         if best is None:
             return None
         return best[0], best[2]
@@ -661,6 +683,43 @@ class KeyTrie(_Trie):
         self.entries = tuple(entries)
         super().__init__((distance_key(e.surface), e.pos.index, order)
                          for order, e in enumerate(self.entries))
+        self._pieces: dict[int, tuple | None] = {}  # limit -> pieces(limit)
+
+    def pieces(self, limit: int) -> tuple[dict[tuple, set[int]], list[int], int] | None:
+        """The entry keys cut into ``limit + 1`` pieces as evenly as
+        they go: (piece -> its offsets in the keys, the piece lengths, the
+        greatest offset), made on first use at each limit; None when some
+        key has no more than ``limit`` letters, for such an entry is within
+        ``limit`` edits of any short prefix and no piece need match."""
+        if limit not in self._pieces:
+            keys = {distance_key(e.surface) for e in self.entries}
+            got = None
+            if all(len(key) > limit for key in keys):
+                index: dict[tuple, set[int]] = {}
+                for key in keys:
+                    cuts = [len(key) * i // (limit + 1) for i in range(limit + 2)]
+                    for a, b in zip(cuts, cuts[1:]):
+                        index.setdefault(key[a:b], set()).add(a)
+                got = (index, sorted({len(piece) for piece in index}),
+                       max((max(offsets) for offsets in index.values()), default=0))
+            self._pieces[limit] = got
+        return self._pieces[limit]
+
+    def may_match(self, key: tuple, limit: int) -> bool:
+        """False proves that no entry is within ``limit`` edits of a prefix
+        of ``key`` (Wu & Manber 1992): of an entry's ``limit + 1`` pieces
+        an alignment of at most ``limit`` edits leaves one whole, in the
+        key no more than ``limit`` letters from its offset in the entry."""
+        got = self.pieces(limit)
+        if got is None:
+            return True
+        index, lengths, last = got
+        for n in lengths:
+            for p in range(min(len(key) - n, last + limit) + 1):
+                offsets = index.get(key[p:p + n])
+                if offsets and any(abs(p - a) <= limit for a in offsets):
+                    return True
+        return False
 
     def prefix_matches(self, key: tuple, ends: Container[int],
                        limit: int) -> list[tuple[int, int, int]]:
@@ -670,10 +729,12 @@ class KeyTrie(_Trie):
         the least distance is listed, and perhaps some farther ones found
         before it.
 
-        A BandedRows walk of the trie; where an entry ends, each cell of
-        the row at one of ``ends`` within the bound is a match, and the
-        bound falls to its distance."""
-        if limit < 0:
+        The search starts from what must match exactly: a key in which
+        ``may_match`` finds no entry's whole piece near its offset has no
+        match, and grows no rows.  Otherwise a BandedRows walk of the trie;
+        where an entry ends, each cell of the row at one of ``ends`` within
+        the bound is a match, and the bound falls to its distance."""
+        if limit < 0 or not self.may_match(key, limit):
             return []
         rows = BandedRows(key, limit, self.longest)
         matches = []

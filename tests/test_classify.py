@@ -31,6 +31,7 @@ from lggnorm.hangul import (
     INITIAL_LETTERS,
     MEDIAL_LETTERS,
     compose_letters,
+    distance_key,
     fold_letters,
     is_compat_jamo,
     letter_str,
@@ -538,11 +539,13 @@ def test_deviant_automaton_states_stay_within_the_letters_stepped(limit):
     assert (backward[1] > 0) == (limit <= 1)
 
 
-@pytest.mark.parametrize("limit, rows", [(1, 552), (2, 2_261)])
+@pytest.mark.parametrize("limit, rows", [(0, 20), (1, 127), (2, 2_261)])
 def test_deviant_search_skips_the_walk_only_at_limits_up_to_one(limit, rows):
-    # at limit 1 a key whose first half starts no form and whose second
-    # half ends none is never walked: the walk grew 679 rows here when
-    # every key was walked.  Limit 2 walks every key, as before
+    # at limits 0 and 1 a key is walked from the state of its first half
+    # and, backward, from that of its second half, and a half whose run
+    # dies is not walked: the walks from the root of a key with a live
+    # half grew 53 and 552 rows here, and 679 at limit 1 when every key
+    # was walked.  Limit 2 walks every key from the root, as before
     assert deviant_work(limit)[0] <= 1.1 * rows
 
 
@@ -716,6 +719,34 @@ def test_only_the_loan_and_deviant_searches_build_banded_rows(
     assert set(built) == {"loan", "deviant"}, built
 
 
+def test_loan_search_rules_out_all_but_one_corpus_key_before_it_walks(
+        monkeypatch, classifier_resources, formal_text, informal_text):
+    # a count, so it holds on any host: with every detector run on each
+    # type of both corpora, the loan distance search runs for 12 keys and
+    # the piece check leaves one of them to walk; banded rows were built
+    # for all 12 (138 rows) when every key was walked
+    res = rebuilt(classifier_resources)
+    init, prefix_matches = BandedRows.__init__, res.loan_trie.prefix_matches
+    work = Counter()
+
+    def counting_init(self, *args):
+        work["built"] += work["searching"]
+        init(self, *args)
+
+    def counting_prefix_matches(*args):
+        work["calls"] += 1
+        work["searching"] = 1
+        try:
+            return prefix_matches(*args)
+        finally:
+            work["searching"] = 0
+
+    monkeypatch.setattr(BandedRows, "__init__", counting_init)
+    monkeypatch.setattr(res.loan_trie, "prefix_matches", counting_prefix_matches)
+    every_detection(tokenize(formal_text + "\n" + informal_text), res)
+    assert work["calls"] == 12 and work["built"] <= 1, work
+
+
 # ------------------------------------------ side dictionaries against oracles
 
 def side_entries(surfaces, flag=st.just(frozenset())):
@@ -793,3 +824,72 @@ def test_loan_search_matches_oracle_on_small_dictionaries(entries, data, limit):
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
     assert (_loanword_by_distance(TextIndex(surface, lexicon), res)
             == brute_loan_best(token, res))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=side_entries(LOAN_SURFACES + ["가"]), data=st.data(), limit=st.integers(0, 3))
+def test_loan_search_matches_oracle_on_far_tokens(entries, data, limit):
+    # letters drawn from the whole alphabet rather than edits of the
+    # entries, so the piece check often rules a key out; ㅋ (1 letter), 가
+    # (2) and 컴 (3) are entries no longer than some limits, which turn
+    # the check off
+    lexicon = Lexicon([DictEntry("텔레비전", "텔레비전", Pos.N), DictEntry("을", "을", Pos.JOSA)])
+    res = Resources(lexicon=lexicon, fsts=[], loan_entries=tuple(entries),
+                    thresholds=Thresholds(loan=limit))
+    surface = compose_letters(data.draw(st.lists(st.sampled_from(EDIT_LETTERS),
+                                                 min_size=1, max_size=12)))
+    token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
+    index = TextIndex(surface, lexicon)
+    want = brute_loan_best(token, res)
+    assert _loanword_by_distance(index, res) == want, surface
+    if not res.loan_trie.may_match(index.key, limit):
+        assert want is None, surface
+
+
+def test_loan_piece_check_keeps_a_piece_shifted_past_the_greatest_offset():
+    # 텔레비전 at limit 2 is cut ㅌㅔㄹ | ㄹㅔㅂ | ㅣㅈㅓㄴ; an insertion in each of
+    # the first two pieces leaves only the last one whole, two letters to
+    # the right of its offset 6, the greatest offset of any piece
+    trie = KeyTrie([DictEntry("텔레비전", "텔레비전", Pos.N)])
+    key = tuple("ㅌㅔㅎㄹㄹㅔㅎㅂㅣㅈㅓㄴ")
+    assert trie.pieces(2)[2] == 6
+    assert trie.prefix_matches(key, range(len(key) + 1), 2) == [(2, 12, 0)]
+
+
+def walked_from(rows: BandedRows, start, kids, k0: int = 0) -> dict:
+    """letters -> (node, row, k) of each path of ``rows.walk``."""
+    return {letters: (node, tuple(row), k) for node, row, k, letters in rows.walk(start, kids, k0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=small_lexicons, loan=side_entries(LOAN_SURFACES), data=st.data(),
+       limit=st.integers(0, 2))
+def test_a_walk_from_an_exact_prefix_is_the_full_walk_below_it(entries, loan, data, limit):
+    # with the bound left at the band, a walk started at depth h from the
+    # state or node of key[:h] yields the paths of the walk from the root
+    # that start with key[:h], with the same rows: the deviant automaton
+    # of a small lexicon and a loan KeyTrie, each against a drawn key
+    search = Resources(lexicon=Lexicon(entries), fsts=[]).deviant_search
+    trie = KeyTrie(loan)
+
+    def trie_node(prefix):
+        node = trie.root
+        for letter in prefix:
+            node = node.children.get(letter)
+            if node is None:
+                break
+        return node
+
+    for root, kids, start_of, longest, surface in (
+            (1, search.out, search.run, search.max_letters,
+             draw_small_token(data, entries).surface),
+            (trie.root, lambda node: node.children, trie_node, trie.longest,
+             side_token(data, loan))):
+        key = distance_key(surface)
+        h = data.draw(st.integers(0, len(key)))
+        full = {letters: item for letters, item
+                in walked_from(BandedRows(key, limit, longest), root, kids).items()
+                if letters[:h] == key[:h]}
+        start = start_of(key[:h])
+        below = walked_from(BandedRows(key, limit, longest), start, kids, h) if start else {}
+        assert below == full, surface
