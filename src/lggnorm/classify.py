@@ -26,17 +26,19 @@ Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
 distance alphabet); the analysability test, the 하-root and the spacing
 split read its letters once, as ``TextIndex.letters``, and the searches
-below its distance key, as ``TextIndex.key``.  The deviant candidate
-forms are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV
-EOMI, V EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a
-lexicon.LetterAutomaton of those rules finds the one nearest to the
-token within ``Thresholds.deviant`` edits.
-The abbreviation, neologism and loanword dictionaries are lexicon.KeyTrie
-tries, searched for the entries a token's leading characters match.  The
-first two are exact: one walk down the token key's path in the trie.
-Loanwords are within ``Thresholds.loan`` edits: a banded walk, which the
-deviant search shares.  Matches end where a character starts (잼 is not
-a prefix of 재미) and are ranked on that unit.
+below its distance key, as ``TextIndex.key``.  The 하-root is one
+backward run of a LetterAutomaton over the reversed endings and 하
+verbalizers, and spacing builds a lattice only when a word that starts
+the token ends where a character starts.  The deviant candidate forms
+are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V
+EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a LetterAutomaton of those
+rules finds the one nearest to the token within ``Thresholds.deviant``
+edits.  The abbreviation, neologism and loanword dictionaries are
+lexicon.KeyTrie tries, searched for the entries a token's leading
+characters match.  The first two are exact: one walk down the token
+key's path in the trie.  Loanwords are within ``Thresholds.loan`` edits:
+a banded walk, which the deviant search shares.  Matches end where a
+character starts (잼 is not a prefix of 재미) and are ranked on that unit.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ class ClassificationResult(NamedTuple):
 
 class Resources:
     """Everything classification consults besides the token itself.  The
-    side dictionaries are built into tries here, and the deviant automaton
-    grows as tokens are classified, so one Resources is not for concurrent
-    threads."""
+    side dictionaries are built into tries here, and the deviant and 하-tail
+    automata grow as tokens are classified, so one Resources is not for
+    concurrent threads."""
 
     def __init__(self, lexicon: Lexicon, fsts: list[Fst],
                  abbr_entries: tuple[DictEntry, ...] = (),
@@ -125,6 +127,8 @@ class Resources:
         self.neo_trie = KeyTrie(self.neo_entries)
         self.loan_trie = KeyTrie(self.loan_entries)
         self.deviant_search = LetterAutomaton(self.lexicon, _DEVIANT)
+        self.hada_tails = LetterAutomaton(self.lexicon, RuleAutomaton(["EOMI+ XSV"]), (
+            e for e in lexicon.entries if e.pos is Pos.EOMI or e.pos is Pos.XSV and e.lemma == "하"))
 
     def grammars_for(self, cat: Category) -> list[Fst]:
         return self._by_category.get(cat, [])
@@ -190,20 +194,14 @@ def _detect_abbreviation(index: TextIndex, res: Resources):
             or _dict_prefix(index, cat, res.abbr_trie, lambda e: e.flag_value("exp")))
 
 
-def _hada_root(index: TextIndex, lexicon: Lexicon) -> str | None:
+def _hada_root(index: TextIndex, res: Resources) -> str | None:
     """Shortest unknown root followed by the 하 verbalizer and at least
-    one ending that reach the end of the token."""
+    one ending that reach the end of the token, from one backward run."""
     key = index.letters
-    n = len(key)
-    # eomi_tail[u]: key[u:] is one or more endings
-    eomi_tail = [False] * (n + 1)
-    for u in range(n - 1, -1, -1):
-        eomi_tail[u] = any(e.pos is Pos.EOMI and (end == n or eomi_tail[end])
-                           for end, e in lexicon.iter_prefix_entries(key, u))
-    known = lexicon.word_ends(key)
+    tails = {len(key) - r for r in res.hada_tails.ends(key[::-1])}
+    known = res.lexicon.word_ends(key) if tails else ()
     for i, u in enumerate(index.char_start_unit[1:-1], 1):
-        if u not in known and any(e.pos is Pos.XSV and e.lemma == "하" and eomi_tail[end]
-                                  for end, e in lexicon.iter_prefix_entries(key, u)):
+        if u in tails and u not in known:
             return index.text[:i]
     return None
 
@@ -213,7 +211,7 @@ def _detect_neologism(index: TextIndex, res: Resources):
     got = (_grammar_prefix(index, res, cat)
            or _dict_prefix(index, cat, res.neo_trie, lambda e: e.lemma))
     if got is None:
-        root = _hada_root(index, res.lexicon)
+        root = _hada_root(index, res)
         if root is not None:
             got = Candidate(cat, f"hada-pattern:{root}"), None
     return got
@@ -241,7 +239,10 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
 
 def _detect_spacing(index: TextIndex, res: Resources):
     # fewest words, then the lexicographically smallest word tuple: of two
-    # first words from one start the shorter is a prefix of the longer
+    # first words from one start the shorter is a prefix of the longer.  No
+    # split is made without a first word that ends where a character starts
+    if res.lexicon.word_ends(index.letters).isdisjoint(index.char_start_unit[1:-1]):
+        return None
     ends = res.lexicon.fewest_words(index.letters, index.char_start_unit)
     if ends is None or len(ends) < 2:
         return None

@@ -20,16 +20,16 @@ Analyses and the fewest-words split need the edges, so they read the
 lattice of (unit, rule state) pairs, each expanded once from the entries
 ``prefix_items`` finds at its unit (units × trie depth × rule states of
 work at most), and settle it right to left, a pair after the pairs its
-edges reach.  Otherwise a
-LetterAutomaton answers, for the analysability test and for the
-classifier's deviant-spelling search: the subset construction (Aho,
-Sethi & Ullman, "Compilers", §3.7) over (trie node, rule state) pairs,
-done lazily.  A state is the set of pairs live after a prefix of
-letters, and a letter step follows each pair's trie child and, at a part
-of speech the rule state takes, returns to the root in the next rule
-state.  Each state and each transition is made the first time it is
-reached and kept, so a key costs one dict lookup per letter once its
-steps are known, and the states never outnumber the letters stepped.
+edges reach.  Otherwise a LetterAutomaton answers, for the analysability
+test and the classifier's 하-tail and deviant-spelling searches: the subset
+construction (Aho, Sethi & Ullman, "Compilers", §3.7) over (trie node,
+rule state) pairs, done lazily.  A state is the set of pairs live after
+a prefix of letters, and a letter step follows each pair's trie child
+and, at a part of speech the rule state takes, returns to the root in
+the next rule state.  Each state and each transition is made the first
+time it is reached and kept, so a key costs one dict lookup per letter
+once its steps are known, and the states never outnumber the letters
+stepped.
 The deviant and loanword searches are one fuzzy search, BandedRows.walk:
 a depth-first walk of the deviant automaton or the loan KeyTrie beside
 banded edit-distance rows; the exact abbreviation and neologism lookups
@@ -283,8 +283,7 @@ class Lexicon:
         self._rules = RuleAutomaton(self.concat_rules)
         self._start, self._table, self._final = (
             self._rules.start, self._rules.table, self._rules.final)
-        # is_word and word_ends read these aliases, not self._words.delta
-        # and so on: the automaton's lists grow in place
+        # is_word reads these aliases: the automaton's lists grow in place
         self._words = LetterAutomaton(self, self._rules)
         self._delta, self._accepts, self._step = (
             self._words.delta, self._words.accepts, self._words.step)
@@ -326,23 +325,13 @@ class Lexicon:
             stack.extend(dst for _, dst in out)
         return edges
 
-    # is_word and word_ends each run the automaton in their own loop: every
-    # shared loop tried (an optional ends set, a generator or a list of
-    # states, len(key) in word_ends(key)) made is_word 1.5x slower per key
-    # on stored transitions.
     def word_ends(self, key: Sequence[str]) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends."""
-        delta, accepts, state = self._delta, self._accepts, 1
-        ends = set()
-        for end, letter in enumerate(key, 1):
-            nxt = delta[state].get(letter)
-            state = self._step(state, letter) if nxt is None else nxt
-            if not state:
-                break
-            if accepts[state]:
-                ends.add(end)
-        return ends
+        return self._words.ends(key)
 
+    # is_word runs the automaton in its own loop: every shared loop tried
+    # (an optional ends set, a generator or a list of states, len(key) in
+    # word_ends(key)) made is_word 1.5x slower per key on stored transitions.
     def is_word(self, key: Sequence[str]) -> bool:
         """The whole key is one rule-satisfying word."""
         delta, state = self._delta, 1
@@ -527,7 +516,8 @@ class BandedRows:
 
 
 class LetterAutomaton:
-    """The words of ``rules`` over the lexicon's letter trie, as a
+    """The words of ``rules`` over the lexicon's letter trie, or over the
+    reversed letters of ``reversed_entries`` when given, as a
     deterministic letter automaton built as it is read.
 
     State n is the set of live (trie node, rule state) pairs ``pairs[n]``,
@@ -537,9 +527,11 @@ class LetterAutomaton:
     states never outnumber 2 + the letters stepped.
     """
 
-    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton, trie: _Trie | None = None):
+    def __init__(self, lexicon: Lexicon, rules: RuleAutomaton,
+                 reversed_entries: Iterable[DictEntry] | None = None):
         self.lexicon, self.rules, self._backward = lexicon, rules, None
-        trie = lexicon._trie if trie is None else trie
+        trie = lexicon._trie if reversed_entries is None else _Trie(
+            (fold_letters(e.surface)[::-1], e.pos.index, e) for e in reversed_entries)
         self.root = trie.root
         self.table, self.final, self.takes = rules.table, rules.final, rules.takes
         self.pairs = [frozenset(), frozenset({(self.root, rules.start)})]
@@ -590,9 +582,7 @@ class LetterAutomaton:
         """The automaton of the reversed words, over a trie of the entries'
         reversed letters under the reversed rules; made on first use."""
         if self._backward is None:
-            trie = _Trie((fold_letters(e.surface)[::-1], e.pos.index, e)
-                         for e in self.lexicon.entries)
-            self._backward = LetterAutomaton(self.lexicon, self.rules.reversed(), trie)
+            self._backward = LetterAutomaton(self.lexicon, self.rules.reversed(), self.lexicon.entries)
         return self._backward
 
     def run(self, key: Sequence[str]) -> int:
@@ -605,6 +595,19 @@ class LetterAutomaton:
             if not state:
                 break
         return state
+
+    def ends(self, key: Sequence[str]) -> set[int]:
+        """Lengths of the prefixes of ``key`` that are words, in one run."""
+        delta, accepts, state = self.delta, self.accepts, 1
+        ends = set()
+        for end, letter in enumerate(key, 1):
+            nxt = delta[state].get(letter)
+            state = self.step(state, letter) if nxt is None else nxt
+            if not state:
+                break
+            if accepts[state]:
+                ends.add(end)
+        return ends
 
     def out(self, state: int) -> dict[str, int]:
         """Each letter that leads from ``state`` to a live state, mapped to

@@ -1110,6 +1110,26 @@ def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
     return None
 
 
+def hada_root_by_prefix_walk(index: TextIndex, lexicon: Lexicon) -> str | None:
+    """Shortest unknown root followed by 하/XSV and one or more endings
+    that reach the end of the token, by two walks of the lexicon trie:
+    from every unit right to left for the units that start an EOMI chain,
+    then from every character start for a 하 verbalizer that ends at one."""
+    key = index.letters
+    n = len(key)
+    # eomi_tail[u]: key[u:] is one or more endings
+    eomi_tail = [False] * (n + 1)
+    for u in range(n - 1, -1, -1):
+        eomi_tail[u] = any(e.pos is Pos.EOMI and (end == n or eomi_tail[end])
+                           for end, e in lexicon.iter_prefix_entries(key, u))
+    known = lexicon.word_ends(key)
+    for i, u in enumerate(index.char_start_unit[1:-1], 1):
+        if u not in known and any(e.pos is Pos.XSV and e.lemma == "하" and eomi_tail[end]
+                                  for end, e in lexicon.iter_prefix_entries(key, u)):
+            return index.text[:i]
+    return None
+
+
 def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -> set[int]:
     """Lexicon.word_ends by a walk of the trie from each (unit, rule
     state) pair, each expanded once, without the lattice's edges; stops

@@ -13,8 +13,9 @@ from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, Rule
 from lggnorm.resources import load_lexicon
 from lggnorm.stats import corpus_stats
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_by_suffixes,
-                     rule_positions, spacing_by_substrings, word_ends_by_lattice, word_walk)
+from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_by_prefix_walk,
+                     hada_root_by_suffixes, rule_positions, spacing_by_substrings,
+                     word_ends_by_lattice, word_walk)
 
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
@@ -107,7 +108,9 @@ def assert_lattice_matches_oracles(surface, res):
         return
     index = TextIndex(surface, lexicon)
     assert _detect_spacing(index, res) == spacing_by_substrings(surface, lexicon)
-    assert _hada_root(index, lexicon) == hada_root_by_suffixes(surface, lexicon)
+    root = _hada_root(index, res)
+    assert root == hada_root_by_suffixes(surface, lexicon)
+    assert root == hada_root_by_prefix_walk(index, lexicon)
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,6 +146,53 @@ def test_best_analysis_is_the_first_of_analyze_key(surface, rules, entries):
     best = lexicon.best_analysis(key)
     # the same first analysis, down to which duplicate entry
     assert (segment_ids([best]) if best else []) == segment_ids(analyses[:1])
+
+
+# the 하 verbalizer and its allomorphs, the same of 되, and endings that
+# join a syllable (ㅆ어, ㅂ니다) or start one
+HA_XSV = [DictEntry(s, "하", Pos.XSV) for s in ("하", "해", "했")]
+DOE_XSV = [DictEntry(s, "되", Pos.XSV) for s in ("되", "돼", "됐")]
+HADA_EOMI = [DictEntry(s, s, Pos.EOMI) for s in ("어", "요", "어요", "ㅆ어", "ㅂ니다", "다", "니다")]
+HADA_ROOTS = ["뷁", "가", "클래식", "하", "되"]
+
+
+@st.composite
+def hada_lexicons_and_tokens(draw):
+    """A small lexicon of some 하 and 되 verbalizers, some endings and a
+    noun or two, and a token of a root, a verbalizer and 0-3 endings,
+    perhaps with one letter changed."""
+    entries = (draw(st.lists(st.sampled_from(HA_XSV + DOE_XSV), min_size=1, unique=True))
+               + draw(st.lists(st.sampled_from(HADA_EOMI), min_size=1, unique=True))
+               + [DictEntry(s, s, Pos.N) for s in
+                  draw(st.lists(st.sampled_from(["가", "클래식", "뷁하"]), unique=True))])
+    letters = list(fold_letters("".join(draw(st.lists(st.sampled_from(HADA_ROOTS),
+                                                      min_size=1, max_size=2)))))
+    letters += fold_letters(draw(st.sampled_from(HA_XSV + DOE_XSV)).surface)
+    for e in draw(st.lists(st.sampled_from(HADA_EOMI), max_size=3)):
+        letters += fold_letters(e.surface)
+    if draw(st.sampled_from([False, False, True])):
+        letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(EDIT_LETTERS))
+    return Lexicon(entries), compose_letters(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=hada_lexicons_and_tokens())
+def test_hada_root_takes_only_lemma_ha_verbalizers(drawn):
+    lexicon, surface = drawn
+    res = Resources(lexicon=lexicon, fsts=[])
+    index = TextIndex(surface, lexicon)
+    root = _hada_root(index, res)
+    assert root == hada_root_by_suffixes(surface, lexicon)
+    assert root == hada_root_by_prefix_walk(index, lexicon)
+
+
+def test_hada_root_ignores_a_doe_verbalizer():
+    endings = [DictEntry("어", "어", Pos.EOMI), DictEntry("요", "요", Pos.EOMI)]
+    doe_only = Resources(lexicon=Lexicon([DictEntry("되", "되", Pos.XSV)] + endings), fsts=[])
+    assert _hada_root(TextIndex("뷁되어요", doe_only.lexicon), doe_only) is None
+    both = Resources(lexicon=Lexicon(HA_XSV + DOE_XSV + endings), fsts=[])
+    assert _hada_root(TextIndex("뷁되어요", both.lexicon), both) is None
+    assert _hada_root(TextIndex("뷁해요", both.lexicon), both) == "뷁"
 
 
 def test_best_analysis_breaks_count_ties_by_segments_not_edge_order():

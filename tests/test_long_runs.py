@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from lggnorm import apply, fst as fst_module, resources
+from lggnorm import apply, classify, fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
-from lggnorm.classify import (Category, Resources, _detect_spacing, classify_corpus, classify_token,
-                              detections)
+from lggnorm.classify import (Category, Resources, _detect_spacing, _hada_root, classify_corpus,
+                              classify_token, detections)
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
@@ -230,6 +230,69 @@ def test_spacing_lattice_of_a_2000_char_glued_token_holds_two_pairs_per_unit(
     # 3,698 pairs at 4,973 units
     index = TextIndex("".join(glued_words()), classifier_resources.lexicon)
     assert spacing_lattice_pairs(monkeypatch, index, classifier_resources) <= 2 * len(index.units)
+
+
+def test_spacing_builds_no_lattice_when_no_first_word_ends_at_a_character(monkeypatch):
+    # 가 is a word that ends inside 각, at no character start, so no split
+    # can start with it, and none is looked for
+    lexicon = Lexicon(read_entries(["가,가.N"]))
+    index = TextIndex("각뷁", lexicon)
+    assert lexicon.word_ends(index.letters) == {2}
+    lattice, lattices = Lexicon.lattice, []
+    monkeypatch.setattr(Lexicon, "lattice", lambda *args: lattices.append(args) or lattice(*args))
+    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[])) is None
+    assert lattices == []
+
+
+def spacing_lattices(monkeypatch, classify_texts) -> int:
+    """Lexicon.lattice calls made inside _detect_spacing while
+    ``classify_texts()`` runs."""
+    lattice, inside, calls = Lexicon.lattice, [], []
+
+    def counted(self, *args):
+        calls.append(bool(inside))
+        return lattice(self, *args)
+
+    def spacing(index, res):
+        inside.append(True)
+        try:
+            return _detect_spacing(index, res)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Lexicon, "lattice", counted)
+    monkeypatch.setattr(classify, "_DETECTORS", tuple(
+        (spacing if detect is _detect_spacing else detect, classes)
+        for detect, classes in classify._DETECTORS))
+    classify_texts()
+    return sum(calls)
+
+
+@pytest.mark.parametrize("run, ceiling", [(classify_corpus, 2), (every_detection, 2)],
+                         ids=["classify_corpus", "every_detection"])
+def test_spacing_builds_a_lattice_for_few_corpus_types(monkeypatch, classifier_resources,
+                                                      formal_text, informal_text, run, ceiling):
+    # a count: of the two corpora's 29 non-analyzable types, 2 have a first
+    # word that ends where a character starts (both split).  A lattice per
+    # spacing check reads 5 under classify_corpus and 19 with every detector
+    def classify_texts():
+        for text in (formal_text, informal_text):
+            run(tokenize(text), rebuilt(classifier_resources))
+
+    assert spacing_lattices(monkeypatch, classify_texts) <= ceiling
+
+
+HADA_RUN_ENTRIES = ["가,가.N", "하,하.XSV", "아,아.EOMI", "아아,아아.EOMI", "되,되.XSV"]
+
+
+@pytest.mark.parametrize("n", [500, 2000, 8000])
+def test_hada_root_of_a_verb_with_n_endings_holds_a_few_states(n):
+    # one backward run over the reversed letters; the endings repeat, so
+    # the automaton holds 9 states at any n
+    lexicon = Lexicon(read_entries(HADA_RUN_ENTRIES))
+    res = Resources(lexicon=lexicon, fsts=[])
+    assert _hada_root(TextIndex("뷁하" + "아" * n, lexicon), res) == "뷁"
+    assert len(res.hada_tails.pairs) <= 12
 
 
 def with_10000_loan_entries(res: Resources) -> Resources:
