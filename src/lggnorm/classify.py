@@ -28,8 +28,8 @@ distance alphabet); the analysability test, the 하-root and the spacing
 split read its letters once, as ``TextIndex.letters``, and the searches
 below its distance key, as ``TextIndex.key``.  The 하-root is one
 backward run of a LetterAutomaton over the reversed endings and 하
-verbalizers, and spacing builds a lattice only when a word that starts
-the token ends where a character starts.  The deviant candidate forms
+verbalizers, and the spacing split is one forward run of the lexicon's
+word automaton.  The deviant candidate forms
 are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V
 EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a LetterAutomaton of those
 rules finds the one nearest to the token within ``Thresholds.deviant``
@@ -239,10 +239,7 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
 
 def _detect_spacing(index: TextIndex, res: Resources):
     # fewest words, then the lexicographically smallest word tuple: of two
-    # first words from one start the shorter is a prefix of the longer.  No
-    # split is made without a first word that ends where a character starts
-    if res.lexicon.word_ends(index.letters).isdisjoint(index.char_start_unit[1:-1]):
-        return None
+    # first words from one start the shorter is a prefix of the longer
     ends = res.lexicon.fewest_words(index.letters, index.char_start_unit)
     if ends is None or len(ends) < 2:
         return None

@@ -16,12 +16,12 @@ column, ``Pos.index``; trie nodes keep their parts of speech as indices.
 Every dictionary is one _Trie (the lexicon, its twin over reversed
 letters and each side dictionary, a KeyTrie), and an exact lookup is the
 key's one path down it, ``_Trie.prefix_items``.
-Analyses and the fewest-words split need the edges, so they read the
-lattice of (unit, rule state) pairs, each expanded once from the entries
-``prefix_items`` finds at its unit (units × trie depth × rule states of
-work at most), and settle it right to left, a pair after the pairs its
-edges reach.  Otherwise a LetterAutomaton answers, for the analysability
-test and the classifier's 하-tail and deviant-spelling searches: the subset
+Analyses need the edges, so they read the lattice of (unit, rule state)
+pairs, each expanded once from the entries ``prefix_items`` finds at its
+unit (units × trie depth × rule states of work at most), and settle it
+right to left, a pair after the pairs its edges reach.  Otherwise a
+LetterAutomaton answers, for the analysability test, the fewest-words
+split and the classifier's 하-tail and deviant-spelling searches: the subset
 construction (Aho, Sethi & Ullman, "Compilers", §3.7) over (trie node,
 rule state) pairs, done lazily.  A state is the set of pairs live after
 a prefix of letters, and a letter step follows each pair's trie child
@@ -297,21 +297,17 @@ class Lexicon:
 
     def lookup(self, surface: str) -> list[DictEntry]:
         key = fold_letters(surface)
-        return [e for end, e in self.iter_prefix_entries(key, 0) if end == len(key)]
-
-    def iter_prefix_entries(self, key: tuple[str, ...], start: int) -> Iterator[tuple[int, DictEntry]]:
-        """Yield (end_index, entry) for every entry matching key[start:end]."""
-        return self._trie.prefix_items(key, start)
+        return [e for end, e in self._trie.prefix_items(key, 0) if end == len(key)]
 
     def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
         return self._rules.accepts(seq)
 
-    def lattice(self, key: tuple[str, ...], starts: Iterable[int] = (0,)) -> dict:
-        """Every (unit, rule state) pair reachable from the start state at
-        the ``starts`` units, with its edges (entry, next pair) in
-        iter_prefix_entries order.  Each pair is expanded once."""
+    def lattice(self, key: tuple[str, ...]) -> dict:
+        """Every (unit, rule state) pair reachable from (0, start state),
+        with its edges (entry, next pair) in prefix_items order.  Each pair
+        is expanded once."""
         edges: dict[tuple[int, int], list] = {}
-        stack = [(u, self._start) for u in starts]
+        stack = [(0, self._start)]
         while stack:
             pair = stack.pop()
             if pair in edges:
@@ -344,30 +340,37 @@ class Lexicon:
 
     def fewest_words(self, key: tuple[str, ...], starts: list[int]) -> list[int] | None:
         """Ends of the fewest rule-satisfying words that cover the key,
-        each starting at one of ``starts`` (ascending, ending with
-        len(key)); ties go to the sooner first end, then recursively.
-        None when no such split exists.  A shortest path over the lattice
-        from all starts, settled right to left."""
-        edges = self.lattice(key, starts[:-1])
-        start, final = self._start, self._final
+        each starting at one of ``starts`` (ascending, from 0 to len(key));
+        ties go to the sooner first end, then recursively.  None when no
+        such split exists.  A shortest path (Mohri 2002) in one run of the
+        word automaton: each live state keeps the least (words, ends) of
+        the words ended before the one under way in it, which is exact,
+        for two splits in one state finish alike.  At a unit of ``starts``
+        where a state accepts, the next word starts in state 1."""
+        delta, accepts, step = self._delta, self._accepts, self._step
         aligned = set(starts)
-        # (words, end of the first word) of the best split from a start,
-        # and of the best way to finish the word under way at a pair
-        rest = {starts[-1]: (0, starts[-1])}
-        ahead = {}
-        for pair in sorted(edges, key=lambda p: (-p[0], p[1] != start)):
-            unit, state = pair
-            ranks = [ahead[dst] for _, dst in edges[pair] if dst in ahead]
-            if ranks and unit in aligned and state == start:
-                rest[unit] = min(ranks)
-            if unit in rest and final[state]:
-                ranks.append((rest[unit][0] + 1, unit))
-            if ranks:
-                ahead[pair] = min(ranks)
-        ends = [0]
-        while ends[-1] in rest and ends[-1] != starts[-1]:
-            ends.append(rest[ends[-1]][1])
-        return ends[1:] if ends[-1] == starts[-1] else None
+        split = (0, ())  # least (words, ends) of words covering the letters read, or None
+        live: dict[int, tuple] = {}
+        for unit, letter in enumerate(key, 1):
+            if split is not None:
+                live[1] = min(live.get(1, split), split)
+            moved: dict[int, tuple] = {}
+            for state, got in live.items():
+                nxt = delta[state].get(letter)
+                if nxt is None:
+                    nxt = step(state, letter)
+                if nxt and (nxt not in moved or got < moved[nxt]):
+                    moved[nxt] = got
+            live = moved
+            if not live:
+                return None
+            split = None
+            if unit in aligned:
+                done = [got for state, got in live.items() if accepts[state]]
+                if done:
+                    words, ends = min(done)
+                    split = (words + 1, ends + (unit,))
+        return None if split is None else list(split[1])
 
     def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
         """Every rule-satisfying segmentation of a letter-jamo key, fewest

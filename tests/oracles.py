@@ -987,7 +987,7 @@ def analyze_key_by_recursion(lexicon: Lexicon, key: tuple[str, ...]) -> list[Mor
             if poses and any(len(r.atoms) in rule_positions(r, poses) for r in rules):
                 results.append(MorphAnalysis(tuple(segs)))
             return
-        for end, entry in lexicon.iter_prefix_entries(key, i):
+        for end, entry in lexicon._trie.prefix_items(key, i):
             nxt = poses + (entry.pos,)
             if not any(rule_positions(r, nxt) for r in rules):
                 continue
@@ -1087,7 +1087,7 @@ def spacing_by_substrings(chars: str, lexicon: Lexicon):
 
 def eomi_chain(lexicon: Lexicon, key: tuple, start: int) -> bool:
     """key[start:] is one or more EOMI entries."""
-    for end, e in lexicon.iter_prefix_entries(key, start):
+    for end, e in lexicon._trie.prefix_items(key, start):
         if e.pos is not Pos.EOMI:
             continue
         if end == len(key) or eomi_chain(lexicon, key, end):
@@ -1101,7 +1101,7 @@ def hada_root_by_suffixes(chars: str, lexicon: Lexicon) -> str | None:
     for i in range(1, len(chars)):
         root = chars[:i]
         rest_key = fold_letters(chars[i:])
-        for end, e in lexicon.iter_prefix_entries(rest_key, 0):
+        for end, e in lexicon._trie.prefix_items(rest_key, 0):
             if e.pos is not Pos.XSV or e.lemma != "하":
                 continue
             if (eomi_chain(lexicon, rest_key, end)
@@ -1121,11 +1121,11 @@ def hada_root_by_prefix_walk(index: TextIndex, lexicon: Lexicon) -> str | None:
     eomi_tail = [False] * (n + 1)
     for u in range(n - 1, -1, -1):
         eomi_tail[u] = any(e.pos is Pos.EOMI and (end == n or eomi_tail[end])
-                           for end, e in lexicon.iter_prefix_entries(key, u))
+                           for end, e in lexicon._trie.prefix_items(key, u))
     known = lexicon.word_ends(key)
     for i, u in enumerate(index.char_start_unit[1:-1], 1):
         if u not in known and any(e.pos is Pos.XSV and e.lemma == "하" and eomi_tail[end]
-                                  for end, e in lexicon.iter_prefix_entries(key, u)):
+                                  for end, e in lexicon._trie.prefix_items(key, u)):
             return index.text[:i]
     return None
 
@@ -1162,6 +1162,42 @@ def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -
 def word_ends_by_lattice(lexicon: Lexicon, key: tuple[str, ...]) -> set[int]:
     """Lexicon.word_ends read off the whole lattice, edges included."""
     return {u for u, state in lexicon.lattice(key) if u and lexicon._final[state]}
+
+
+def fewest_words_by_lattice(lexicon: Lexicon, key: tuple[str, ...],
+                            starts: list[int]) -> list[int] | None:
+    """Lexicon.fewest_words as a shortest path over the lattice of
+    (unit, rule state) pairs reachable from the start state at every unit
+    of ``starts`` but the last, settled right to left."""
+    start, table, final = lexicon._start, lexicon._table, lexicon._final
+    edges: dict[tuple[int, int], list] = {}
+    stack = [(u, start) for u in starts[:-1]]
+    while stack:
+        pair = stack.pop()
+        if pair not in edges:
+            row = table[pair[1]]
+            edges[pair] = [(end, row[e.pos.index])
+                           for end, e in lexicon._trie.prefix_items(key, pair[0])
+                           if row[e.pos.index]]
+            stack.extend(edges[pair])
+    aligned = set(starts)
+    # (words, end of the first word) of the best split from a start,
+    # and of the best way to finish the word under way at a pair
+    rest = {starts[-1]: (0, starts[-1])}
+    ahead = {}
+    for pair in sorted(edges, key=lambda p: (-p[0], p[1] != start)):
+        unit, state = pair
+        ranks = [ahead[dst] for dst in edges[pair] if dst in ahead]
+        if ranks and unit in aligned and state == start:
+            rest[unit] = min(ranks)
+        if unit in rest and final[state]:
+            ranks.append((rest[unit][0] + 1, unit))
+        if ranks:
+            ahead[pair] = min(ranks)
+    ends = [0]
+    while ends[-1] in rest and ends[-1] != starts[-1]:
+        ends.append(rest[ends[-1]][1])
+    return ends[1:] if ends[-1] == starts[-1] else None
 
 
 class PositionSetAutomaton:

@@ -9,13 +9,13 @@ from lggnorm.apply import TextIndex
 from lggnorm.classify import DEVIANT_RULES, Resources, _detect_spacing, _hada_root
 from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compose_letters, fold_letters
 from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, RuleAutomaton,
-                             _RulePattern, is_analyzable)
+                             _RulePattern, is_analyzable, read_entries)
 from lggnorm.resources import load_lexicon
 from lggnorm.stats import corpus_stats
 from lggnorm.tokenizer import Token, TokenClass, tokenize
-from oracles import (PositionSetAutomaton, analyze_key_by_recursion, hada_root_by_prefix_walk,
-                     hada_root_by_suffixes, rule_positions, spacing_by_substrings,
-                     word_ends_by_lattice, word_walk)
+from oracles import (PositionSetAutomaton, analyze_key_by_recursion, fewest_words_by_lattice,
+                     hada_root_by_prefix_walk, hada_root_by_suffixes, rule_positions,
+                     spacing_by_substrings, word_ends_by_lattice, word_walk)
 
 EDIT_LETTERS = INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS
 CORE = load_lexicon().entries
@@ -146,6 +146,33 @@ def test_best_analysis_is_the_first_of_analyze_key(surface, rules, entries):
     best = lexicon.best_analysis(key)
     # the same first analysis, down to which duplicate entry
     assert (segment_ids([best]) if best else []) == segment_ids(analyses[:1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface=edited_tokens(), rules=concat_rules,
+       entries=st.sampled_from([CORE, DUPLICATES]))
+def test_fewest_words_matches_the_lattice_split(surface, rules, entries):
+    lexicon = resources_for(entries, rules).lexicon
+    index = TextIndex(surface, lexicon)
+    starts = index.char_start_unit
+    assert lexicon.fewest_words(index.letters, starts) == \
+        fewest_words_by_lattice(lexicon, index.letters, starts)
+
+
+def test_fewest_words_keeps_the_lesser_of_two_splits_that_meet():
+    # 나다라|마바|가… and 나다|라마바가|가… both hold two words when their
+    # third, a noun and josas, reaches one state; the first is live
+    # sooner, yet the second has the sooner first end
+    lexicon = Lexicon(read_entries(["나다,나다.N", "나다라,나다라.N", "마바,마바.ADV",
+                                    "라마바가,라마바가.ADV", "가,가.N", "가,가.JOSA"]))
+    index = TextIndex("나다라마바가가가가", lexicon)
+    assert lexicon.fewest_words(index.letters, index.char_start_unit) == [4, 12, 18]
+    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[]))[1] == "나다 라마바가 가가가"
+
+
+def test_fewest_words_covers_the_empty_key_with_no_words():
+    lexicon = Lexicon(CORE)
+    assert lexicon.fewest_words((), [0]) == [] == fewest_words_by_lattice(lexicon, (), [0])
 
 
 # the 하 verbalizer and its allomorphs, the same of 되, and endings that

@@ -201,40 +201,34 @@ def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     assert got[1] == "가" * 2000 + " 나가"
 
 
-def spacing_lattice_pairs(monkeypatch, index: TextIndex, res: Resources) -> int:
-    """Lattice pairs _detect_spacing builds for ``index``: a count that,
-    unlike a time, no machine changes."""
-    lattice, sizes = Lexicon.lattice, []
-
-    def counted(self, *args):
-        edges = lattice(self, *args)
-        sizes.append(len(edges))
-        return edges
-
-    monkeypatch.setattr(Lexicon, "lattice", counted)
-    assert _detect_spacing(index, res) is not None
-    return sum(sizes)
-
-
-def test_spacing_lattice_of_a_noun_and_josa_run_holds_two_pairs_per_unit(monkeypatch):
-    # 6,004 pairs at 4,004 units; a word walk per start would read about
-    # units² / 2
+@pytest.mark.parametrize("n", [500, 2000, 8000])
+def test_spacing_of_a_noun_and_josa_run_holds_a_few_states(n):
+    # a count, so it holds on any host: one forward run of the word
+    # automaton, whose states repeat with each 가, 10 at any n
     lexicon = Lexicon(read_entries(NOUN_AND_JOSA))
-    index = TextIndex("가" * 2000 + "나가", lexicon)
-    res = Resources(lexicon=lexicon, fsts=[])
-    assert spacing_lattice_pairs(monkeypatch, index, res) <= 2 * len(index.units)
+    index = TextIndex("가" * n + "나가", lexicon)
+    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[])) is not None
+    assert len(lexicon._words.pairs) <= 12
 
 
-def test_spacing_lattice_of_a_2000_char_glued_token_holds_two_pairs_per_unit(
-        monkeypatch, classifier_resources):
-    # 3,698 pairs at 4,973 units
-    index = TextIndex("".join(glued_words()), classifier_resources.lexicon)
-    assert spacing_lattice_pairs(monkeypatch, index, classifier_resources) <= 2 * len(index.units)
+def test_spacing_of_a_2000_char_glued_token_holds_a_few_states(classifier_resources):
+    # a count: from a fresh lexicon, the first two rounds of the ten words
+    # make the word automaton's 90 states (the second round's first word
+    # meets the first round's last), and the rounds after them add none
+    base = classifier_resources.lexicon
+    lexicon = Lexicon(base.entries, base.concat_rules)
+    res = rebuilt(classifier_resources, lexicon=lexicon)
+    glued = glued_words()
+    assert _detect_spacing(TextIndex("".join(glued[:20]), lexicon), res) is not None
+    states = len(lexicon._words.pairs)
+    assert states <= 100
+    assert _detect_spacing(TextIndex("".join(glued), lexicon), res) is not None
+    assert len(lexicon._words.pairs) == states
 
 
 def test_spacing_builds_no_lattice_when_no_first_word_ends_at_a_character(monkeypatch):
     # 가 is a word that ends inside 각, at no character start, so no split
-    # can start with it, and none is looked for
+    # can start with it, and the run dies at the ㄱ of 각
     lexicon = Lexicon(read_entries(["가,가.N"]))
     index = TextIndex("각뷁", lexicon)
     assert lexicon.word_ends(index.letters) == {2}
@@ -242,6 +236,8 @@ def test_spacing_builds_no_lattice_when_no_first_word_ends_at_a_character(monkey
     monkeypatch.setattr(Lexicon, "lattice", lambda *args: lattices.append(args) or lattice(*args))
     assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[])) is None
     assert lattices == []
+    # spacing's run made no state past word_ends': dead, start, ㄱ and 가
+    assert len(lexicon._words.pairs) == 4
 
 
 def spacing_lattices(monkeypatch, classify_texts) -> int:
@@ -268,12 +264,12 @@ def spacing_lattices(monkeypatch, classify_texts) -> int:
     return sum(calls)
 
 
-@pytest.mark.parametrize("run, ceiling", [(classify_corpus, 2), (every_detection, 2)],
+@pytest.mark.parametrize("run, ceiling", [(classify_corpus, 0), (every_detection, 0)],
                          ids=["classify_corpus", "every_detection"])
 def test_spacing_builds_a_lattice_for_few_corpus_types(monkeypatch, classifier_resources,
                                                       formal_text, informal_text, run, ceiling):
-    # a count: of the two corpora's 29 non-analyzable types, 2 have a first
-    # word that ends where a character starts (both split).  A lattice per
+    # a count: spacing runs the word automaton and builds no lattice for
+    # any of the two corpora's 29 non-analyzable types.  A lattice per
     # spacing check reads 5 under classify_corpus and 19 with every detector
     def classify_texts():
         for text in (formal_text, informal_text):
