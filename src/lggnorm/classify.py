@@ -22,6 +22,11 @@ deviant distance searches run only for a token no exact test claims; a
 clean multi-word split (SPACING) is stronger evidence than a one-jamo
 edit (DEVIANT_SPELLING).
 
+The grammar checks run, of the category's grammars, only those that may
+start at the character the check starts at (``Fst.may_start``, remembered
+per character by ``Resources.grammars_for``), and skip ``longest_match``
+when none may.
+
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
 distance alphabet); the analysability test, the 하-root and the spacing
@@ -108,8 +113,8 @@ class ClassificationResult(NamedTuple):
 class Resources:
     """Everything classification consults besides the token itself.  The
     side dictionaries are built into tries here, and the deviant and 하-tail
-    automata grow as tokens are classified, so one Resources is not for
-    concurrent threads."""
+    automata and the grammars per starting character grow as tokens are
+    classified, so one Resources is not for concurrent threads."""
 
     def __init__(self, lexicon: Lexicon, fsts: list[Fst],
                  abbr_entries: tuple[DictEntry, ...] = (),
@@ -123,6 +128,7 @@ class Resources:
             cat = tag_category(f.tag)
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
+        self._starting: dict[tuple[Category, str], list[Fst]] = {}
         self.abbr_trie = KeyTrie(self.abbr_entries)
         self.neo_trie = KeyTrie(self.neo_entries)
         self.loan_trie = KeyTrie(self.loan_entries)
@@ -130,8 +136,15 @@ class Resources:
         self.hada_tails = LetterAutomaton(self.lexicon, RuleAutomaton(["EOMI+ XSV"]), (
             e for e in lexicon.entries if e.pos is Pos.EOMI or e.pos is Pos.XSV and e.lemma == "하"))
 
-    def grammars_for(self, cat: Category) -> list[Fst]:
-        return self._by_category.get(cat, [])
+    def grammars_for(self, cat: Category, ch: str) -> list[Fst]:
+        """The category's grammars, in priority order, that may start a
+        match where the character ``ch`` starts (``Fst.may_start``),
+        remembered per (category, character)."""
+        got = self._starting.get((cat, ch))
+        if got is None:
+            got = self._starting[cat, ch] = [
+                f for f in self._by_category.get(cat, ()) if f.may_start(ch)]
+        return got
 
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
@@ -157,7 +170,8 @@ def _splice(surface: str, start_char: int, end_char: int, output: str,
 def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str | None] | None:
     if all(ch in EMOTICON_SCALARS for ch in index.text):
         return Candidate(Category.EMOTICON, "emoticon-scalars"), None
-    got = longest_match(res.grammars_for(Category.EMOTICON), index, 0)
+    fsts = res.grammars_for(Category.EMOTICON, index.text[:1])
+    got = longest_match(fsts, index, 0) if fsts else None
     if got is not None and got[0] == len(index.units):
         return Candidate(Category.EMOTICON, f"grammar:{got[2].name}"), got[1] or None
     return None
@@ -166,7 +180,8 @@ def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str |
 def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     """The category's grammars matched from the token start, with the
     matched span replaced in the suggestion."""
-    got = longest_match(res.grammars_for(cat), index, 0)
+    fsts = res.grammars_for(cat, index.text[:1])
+    got = longest_match(fsts, index, 0) if fsts else None
     if got is None:
         return None
     sug = _splice(index.text, 0, index.char_of_unit(got[0]), got[1], index.lexicon)
@@ -249,9 +264,9 @@ def _detect_spacing(index: TextIndex, res: Resources):
 
 
 def _detect_deviant(index: TextIndex, res: Resources):
-    fsts = res.grammars_for(Category.DEVIANT_SPELLING)
     for start_char, start_unit in enumerate(index.char_start_unit[:-1]):
-        got = longest_match(fsts, index, start_unit)
+        fsts = res.grammars_for(Category.DEVIANT_SPELLING, index.text[start_char])
+        got = longest_match(fsts, index, start_unit) if fsts else None
         if got is not None and got[0] == len(index.units):
             sug = _splice(index.text, start_char, len(index.text), got[1],
                           res.lexicon)

@@ -82,6 +82,23 @@ class Fst:
             adj.setdefault(t[0], []).append(t)
         return adj
 
+    def may_start(self, ch: str) -> bool:
+        """False only if no run from the initial state reads all of
+        ``ch``'s units: no path of literal arcs reads them, and no sentinel
+        arc leaves a state on such a path.  Every accept of ``run_from``
+        is non-empty and ends where a character starts, so a False proves
+        that no match starts where ``ch`` does (a FIRST-set test, Aho, Sethi
+        & Ullman 1986, §4.4).  The empty string, past the end, is True."""
+        states = {self.initial}
+        for unit in jamo_units(ch):
+            arcs = [arc for s in states for arc in self.arcs.get(s, ())]
+            if any(is_sentinel(sym) for _, sym, _, _ in arcs):
+                return True
+            states = {dst for _, sym, _, dst in arcs if sym == unit}
+            if not states:
+                return False
+        return True
+
     def dump(self) -> str:
         lines = [f"fst\t{self.name}\t{self.tag}",
                  f"states\t{self.n_states}",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,13 +8,19 @@ from lggnorm.apply import (
     Anchor,
     ApplyConfig,
     Mode,
+    TextIndex,
     find_matches,
     normalize,
+    run_from,
     strip_merge,
     transform,
 )
-from lggnorm.fst import compile_graph
-from lggnorm.grammar import TAG_PATTERN, parse_graph
+from lggnorm.fst import EpsilonOnlyPath, compile_graph
+from lggnorm.grammar import TAG_PATTERN, parse_graph, validate
+from lggnorm.tokenizer import TokenClass
+from oracles import LITERAL_SYLLABLES, random_graph_text
+
+NOUN_FIRST = 'GRAPH G TAG T\n0 INITIAL -> 1\n1 <N> / "명사" -> 9\n9 FINAL\n'
 
 
 def test_abbreviation_match(library, lexicon):
@@ -129,9 +137,7 @@ def test_priority_must_cover_grammars(library, lexicon):
 
 
 def test_mask_consumes_analyzable_token(lexicon):
-    g = parse_graph('GRAPH G TAG T\n0 INITIAL -> 1\n'
-                    '1 <N> / "명사" -> 9\n9 FINAL\n')
-    fst = compile_graph(g)
+    fst = compile_graph(parse_graph(NOUN_FIRST))
     matches = find_matches("효과 잼", [fst], lexicon)
     assert [m.surface for m in matches] == ["효과"]  # 잼 is not analyzable
     assert matches[0].output == "명사"
@@ -168,3 +174,52 @@ def test_strip_merge_undoes_merge_for_every_tag(lexicon, tag, output):
     matches = find_matches(text, [compile_graph(g)], lexicon)
     assert len(matches) == 2
     assert strip_merge(transform(text, matches, Mode.MERGE)) == text
+
+
+def random_fsts(n: int) -> list:
+    """The first ``n`` random graphs that validate and compile."""
+    fsts, seed = [], 0
+    while len(fsts) < n:
+        seed += 1
+        g = parse_graph(random_graph_text(random.Random(seed), name=f"R{seed}"))
+        if not validate(g):
+            try:
+                fsts.append(compile_graph(g))
+            except EpsilonOnlyPath:
+                pass
+    return fsts
+
+
+def test_may_start_pins():
+    ga_na = compile_graph(parse_graph('GRAPH G TAG T\n0 INITIAL -> 1\n1 "가나" -> 9\n9 FINAL\n'))
+    assert ga_na.may_start("가")
+    assert not ga_na.may_start("각")  # ᄀ ᅡ ᆨ: the path reads ᄀ ᅡ, then has no ᆨ arc
+    assert not ga_na.may_start("나") and not ga_na.may_start("ㄱ")
+    assert ga_na.may_start("")  # past the end
+    noun_first = compile_graph(parse_graph(NOUN_FIRST))
+    assert all(map(noun_first.may_start, "가각나 ㅋa.😀"))
+
+
+def test_may_start_false_proves_that_no_run_starts_at_that_character(
+        library, lexicon, formal_text, informal_text):
+    # the bundled grammars and random ones over the corpora's characters
+    # and random strings that mix them with the random grammars' literals
+    # and near misses (각 and 낙 begin like 가 and 나)
+    fsts = list(library.fsts) + random_fsts(40)
+    rng = random.Random(0)
+    alphabet = sorted(set(formal_text + informal_text)) + LITERAL_SYLLABLES * 8 + list("각낙닭핫 ")
+    texts = [formal_text, informal_text] + [
+        "".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(300)]
+    proved = matched = 0
+    for text in texts:
+        # many tokens, and the whole text as one token, as classify reads one
+        for index in (TextIndex(text, lexicon),
+                      TextIndex(text, lexicon, ((0, len(text), TokenClass.HANGUL),))):
+            for ch, unit in zip(text, index.char_start_unit):
+                for fst in fsts:
+                    if fst.may_start(ch):
+                        matched += run_from(fst, index, unit) is not None
+                    else:
+                        assert run_from(fst, index, unit) is None, (fst.name, text, ch)
+                        proved += 1
+    assert proved > 100_000 and matched > 1_000

@@ -172,6 +172,36 @@ def test_abbreviation_collects_hada_candidate_too(classifier_resources):
     assert Category.NEOLOGISM in cats  # unknown root + 하 + ending also fired
 
 
+def test_grammars_for_keeps_the_grammars_that_may_start_at_a_character(classifier_resources):
+    res = rebuilt(classifier_resources)
+    names = lambda cat, ch: [f.name for f in res.grammars_for(cat, ch)]
+    assert names(Category.EMOTICON, "") == ["EmoJoy", "EmoSad", "EmoAgree", "EmoOther"]
+    assert names(Category.EMOTICON, "ㅠ") == ["EmoSad"]
+    assert names(Category.EMOTICON, "ㅇ") == ["EmoAgree"]
+    assert names(Category.ABBREVIATION, "넘") == ["Abbrev"]
+    # 넘 reads ᄂ ᅥ ᆷ: all of 너 is on its path, and 넙 leaves it at ᆸ
+    assert names(Category.ABBREVIATION, "너") == ["Abbrev"]
+    assert names(Category.ABBREVIATION, "넙") == []
+    assert names(Category.LOANWORD_VARIANT, "쪼") == ["Loan"]  # through a subgraph call
+    # remembered per (category, character)
+    assert res.grammars_for(Category.DEVIANT_SPELLING, "안") is res.grammars_for(
+        Category.DEVIANT_SPELLING, "안")
+
+
+def test_grammar_checks_find_what_every_grammar_of_the_category_finds(
+        monkeypatch, classifier_resources, formal_text, informal_text, gold_rows):
+    # the per-character selection changes no detection, grammar ones included
+    tokens = ["ㅋㅋㅋ", "ㅠㅠ", "ㅜ_ㅜ", "ㅇㅋ", "gg", "안녕하세욤", "초콜렛향기", "쪼꼬렛", "티비로", "넘",
+              "짱이다", "심플하다요", "강추", "ㄱ", "각"]
+    stream = tokenize(" ".join([formal_text, informal_text, *gold_rows, *tokens]))
+    selected = every_detection(stream, rebuilt(classifier_resources))
+    res = rebuilt(classifier_resources)
+    monkeypatch.setattr(res, "grammars_for", lambda cat, ch: res._by_category.get(cat, []))
+    assert every_detection(stream, res) == selected
+    evidence = [c.evidence for found in selected.values() for c, _ in found]
+    assert sum(e.startswith("grammar:") for e in evidence) >= 10
+
+
 def test_determinism(classifier_resources):
     a = classify("조아요", classifier_resources)
     b = classify("조아요", classifier_resources)

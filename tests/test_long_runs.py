@@ -11,8 +11,8 @@ import pytest
 
 from lggnorm import apply, classify, fst as fst_module, resources
 from lggnorm.apply import TextIndex, normalize
-from lggnorm.classify import (Category, Resources, _detect_spacing, _hada_root, classify_corpus,
-                              classify_token, detections)
+from lggnorm.classify import (Category, PreconditionViolated, Resources, _detect_spacing, _hada_root,
+                              classify_corpus, classify_token, detections)
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import parse_graph_library, validate
 from lggnorm.hangul import fold_letters
@@ -278,7 +278,32 @@ def test_spacing_builds_a_lattice_for_few_corpus_types(monkeypatch, classifier_r
     assert spacing_lattices(monkeypatch, classify_texts) <= ceiling
 
 
-HADA_RUN_ENTRIES = ["가,가.N", "하,하.XSV", "아,아.EOMI", "아아,아아.EOMI", "되,되.XSV"]
+def every_token_exhausted(stream, res):
+    """Every detector on every non-analyzable token of ``stream``, each
+    occurrence of a type again."""
+    for token in stream:
+        try:
+            tuple(detections(token, res))
+        except PreconditionViolated:
+            pass
+
+
+@pytest.mark.parametrize("run, ceiling", [(classify_corpus, 17), (every_token_exhausted, 40)],
+                         ids=["classify_corpus", "every_token_exhausted"])
+def test_grammar_checks_run_few_grammars_over_the_corpora(monkeypatch, classifier_resources,
+                                                         formal_text, informal_text, run, ceiling):
+    # a count: a grammar check runs only the grammars that may start at the
+    # character it starts at.  Running every grammar of the category reads
+    # 61 run_from calls under classify_corpus and 278 with every detector
+    # on every token
+    calls, run_from = [], apply.run_from
+    monkeypatch.setattr(apply, "run_from", lambda *args: calls.append(args) or run_from(*args))
+    for text in (formal_text, informal_text):
+        run(tokenize(text), rebuilt(classifier_resources))
+    assert 0 < len(calls) <= ceiling
+
+
+HADA_RUN_ENTRIES =["가,가.N", "하,하.XSV", "아,아.EOMI", "아아,아아.EOMI", "되,되.XSV"]
 
 
 @pytest.mark.parametrize("n", [500, 2000, 8000])
