@@ -50,9 +50,10 @@ class ApplyConfig(NamedTuple):
 
 class TextIndex:
     """Jamo units of a text and its unit/char/token cross-references (no
-    byte offsets), and its letters ``letters`` and distance key ``key``,
-    each computed on first read (by classify).  ``spans`` are the tokens,
-    (start char, end char, class); the tokenizer's regex finds them if None."""
+    byte offsets), and its letters ``letters`` (a string as long as
+    ``units``) and distance key ``key`` (a tuple), each computed on first
+    read (by classify).  ``spans`` are the tokens, (start char, end char,
+    class); the tokenizer's regex finds them if None."""
 
     def __init__(self, text: str, lexicon: Lexicon | None = None, spans=None):
         self.text = text
@@ -68,7 +69,7 @@ class TextIndex:
         self._single_pos: dict[int, frozenset[str]] = {}
 
     @cached_property
-    def letters(self) -> tuple[str, ...]:
+    def letters(self) -> str:
         return fold_letters(self.text)
 
     @cached_property
@@ -220,7 +221,4 @@ def strip_merge(text: str) -> str:
 def normalize(text: str, fsts: list[Fst], lexicon: Lexicon,
               config: ApplyConfig | None = None) -> str:
     """find_matches + REPLACE in one call."""
-    if config is None:
-        config = ApplyConfig()
-    matches = find_matches(text, fsts, lexicon, config)
-    return transform(text, matches, Mode.REPLACE)
+    return transform(text, find_matches(text, fsts, lexicon, config), Mode.REPLACE)

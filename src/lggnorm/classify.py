@@ -30,11 +30,11 @@ when none may.
 Every detector reads the token through a TextIndex of its surface.
 Lookup and edit distance both work on the token's letters (hangul's
 distance alphabet); the analysability test, the 하-root and the spacing
-split read its letters once, as ``TextIndex.letters``, and the searches
-below its distance key, as ``TextIndex.key``.  The 하-root is one
-backward run of a LetterAutomaton over the reversed endings and 하
-verbalizers, and the spacing split is one forward run of the lexicon's
-word automaton.  The deviant candidate forms
+split read its letters, one string folded once, as ``TextIndex.letters``,
+and the searches below its distance key, as ``TextIndex.key``.  The
+하-root is one backward run of a LetterAutomaton over the reversed
+endings and 하 verbalizers, and the spacing split is one forward run of
+the lexicon's word automaton.  The deviant candidate forms
 are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V
 EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a LetterAutomaton of those
 rules finds the one nearest to the token within ``Thresholds.deviant``
@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple
 
 from .apply import TextIndex, longest_match, run_from  # perfbench/selftest.py reads run_from
 from .fst import Fst
-from .hangul import fold_letters, letter_str
+from .hangul import fold_letters
 from .lexicon import DictEntry, KeyTrie, LetterAutomaton, Lexicon, Pos, RuleAutomaton, is_analyzable
 from .tokenizer import Token, TokenClass, TokenStream
 
@@ -149,7 +149,7 @@ class Resources:
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
     """Every space-separated word of ``s`` is one analyzable word."""
-    return all(map(lexicon.is_word, map(letter_str, s.split(" "))))
+    return all(map(lexicon.is_word, map(fold_letters, s.split(" "))))
 
 
 def _splice(surface: str, start_char: int, end_char: int, output: str,

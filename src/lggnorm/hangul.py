@@ -4,14 +4,14 @@ Text has two encodings.  All matching works on one string of jamo units,
 ``jamo_units(text)``: each precomposed syllable (U+AC00..U+D7A3) becomes
 its conjoining initial, medial and optional final, and every other
 character stays as it is.  Lookup and edit distance work on its letters,
-``fold_letters(text)``: each positional jamo becomes its compatibility
-letter (U+3131..U+318E), so an initial and a final with the same letter
-are one unit and 넘 vs 너무 differ by one deletion.  A conjoining jamo that
-stands outside any syllable keeps its own identity.  The letters are the
-distance alphabet: ``distance_key`` differs from ``fold_letters`` only in
-that a compatibility letter outside any syllable becomes a 1-tuple, so
-the ㅋ of "ㅋㅋ" never equals the ㅋ of 크 and emoticon-style tokens
-survive verbatim.
+``fold_letters(text)``, one string of the same length: each positional
+jamo becomes its compatibility letter (U+3131..U+318E), so an initial and
+a final with the same letter are one unit and 넘 vs 너무 differ by one
+deletion.  A conjoining jamo that stands outside any syllable keeps its
+own identity.  The letters are the distance alphabet: ``distance_key`` is
+the letters as a tuple, a standalone letter as a 1-tuple, so the ㅋ of
+"ㅋㅋ" never equals the ㅋ of 크 and emoticon-style tokens survive
+verbatim.
 
 Units, letters and unit offsets each take one ``str.translate`` of the
 text, through a table that gains a character's entry the first time a
@@ -287,16 +287,11 @@ def from_jamo_seq(seq: JamoSeq) -> str:
 _COMPAT_LETTERS = frozenset(map(chr, range(COMPAT_FIRST, COMPAT_LAST + 1)))
 
 
-def fold_letters(s: str) -> tuple[str, ...]:
+def fold_letters(s: str) -> str:
     """Letter-level key for dictionary lookup: jamo_units(s) with each
-    positional jamo turned into its letter, one item per unit, so
+    positional jamo turned into its letter, one character per unit, so
     positional and compat jamo with the same letter fold together; other
     characters, stray conjoining jamo among them, stay themselves."""
-    return tuple(s.translate(_LETTERS))
-
-
-def letter_str(s: str) -> str:
-    """fold_letters(s) as one string, for a lookup that only iterates it."""
     return s.translate(_LETTERS)
 
 

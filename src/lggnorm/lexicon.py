@@ -3,8 +3,8 @@
 Dictionary lines look like ``surface,lemma.POS`` or
 ``surface,lemma.POS+flag1+flag2``; ``#`` starts a comment, a file may
 start with a byte order mark and a surface must be NFC.  Lookup runs
-over letter-level jamo keys, so an ending written ``ㅂ니다`` joins a stem
-inside a shared syllable (추천합니다 = 추천 + 하 + ㅂ니다).
+over the letter string of ``fold_letters``, so an ending written ``ㅂ니다``
+joins a stem inside a shared syllable (추천합니다 = 추천 + 하 + ㅂ니다).
 
 A token is analyzable when at least one segmentation into dictionary
 entries satisfies the part-of-speech concatenation rules; classification
@@ -50,7 +50,7 @@ import math
 import unicodedata
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
-from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo, letter_str
+from .hangul import compose_letters, distance_key, fold_letters, is_compat_jamo
 from .tokenizer import Token, TokenClass
 
 
@@ -275,25 +275,16 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[DictEntry],
                  concat_rules: Iterable[str] = DEFAULT_CONCAT_RULES):
-        self._entries: list[DictEntry] = list(entries)
-        if not all(e.surface for e in self._entries):
+        self.entries: tuple[DictEntry, ...] = tuple(entries)
+        if not all(e.surface for e in self.entries):
             raise ValueError("entry surface must be non-empty")
-        self._trie = _Trie((fold_letters(e.surface), e.pos.index, e) for e in self._entries)
+        self._trie = _Trie((fold_letters(e.surface), e.pos.index, e) for e in self.entries)
         self.concat_rules = tuple(concat_rules)
         self._rules = RuleAutomaton(self.concat_rules)
-        self._start, self._table, self._final = (
-            self._rules.start, self._rules.table, self._rules.final)
-        # is_word reads these aliases: the automaton's lists grow in place
         self._words = LetterAutomaton(self, self._rules)
-        self._delta, self._accepts, self._step = (
-            self._words.delta, self._words.accepts, self._words.step)
 
     def __len__(self):
-        return len(self._entries)
-
-    @property
-    def entries(self) -> tuple[DictEntry, ...]:
-        return tuple(self._entries)
+        return len(self.entries)
 
     def lookup(self, surface: str) -> list[DictEntry]:
         key = fold_letters(surface)
@@ -302,17 +293,17 @@ class Lexicon:
     def pos_seq_allowed(self, seq: tuple[Pos, ...]) -> bool:
         return self._rules.accepts(seq)
 
-    def lattice(self, key: tuple[str, ...]) -> dict:
+    def lattice(self, key: str) -> dict:
         """Every (unit, rule state) pair reachable from (0, start state),
         with its edges (entry, next pair) in prefix_items order.  Each pair
         is expanded once."""
         edges: dict[tuple[int, int], list] = {}
-        stack = [(0, self._start)]
+        stack = [(0, self._rules.start)]
         while stack:
             pair = stack.pop()
             if pair in edges:
                 continue
-            row = self._table[pair[1]]
+            row = self._rules.table[pair[1]]
             out = edges[pair] = []
             for end, e in self._trie.prefix_items(key, pair[0]):
                 nxt = row[e.pos.index]
@@ -321,24 +312,25 @@ class Lexicon:
             stack.extend(dst for _, dst in out)
         return edges
 
-    def word_ends(self, key: Sequence[str]) -> set[int]:
+    def word_ends(self, key: str) -> set[int]:
         """Units where a rule-satisfying word that starts the key ends."""
         return self._words.ends(key)
 
-    # is_word runs the automaton in its own loop: every shared loop tried
-    # (an optional ends set, a generator or a list of states, len(key) in
-    # word_ends(key)) made is_word 1.5x slower per key on stored transitions.
-    def is_word(self, key: Sequence[str]) -> bool:
+    # is_word, the hot loop of stats, runs the automaton in its own loop:
+    # written as accepts[run(key)], a stats-vocab pool pass was slower in 5
+    # of 5 alternating rounds (median 89.0-90.7 -> 91.2-92.7 ms, 2 vCPU).
+    def is_word(self, key: str) -> bool:
         """The whole key is one rule-satisfying word."""
-        delta, state = self._delta, 1
+        words = self._words
+        delta, state = words.delta, 1
         for letter in key:
             nxt = delta[state].get(letter)
-            state = self._step(state, letter) if nxt is None else nxt
+            state = words.step(state, letter) if nxt is None else nxt
             if not state:
                 return False
-        return bool(key) and self._accepts[state]
+        return bool(key) and words.accepts[state]
 
-    def fewest_words(self, key: tuple[str, ...], starts: list[int]) -> list[int] | None:
+    def fewest_words(self, key: str, starts: list[int]) -> list[int] | None:
         """Ends of the fewest rule-satisfying words that cover the key,
         each starting at one of ``starts`` (ascending, from 0 to len(key));
         ties go to the sooner first end, then recursively.  None when no
@@ -347,7 +339,7 @@ class Lexicon:
         the words ended before the one under way in it, which is exact,
         for two splits in one state finish alike.  At a unit of ``starts``
         where a state accepts, the next word starts in state 1."""
-        delta, accepts, step = self._delta, self._accepts, self._step
+        delta, accepts, step = self._words.delta, self._words.accepts, self._words.step
         aligned = set(starts)
         split = (0, ())  # least (words, ends) of words covering the letters read, or None
         live: dict[int, tuple] = {}
@@ -372,7 +364,7 @@ class Lexicon:
                     split = (words + 1, ends + (unit,))
         return None if split is None else list(split[1])
 
-    def analyze_key(self, key: tuple[str, ...]) -> list[MorphAnalysis]:
+    def analyze_key(self, key: str) -> list[MorphAnalysis]:
         """Every rule-satisfying segmentation of a letter-jamo key, fewest
         segments first, then by each segment's (surface, POS, lemma), then
         by the entries' dictionary order: a stable sort of the segment
@@ -380,14 +372,14 @@ class Lexicon:
         edges = self.lattice(key)
         finish: dict[tuple[int, int], list] = {}  # pair -> segment tuples
         for pair in sorted(edges, key=lambda p: -p[0]):
-            done = [()] if pair[0] == len(key) > 0 and self._final[pair[1]] else []
+            done = [()] if pair[0] == len(key) > 0 and self._rules.final[pair[1]] else []
             finish[pair] = done + [((e.surface, e),) + rest
                                    for e, dst in edges[pair] for rest in finish[dst]]
-        found = sorted(finish[0, self._start], key=lambda segments: (
+        found = sorted(finish[0, self._rules.start], key=lambda segments: (
             len(segments), [(s, e.pos.value, e.lemma) for s, e in segments]))
         return list(map(MorphAnalysis, found))
 
-    def best_analysis(self, key: tuple[str, ...]) -> MorphAnalysis | None:
+    def best_analysis(self, key: str) -> MorphAnalysis | None:
         """The first of ``analyze_key(key)``, or None when there is none: a
         shortest path settled right to left (Mohri 2002, "Semiring frameworks
         and algorithms for shortest-distance problems").  A pair keeps its
@@ -398,11 +390,11 @@ class Lexicon:
         for pair in sorted(edges, key=lambda p: -p[0]):
             ranked = [(best[dst][0] + 1, (e.surface, e.pos.value, e.lemma), e, dst)
                       for e, dst in edges[pair] if dst in best]
-            if pair[0] == len(key) > 0 and self._final[pair[1]]:
+            if pair[0] == len(key) > 0 and self._rules.final[pair[1]]:
                 ranked.append((0, (), None, None))
             if ranked:
                 best[pair] = min(ranked, key=lambda r: r[:2])
-        pair = (0, self._start)
+        pair = (0, self._rules.start)
         if pair not in best:
             return None
         segments = []
@@ -599,7 +591,7 @@ class LetterAutomaton:
                 break
         return state
 
-    def ends(self, key: Sequence[str]) -> set[int]:
+    def ends(self, key: str) -> set[int]:
         """Lengths of the prefixes of ``key`` that are words, in one run."""
         delta, accepts, state = self.delta, self.accepts, 1
         ends = set()
@@ -794,7 +786,7 @@ def count_analyzable(cls: TokenClass, surfaces: Collection[str], lexicon: Lexico
     """How many of ``surfaces``, all of class ``cls``, are analyzable:
     HANGUL those with an analysis, JAMO/SYMBOL none, LATIN/DIGIT/PUNCT all."""
     if cls is TokenClass.HANGUL:
-        return sum(map(lexicon.is_word, map(letter_str, surfaces)))
+        return sum(map(lexicon.is_word, map(fold_letters, surfaces)))
     return 0 if cls in (TokenClass.JAMO, TokenClass.SYMBOL) else len(surfaces)
 
 

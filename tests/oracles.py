@@ -829,7 +829,7 @@ def deviant_forms(lexicon: Lexicon) -> list[tuple[tuple, str]]:
     DEVIANT_SHAPES over the lexicon's entries."""
     by_pos: dict[Pos, list[tuple]] = {}
     for e in lexicon.entries:
-        by_pos.setdefault(e.pos, []).append(fold_letters(e.surface))
+        by_pos.setdefault(e.pos, []).append(tuple(fold_letters(e.surface)))
     forms: dict[str, tuple] = {}
     for shape in DEVIANT_SHAPES:
         for keys in itertools.product(*(by_pos.get(pos, ()) for pos in shape)):
@@ -974,7 +974,7 @@ def rule_positions(rule: _RulePattern, seq: tuple[Pos, ...]) -> set[int]:
     return states
 
 
-def analyze_key_by_recursion(lexicon: Lexicon, key: tuple[str, ...]) -> list[MorphAnalysis]:
+def analyze_key_by_recursion(lexicon: Lexicon, key: str) -> list[MorphAnalysis]:
     """Every segmentation of ``key`` into entries whose part-of-speech
     sequence a rule matches, by a recursive walk that re-runs every rule
     over the whole sequence at each morpheme; fewest segments first, then
@@ -1003,7 +1003,7 @@ def analyze_key_by_recursion(lexicon: Lexicon, key: tuple[str, ...]) -> list[Mor
     return results
 
 
-def analyses_by_count_masks(lexicon: Lexicon, key: tuple[str, ...]) -> Iterator[MorphAnalysis]:
+def analyses_by_count_masks(lexicon: Lexicon, key: str) -> Iterator[MorphAnalysis]:
     """The rule-satisfying segmentations of a letter-jamo key, lazily, in
     ``analyze_key_by_recursion`` order, the entries' dictionary order last,
     the first segment varying slowest.  Each lattice pair masks the
@@ -1014,7 +1014,7 @@ def analyses_by_count_masks(lexicon: Lexicon, key: tuple[str, ...]) -> Iterator[
     edges = lexicon.lattice(key)
     counts: dict[tuple[int, int], int] = {}
     for pair in sorted(edges, key=lambda p: -p[0]):
-        mask = pair[0] == len(key) > 0 and lexicon._final[pair[1]]
+        mask = pair[0] == len(key) > 0 and lexicon._rules.final[pair[1]]
         for _, dst in edges[pair]:
             mask |= counts[dst] << 1
         counts[pair] = mask
@@ -1029,7 +1029,7 @@ def analyses_by_count_masks(lexicon: Lexicon, key: tuple[str, ...]) -> Iterator[
             groups[pair] = [by_key[k] for k in sorted(by_key)]
         return groups[pair]
 
-    start = (0, lexicon._start)
+    start = (0, lexicon._rules.start)
     todo = counts[start]
     while todo:
         n = (todo & -todo).bit_length() - 1  # the fewest segments not yet walked
@@ -1130,15 +1130,16 @@ def hada_root_by_prefix_walk(index: TextIndex, lexicon: Lexicon) -> str | None:
     return None
 
 
-def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -> set[int]:
+def word_walk(lexicon: Lexicon, key: str, goal: int | None = None) -> set[int]:
     """Lexicon.word_ends by a walk of the trie from each (unit, rule
     state) pair, each expanded once, without the lattice's edges; stops
     as soon as a word ends at ``goal``, so ``goal in word_walk(lexicon,
     key, goal)`` is Lexicon.is_word for a non-empty key."""
-    root, table, final, n = lexicon._trie.root, lexicon._table, lexicon._final, len(key)
+    root, rules, n = lexicon._trie.root, lexicon._rules, len(key)
+    table, final = rules.table, rules.final
     ends: set[int] = set()
-    seen = {(0, lexicon._start)}
-    stack = [(0, lexicon._start)]
+    seen = {(0, rules.start)}
+    stack = [(0, rules.start)]
     while stack:
         unit, state = stack.pop()
         row = table[state]
@@ -1159,17 +1160,17 @@ def word_walk(lexicon: Lexicon, key: tuple[str, ...], goal: int | None = None) -
     return ends
 
 
-def word_ends_by_lattice(lexicon: Lexicon, key: tuple[str, ...]) -> set[int]:
+def word_ends_by_lattice(lexicon: Lexicon, key: str) -> set[int]:
     """Lexicon.word_ends read off the whole lattice, edges included."""
-    return {u for u, state in lexicon.lattice(key) if u and lexicon._final[state]}
+    return {u for u, state in lexicon.lattice(key) if u and lexicon._rules.final[state]}
 
 
-def fewest_words_by_lattice(lexicon: Lexicon, key: tuple[str, ...],
+def fewest_words_by_lattice(lexicon: Lexicon, key: str,
                             starts: list[int]) -> list[int] | None:
     """Lexicon.fewest_words as a shortest path over the lattice of
     (unit, rule state) pairs reachable from the start state at every unit
     of ``starts`` but the last, settled right to left."""
-    start, table, final = lexicon._start, lexicon._table, lexicon._final
+    start, table, final = lexicon._rules.start, lexicon._rules.table, lexicon._rules.final
     edges: dict[tuple[int, int], list] = {}
     stack = [(u, start) for u in starts[:-1]]
     while stack:

@@ -34,7 +34,6 @@ from lggnorm.hangul import (
     distance_key,
     fold_letters,
     is_compat_jamo,
-    letter_str,
 )
 from lggnorm.lexicon import (BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleAutomaton, is_analyzable,
                              read_entries_file)
@@ -269,8 +268,7 @@ def test_classify_corpus_keys_each_type_at_most_once(classifier_resources, infor
 def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, informal_text,
                                                      monkeypatch):
     # the analysability test, the 하-root and the spacing split share the
-    # TextIndex's letters; only a suggestion's words are folded besides,
-    # as tuples or as letter strings
+    # TextIndex's letters; only a suggestion's words are folded besides
     import lggnorm.apply as apply_module
     import lggnorm.classify as classify_module
     import lggnorm.lexicon as lexicon_module
@@ -297,8 +295,6 @@ def test_classify_corpus_folds_each_hangul_type_once(classifier_resources, infor
 
     for module in (apply_module, classify_module, lexicon_module):
         monkeypatch.setattr(module, "fold_letters", counting(fold_letters))
-    for module in (classify_module, lexicon_module):
-        monkeypatch.setattr(module, "letter_str", counting(letter_str))
     monkeypatch.setattr(classify_module, "_suggestion_ok", counting_suggestion_ok)
     stream = tokenize(informal_text)
     out = classify_corpus(stream, classifier_resources)

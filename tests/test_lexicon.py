@@ -97,7 +97,7 @@ def test_every_analysis_reconcatenates(lexicon):
             joined = []
             for s, _ in a.segments:
                 joined.extend(fold_letters(s))
-            assert tuple(joined) == fold_letters(word)
+            assert "".join(joined) == fold_letters(word)
             assert lexicon.pos_seq_allowed(tuple(e.pos for _, e in a.segments))
 
 

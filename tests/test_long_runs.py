@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -109,6 +110,24 @@ def test_best_analysis_grows_linearly_with_the_endings_of_a_verb():
     short, long = (fold_letters("가" + "아" * n) for n in (2000, 8000))
     assert best_of_3(lambda: lexicon.best_analysis(long)) <= 8 * best_of_3(
         lambda: lexicon.best_analysis(short))
+
+
+def test_best_analysis_memory_grows_linearly_with_the_endings_of_a_verb():
+    # a count, so it holds on any host: the tracemalloc peak of one call.
+    # A settle that carried each suffix's segments would hold about 16x
+    # the memory at 4x the endings; a linear one reads about 4x
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
+
+    def peak(n):
+        key = fold_letters("가" + "아" * n)
+        tracemalloc.start()
+        try:
+            lexicon.best_analysis(key)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8000) <= 8 * peak(2000)
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])
