@@ -1,4 +1,4 @@
-"""Hangul syllable <-> jamo decomposition and jamo-level edit distance.
+"""Hangul text as jamo units and letters, and jamo-level edit distance.
 
 Text has two encodings.  All matching works on one string of jamo units,
 ``jamo_units(text)``: each precomposed syllable (U+AC00..U+D7A3) becomes
@@ -47,20 +47,8 @@ _MEDIAL_BY_LETTER = {ch: i for i, ch in enumerate(MEDIAL_LETTERS)}
 _FINAL_BY_LETTER = {ch: i + 1 for i, ch in enumerate(FINAL_LETTERS)}
 
 
-class HangulError(ValueError):
-    """Base class for jamo/syllable errors."""
-
-
-class NotHangulSyllable(HangulError):
-    """Character is outside the precomposed syllable block."""
-
-
-class IndexOutOfRange(HangulError):
+class IndexOutOfRange(ValueError):
     """Jamo index outside its positional range."""
-
-
-class InvalidJamoGrouping(HangulError):
-    """Jamo units cannot be regrouped into syllables."""
 
 
 class JamoKind(enum.Enum):
@@ -117,10 +105,6 @@ def final(index: int) -> Jamo:
 def compat(ch: str) -> Jamo:
     cp = ord(ch)
     return Jamo(JamoKind.COMPAT, cp - COMPAT_FIRST, cp)
-
-
-def is_syllable(ch: str) -> bool:
-    return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
 
 
 def is_compat_jamo(ch: str) -> bool:
@@ -186,31 +170,11 @@ def _positional(unit: str) -> Jamo:
     return final(cp - FINAL_BASE)
 
 
-def decompose_syllable(ch: str) -> tuple[Jamo, Jamo, Jamo | None]:
-    """Split one precomposed syllable into (initial, medial, final-or-None)."""
-    if not is_syllable(ch):
-        raise NotHangulSyllable(f"{ch!r} is not in U+AC00..U+D7A3")
-    ini, med, *fin = map(_positional, jamo_units(ch))
-    return ini, med, fin[0] if fin else None
-
-
-def _index_for(j: Union[Jamo, int], kind: JamoKind, lo: int, hi: int) -> int:
-    if isinstance(j, Jamo):
-        if j.kind is not kind:
-            raise IndexOutOfRange(f"expected {kind.value} jamo, got {j.kind.value}")
-        return j.index
-    if not lo <= j <= hi:
-        raise IndexOutOfRange(f"{kind.value} index {j} not in {lo}..{hi}")
-    return j
-
-
-def compose_syllable(ini: Union[Jamo, int], med: Union[Jamo, int],
-                     fin: Union[Jamo, int, None] = None) -> str:
-    """Inverse of decompose_syllable; accepts Jamo values or raw indices."""
-    i = _index_for(ini, JamoKind.INITIAL, 0, INITIAL_COUNT - 1)
-    m = _index_for(med, JamoKind.MEDIAL, 0, MEDIAL_COUNT - 1)
-    f = 0 if fin is None else _index_for(fin, JamoKind.FINAL, 1, FINAL_COUNT - 1)
-    return chr(SYLLABLE_BASE + (i * MEDIAL_COUNT + m) * FINAL_COUNT + f)
+def compose_syllable(ini: int, med: int, fin: int = 0) -> str:
+    """The syllable of an initial, medial and final index (final 0 = none)."""
+    if not (0 <= ini < INITIAL_COUNT and 0 <= med < MEDIAL_COUNT and 0 <= fin < FINAL_COUNT):
+        raise IndexOutOfRange(f"no syllable has indices ({ini}, {med}, {fin})")
+    return chr(SYLLABLE_BASE + (ini * MEDIAL_COUNT + med) * FINAL_COUNT + fin)
 
 
 Unit = Union[Jamo, str]  # str = passthrough character
@@ -249,41 +213,6 @@ def to_jamo_seq(s: str) -> JamoSeq:
     return JamoSeq(tuple(units), tuple(boundaries))
 
 
-def from_jamo_seq(seq: JamoSeq) -> str:
-    """Recompose a JamoSeq back into text; inverse of to_jamo_seq."""
-    boundaries = set(seq.syllable_boundaries)
-    units = seq.units
-    out: list[str] = []
-    i = 0
-    while i < len(units):
-        if i in boundaries:
-            ini = units[i]
-            med = units[i + 1] if i + 1 < len(units) else None
-            if (not isinstance(ini, Jamo) or ini.kind is not JamoKind.INITIAL
-                    or not isinstance(med, Jamo) or med.kind is not JamoKind.MEDIAL):
-                raise InvalidJamoGrouping(f"no initial+medial pair at unit {i}")
-            fin = None
-            j = i + 2
-            if (j < len(units) and j not in boundaries and isinstance(units[j], Jamo)
-                    and units[j].kind is JamoKind.FINAL):
-                fin = units[j]
-                j += 1
-            out.append(compose_syllable(ini, med, fin))
-            i = j
-        else:
-            u = units[i]
-            if isinstance(u, Jamo):
-                if u.kind is JamoKind.COMPAT:
-                    out.append(u.char)
-                else:
-                    raise InvalidJamoGrouping(
-                        f"positional jamo {u!r} at unit {i} outside any syllable")
-            else:
-                out.append(u)
-            i += 1
-    return "".join(out)
-
-
 _COMPAT_LETTERS = frozenset(map(chr, range(COMPAT_FIRST, COMPAT_LAST + 1)))
 
 
@@ -296,8 +225,9 @@ def fold_letters(s: str) -> str:
 
 
 def distance_key(s: str) -> tuple:
-    """Unit-comparison key for key_distance: the letters of ``s``, with a
-    compatibility letter outside any syllable as a 1-tuple."""
+    """Unit-comparison key of the classifier's tries and banded rows: the
+    letters of ``s``, with a compatibility letter outside any syllable as
+    a 1-tuple."""
     if _COMPAT_LETTERS.isdisjoint(s):
         return tuple(s.translate(_LETTERS))
     return tuple(unit for ch in s
@@ -339,7 +269,7 @@ def compose_letters(letters: Iterable[str]) -> str:
             ini = _INITIAL_BY_LETTER[ch]
             med = _MEDIAL_BY_LETTER[seq[i + 1]]
             j = i + 2
-            fin = None
+            fin = 0
             if (j < len(seq) and seq[j] in _FINAL_BY_LETTER
                     and not (j + 1 < len(seq) and seq[j + 1] in _MEDIAL_BY_LETTER)):
                 fin = _FINAL_BY_LETTER[seq[j]]
@@ -351,7 +281,3 @@ def compose_letters(letters: Iterable[str]) -> str:
             i += 1
     return "".join(out)
 
-
-def iter_all_syllables() -> Iterable[str]:
-    for cp in range(SYLLABLE_BASE, SYLLABLE_LAST + 1):
-        yield chr(cp)

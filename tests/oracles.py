@@ -24,7 +24,7 @@ from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_BASE, FINAL_LETTERS
                             INITIAL_LETTERS, MEDIAL_BASE, MEDIAL_LETTERS, SYLLABLE_BASE,
                             SYLLABLE_LAST, Jamo, JamoKind, JamoSeq, compat, compose_letters,
                             distance_key, final, fold_letters, initial, is_compat_jamo,
-                            is_syllable, key_distance, medial)
+                            key_distance, medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern, is_analyzable
 from lggnorm.stats import CorpusStats
 from lggnorm.tokenizer import (_GROUP_CLASS, _RUNS, PUNCT_CHARS, Token, TokenClass, TokenStream,
@@ -121,6 +121,10 @@ def corpus_stats_by_tokens(stream: TokenStream, lexicon: Lexicon) -> CorpusStats
 
 
 # ------------------------------------------- jamo units, one object per unit
+
+def is_syllable(ch: str) -> bool:
+    return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
+
 
 def syllable_jamo(ch: str) -> tuple[Jamo, Jamo, Jamo | None]:
     """(initial, medial, final-or-None) of a syllable by the Unicode

@@ -7,26 +7,19 @@ from hypothesis import strategies as st
 
 from lggnorm.hangul import (
     IndexOutOfRange,
-    InvalidJamoGrouping,
     Jamo,
     JamoKind,
-    JamoSeq,
-    NotHangulSyllable,
-    compat,
     compose_letters,
     compose_syllable,
-    decompose_syllable,
     distance_key,
     final,
     fold_letters,
-    from_jamo_seq,
     initial,
-    iter_all_syllables,
+    jamo_units,
     key_distance,
-    medial,
     to_jamo_seq,
 )
-from oracles import brute_levenshtein, unit_letter
+from oracles import brute_levenshtein, syllable_jamo, unit_letter
 
 HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 MIXED_TEXT = st.text(
@@ -39,29 +32,9 @@ MIXED_TEXT = st.text(
 )
 
 
-def test_decompose_first_syllable():
-    ini, med, fin = decompose_syllable("가")
-    assert (ini.index, med.index, fin) == (0, 0, None)
-    assert unit_letter(ini) == "ㄱ" and unit_letter(med) == "ㅏ"
-
-
-def test_decompose_han_matches_nfd():
-    ini, med, fin = decompose_syllable("한")
-    # independent check: canonical decomposition gives the conjoining jamo
-    assert [ini.char, med.char, fin.char] == list(unicodedata.normalize("NFD", "한"))
-    assert (unit_letter(ini), unit_letter(med), unit_letter(fin)) == ("ㅎ", "ㅏ", "ㄴ")
-
-
-def test_decompose_rejects_non_syllable():
-    with pytest.raises(NotHangulSyllable):
-        decompose_syllable("A")
-    with pytest.raises(NotHangulSyllable):
-        decompose_syllable("ㅋ")
-
-
 def test_compose_basics():
-    assert compose_syllable(initial(0), medial(0)) == "가"
-    assert compose_syllable(*decompose_syllable("한")) == "한"
+    assert compose_syllable(0, 0) == "가"
+    assert compose_syllable(18, 0, 4) == "한"
 
 
 def test_compose_rejects_out_of_range():
@@ -72,21 +45,17 @@ def test_compose_rejects_out_of_range():
     with pytest.raises(IndexOutOfRange):
         compose_syllable(0, 0, 28)
     with pytest.raises(IndexOutOfRange):
+        compose_syllable(-1, 0)
+    with pytest.raises(IndexOutOfRange):
         initial(19)
     with pytest.raises(IndexOutOfRange):
         final(0)  # "no final" is represented by absence
 
 
-def test_compose_rejects_wrong_kind():
-    with pytest.raises(IndexOutOfRange):
-        compose_syllable(medial(0), medial(0))
-    with pytest.raises(IndexOutOfRange):
-        compose_syllable(initial(0), medial(0), compat("ㄱ"))
-
-
 def test_round_trip_all_syllables():
-    for ch in iter_all_syllables():
-        assert compose_syllable(*decompose_syllable(ch)) == ch
+    for cp in range(0xAC00, 0xD7A4):
+        ini, med, fin = syllable_jamo(chr(cp))
+        assert compose_syllable(ini.index, med.index, fin.index if fin else 0) == chr(cp)
 
 
 def test_to_jamo_seq_jaem():
@@ -98,7 +67,6 @@ def test_to_jamo_seq_jaem():
 def test_to_jamo_seq_empty():
     seq = to_jamo_seq("")
     assert len(seq) == 0 and seq.syllable_boundaries == ()
-    assert from_jamo_seq(seq) == ""
 
 
 def test_to_jamo_seq_passthrough():
@@ -113,16 +81,9 @@ def test_compat_jamo_are_units_not_passthrough():
     assert all(isinstance(u, Jamo) and u.kind is JamoKind.COMPAT for u in seq.units)
 
 
-def test_from_jamo_seq_rejects_bad_grouping():
-    with pytest.raises(InvalidJamoGrouping):
-        from_jamo_seq(JamoSeq((initial(0),), ()))  # stray positional jamo
-    with pytest.raises(InvalidJamoGrouping):
-        from_jamo_seq(JamoSeq((initial(0), initial(0)), (0,)))  # no medial
-
-
 @given(MIXED_TEXT)
 def test_string_round_trip(s):
-    assert from_jamo_seq(to_jamo_seq(s)) == s
+    assert unicodedata.normalize("NFC", jamo_units(s)) == s
 
 
 def jamo_distance(a: str, b: str) -> int:

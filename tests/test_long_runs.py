@@ -10,12 +10,12 @@ import tracemalloc
 
 import pytest
 
-from lggnorm import apply, classify, fst as fst_module, resources
+from lggnorm import apply, classify, fst as fst_module, grammar, resources
 from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import (Category, PreconditionViolated, Resources, _detect_spacing, _hada_root,
                               classify_corpus, classify_token, detections)
 from lggnorm.fst import compile_graph, literal_symbols
-from lggnorm.grammar import parse_graph_library, validate
+from lggnorm.grammar import GraphIR, parse_graph_library, validate
 from lggnorm.hangul import fold_letters
 from lggnorm.lexicon import BandedRows, DictEntry, Lexicon, Pos, read_entries
 from lggnorm.tokenizer import tokenize
@@ -481,6 +481,28 @@ def test_validate_grows_linearly_along_a_chain_of_subgraph_calls():
     short, long = (parse_graph_library(call_chain(n)) for n in (2200, 8800))
     assert validate(long[0], long) == [] == validate(short[0], short)
     assert best_of_3(lambda: validate(long[0], long)) <= 8 * best_of_3(lambda: validate(short[0], short))
+
+
+@pytest.mark.parametrize("n", [2200, 8800])
+def test_validate_expands_each_graph_of_a_chain_once(monkeypatch, n):
+    # counts, so they hold on any host: a second expansion of each graph
+    # doubles the time at both sizes and slips past the ratio above
+    calls = parse_graph_library(call_chain(n))
+    structure, names = grammar._validate_structure, GraphIR.subgraph_names
+    work = {"structure": 0, "names": 0}
+
+    def counting_structure(g):
+        work["structure"] += 1
+        return structure(g)
+
+    def counting_names(g):
+        work["names"] += 1
+        return names(g)
+
+    monkeypatch.setattr(grammar, "_validate_structure", counting_structure)
+    monkeypatch.setattr(GraphIR, "subgraph_names", counting_names)
+    assert validate(calls[0], calls) == []
+    assert work == {"structure": n, "names": n}
 
 
 def alternatives_box(words: list[str]) -> str:
