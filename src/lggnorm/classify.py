@@ -1,9 +1,10 @@
 """Classify non-analyzable tokens into the six non-standard-form categories.
 
-Detectors run as one lazy cascade in a fixed priority order.  The first
-one that fires gives the primary category, and ``classify_token`` stops
-there; ``detections`` yields the ones after it, each with its own
-suggestion, on demand:
+The categories run as one lazy cascade in a fixed priority order, each by
+its steps in order (``_CASCADE``); the first step that fires speaks for
+the category.  The first category that fires is the primary, and
+``classify_token`` stops there; ``detections`` yields the ones after it,
+each with its own suggestion, on demand:
 
 1. EMOTICON        jamo/symbol token made of laugh/cry letters, or an
                    emoticon grammar accepts the whole token
@@ -17,33 +18,33 @@ suggestion, on demand:
 6. DEVIANT_SPELLING deviant-ending grammar matches a suffix, or the token
                    is within the deviant threshold of a candidate form
 
-Cheap exact tests outrank fuzzy distance tests, so the loanword and
-deviant distance searches run only for a token no exact test claims; a
+Cheap exact steps outrank fuzzy distance steps, so the loanword and
+deviant distance searches run only for a token no exact step claims; a
 clean multi-word split (SPACING) is stronger evidence than a one-jamo
 edit (DEVIANT_SPELLING).
 
-The grammar checks run, of the category's grammars, only those that may
-start at the character the check starts at (``Fst.may_start``, remembered
+The grammar steps run, of the category's grammars, only those that may
+start at the character the step starts at (``Fst.may_start``, remembered
 per character by ``Resources.grammars_for``), and skip ``longest_match``
 when none may.
 
-Every detector reads the token through a TextIndex of its surface.
-Lookup and edit distance both work on the token's letters (hangul's
-distance alphabet); the analysability test, the 하-root and the spacing
-split read its letters, one string folded once, as ``TextIndex.letters``,
-and the searches below its distance key, as ``TextIndex.key``.  The
-하-root is one backward run of a LetterAutomaton over the reversed
-endings and 하 verbalizers, and the spacing split is one forward run of
-the lexicon's word automaton.  The deviant candidate forms
-are the syllable-only words of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V
-EOMI, ADJ EOMI, ADV, DET, INTERJ or PROPER); a LetterAutomaton of those
-rules finds the one nearest to the token within ``Thresholds.deviant``
-edits.  The abbreviation, neologism and loanword dictionaries are
-lexicon.KeyTrie tries, searched for the entries a token's leading
-characters match.  The first two are exact: one walk down the token
-key's path in the trie.  Loanwords are within ``Thresholds.loan`` edits:
-a banded walk, which the deviant search shares.  Matches end where a
-character starts (잼 is not a prefix of 재미) and are ranked on that unit.
+Every step reads the token through a TextIndex of its surface.  Lookup and
+edit distance both work on the token's letters (hangul's distance
+alphabet); the analysability test, the 하-root and the spacing split read
+its letters, one string folded once, as ``TextIndex.letters``, and the
+searches below its distance key, as ``TextIndex.key``.  The 하-root is one
+backward run of a LetterAutomaton over the reversed endings and 하
+verbalizers, and the spacing split is one forward run of the lexicon's
+word automaton.  The deviant candidate forms are the syllable-only words
+of DEVIANT_RULES (N, N JOSA, N XSV EOMI, V EOMI, ADJ EOMI, ADV, DET,
+INTERJ or PROPER); a LetterAutomaton of those rules finds the one nearest
+to the token within ``Thresholds.deviant`` edits.  The abbreviation,
+neologism and loanword dictionaries are lexicon.KeyTrie tries, searched
+for the entries a token's leading characters match.  The first two are
+exact: one walk down the token key's path in the trie.  Loanwords are
+within ``Thresholds.loan`` edits: a banded walk, which the deviant search
+shares.  Matches end where a character starts (잼 is not a prefix of 재미)
+and are ranked on that unit.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class ClassificationResult(NamedTuple):
     token: Token
     primary: Category
     # the primary's candidate, or () for UNKNOWN; ``detections`` yields
-    # every firing detector
+    # every firing category, each from its first step that fires
     candidates: tuple[Candidate, ...]
     suggestion: str | None
 
@@ -167,13 +168,18 @@ def _splice(surface: str, start_char: int, end_char: int, output: str,
     return direct
 
 
-def _detect_emoticon(index: TextIndex, res: Resources) -> tuple[Candidate, str | None] | None:
+def _emoticon_scalars(index: TextIndex, res: Resources, cat: Category):
     if all(ch in EMOTICON_SCALARS for ch in index.text):
-        return Candidate(Category.EMOTICON, "emoticon-scalars"), None
-    fsts = res.grammars_for(Category.EMOTICON, index.text[:1])
+        return "emoticon-scalars", None
+    return None
+
+
+def _grammar_whole(index: TextIndex, res: Resources, cat: Category):
+    """The category's grammars accept the whole token, with their output as suggestion."""
+    fsts = res.grammars_for(cat, index.text[:1])
     got = longest_match(fsts, index, 0) if fsts else None
     if got is not None and got[0] == len(index.units):
-        return Candidate(Category.EMOTICON, f"grammar:{got[2].name}"), got[1] or None
+        return f"grammar:{got[2].name}", got[1] or None
     return None
 
 
@@ -185,13 +191,15 @@ def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     if got is None:
         return None
     sug = _splice(index.text, 0, index.char_of_unit(got[0]), got[1], index.lexicon)
-    return Candidate(cat, f"grammar:{got[2].name}"), sug
+    return f"grammar:{got[2].name}", sug
 
 
-def _dict_prefix(index: TextIndex, cat: Category, trie: KeyTrie, suggestion_of):
-    """First dictionary entry, in file order, whose surface is a leading
-    span of the token and that has a suggestion: the entries on the
-    token key's path down the trie that end where a character starts."""
+def _dict_prefix(index: TextIndex, res: Resources, cat: Category):
+    """First side-dictionary entry, in file order, whose surface is a
+    leading span of the token and that has a suggestion: the entries on
+    the token key's path down the trie that end where a character starts."""
+    trie_name, suggestion_of = _SIDE_DICTS[cat]
+    trie = getattr(res, trie_name)
     aligned = index.char_aligned
     for order, end in sorted((order, end) for end, order in trie.prefix_items(index.key, 0)
                              if end in aligned):
@@ -199,17 +207,11 @@ def _dict_prefix(index: TextIndex, cat: Category, trie: KeyTrie, suggestion_of):
         out = suggestion_of(e)
         if out is not None:
             sug = _splice(index.text, 0, index.char_of_unit(end), out, index.lexicon)
-            return Candidate(cat, f"dict:{e.surface}"), sug
+            return f"dict:{e.surface}", sug
     return None
 
 
-def _detect_abbreviation(index: TextIndex, res: Resources):
-    cat = Category.ABBREVIATION
-    return (_grammar_prefix(index, res, cat)
-            or _dict_prefix(index, cat, res.abbr_trie, lambda e: e.flag_value("exp")))
-
-
-def _hada_root(index: TextIndex, res: Resources) -> str | None:
+def _hada_root(index: TextIndex, res: Resources, cat: Category):
     """Shortest unknown root followed by the 하 verbalizer and at least
     one ending that reach the end of the token, from one backward run."""
     key = index.letters
@@ -217,27 +219,11 @@ def _hada_root(index: TextIndex, res: Resources) -> str | None:
     known = res.lexicon.word_ends(key) if tails else ()
     for i, u in enumerate(index.char_start_unit[1:-1], 1):
         if u in tails and u not in known:
-            return index.text[:i]
+            return f"hada-pattern:{index.text[:i]}", None
     return None
 
 
-def _detect_neologism(index: TextIndex, res: Resources):
-    cat = Category.NEOLOGISM
-    got = (_grammar_prefix(index, res, cat)
-           or _dict_prefix(index, cat, res.neo_trie, lambda e: e.lemma))
-    if got is None:
-        root = _hada_root(index, res)
-        if root is not None:
-            got = Candidate(cat, f"hada-pattern:{root}"), None
-    return got
-
-
-def _detect_loanword(index: TextIndex, res: Resources):
-    return (_grammar_prefix(index, res, Category.LOANWORD_VARIANT)
-            or _loanword_by_distance(index, res))
-
-
-def _loanword_by_distance(index: TextIndex, res: Resources):
+def _loanword_by_distance(index: TextIndex, res: Resources, cat: Category):
     """Loan entry nearest to a token prefix of whole characters, ranked by
     (distance, -prefix units, entry order) within the loan threshold; one
     walk of the loan trie gives the distances of all those prefixes."""
@@ -249,10 +235,10 @@ def _loanword_by_distance(index: TextIndex, res: Resources):
     _, end, order = best
     entry = res.loan_trie.entries[order]
     sug = _splice(index.text, 0, index.char_of_unit(end), entry.surface, index.lexicon)
-    return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
+    return f"distance:{entry.surface}", sug
 
 
-def _detect_spacing(index: TextIndex, res: Resources):
+def _spacing_split(index: TextIndex, res: Resources, cat: Category):
     # fewest words, then the lexicographically smallest word tuple: of two
     # first words from one start the shorter is a prefix of the longer
     ends = res.lexicon.fewest_words(index.letters, index.char_start_unit)
@@ -260,20 +246,18 @@ def _detect_spacing(index: TextIndex, res: Resources):
         return None
     cuts = [0] + [index.char_of_unit(u) for u in ends]
     words = [index.text[a:b] for a, b in zip(cuts, cuts[1:])]
-    return Candidate(Category.SPACING, f"split:{len(words)}"), " ".join(words)
+    return f"split:{len(words)}", " ".join(words)
 
 
-def _detect_deviant(index: TextIndex, res: Resources):
+def _grammar_suffix(index: TextIndex, res: Resources, cat: Category):
+    """The category's grammars matched from the earliest character start to the token end."""
     for start_char, start_unit in enumerate(index.char_start_unit[:-1]):
-        fsts = res.grammars_for(Category.DEVIANT_SPELLING, index.text[start_char])
+        fsts = res.grammars_for(cat, index.text[start_char])
         got = longest_match(fsts, index, start_unit) if fsts else None
         if got is not None and got[0] == len(index.units):
-            sug = _splice(index.text, start_char, len(index.text), got[1],
-                          res.lexicon)
-            return Candidate(Category.DEVIANT_SPELLING,
-                             f"grammar:{got[2].name}"), sug
-
-    return _deviant_by_distance(index, res)
+            sug = _splice(index.text, start_char, len(index.text), got[1], index.lexicon)
+            return f"grammar:{got[2].name}", sug
+    return None
 
 
 # exactly one JOSA or EOMI, not the JOSA*/EOMI+ of the analyzability rules
@@ -282,46 +266,52 @@ DEVIANT_RULES = ("N", "N JOSA", "N XSV EOMI", "V EOMI", "ADJ EOMI",
 _DEVIANT = RuleAutomaton(DEVIANT_RULES)
 
 
-def _deviant_by_distance(index: TextIndex, res: Resources):
+def _deviant_by_distance(index: TextIndex, res: Resources, cat: Category):
     got = res.deviant_search.nearest(index.key, res.thresholds.deviant)
     if got is None:
         return None
-    return Candidate(Category.DEVIANT_SPELLING, f"distance:{got[0]}"), got[1]
+    return f"distance:{got[0]}", got[1]
 
 
-# each detector with the token classes it looks at
+# each side dictionary's Resources trie and the suggestion an entry gives
+_SIDE_DICTS = {Category.ABBREVIATION: ("abbr_trie", lambda e: e.flag_value("exp")),
+               Category.NEOLOGISM: ("neo_trie", lambda e: e.lemma)}
+# each category in priority order, the token classes it reads and its steps
+# in order, each (index, res, category) -> (evidence, suggestion) or None
 _HANGUL = (TokenClass.HANGUL,)
-_DETECTORS = (
-    (_detect_emoticon, (TokenClass.JAMO, TokenClass.SYMBOL)),
-    (_detect_abbreviation, _HANGUL),
-    (_detect_neologism, _HANGUL),
-    (_detect_loanword, _HANGUL),
-    (_detect_spacing, _HANGUL),
-    (_detect_deviant, _HANGUL),
+_CASCADE = (
+    (Category.EMOTICON, (TokenClass.JAMO, TokenClass.SYMBOL), (_emoticon_scalars, _grammar_whole)),
+    (Category.ABBREVIATION, _HANGUL, (_grammar_prefix, _dict_prefix)),
+    (Category.NEOLOGISM, _HANGUL, (_grammar_prefix, _dict_prefix, _hada_root)),
+    (Category.LOANWORD_VARIANT, _HANGUL, (_grammar_prefix, _loanword_by_distance)),
+    (Category.SPACING, _HANGUL, (_spacing_split,)),
+    (Category.DEVIANT_SPELLING, _HANGUL, (_grammar_suffix, _deviant_by_distance)),
 )
 
 
 def detections(token: Token, res: Resources) -> Iterator[tuple[Candidate, str | None]]:
-    """Each firing detector's (candidate, suggestion) for one
-    non-analyzable token, in priority order; a detector runs only when
-    the next item is read, so the fuzzy searches run only for a token no
-    earlier detector claims."""
+    """Each firing category's (candidate, suggestion) for one
+    non-analyzable token, in priority order, from its first step that
+    fires; a category runs only when the next item is read, so the fuzzy
+    searches run only for a token no earlier step claims."""
     letters = fold_letters(token.surface) if token.cls is TokenClass.HANGUL else None
     if res.lexicon.is_word(letters) if letters else is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
     # the surface is one token by construction: no need to tokenize it
     index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
     if letters:
-        index.letters = letters  # fills the cached property the detectors read
-    for detect, classes in _DETECTORS:
+        index.letters = letters  # fills the cached property the steps read
+    for cat, classes, steps in _CASCADE:
         if token.cls in classes:
-            got = detect(index, res)
-            if got is not None:
-                yield got
+            for step in steps:
+                got = step(index, res, cat)
+                if got is not None:
+                    yield Candidate(cat, got[0]), got[1]
+                    break
 
 
 def classify_token(token: Token, res: Resources) -> ClassificationResult:
-    """Classify one non-analyzable token by the first detector that fires:
+    """Classify one non-analyzable token by the first category that fires:
     its category, candidate and suggestion."""
     got = next(detections(token, res), None)
     if got is None:

@@ -1,6 +1,6 @@
 import pytest
 
-from lggnorm import resources
+from lggnorm import classify, resources
 from lggnorm.grammar import load_grammar_file
 
 
@@ -47,3 +47,17 @@ def gold_rows():
         parts += [""] * (3 - len(parts))
         rows[parts[0]] = (parts[1], parts[2])
     return rows
+
+
+@pytest.fixture
+def swap_step(monkeypatch):
+    """``swap_step(step, replacement)`` puts ``replacement`` in place of
+    ``step`` in every category of the classify cascade that runs it, for
+    one test.  The cascade table holds the step functions themselves, so
+    setting the module attribute that names a step would not reach it."""
+    def swap(step, replacement):
+        assert any(step in steps for _, _, steps in classify._CASCADE), step
+        monkeypatch.setattr(classify, "_CASCADE", tuple(
+            (cat, classes, tuple(replacement if s is step else s for s in steps))
+            for cat, classes, steps in classify._CASCADE))
+    return swap

@@ -13,8 +13,10 @@ from unittest import mock
 
 from lggnorm import fst as fst_module
 from lggnorm.apply import Anchor, TextIndex
-from lggnorm.classify import (_DETECTORS, Candidate, Category, PreconditionViolated, Resources,
-                              _splice, detections)
+from lggnorm.classify import (Candidate, Category, PreconditionViolated, Resources,
+                              _deviant_by_distance, _dict_prefix, _emoticon_scalars,
+                              _grammar_prefix, _grammar_suffix, _grammar_whole, _hada_root,
+                              _loanword_by_distance, _spacing_split, _splice, detections)
 from lggnorm.concord import ConcordLine, ConcordSort
 from lggnorm.fst import TOKEN_BOUNDARY, Fst, mask_symbol
 from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, LabelKind,
@@ -854,26 +856,37 @@ def rebuilt(res: Resources, **changes) -> Resources:
 
 
 def detections_by_eager_loop(token: Token, res: Resources) -> list[tuple]:
-    """Every detector of the token's class, each run on one TextIndex of
-    its surface in priority order: the (Candidate, suggestion) of each
-    one that fires.  Raises PreconditionViolated on an analyzable token."""
+    """Every step of every category that reads the token's class, each run
+    on one TextIndex of its surface, the categories in the priority order
+    the classify module docstring lists and each one's steps in order: the
+    (Candidate, suggestion) of each category from the first of its steps
+    that fired.  Raises PreconditionViolated on an analyzable token."""
     if is_analyzable(token, res.lexicon):
         raise PreconditionViolated(f"token {token.surface!r} is analyzable")
     index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
+    if token.cls is TokenClass.HANGUL:
+        categories = [(Category.ABBREVIATION, [_grammar_prefix, _dict_prefix]),
+                      (Category.NEOLOGISM, [_grammar_prefix, _dict_prefix, _hada_root]),
+                      (Category.LOANWORD_VARIANT, [_grammar_prefix, _loanword_by_distance]),
+                      (Category.SPACING, [_spacing_split]),
+                      (Category.DEVIANT_SPELLING, [_grammar_suffix, _deviant_by_distance])]
+    elif token.cls in (TokenClass.JAMO, TokenClass.SYMBOL):
+        categories = [(Category.EMOTICON, [_emoticon_scalars, _grammar_whole])]
+    else:
+        categories = []
     found = []
-    for detect, classes in _DETECTORS:
-        if token.cls not in classes:
-            continue
-        got = detect(index, res)
-        if got is not None:
-            found.append(got)
+    for cat, steps in categories:
+        fired = [got for got in [step(index, res, cat) for step in steps] if got is not None]
+        if fired:
+            evidence, suggestion = fired[0]
+            found.append((Candidate(cat, evidence), suggestion))
     return found
 
 
 def every_detection(stream: TokenStream, res: Resources) -> dict[str, tuple]:
     """``tuple(detections(token, res))`` of each distinct non-analyzable
     type of ``stream`` in first-occurrence order: the types classify_corpus
-    classifies, with every detector run on each, not only up to the first
+    classifies, with every category run on each, not only up to the first
     that fires."""
     found: dict[str, tuple | None] = {}
     for token in stream:
@@ -888,7 +901,7 @@ def every_detection(stream: TokenStream, res: Resources) -> dict[str, tuple]:
 def brute_deviant_best(token: Token, res: Resources):
     """Linear scan of deviant_forms: the nearest form within the deviant
     threshold, ranked by (distance, -shared key prefix, form), as
-    (Candidate, suggestion) or None."""
+    (evidence, suggestion) or None."""
     limit = res.thresholds.deviant
     token_key = distance_key(token.surface)
     best = None
@@ -908,13 +921,13 @@ def brute_deviant_best(token: Token, res: Resources):
             best = rank
     if best is None:
         return None
-    return Candidate(Category.DEVIANT_SPELLING, f"distance:{best[0]}"), best[2]
+    return f"distance:{best[0]}", best[2]
 
 
 def brute_loan_best(token: Token, res: Resources):
     """Capped key_distance of every (loan entry, token prefix) pair: the
     entry within the loan threshold ranked by (distance, -prefix chars,
-    entry order), as (Candidate, suggestion) or None."""
+    entry order), as (evidence, suggestion) or None."""
     limit = res.thresholds.loan
     chars = token.surface
     token_key = distance_key(chars)
@@ -933,18 +946,18 @@ def brute_loan_best(token: Token, res: Resources):
         return None
     _, entry, n_chars = best
     sug = _splice(chars, 0, n_chars, entry.surface, res.lexicon)
-    return Candidate(Category.LOANWORD_VARIANT, f"distance:{entry.surface}"), sug
+    return f"distance:{entry.surface}", sug
 
 
-def linear_dict_prefix(index: TextIndex, cat: Category, entries, suggestion_of):
+def linear_dict_prefix(index: TextIndex, entries, suggestion_of):
     """``startswith`` over every entry in file order: the first whose
     surface is a leading span of the token and that has a suggestion, as
-    (Candidate, suggestion) or None."""
+    (evidence, suggestion) or None."""
     for e in entries:
         out = suggestion_of(e) if index.text.startswith(e.surface) else None
         if out is not None:
             sug = _splice(index.text, 0, len(e.surface), out, index.lexicon)
-            return Candidate(cat, f"dict:{e.surface}"), sug
+            return f"dict:{e.surface}", sug
     return None
 
 
@@ -1061,7 +1074,7 @@ def word_analyzable_by_recursion(word: str, lexicon: Lexicon) -> bool:
 def spacing_by_substrings(chars: str, lexicon: Lexicon):
     """Fewest-words split of ``chars`` into analyzable words, ties to the
     lexicographically smallest word tuple, by testing every substring;
-    as (Candidate, suggestion) when it has two words or more, else None."""
+    as (evidence, suggestion) when it has two words or more, else None."""
     n = len(chars)
     best_split = {n: (0, ())}
 
@@ -1085,7 +1098,7 @@ def spacing_by_substrings(chars: str, lexicon: Lexicon):
     got = solve(0)
     if got is not None and got[0] >= 2:
         words = got[1]
-        return Candidate(Category.SPACING, f"split:{len(words)}"), " ".join(words)
+        return f"split:{len(words)}", " ".join(words)
     return None
 
 

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,7 +19,7 @@ from lggnorm.classify import (
     PreconditionViolated,
     Resources,
     Thresholds,
-    _detect_deviant,
+    _CASCADE,
     _deviant_by_distance,
     _dict_prefix,
     _loanword_by_distance,
@@ -40,6 +41,9 @@ from lggnorm.lexicon import (BandedRows, DictEntry, KeyTrie, Lexicon, Pos, RuleA
 from lggnorm.tokenizer import Token, TokenClass, tokenize
 from oracles import (DEVIANT_SHAPES, brute_deviant_best, brute_loan_best, detections_by_eager_loop,
                      deviant_forms, every_detection, linear_dict_prefix, rebuilt)
+
+
+DEVIANT, LOAN = Category.DEVIANT_SPELLING, Category.LOANWORD_VARIANT
 
 
 def tok(s):
@@ -354,8 +358,8 @@ def assert_searches_match_oracles(surface, res, limit):
     res = rebuilt(res, thresholds=Thresholds(loan=limit, deviant=limit))
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
     index = TextIndex(token.surface, res.lexicon)
-    assert _deviant_by_distance(index, res) == brute_deviant_best(token, res)
-    assert _loanword_by_distance(index, res) == brute_loan_best(token, res)
+    assert _deviant_by_distance(index, res, DEVIANT) == brute_deviant_best(token, res)
+    assert _loanword_by_distance(index, res, LOAN) == brute_loan_best(token, res)
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,7 +471,8 @@ def test_deviant_search_matches_oracle_on_small_lexicons(entries, data, limit):
     for _ in range(data.draw(st.integers(1, 4))):
         token = draw_small_token(data, entries)
         index = TextIndex(token.surface, lexicon)
-        assert _deviant_by_distance(index, res) == brute_deviant_best(token, res), token.surface
+        assert _deviant_by_distance(index, res, DEVIANT) == brute_deviant_best(token, res), \
+            token.surface
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,7 +487,7 @@ def test_deviant_search_matches_oracle_on_far_tokens(entries, data, limit):
                                                      min_size=1, max_size=12)))
         token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
         index = TextIndex(surface, lexicon)
-        assert _deviant_by_distance(index, res) == brute_deviant_best(token, res), surface
+        assert _deviant_by_distance(index, res, DEVIANT) == brute_deviant_best(token, res), surface
 
 
 @settings(max_examples=200, deadline=None)
@@ -506,12 +511,12 @@ def test_dead_runs_prove_that_no_form_starts_or_ends_so(entries, data):
 
 
 def deviant_work(limit: int, lexicon: Lexicon | None = None) -> tuple:
-    """(rows, forward, backward) after running every detector on each type
+    """(rows, forward, backward) after running every category on each type
     of both bundled corpora at deviant threshold ``limit`` through one
     fresh Resources (on ``lexicon``, by default the bundled one): the rows
     BandedRows.grow returns inside the deviant search, and the (states,
     step calls, stored transitions) of the deviant automaton and of its
-    backward twin.  Classify itself stops at the first detector that
+    backward twin.  Classify itself stops at the first category that
     fires, which leaves the deviant search to few of the types."""
     res = resources.load_classifier_resources(lexicon, thresholds=Thresholds(deviant=limit))
     search, grow = res.deviant_search, BandedRows.grow
@@ -611,7 +616,8 @@ def test_deviant_suggestions_hold_no_standalone_letter(entries, data, limit):
     # 먹 + ㅂ니다 composes to 먹ㅂ니다, whose ㅂ joins no syllable
     lexicon = Lexicon(entries)
     res = Resources(lexicon=lexicon, fsts=[], thresholds=Thresholds(deviant=limit))
-    got = _detect_deviant(TextIndex(draw_small_token(data, entries).surface, lexicon), res)
+    got = _deviant_by_distance(TextIndex(draw_small_token(data, entries).surface, lexicon), res,
+                               DEVIANT)
     if got is not None:
         assert not any(map(is_compat_jamo, got[1])), got
 
@@ -646,10 +652,10 @@ def test_cascade_matches_the_eager_loop_on_the_corpora_and_gold(
     res = rebuilt(classifier_resources, thresholds=Thresholds(deviant=limit))
     types = {t.surface: t for text in (formal_text, informal_text) for t in tokenize(text)}
     found = [assert_cascade_matches_eager_loop(t, res) for t in types.values()]
-    # analyzable types are turned away, and some type has a detector
+    # analyzable types are turned away, and some type has a category
     # firing after the first
     assert None in found and max(n for n in found if n is not None) > 1
-    # a detector fires on every gold type
+    # a category fires on every gold type
     assert all(assert_cascade_matches_eager_loop(tok(s), res) for s in gold_rows)
 
 
@@ -666,16 +672,71 @@ def test_cascade_matches_the_eager_loop_on_drawn_tokens(classifier_resources, en
         assert_cascade_matches_eager_loop(draw_small_token(data, entries or lexicon.entries), res)
 
 
-def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
-        monkeypatch, classifier_resources, formal_text, informal_text):
-    # counts, so they hold on any host: the deviant search runs only for a
-    # HANGUL type that ends UNKNOWN or deviant by distance (3 here; 18 when
-    # every detector ran on every type), and the loan distance search only
-    # for one that no abbreviation, neologism or loan grammar claims (5; 12)
+def test_cascade_matches_the_eager_loop_with_no_grammars(classifier_resources, formal_text,
+                                                         informal_text, gold_rows):
+    # with no grammar the later steps speak for their categories: 짱해요
+    # is in the neologism dictionary and is a 하-verb of 짱, so the
+    # dictionary step must run before the 하-root step
+    res = rebuilt(classifier_resources, fsts=[])
+    types = {t.surface: t for text in (formal_text, informal_text, " ".join(gold_rows), "짱해요")
+             for t in tokenize(text)}
+    for token in types.values():
+        assert_cascade_matches_eager_loop(token, res)
+    assert [c.evidence for c, _ in detections(tok("짱해요"), res)] == ["dict:짱"]
+
+
+def test_documented_priority_is_the_cascade_order():
+    # the numbered list of the module docstring is the order of the table
+    # detections reads, and only EMOTICON reads jamo and symbol tokens
     import lggnorm.classify as classify_module
 
+    listed = re.findall(r"^(\d)\. (\w+)", classify_module.__doc__, re.MULTILINE)
+    assert [int(n) for n, _ in listed] == list(range(1, 7))
+    assert [name for _, name in listed] == [cat.value for cat, _, _ in _CASCADE]
+    reads = {cat: set(classes) for cat, classes, _ in _CASCADE}
+    assert reads.pop(Category.EMOTICON) == {TokenClass.JAMO, TokenClass.SYMBOL}
+    assert all(classes == {TokenClass.HANGUL} for classes in reads.values())
+
+
+# the three 텔레비X of the seed-0 classify-types pool whose suggestion is
+# no word, and three more of the same shape
+NON_WORD_TOKENS = ["텔레비정효과", "텔레비햔안녕에", "텔레비천이", "텔레비톤행사해요", "텔레비젼이",
+                   "텔레비젼"]
+
+
+def test_non_word_suggestions_stay_within_their_ceilings(classifier_resources, formal_text,
+                                                         informal_text, gold_rows):
+    # a count per category of the suggestions that are not words, as
+    # (primary, over every detection), on both corpora, the gold types and
+    # NON_WORD_TOKENS: all are LOANWORD_VARIANT, from the clipped 텔레비 of
+    # the Loan grammar spliced before the rest of the token
+    from lggnorm.classify import _suggestion_ok
+
+    ceilings = {Category.LOANWORD_VARIANT: (5, 6)}
+    stream = tokenize(" ".join([formal_text, informal_text, *gold_rows, *NON_WORD_TOKENS]))
+    primary, overall, evidence = Counter(), Counter(), set()
+    for found in every_detection(stream, classifier_resources).values():
+        for i, (candidate, suggestion) in enumerate(found):
+            if suggestion is not None and not _suggestion_ok(suggestion,
+                                                             classifier_resources.lexicon):
+                overall[candidate.category] += 1
+                if i == 0:
+                    primary[candidate.category] += 1
+                evidence.add(candidate.evidence)
+    for cat in Category:
+        most_primary, most_overall = ceilings.get(cat, (0, 0))
+        assert primary[cat] <= most_primary and overall[cat] <= most_overall, cat
+    assert evidence <= {"grammar:Loan"}, evidence
+
+
+def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
+        swap_step, classifier_resources, formal_text, informal_text):
+    # counts, so they hold on any host: the deviant search runs only for a
+    # HANGUL type that ends UNKNOWN or deviant by distance (3 here; 18 when
+    # every category ran on every type), and the loan distance search only
+    # for one that no abbreviation, neologism or loan grammar claims (5; 12)
     res = rebuilt(classifier_resources)
-    nearest, loan_by_distance = res.deviant_search.nearest, classify_module._loanword_by_distance
+    nearest = res.deviant_search.nearest
     calls = {"deviant": 0, "loan": 0}
 
     def counting_nearest(*args):
@@ -684,10 +745,10 @@ def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
 
     def counting_loan_by_distance(*args):
         calls["loan"] += 1
-        return loan_by_distance(*args)
+        return _loanword_by_distance(*args)
 
     res.deviant_search.nearest = counting_nearest
-    monkeypatch.setattr(classify_module, "_loanword_by_distance", counting_loan_by_distance)
+    swap_step(_loanword_by_distance, counting_loan_by_distance)
     out = classify_corpus(tokenize(formal_text + "\n" + informal_text), res)
 
     def searched(r, after, by_distance):
@@ -707,13 +768,11 @@ def test_fuzzy_searches_run_only_where_no_earlier_detector_decided(
 
 
 def test_only_the_loan_and_deviant_searches_build_banded_rows(
-        monkeypatch, classifier_resources, formal_text, informal_text):
+        monkeypatch, swap_step, classifier_resources, formal_text, informal_text):
     # counts, so they hold on any host: an abbreviation or neologism
     # lookup walks the token key's one path down its trie, so banded rows
     # are built only by the two distance searches.  Walked as banded rows
     # at no edits, every dictionary lookup built one
-    import lggnorm.classify as classify_module
-
     res = rebuilt(classifier_resources)
     init = BandedRows.__init__
     built, calls, running = Counter(), Counter(), [None]
@@ -733,10 +792,8 @@ def test_only_the_loan_and_deviant_searches_build_banded_rows(
         return counted
 
     monkeypatch.setattr(BandedRows, "__init__", counting_init)
-    monkeypatch.setattr(classify_module, "_dict_prefix",
-                        watched("dict", classify_module._dict_prefix))
-    monkeypatch.setattr(classify_module, "_loanword_by_distance",
-                        watched("loan", classify_module._loanword_by_distance))
+    swap_step(_dict_prefix, watched("dict", _dict_prefix))
+    swap_step(_loanword_by_distance, watched("loan", _loanword_by_distance))
     res.deviant_search.nearest = watched("deviant", res.deviant_search.nearest)
     stream = tokenize(formal_text + "\n" + informal_text)
     classify_corpus(stream, res)
@@ -747,7 +804,7 @@ def test_only_the_loan_and_deviant_searches_build_banded_rows(
 
 def test_loan_search_rules_out_all_but_one_corpus_key_before_it_walks(
         monkeypatch, classifier_resources, formal_text, informal_text):
-    # a count, so it holds on any host: with every detector run on each
+    # a count, so it holds on any host: with every category run on each
     # type of both corpora, the loan distance search runs for 12 keys and
     # the piece check leaves one of them to walk; banded rows were built
     # for all 12 (138 rows) when every key was walked
@@ -810,13 +867,16 @@ EXPANSION = st.sampled_from([frozenset(), frozenset({"exp=X"}), frozenset({"abbr
 @settings(max_examples=300, deadline=None)
 @given(entries=side_entries(PREFIX_SURFACES, EXPANSION), data=st.data())
 def test_dict_prefix_matches_the_linear_scan(entries, data):
+    # one list of entries as both side dictionaries: an abbreviation
+    # suggests its expansion and a neologism its lemma
     lexicon = Lexicon([DictEntry("재미", "재미", Pos.N), DictEntry("강", "강", Pos.N)])
+    res = Resources(lexicon=lexicon, fsts=[], abbr_entries=tuple(entries),
+                    neo_entries=tuple(entries))
     index = TextIndex(side_token(data, entries), lexicon)
-    trie = KeyTrie(entries)
     for cat, suggestion_of in ((Category.ABBREVIATION, lambda e: e.flag_value("exp")),
                                (Category.NEOLOGISM, lambda e: e.lemma)):
-        assert (_dict_prefix(index, cat, trie, suggestion_of)
-                == linear_dict_prefix(index, cat, entries, suggestion_of))
+        assert (_dict_prefix(index, res, cat)
+                == linear_dict_prefix(index, entries, suggestion_of))
 
 
 @settings(max_examples=300, deadline=None)
@@ -848,7 +908,7 @@ def test_loan_search_matches_oracle_on_small_dictionaries(entries, data, limit):
                     thresholds=Thresholds(loan=limit))
     surface = side_token(data, entries)
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
-    assert (_loanword_by_distance(TextIndex(surface, lexicon), res)
+    assert (_loanword_by_distance(TextIndex(surface, lexicon), res, LOAN)
             == brute_loan_best(token, res))
 
 
@@ -867,7 +927,7 @@ def test_loan_search_matches_oracle_on_far_tokens(entries, data, limit):
     token = Token(surface, TokenClass.HANGUL, 0, len(surface.encode("utf-8")))
     index = TextIndex(surface, lexicon)
     want = brute_loan_best(token, res)
-    assert _loanword_by_distance(index, res) == want, surface
+    assert _loanword_by_distance(index, res, LOAN) == want, surface
     if not res.loan_trie.may_match(index.key, limit):
         assert want is None, surface
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from lggnorm.apply import TextIndex
-from lggnorm.classify import DEVIANT_RULES, Resources, _detect_spacing, _hada_root
+from lggnorm.classify import DEVIANT_RULES, Category, Resources, _hada_root, _spacing_split
 from lggnorm.hangul import FINAL_LETTERS, INITIAL_LETTERS, MEDIAL_LETTERS, compose_letters, fold_letters
 from lggnorm.lexicon import (DEFAULT_CONCAT_RULES, DictEntry, Lexicon, Pos, RuleAutomaton,
                              _RulePattern, is_analyzable, read_entries)
@@ -22,6 +22,12 @@ CORE = load_lexicon().entries
 # the same entries again, as loaded from a second and a third dictionary
 DUPLICATES = (CORE + tuple(e._replace() for e in CORE[::3])
               + tuple(e._replace(flags=frozenset({"src=extra"})) for e in CORE[::4]))
+
+
+def hada_root(index, res):
+    """The root the 하-root step names, or None when it does not fire."""
+    got = _hada_root(index, res, Category.NEOLOGISM)
+    return None if got is None else got[0].removeprefix("hada-pattern:")
 
 RULE_POS = [Pos.N, Pos.V, Pos.ADJ, Pos.JOSA, Pos.EOMI, Pos.XSV, Pos.ADV, Pos.DET]
 BY_POS: dict = {}
@@ -107,8 +113,8 @@ def assert_lattice_matches_oracles(surface, res):
     if not surface:
         return
     index = TextIndex(surface, lexicon)
-    assert _detect_spacing(index, res) == spacing_by_substrings(surface, lexicon)
-    root = _hada_root(index, res)
+    assert _spacing_split(index, res, Category.SPACING) == spacing_by_substrings(surface, lexicon)
+    root = hada_root(index, res)
     assert root == hada_root_by_suffixes(surface, lexicon)
     assert root == hada_root_by_prefix_walk(index, lexicon)
 
@@ -167,7 +173,8 @@ def test_fewest_words_keeps_the_lesser_of_two_splits_that_meet():
                                     "라마바가,라마바가.ADV", "가,가.N", "가,가.JOSA"]))
     index = TextIndex("나다라마바가가가가", lexicon)
     assert lexicon.fewest_words(index.letters, index.char_start_unit) == [4, 12, 18]
-    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[]))[1] == "나다 라마바가 가가가"
+    res = Resources(lexicon=lexicon, fsts=[])
+    assert _spacing_split(index, res, Category.SPACING)[1] == "나다 라마바가 가가가"
 
 
 def test_fewest_words_covers_the_empty_key_with_no_words():
@@ -208,7 +215,7 @@ def test_hada_root_takes_only_lemma_ha_verbalizers(drawn):
     lexicon, surface = drawn
     res = Resources(lexicon=lexicon, fsts=[])
     index = TextIndex(surface, lexicon)
-    root = _hada_root(index, res)
+    root = hada_root(index, res)
     assert root == hada_root_by_suffixes(surface, lexicon)
     assert root == hada_root_by_prefix_walk(index, lexicon)
 
@@ -216,10 +223,11 @@ def test_hada_root_takes_only_lemma_ha_verbalizers(drawn):
 def test_hada_root_ignores_a_doe_verbalizer():
     endings = [DictEntry("어", "어", Pos.EOMI), DictEntry("요", "요", Pos.EOMI)]
     doe_only = Resources(lexicon=Lexicon([DictEntry("되", "되", Pos.XSV)] + endings), fsts=[])
-    assert _hada_root(TextIndex("뷁되어요", doe_only.lexicon), doe_only) is None
+    assert hada_root(TextIndex("뷁되어요", doe_only.lexicon), doe_only) is None
     both = Resources(lexicon=Lexicon(HA_XSV + DOE_XSV + endings), fsts=[])
-    assert _hada_root(TextIndex("뷁되어요", both.lexicon), both) is None
-    assert _hada_root(TextIndex("뷁해요", both.lexicon), both) == "뷁"
+    assert hada_root(TextIndex("뷁되어요", both.lexicon), both) is None
+    assert _hada_root(TextIndex("뷁해요", both.lexicon), both, Category.NEOLOGISM) == (
+        "hada-pattern:뷁", None)
 
 
 def test_best_analysis_breaks_count_ties_by_segments_not_edge_order():

@@ -10,9 +10,9 @@ import tracemalloc
 
 import pytest
 
-from lggnorm import apply, classify, fst as fst_module, grammar, resources
+from lggnorm import apply, fst as fst_module, grammar, resources
 from lggnorm.apply import TextIndex, normalize
-from lggnorm.classify import (Category, PreconditionViolated, Resources, _detect_spacing, _hada_root,
+from lggnorm.classify import (Category, PreconditionViolated, Resources, _hada_root, _spacing_split,
                               classify_corpus, classify_token, detections)
 from lggnorm.fst import compile_graph, literal_symbols
 from lggnorm.grammar import GraphIR, parse_graph_library, validate
@@ -187,7 +187,7 @@ def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifie
     assert time.perf_counter() - start < 1.0
     assert result.primary is Category.SPACING
     assert result.suggestion == " ".join(glued)
-    # and every detector, the deviant search too, within the same bound
+    # and every category, the deviant search too, within the same bound
     start = time.perf_counter()
     found = tuple(detections(token, classifier_resources))
     assert time.perf_counter() - start < 1.0
@@ -198,12 +198,16 @@ def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_lette
         classifier_resources):
     # a count, so it holds on any host: from a fresh deviant automaton,
     # the search steps only the letters near the token's first words.
-    # classify stops at SPACING, so every detector is run to reach it
+    # classify stops at SPACING, so every category is run to reach it
     res = rebuilt(classifier_resources)
     search, step, steps = res.deviant_search, res.deviant_search.step, []
     search.step = lambda *args: steps.append(args) or step(*args)
     tuple(detections(tokenize("".join(glued_words())).tokens[0], res))
     assert 0 < len(steps) <= 200
+
+
+def spacing_split(index, res):
+    return _spacing_split(index, res, Category.SPACING)
 
 
 NOUN_AND_JOSA = ["가,가.N", "가,가.JOSA", "나,나.N"]
@@ -215,7 +219,7 @@ def test_spacing_stays_linear_when_a_syllable_is_both_noun_and_josa():
     lexicon = Lexicon(read_entries(NOUN_AND_JOSA))
     text = "가" * 2000 + "나가"
     start = time.perf_counter()
-    got = _detect_spacing(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
+    got = spacing_split(TextIndex(text, lexicon), Resources(lexicon=lexicon, fsts=[]))
     assert time.perf_counter() - start < 0.5
     assert got[1] == "가" * 2000 + " 나가"
 
@@ -226,7 +230,7 @@ def test_spacing_of_a_noun_and_josa_run_holds_a_few_states(n):
     # automaton, whose states repeat with each 가, 10 at any n
     lexicon = Lexicon(read_entries(NOUN_AND_JOSA))
     index = TextIndex("가" * n + "나가", lexicon)
-    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[])) is not None
+    assert spacing_split(index, Resources(lexicon=lexicon, fsts=[])) is not None
     assert len(lexicon._words.pairs) <= 12
 
 
@@ -238,10 +242,10 @@ def test_spacing_of_a_2000_char_glued_token_holds_a_few_states(classifier_resour
     lexicon = Lexicon(base.entries, base.concat_rules)
     res = rebuilt(classifier_resources, lexicon=lexicon)
     glued = glued_words()
-    assert _detect_spacing(TextIndex("".join(glued[:20]), lexicon), res) is not None
+    assert spacing_split(TextIndex("".join(glued[:20]), lexicon), res) is not None
     states = len(lexicon._words.pairs)
     assert states <= 100
-    assert _detect_spacing(TextIndex("".join(glued), lexicon), res) is not None
+    assert spacing_split(TextIndex("".join(glued), lexicon), res) is not None
     assert len(lexicon._words.pairs) == states
 
 
@@ -253,14 +257,14 @@ def test_spacing_builds_no_lattice_when_no_first_word_ends_at_a_character(monkey
     assert lexicon.word_ends(index.letters) == {2}
     lattice, lattices = Lexicon.lattice, []
     monkeypatch.setattr(Lexicon, "lattice", lambda *args: lattices.append(args) or lattice(*args))
-    assert _detect_spacing(index, Resources(lexicon=lexicon, fsts=[])) is None
+    assert spacing_split(index, Resources(lexicon=lexicon, fsts=[])) is None
     assert lattices == []
     # spacing's run made no state past word_ends': dead, start, ㄱ and 가
     assert len(lexicon._words.pairs) == 4
 
 
-def spacing_lattices(monkeypatch, classify_texts) -> int:
-    """Lexicon.lattice calls made inside _detect_spacing while
+def spacing_lattices(monkeypatch, swap_step, classify_texts) -> int:
+    """Lexicon.lattice calls made inside the spacing split step while
     ``classify_texts()`` runs."""
     lattice, inside, calls = Lexicon.lattice, [], []
 
@@ -268,37 +272,35 @@ def spacing_lattices(monkeypatch, classify_texts) -> int:
         calls.append(bool(inside))
         return lattice(self, *args)
 
-    def spacing(index, res):
+    def spacing(*args):
         inside.append(True)
         try:
-            return _detect_spacing(index, res)
+            return _spacing_split(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Lexicon, "lattice", counted)
-    monkeypatch.setattr(classify, "_DETECTORS", tuple(
-        (spacing if detect is _detect_spacing else detect, classes)
-        for detect, classes in classify._DETECTORS))
+    swap_step(_spacing_split, spacing)
     classify_texts()
     return sum(calls)
 
 
 @pytest.mark.parametrize("run, ceiling", [(classify_corpus, 0), (every_detection, 0)],
                          ids=["classify_corpus", "every_detection"])
-def test_spacing_builds_a_lattice_for_few_corpus_types(monkeypatch, classifier_resources,
+def test_spacing_builds_a_lattice_for_few_corpus_types(monkeypatch, swap_step, classifier_resources,
                                                       formal_text, informal_text, run, ceiling):
     # a count: spacing runs the word automaton and builds no lattice for
     # any of the two corpora's 29 non-analyzable types.  A lattice per
-    # spacing check reads 5 under classify_corpus and 19 with every detector
+    # spacing check reads 5 under classify_corpus and 19 with every category
     def classify_texts():
         for text in (formal_text, informal_text):
             run(tokenize(text), rebuilt(classifier_resources))
 
-    assert spacing_lattices(monkeypatch, classify_texts) <= ceiling
+    assert spacing_lattices(monkeypatch, swap_step, classify_texts) <= ceiling
 
 
 def every_token_exhausted(stream, res):
-    """Every detector on every non-analyzable token of ``stream``, each
+    """Every category on every non-analyzable token of ``stream``, each
     occurrence of a type again."""
     for token in stream:
         try:
@@ -313,7 +315,7 @@ def test_grammar_checks_run_few_grammars_over_the_corpora(monkeypatch, classifie
                                                          formal_text, informal_text, run, ceiling):
     # a count: a grammar check runs only the grammars that may start at the
     # character it starts at.  Running every grammar of the category reads
-    # 61 run_from calls under classify_corpus and 278 with every detector
+    # 61 run_from calls under classify_corpus and 278 with every category
     # on every token
     calls, run_from = [], apply.run_from
     monkeypatch.setattr(apply, "run_from", lambda *args: calls.append(args) or run_from(*args))
@@ -331,7 +333,8 @@ def test_hada_root_of_a_verb_with_n_endings_holds_a_few_states(n):
     # the automaton holds 9 states at any n
     lexicon = Lexicon(read_entries(HADA_RUN_ENTRIES))
     res = Resources(lexicon=lexicon, fsts=[])
-    assert _hada_root(TextIndex("뷁하" + "아" * n, lexicon), res) == "뷁"
+    assert _hada_root(TextIndex("뷁하" + "아" * n, lexicon), res, Category.NEOLOGISM) == (
+        "hada-pattern:뷁", None)
     assert len(res.hada_tails.pairs) <= 12
 
 
@@ -354,7 +357,7 @@ def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second
     out = classify_corpus(stream, res)
     assert time.perf_counter() - start < 0.5
     assert len(out.results) == len(classify_corpus(stream, classifier_resources).results)
-    # and every detector on each type, from a fresh deviant automaton,
+    # and every category on each type, from a fresh deviant automaton,
     # within the same bound
     res = rebuilt(res)
     start = time.perf_counter()
@@ -366,7 +369,7 @@ def test_informal_sample_classifies_with_10000_loan_entries_within_half_a_second
 def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
         monkeypatch, classifier_resources, informal_text):
     # a count, so it holds on any host: the rows BandedRows.grow returns
-    # inside the loan search with every detector run on each type, 7,096
+    # inside the loan search with every category run on each type, 7,096
     # measured; trie children follow entry order, so the count is the
     # same in every process
     res = with_10000_loan_entries(classifier_resources)
