@@ -25,7 +25,7 @@ edit (DEVIANT_SPELLING).
 
 The grammar steps run, of the category's grammars, only those that may
 start at the character the step starts at (``Fst.may_start``, remembered
-per character by ``Resources.grammars_for``), and skip ``longest_match``
+per character by ``Resources.grammar_match``), and skip ``longest_match``
 when none may.
 
 Every step reads the token through a TextIndex of its surface.  Lookup and
@@ -71,7 +71,7 @@ class Category(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-# grammar tag (prefix) -> category
+# a grammar's tag, or the part of it before its first "_" -> category
 TAG_CATEGORIES = {
     "ABBR": Category.ABBREVIATION,
     "DEVIANT": Category.DEVIANT_SPELLING,
@@ -79,13 +79,6 @@ TAG_CATEGORIES = {
     "NEO": Category.NEOLOGISM,
     "EMOTICON": Category.EMOTICON,
 }
-
-
-def tag_category(tag: str) -> Category | None:
-    for prefix, cat in TAG_CATEGORIES.items():
-        if tag == prefix or tag.startswith(prefix + "_"):
-            return cat
-    return None
 
 
 class PreconditionViolated(ValueError):
@@ -112,10 +105,10 @@ class ClassificationResult(NamedTuple):
 
 
 class Resources:
-    """Everything classification consults besides the token itself.  The
-    side dictionaries are built into tries here, and the deviant and 하-tail
-    automata and the grammars per starting character grow as tokens are
-    classified, so one Resources is not for concurrent threads."""
+    """Everything classification consults besides the token itself, keyed
+    by the category that searches it (``grammar_match``, ``tries``).  The
+    deviant and 하-tail automata and the grammars per starting character
+    grow as tokens are classified, so one Resources is not for concurrent threads."""
 
     def __init__(self, lexicon: Lexicon, fsts: list[Fst],
                  abbr_entries: tuple[DictEntry, ...] = (),
@@ -123,29 +116,31 @@ class Resources:
                  loan_entries: tuple[DictEntry, ...] = (),
                  thresholds: Thresholds = Thresholds()):
         self.lexicon, self.fsts, self.thresholds = lexicon, fsts, thresholds
-        self.abbr_entries, self.neo_entries, self.loan_entries = abbr_entries, neo_entries, loan_entries
         self._by_category: dict[Category, list[Fst]] = {}
         for f in self.fsts:
-            cat = tag_category(f.tag)
+            cat = TAG_CATEGORIES.get(f.tag.split("_", 1)[0])
             if cat is not None:
                 self._by_category.setdefault(cat, []).append(f)
         self._starting: dict[tuple[Category, str], list[Fst]] = {}
-        self.abbr_trie = KeyTrie(self.abbr_entries)
-        self.neo_trie = KeyTrie(self.neo_entries)
-        self.loan_trie = KeyTrie(self.loan_entries)
+        self.tries = {Category.ABBREVIATION: KeyTrie(abbr_entries),
+                      Category.NEOLOGISM: KeyTrie(neo_entries),
+                      Category.LOANWORD_VARIANT: KeyTrie(loan_entries)}
         self.deviant_search = LetterAutomaton(self.lexicon, _DEVIANT)
         self.hada_tails = LetterAutomaton(self.lexicon, RuleAutomaton(["EOMI+ XSV"]), (
             e for e in lexicon.entries if e.pos is Pos.EOMI or e.pos is Pos.XSV and e.lemma == "하"))
 
-    def grammars_for(self, cat: Category, ch: str) -> list[Fst]:
-        """The category's grammars, in priority order, that may start a
-        match where the character ``ch`` starts (``Fst.may_start``),
-        remembered per (category, character)."""
-        got = self._starting.get((cat, ch))
-        if got is None:
-            got = self._starting[cat, ch] = [
+    def grammar_match(self, cat: Category, index: TextIndex,
+                      start: int) -> tuple[int, str, Fst] | None:
+        """``longest_match`` from the character ``start`` of the category's
+        grammars, in priority order, that may start a match there
+        (``Fst.may_start``), remembered per (category, character); None
+        when none may."""
+        ch = index.text[start:start + 1]
+        fsts = self._starting.get((cat, ch))
+        if fsts is None:
+            fsts = self._starting[cat, ch] = [
                 f for f in self._by_category.get(cat, ()) if f.may_start(ch)]
-        return got
+        return longest_match(fsts, index, index.char_start_unit[start]) if fsts else None
 
 
 def _suggestion_ok(s: str, lexicon: Lexicon) -> bool:
@@ -176,8 +171,7 @@ def _emoticon_scalars(index: TextIndex, res: Resources, cat: Category):
 
 def _grammar_whole(index: TextIndex, res: Resources, cat: Category):
     """The category's grammars accept the whole token, with their output as suggestion."""
-    fsts = res.grammars_for(cat, index.text[:1])
-    got = longest_match(fsts, index, 0) if fsts else None
+    got = res.grammar_match(cat, index, 0)
     if got is not None and got[0] == len(index.units):
         return f"grammar:{got[2].name}", got[1] or None
     return None
@@ -186,8 +180,7 @@ def _grammar_whole(index: TextIndex, res: Resources, cat: Category):
 def _grammar_prefix(index: TextIndex, res: Resources, cat: Category):
     """The category's grammars matched from the token start, with the
     matched span replaced in the suggestion."""
-    fsts = res.grammars_for(cat, index.text[:1])
-    got = longest_match(fsts, index, 0) if fsts else None
+    got = res.grammar_match(cat, index, 0)
     if got is None:
         return None
     sug = _splice(index.text, 0, index.char_of_unit(got[0]), got[1], index.lexicon)
@@ -198,8 +191,7 @@ def _dict_prefix(index: TextIndex, res: Resources, cat: Category):
     """First side-dictionary entry, in file order, whose surface is a
     leading span of the token and that has a suggestion: the entries on
     the token key's path down the trie that end where a character starts."""
-    trie_name, suggestion_of = _SIDE_DICTS[cat]
-    trie = getattr(res, trie_name)
+    trie, suggestion_of = res.tries[cat], _SIDE_DICTS[cat]
     aligned = index.char_aligned
     for order, end in sorted((order, end) for end, order in trie.prefix_items(index.key, 0)
                              if end in aligned):
@@ -227,13 +219,13 @@ def _loanword_by_distance(index: TextIndex, res: Resources, cat: Category):
     """Loan entry nearest to a token prefix of whole characters, ranked by
     (distance, -prefix units, entry order) within the loan threshold; one
     walk of the loan trie gives the distances of all those prefixes."""
-    best = min(res.loan_trie.prefix_matches(index.key, index.char_aligned,
-                                            res.thresholds.loan),
+    trie = res.tries[cat]
+    best = min(trie.prefix_matches(index.key, index.char_aligned, res.thresholds.loan),
                key=lambda m: (m[0], -m[1], m[2]), default=None)
     if best is None:
         return None
     _, end, order = best
-    entry = res.loan_trie.entries[order]
+    entry = trie.entries[order]
     sug = _splice(index.text, 0, index.char_of_unit(end), entry.surface, index.lexicon)
     return f"distance:{entry.surface}", sug
 
@@ -251,9 +243,8 @@ def _spacing_split(index: TextIndex, res: Resources, cat: Category):
 
 def _grammar_suffix(index: TextIndex, res: Resources, cat: Category):
     """The category's grammars matched from the earliest character start to the token end."""
-    for start_char, start_unit in enumerate(index.char_start_unit[:-1]):
-        fsts = res.grammars_for(cat, index.text[start_char])
-        got = longest_match(fsts, index, start_unit) if fsts else None
+    for start_char in range(len(index.text)):
+        got = res.grammar_match(cat, index, start_char)
         if got is not None and got[0] == len(index.units):
             sug = _splice(index.text, start_char, len(index.text), got[1], index.lexicon)
             return f"grammar:{got[2].name}", sug
@@ -273,9 +264,9 @@ def _deviant_by_distance(index: TextIndex, res: Resources, cat: Category):
     return f"distance:{got[0]}", got[1]
 
 
-# each side dictionary's Resources trie and the suggestion an entry gives
-_SIDE_DICTS = {Category.ABBREVIATION: ("abbr_trie", lambda e: e.flag_value("exp")),
-               Category.NEOLOGISM: ("neo_trie", lambda e: e.lemma)}
+# the suggestion an entry of each exact side dictionary gives
+_SIDE_DICTS = {Category.ABBREVIATION: lambda e: e.flag_value("exp"),
+               Category.NEOLOGISM: lambda e: e.lemma}
 # each category in priority order, the token classes it reads and its steps
 # in order, each (index, res, category) -> (evidence, suggestion) or None
 _HANGUL = (TokenClass.HANGUL,)

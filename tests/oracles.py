@@ -849,8 +849,10 @@ def rebuilt(res: Resources, **changes) -> Resources:
     """A new Resources built from the six fields of ``res``, with
     ``changes`` in their place, so its tries follow its entries and its
     deviant automaton starts afresh."""
-    fields = dict(lexicon=res.lexicon, fsts=res.fsts, abbr_entries=res.abbr_entries,
-                  neo_entries=res.neo_entries, loan_entries=res.loan_entries,
+    fields = dict(lexicon=res.lexicon, fsts=res.fsts,
+                  abbr_entries=res.tries[Category.ABBREVIATION].entries,
+                  neo_entries=res.tries[Category.NEOLOGISM].entries,
+                  loan_entries=res.tries[Category.LOANWORD_VARIANT].entries,
                   thresholds=res.thresholds)
     return Resources(**{**fields, **changes})
 
@@ -933,7 +935,7 @@ def brute_loan_best(token: Token, res: Resources):
     token_key = distance_key(chars)
     starts = TextIndex(chars).char_start_unit
     best = None
-    for order, entry in enumerate(res.loan_entries):
+    for order, entry in enumerate(res.tries[Category.LOANWORD_VARIANT].entries):
         entry_key = distance_key(entry.surface)
         for n_chars in range(1, len(chars) + 1):
             end_unit = starts[n_chars] if n_chars < len(starts) else len(token_key)

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm import resources
-from lggnorm.apply import TextIndex
+from lggnorm.apply import TextIndex, longest_match
 from lggnorm.classify import (
     DEVIANT_RULES,
+    Candidate,
     Category,
     PreconditionViolated,
     Resources,
@@ -27,6 +28,8 @@ from lggnorm.classify import (
     classify_token,
     detections,
 )
+from lggnorm.fst import Fst, compile_graph
+from lggnorm.grammar import parse_graph
 from lggnorm.hangul import (
     FINAL_LETTERS,
     INITIAL_LETTERS,
@@ -175,9 +178,35 @@ def test_abbreviation_collects_hada_candidate_too(classifier_resources):
     assert Category.NEOLOGISM in cats  # unknown root + 하 + ending also fired
 
 
-def test_grammars_for_keeps_the_grammars_that_may_start_at_a_character(classifier_resources):
+def test_grammar_match_runs_the_grammars_that_may_start_at_a_character(
+        monkeypatch, classifier_resources):
+    import lggnorm.classify as classify_module
     res = rebuilt(classifier_resources)
-    names = lambda cat, ch: [f.name for f in res.grammars_for(cat, ch)]
+    may_start = Fst.may_start
+    checked, handed = Counter(), []
+
+    def counting_may_start(self, ch):
+        checked[ch] += 1
+        return may_start(self, ch)
+
+    def handed_longest_match(fsts, index, unit):
+        handed.append([f.name for f in fsts])
+        return longest_match(fsts, index, unit)
+
+    monkeypatch.setattr(Fst, "may_start", counting_may_start)
+    monkeypatch.setattr(classify_module, "longest_match", handed_longest_match)
+
+    def names(cat, surface, start=0):
+        """The grammars grammar_match runs from character ``start``,
+        checking that it returns what longest_match of all of them does."""
+        handed.clear()
+        index = TextIndex(surface, res.lexicon)
+        got = res.grammar_match(cat, index, start)
+        unit = index.char_start_unit[start]
+        assert got == longest_match(res._by_category.get(cat, []), index, unit)
+        assert len(handed) <= 1 and (got is None or handed)
+        return handed[0] if handed else []
+
     assert names(Category.EMOTICON, "") == ["EmoJoy", "EmoSad", "EmoAgree", "EmoOther"]
     assert names(Category.EMOTICON, "ㅠ") == ["EmoSad"]
     assert names(Category.EMOTICON, "ㅇ") == ["EmoAgree"]
@@ -185,10 +214,14 @@ def test_grammars_for_keeps_the_grammars_that_may_start_at_a_character(classifie
     # 넘 reads ᄂ ᅥ ᆷ: all of 너 is on its path, and 넙 leaves it at ᆸ
     assert names(Category.ABBREVIATION, "너") == ["Abbrev"]
     assert names(Category.ABBREVIATION, "넙") == []
+    assert names(Category.ABBREVIATION, "넙넘", 1) == ["Abbrev"]  # the character at start
     assert names(Category.LOANWORD_VARIANT, "쪼") == ["Loan"]  # through a subgraph call
-    # remembered per (category, character)
-    assert res.grammars_for(Category.DEVIANT_SPELLING, "안") is res.grammars_for(
-        Category.DEVIANT_SPELLING, "안")
+    # remembered per (category, character): a second call asks may_start nothing
+    names(Category.DEVIANT_SPELLING, "안")
+    before = checked["안"]
+    assert before > 0
+    names(Category.DEVIANT_SPELLING, "안녕")
+    assert checked["안"] == before
 
 
 def test_grammar_checks_find_what_every_grammar_of_the_category_finds(
@@ -198,11 +231,39 @@ def test_grammar_checks_find_what_every_grammar_of_the_category_finds(
               "짱이다", "심플하다요", "강추", "ㄱ", "각"]
     stream = tokenize(" ".join([formal_text, informal_text, *gold_rows, *tokens]))
     selected = every_detection(stream, rebuilt(classifier_resources))
-    res = rebuilt(classifier_resources)
-    monkeypatch.setattr(res, "grammars_for", lambda cat, ch: res._by_category.get(cat, []))
-    assert every_detection(stream, res) == selected
+    monkeypatch.setattr(Fst, "may_start", lambda self, ch: True)
+    assert every_detection(stream, rebuilt(classifier_resources)) == selected
     evidence = [c.evidence for found in selected.values() for c, _ in found]
     assert sum(e.startswith("grammar:") for e in evidence) >= 10
+
+
+# user grammars: (name, tag, the span it rewrites as 최고, the category it
+# fires for, or None when classify never runs it)
+TAGGED_GRAMMARS = [("Abbr", "ABBR", "뷁뷁", Category.ABBREVIATION),
+                   ("UserAbbr", "ABBR_USER", "쀍쀍", Category.ABBREVIATION),
+                   ("Neo1", "NEO_1", "꿻꿻", Category.NEOLOGISM),
+                   ("AbbrX", "ABBRX", "뛣뛣", None),
+                   ("LoanX", "LOANX", "뗣뗣", None),
+                   ("Plain", "T", "쒧쒧", None)]
+
+
+def test_classify_reads_a_tag_alone_or_before_an_underscore(classifier_resources):
+    # a tag is read by classify when it is ABBR, NEO, LOAN, DEVIANT or
+    # EMOTICON, alone or followed by "_" and more: ABBRX is not ABBR
+    fsts = {name: compile_graph(parse_graph(
+        f'GRAPH {name} TAG {tag}\n0 INITIAL -> 1\n1 "{span}" / "최고" -> 9\n9 FINAL\n'))
+        for name, tag, span, _ in TAGGED_GRAMMARS}
+    res = rebuilt(classifier_resources, fsts=classifier_resources.fsts + list(fsts.values()))
+    for name, _, span, cat in TAGGED_GRAMMARS:
+        token = tok(span + "이다")
+        assert longest_match([fsts[name]], TextIndex(token.surface, res.lexicon), 0) is not None
+        if cat is not None:
+            assert classify_token(token, res).primary is cat
+            assert (Candidate(cat, f"grammar:{name}"), "최고이다") in detections(token, res)
+        else:
+            without = rebuilt(res, fsts=[f for f in res.fsts if f.name != name])
+            assert classify_token(token, res) == classify_token(token, without)
+            assert list(detections(token, res)) == list(detections(token, without))
 
 
 def test_determinism(classifier_resources):
@@ -809,7 +870,7 @@ def test_loan_search_rules_out_all_but_one_corpus_key_before_it_walks(
     # the piece check leaves one of them to walk; banded rows were built
     # for all 12 (138 rows) when every key was walked
     res = rebuilt(classifier_resources)
-    init, prefix_matches = BandedRows.__init__, res.loan_trie.prefix_matches
+    init, prefix_matches = BandedRows.__init__, res.tries[LOAN].prefix_matches
     work = Counter()
 
     def counting_init(self, *args):
@@ -825,7 +886,7 @@ def test_loan_search_rules_out_all_but_one_corpus_key_before_it_walks(
             work["searching"] = 0
 
     monkeypatch.setattr(BandedRows, "__init__", counting_init)
-    monkeypatch.setattr(res.loan_trie, "prefix_matches", counting_prefix_matches)
+    monkeypatch.setattr(res.tries[LOAN], "prefix_matches", counting_prefix_matches)
     every_detection(tokenize(formal_text + "\n" + informal_text), res)
     assert work["calls"] == 12 and work["built"] <= 1, work
 
@@ -928,7 +989,7 @@ def test_loan_search_matches_oracle_on_far_tokens(entries, data, limit):
     index = TextIndex(surface, lexicon)
     want = brute_loan_best(token, res)
     assert _loanword_by_distance(index, res, LOAN) == want, surface
-    if not res.loan_trie.may_match(index.key, limit):
+    if not res.tries[LOAN].may_match(index.key, limit):
         assert want is None, surface
 
 

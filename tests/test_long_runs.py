@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from lggnorm import apply, fst as fst_module, grammar, resources
+from lggnorm import apply, fst as fst_module, grammar, lexicon as lexicon_module, resources
 from lggnorm.apply import TextIndex, normalize
 from lggnorm.classify import (Category, PreconditionViolated, Resources, _hada_root, _spacing_split,
                               classify_corpus, classify_token, detections)
@@ -110,6 +110,33 @@ def test_best_analysis_grows_linearly_with_the_endings_of_a_verb():
     short, long = (fold_letters("가" + "아" * n) for n in (2000, 8000))
     assert best_of_3(lambda: lexicon.best_analysis(long)) <= 8 * best_of_3(
         lambda: lexicon.best_analysis(short))
+
+
+def test_best_analysis_ranks_a_few_key_items_per_ending_of_a_verb(monkeypatch):
+    # a count, so it holds on any host: the edges that best_analysis ranks
+    # and the items of their (surface, POS, lemma) rank keys, 4,001 edges
+    # and 12,000 items at 2,000 endings, both 4x at 8,000.  A settle that
+    # carried each suffix's key in its rank reads about 16x the items.
+    # The time gate above stays, for it sees slowdowns no count does
+    lexicon = Lexicon(read_entries(["가,가.V", "아,아.EOMI", "아아,아아.EOMI"]))
+    short, long = (fold_letters("가" + "아" * n) for n in (2000, 8000))
+    work = {"edges": 0, "items": 0}
+
+    def counting_min(ranked, **kwargs):
+        work["edges"] += len(ranked)
+        work["items"] += sum(len(r[1]) for r in ranked)
+        return min(ranked, **kwargs)
+
+    def counts(key):
+        work.update(edges=0, items=0)
+        lexicon.best_analysis(key)
+        return dict(work)
+
+    monkeypatch.setattr(lexicon_module, "min", counting_min, raising=False)
+    at_2000, at_8000 = counts(short), counts(long)
+    assert at_2000["edges"] > 0 and at_2000["items"] > 0, at_2000
+    assert at_8000["edges"] <= 5 * at_2000["edges"], (at_2000, at_8000)
+    assert at_8000["items"] <= 5 * at_2000["items"], (at_2000, at_8000)
 
 
 def test_best_analysis_memory_grows_linearly_with_the_endings_of_a_verb():
@@ -344,7 +371,7 @@ def with_10000_loan_entries(res: Resources) -> Resources:
     rng = random.Random(0)
     open_syllables = [chr(0xAC00 + 28 * i) for i in range(19 * 21)]
     surfaces = ["".join(rng.choices(open_syllables, k=rng.randint(2, 5))) for _ in range(10000)]
-    return rebuilt(res, loan_entries=res.loan_entries
+    return rebuilt(res, loan_entries=res.tries[Category.LOANWORD_VARIANT].entries
                    + tuple(DictEntry(s, s, Pos.N, frozenset({"loan"})) for s in surfaces))
 
 
@@ -373,7 +400,8 @@ def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
     # measured; trie children follow entry order, so the count is the
     # same in every process
     res = with_10000_loan_entries(classifier_resources)
-    grow, prefix_matches = BandedRows.grow, res.loan_trie.prefix_matches
+    trie = res.tries[Category.LOANWORD_VARIANT]
+    grow, prefix_matches = BandedRows.grow, trie.prefix_matches
     work = {"rows": 0, "searching": False}
 
     def counting_grow(self, *args):
@@ -389,7 +417,7 @@ def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
             work["searching"] = False
 
     monkeypatch.setattr(BandedRows, "grow", counting_grow)
-    monkeypatch.setattr(res.loan_trie, "prefix_matches", counting_prefix_matches)
+    monkeypatch.setattr(trie, "prefix_matches", counting_prefix_matches)
     every_detection(tokenize(informal_text), res)
     assert 0 < work["rows"] <= 1.1 * 7_096
 
