@@ -285,13 +285,11 @@ def detections(token: Token, res: Resources) -> Iterator[tuple[Candidate, str | 
     non-analyzable token, in priority order, from its first step that
     fires; a category runs only when the next item is read, so the fuzzy
     searches run only for a token no earlier step claims."""
-    letters = fold_letters(token.surface) if token.cls is TokenClass.HANGUL else None
-    if res.lexicon.is_word(letters) if letters else is_analyzable(token, res.lexicon):
-        raise PreconditionViolated(f"token {token.surface!r} is analyzable")
     # the surface is one token by construction: no need to tokenize it
     index = TextIndex(token.surface, res.lexicon, ((0, len(token.surface), token.cls),))
-    if letters:
-        index.letters = letters  # fills the cached property the steps read
+    if (res.lexicon.is_word(index.letters) if token.cls is TokenClass.HANGUL
+            else is_analyzable(token, res.lexicon)):
+        raise PreconditionViolated(f"token {token.surface!r} is analyzable")
     for cat, classes, steps in _CASCADE:
         if token.cls in classes:
             for step in steps:

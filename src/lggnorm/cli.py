@@ -285,8 +285,8 @@ def build_parser() -> _Parser:
     p.add_argument("--abbr-dict", metavar="FILE")
     p.add_argument("--neo-dict", metavar="FILE")
     p.add_argument("--loan-dict", metavar="FILE")
-    p.add_argument("--loan-threshold", type=_at_least(0), default=2)
-    p.add_argument("--deviant-threshold", type=_at_least(0), default=1)
+    p.add_argument("--loan-threshold", type=_at_least(0), default=Thresholds().loan)
+    p.add_argument("--deviant-threshold", type=_at_least(0), default=Thresholds().deviant)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     add_inputs(p)
     p.set_defaults(func=cmd_classify)

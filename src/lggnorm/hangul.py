@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from typing import Iterable, NamedTuple, Union
 
 SYLLABLE_BASE = 0xAC00
@@ -41,10 +42,6 @@ FINAL_COUNT = 28  # index 0 = no final, 1..27 = consonants
 INITIAL_LETTERS = "ㄱㄲㄴㄷㄸㄹㅁㅂㅃㅅㅆㅇㅈㅉㅊㅋㅌㅍㅎ"
 MEDIAL_LETTERS = "ㅏㅐㅑㅒㅓㅔㅕㅖㅗㅘㅙㅚㅛㅜㅝㅞㅟㅠㅡㅢㅣ"
 FINAL_LETTERS = "ㄱㄲㄳㄴㄵㄶㄷㄹㄺㄻㄼㄽㄾㄿㅀㅁㅂㅄㅅㅆㅇㅈㅊㅋㅌㅍㅎ"
-
-_INITIAL_BY_LETTER = {ch: i for i, ch in enumerate(INITIAL_LETTERS)}
-_MEDIAL_BY_LETTER = {ch: i for i, ch in enumerate(MEDIAL_LETTERS)}
-_FINAL_BY_LETTER = {ch: i + 1 for i, ch in enumerate(FINAL_LETTERS)}
 
 
 class IndexOutOfRange(ValueError):
@@ -253,31 +250,15 @@ def key_distance(ka: tuple, kb: tuple, cap: int | None = None) -> int:
     return row[-1]
 
 
+# an initial and a medial letter, then a final letter unless a vowel letter follows it
+_SYLLABLE_LETTERS = re.compile(f"([{INITIAL_LETTERS}])([{MEDIAL_LETTERS}])"
+                               f"(?:([{FINAL_LETTERS}])(?![{MEDIAL_LETTERS}]))?")
+
+
 def compose_letters(letters: Iterable[str]) -> str:
-    """Greedy recomposition of a letter-level sequence into syllables.
-
-    A consonant letter becomes a final only when the next letter is not a
-    vowel; letters that cannot join a syllable stay as they are.
-    """
-    seq = list(letters)
-    out: list[str] = []
-    i = 0
-    while i < len(seq):
-        ch = seq[i]
-        if (ch in _INITIAL_BY_LETTER and i + 1 < len(seq)
-                and seq[i + 1] in _MEDIAL_BY_LETTER):
-            ini = _INITIAL_BY_LETTER[ch]
-            med = _MEDIAL_BY_LETTER[seq[i + 1]]
-            j = i + 2
-            fin = 0
-            if (j < len(seq) and seq[j] in _FINAL_BY_LETTER
-                    and not (j + 1 < len(seq) and seq[j + 1] in _MEDIAL_BY_LETTER)):
-                fin = _FINAL_BY_LETTER[seq[j]]
-                j += 1
-            out.append(compose_syllable(ini, med, fin))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
+    """Greedy recomposition of a letter-level sequence into syllables by
+    ``_SYLLABLE_LETTERS``; letters that cannot join a syllable stay as they are."""
+    return _SYLLABLE_LETTERS.sub(
+        lambda m: compose_syllable(INITIAL_LETTERS.index(m[1]), MEDIAL_LETTERS.index(m[2]),
+                                   FINAL_LETTERS.index(m[3]) + 1 if m[3] else 0),
+        "".join(letters))

@@ -25,8 +25,8 @@ from lggnorm.grammar import (BoxKind, Diagnostic, DiagnosticCode, GraphIR, Label
 from lggnorm.hangul import (COMPAT_FIRST, COMPAT_LAST, FINAL_BASE, FINAL_LETTERS, INITIAL_BASE,
                             INITIAL_LETTERS, MEDIAL_BASE, MEDIAL_LETTERS, SYLLABLE_BASE,
                             SYLLABLE_LAST, Jamo, JamoKind, JamoSeq, compat, compose_letters,
-                            distance_key, final, fold_letters, initial, is_compat_jamo,
-                            key_distance, medial)
+                            compose_syllable, distance_key, final, fold_letters, initial,
+                            is_compat_jamo, key_distance, medial)
 from lggnorm.lexicon import Lexicon, MorphAnalysis, Pos, _RulePattern, is_analyzable
 from lggnorm.stats import CorpusStats
 from lggnorm.tokenizer import (_GROUP_CLASS, _RUNS, PUNCT_CHARS, Token, TokenClass, TokenStream,
@@ -255,6 +255,36 @@ def distance_key_by_regex(s: str) -> tuple:
     """fold_letters_by_regex, where also a compatibility letter of ``s``
     becomes a 1-tuple."""
     return _letters_by_regex(s, re.compile(f"[\u1100-\u11ff{chr(COMPAT_FIRST)}-{chr(COMPAT_LAST)}]"))
+
+
+def compose_letters_by_loop(letters) -> str:
+    """hangul.compose_letters by one loop over the letters with two
+    indices: an initial and a medial letter make a syllable, and a final
+    letter joins it unless a medial letter follows."""
+    initial_by_letter = {ch: i for i, ch in enumerate(INITIAL_LETTERS)}
+    medial_by_letter = {ch: i for i, ch in enumerate(MEDIAL_LETTERS)}
+    final_by_letter = {ch: i + 1 for i, ch in enumerate(FINAL_LETTERS)}
+    seq = list(letters)
+    out: list[str] = []
+    i = 0
+    while i < len(seq):
+        ch = seq[i]
+        if (ch in initial_by_letter and i + 1 < len(seq)
+                and seq[i + 1] in medial_by_letter):
+            ini = initial_by_letter[ch]
+            med = medial_by_letter[seq[i + 1]]
+            j = i + 2
+            fin = 0
+            if (j < len(seq) and seq[j] in final_by_letter
+                    and not (j + 1 < len(seq) and seq[j + 1] in medial_by_letter)):
+                fin = final_by_letter[seq[j]]
+                j += 1
+            out.append(compose_syllable(ini, med, fin))
+            i = j
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
 
 
 def text_offsets(text: str):

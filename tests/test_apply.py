@@ -10,14 +10,15 @@ from lggnorm.apply import (
     Mode,
     TextIndex,
     find_matches,
+    longest_match,
     normalize,
     run_from,
     strip_merge,
     transform,
 )
-from lggnorm.fst import EpsilonOnlyPath, compile_graph
+from lggnorm.fst import EpsilonOnlyPath, Fst, compile_graph
 from lggnorm.grammar import TAG_PATTERN, parse_graph, validate
-from lggnorm.tokenizer import TokenClass
+from lggnorm.tokenizer import InvalidEncoding, TokenClass
 from oracles import LITERAL_SYLLABLES, random_graph_text
 
 NOUN_FIRST = 'GRAPH G TAG T\n0 INITIAL -> 1\n1 <N> / "명사" -> 9\n9 FINAL\n'
@@ -134,6 +135,25 @@ def test_priority_must_cover_grammars(library, lexicon):
     with pytest.raises(ValueError):
         find_matches("x", library.fsts, lexicon,
                      ApplyConfig(grammar_priority=("Abbrev",)))
+
+
+def test_an_empty_accept_is_no_match(lexicon):
+    # compile_graph refuses a graph that accepts the empty input, so the
+    # transducer whose initial state is final is built by hand
+    with pytest.raises(EpsilonOnlyPath):
+        compile_graph(parse_graph("GRAPH E TAG T\n0 INITIAL -> 9\n9 FINAL\n"))
+    empty = Fst("Empty", "T", 1, 0, {0: ("x",)}, ())
+    neom = compile_graph(parse_graph('GRAPH Neom TAG T\n0 INITIAL -> 1\n1 "넘" / "너무" -> 9\n9 FINAL\n'))
+    index = TextIndex("넘 좋아", lexicon)
+    assert run_from(empty, index, 0) is None
+    assert longest_match([neom], index, 0) == (3, "너무", neom)  # the units of 넘
+    assert longest_match([empty, neom], index, 0) == longest_match([neom], index, 0)
+    assert find_matches("넘 좋아", [empty], lexicon) == []
+
+
+def test_text_index_refuses_decomposed_text():
+    with pytest.raises(InvalidEncoding):
+        TextIndex("\u1100\u1161")  # 가 as a conjoining initial and medial
 
 
 def test_mask_consumes_analyzable_token(lexicon):

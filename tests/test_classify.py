@@ -631,6 +631,12 @@ def test_deviant_automaton_states_stay_within_the_letters_stepped(limit):
     assert (backward[1] > 0) == (limit <= 1)
 
 
+def test_deviant_search_finds_nothing_within_a_negative_limit(classifier_resources):
+    nearest = classifier_resources.deviant_search.nearest
+    assert nearest(distance_key("너무"), 0) == (0, "너무")
+    assert nearest(distance_key("너무"), -1) is None
+
+
 @pytest.mark.parametrize("limit, rows", [(0, 20), (1, 127), (2, 2_261)])
 def test_deviant_search_skips_the_walk_only_at_limits_up_to_one(limit, rows):
     # at limits 0 and 1 a key is walked from the state of its first half

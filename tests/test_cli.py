@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shutil
@@ -106,6 +107,52 @@ def test_concord_output():
                 stdin="영화 잼있어요")
     out = r.stdout.decode()
     assert "[잼]" in out
+
+
+CORE_DICT = ["--dict", str(resources.dictionary_path("core.dic"))]
+
+
+def test_stats_json_of_the_bundled_corpora(capsys, monkeypatch):
+    # the paper's headline numbers as JSON, labelled by the names given
+    monkeypatch.chdir(resources.corpus_path("formal_sample.txt").parent)
+    code, out, err = run_main(capsys, "stats", "--format", "json", *CORE_DICT,
+                              "formal_sample.txt", "informal_sample.txt")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": 1,
+        "corpora": [
+            {"corpus_size": 307, "types": 113, "non_analyzable_types": 2,
+             "non_analyzable_pct": 1.8, "empty": False, "label": "formal_sample.txt"},
+            {"corpus_size": 312, "types": 125, "non_analyzable_types": 28,
+             "non_analyzable_pct": 22.4, "empty": False, "label": "informal_sample.txt"},
+        ],
+        "delta": {"corpus_size": 5, "types": 12, "non_analyzable_types": 26,
+                  "non_analyzable_pct": 20.6},
+    }
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("33e81ca29dce97b7")
+
+
+def test_stats_json_of_an_empty_file_has_no_delta(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    code, out, err = run_main(capsys, "stats", "--format", "json", *CORE_DICT, str(empty))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": 1,
+        "corpora": [{"corpus_size": 0, "types": 0, "non_analyzable_types": 0,
+                     "non_analyzable_pct": 0.0, "empty": True, "label": str(empty)}],
+    }
+
+
+def test_concord_tsv_columns_after_multibyte_text(capsys, tmp_path):
+    # byte offset, left context, keyword, right context; U+3000 after the
+    # astral symbol and U+00A0 before the second match stay as they are
+    path = tmp_path / "multibyte.txt"
+    path.write_text("😀\u3000넘 좋아요\u00a0넘\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "concord", "--format", "tsv", *CORE_DICT, str(path))
+    assert (code, err) == (0, "")
+    assert out == ("7\t😀\u3000\t넘\t 좋아요\u00a0넘⏎\n"
+                   "22\t😀\u3000넘 좋아요\u00a0\t넘\t⏎\n")
 
 
 def test_normalize_bad_dictionary_exit_code(tmp_path):
@@ -305,6 +352,12 @@ def test_negative_classify_threshold_is_a_usage_error(capsys, tmp_path, flag, va
     code, out, err = run_main(capsys, "classify", *DICT_ARGS, flag, value, str(corpus))
     assert_usage_error(code, err)
     assert out == ""
+
+
+def test_a_threshold_that_is_no_integer_is_a_usage_error(capsys):
+    code, out, err = run_main(capsys, "classify", "--loan-threshold", "x")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --loan-threshold: invalid int value: 'x'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,6 +126,11 @@ def test_root_graphs_reject_a_repeated_name():
         root_graphs(graphs + graphs[:1])
 
 
+def test_parse_graph_takes_exactly_one_graph():
+    with pytest.raises(GraphError, match=exactly("expected exactly one graph, found 2")):
+        parse_graph(CHOCOLATE + CHOCOLATE.replace("Choco", "Other"))
+
+
 def test_final_with_successors_rejected():
     with pytest.raises(GraphSyntaxError):
         parse_graph("GRAPH G TAG T\n0 INITIAL -> 1\n1 FINAL -> 0\n")

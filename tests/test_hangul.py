@@ -1,3 +1,4 @@
+import itertools
 import random
 import unicodedata
 
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lggnorm.hangul import (
+    FINAL_LETTERS,
+    INITIAL_LETTERS,
+    MEDIAL_LETTERS,
     IndexOutOfRange,
     Jamo,
     JamoKind,
@@ -19,7 +23,7 @@ from lggnorm.hangul import (
     key_distance,
     to_jamo_seq,
 )
-from oracles import brute_levenshtein, syllable_jamo, unit_letter
+from oracles import brute_levenshtein, compose_letters_by_loop, syllable_jamo, unit_letter
 
 HANGUL_SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 MIXED_TEXT = st.text(
@@ -138,6 +142,22 @@ def test_compose_letters_joins_sub_syllabic_endings():
     assert compose_letters(fold_letters("하") + fold_letters("ㅂ니다")) == "합니다"
     assert compose_letters(fold_letters("색깔") + fold_letters("이")) == "색깔이"
     assert compose_letters(list("abc")) == "abc"
+
+
+def test_compose_letters_matches_the_loop():
+    # the 51 distinct letters, a Latin letter, a stray conjoining medial
+    # and a syllable: every sequence of up to three of them, then seeded
+    # random ones of up to twelve, long enough to hold a final letter
+    # before a vowel letter
+    items = sorted(set(INITIAL_LETTERS + MEDIAL_LETTERS + FINAL_LETTERS)) + ["a", "\u1161", "가"]
+    assert len(items) == 54
+    for n in range(4):
+        for seq in itertools.product(items, repeat=n):
+            assert compose_letters(seq) == compose_letters_by_loop(seq), seq
+    rng = random.Random(0)
+    for _ in range(200_000):
+        seq = rng.choices(items, k=rng.randint(0, 12))
+        assert compose_letters(seq) == compose_letters_by_loop(seq), seq
 
 
 @given(st.text(alphabet=st.one_of(HANGUL_SYLLABLES, st.sampled_from("a1")), max_size=8))

@@ -8,6 +8,7 @@ from lggnorm.lexicon import (
     Lexicon,
     MalformedEntry,
     Pos,
+    RuleAutomaton,
     is_analyzable,
     load_dictionary_file,
     parse_entry,
@@ -23,6 +24,17 @@ def tok(s):
 def test_parse_entry_basic():
     e = parse_entry("재미,재미.N")
     assert (e.surface, e.lemma, e.pos, e.flags) == ("재미", "재미", Pos.N, frozenset())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_entry("가,가.N++x"), "empty flag"),
+    (lambda: RuleAutomaton(["N FOO"]), "unknown POS 'FOO' in rule 'N FOO'"),
+    (lambda: Lexicon([DictEntry("", "가", Pos.N)]), "entry surface must be non-empty"),
+], ids=["empty-flag", "unknown-rule-pos", "empty-surface"])
+def test_malformed_dictionary_parts_are_refused_with_their_message(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_parse_entry_flags():
