@@ -80,11 +80,6 @@ class TextIndex:
         """Index of the character a unit belongs to; len(text) past the end."""
         return bisect_right(self.char_start_unit, unit) - 1
 
-    def scan_positions(self, anchor: Anchor) -> list[int]:
-        if anchor is Anchor.TOKEN_START:
-            return sorted(self.token_at_unit)
-        return self.char_start_unit[:-1]
-
     def single_pos(self, unit: int) -> frozenset[str]:
         """POS names under which the token starting here is one bare word."""
         if unit not in self._single_pos:
@@ -180,7 +175,10 @@ def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
     index = TextIndex(text, lexicon)
     spans: list[tuple[int, int, str, Fst]] = []  # characters, output, grammar
     end_unit = 0
-    for pos in index.scan_positions(config.anchor):
+    # token_at_unit is built from ascending spans, so its keys ascend
+    positions = (index.token_at_unit if config.anchor is Anchor.TOKEN_START
+                 else index.char_start_unit[:-1])
+    for pos in positions:
         if pos < end_unit:
             continue  # inside the last match
         got = longest_match(ordered, index, pos)

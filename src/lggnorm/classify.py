@@ -233,7 +233,7 @@ def _loanword_by_distance(index: TextIndex, res: Resources, cat: Category):
 def _spacing_split(index: TextIndex, res: Resources, cat: Category):
     # fewest words, then the lexicographically smallest word tuple: of two
     # first words from one start the shorter is a prefix of the longer
-    ends = res.lexicon.fewest_words(index.letters, index.char_start_unit)
+    ends = res.lexicon.fewest_words(index.letters, index.char_aligned)
     if ends is None or len(ends) < 2:
         return None
     cuts = [0] + [index.char_of_unit(u) for u in ends]
@@ -311,7 +311,6 @@ def classify_token(token: Token, res: Resources) -> ClassificationResult:
 
 class CorpusClassification(NamedTuple):
     results: tuple[ClassificationResult, ...]
-    counts: dict[Category, int]
 
 
 def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification:
@@ -320,7 +319,6 @@ def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification
     those are (never a LATIN, DIGIT or PUNCT one)."""
     seen: set[str] = set()
     results: list[ClassificationResult] = []
-    counts: dict[Category, int] = {}
     for token in stream:
         if token.surface in seen:
             continue
@@ -330,5 +328,4 @@ def classify_corpus(stream: TokenStream, res: Resources) -> CorpusClassification
         except PreconditionViolated:
             continue
         results.append(result)
-        counts[result.primary] = counts.get(result.primary, 0) + 1
-    return CorpusClassification(tuple(results), counts)
+    return CorpusClassification(tuple(results))

@@ -6,8 +6,9 @@ line names the file), 3 input encoding error.  Diagnostics go to stderr;
 data to stdout.
 
 Options are checked where argparse parses them (``--dict`` is required,
-numbers have a lower bound, ``--grammars`` names a directory), so every
-usage error is a ``_Parser.error``.  The one check argparse cannot make
+numbers have a lower bound, concord widths ``MAX_WIDTH`` as an upper one,
+``--grammars`` names a directory), so every usage error is a
+``_Parser.error``.  The one check argparse cannot make
 is ``--priority`` against the loaded grammars: ``_load_library`` reorders
 the transducers once, and that order is the priority from then on.
 """
@@ -37,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_ENCODING = 3
 
 SCHEMA_VERSION = 1
+MAX_WIDTH = 10_000  # concord context columns a side; render pads the left to --left
 
 
 class UsageError(Exception):
@@ -59,6 +61,13 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
         return value
     return parse
+
+
+def _width(text: str) -> int:
+    """An argparse type: a concord context width, 0 to MAX_WIDTH columns."""
+    if (value := _at_least(0)(text)) > MAX_WIDTH:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WIDTH}, got {text!r}")
+    return value
 
 
 def _directory(text: str) -> str:
@@ -300,8 +309,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("concord", help="keyword-in-context for matched spans")
     add_dict(p)
     add_grammars(p)
-    p.add_argument("--left", type=_at_least(0), default=24)
-    p.add_argument("--right", type=_at_least(0), default=24)
+    p.add_argument("--left", type=_width, default=24)
+    p.add_argument("--right", type=_width, default=24)
     p.add_argument("--sort", choices=["text", "keyword", "right"], default="text")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     add_inputs(p)

@@ -330,9 +330,9 @@ class Lexicon:
                 return False
         return bool(key) and words.accepts[state]
 
-    def fewest_words(self, key: str, starts: list[int]) -> list[int] | None:
+    def fewest_words(self, key: str, starts: Container[int]) -> list[int] | None:
         """Ends of the fewest rule-satisfying words that cover the key,
-        each starting at one of ``starts`` (ascending, from 0 to len(key));
+        each starting at one of ``starts`` (0 and len(key) among them);
         ties go to the sooner first end, then recursively.  None when no
         such split exists.  A shortest path (Mohri 2002) in one run of the
         word automaton: each live state keeps the least (words, ends) of
@@ -340,7 +340,6 @@ class Lexicon:
         for two splits in one state finish alike.  At a unit of ``starts``
         where a state accepts, the next word starts in state 1."""
         delta, accepts, step = self._words.delta, self._words.accepts, self._words.step
-        aligned = set(starts)
         split = (0, ())  # least (words, ends) of words covering the letters read, or None
         live: dict[int, tuple] = {}
         for unit, letter in enumerate(key, 1):
@@ -357,7 +356,7 @@ class Lexicon:
             if not live:
                 return None
             split = None
-            if unit in aligned:
+            if unit in starts:
                 done = [got for state, got in live.items() if accepts[state]]
                 if done:
                     words, ends = min(done)

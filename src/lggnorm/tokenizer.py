@@ -4,7 +4,7 @@ Each non-space character belongs to exactly one class; a token is a
 maximal run of same-class characters, so reassembling token surfaces and
 the whitespace between them reproduces the input byte for byte.
 
-One regex with a group per class finds a TokenStream's tokens on first
+One regex with a group per class finds a TokenStream's tokens on each
 read, byte offsets summed per run, and the runs ``token_spans`` reads in
 characters; the census reads one run regex per class instead.
 """
@@ -68,23 +68,21 @@ _CLASS_RUNS = tuple((cls, re.compile(f"[{chars}]+")) for cls, chars in _CLASS_SE
 
 
 class TokenStream:
-    """The tokens of one NFC text, found on first read; ``census`` reads
-    one run regex per class instead and builds no Token."""
+    """The tokens of one NFC text, yielded by one scan on each read and
+    kept nowhere; ``census`` reads one run regex per class instead and
+    builds no Token."""
 
     def __init__(self, text: str):
         self.text = text
 
-    @cached_property
-    def tokens(self) -> tuple[Token, ...]:
-        tokens: list[Token] = []
+    def __iter__(self) -> Iterator[Token]:
         start = 0
         for m in _RUNS.finditer(self.text):
             run = m.group()
             end = start + len(run.encode("utf-8"))
             if cls := _GROUP_CLASS[m.lastindex]:
-                tokens.append(Token(run, cls, start, end))
+                yield Token(run, cls, start, end)
             start = end
-        return tuple(tokens)
 
     @cached_property
     def census(self) -> dict[TokenClass, Counter[str]]:
@@ -92,12 +90,6 @@ class TokenStream:
         found = ((cls, runs.findall(self.text)) for cls, runs in _CLASS_RUNS)
         return {cls: Counter(map(str.lower, surfaces) if cls is TokenClass.LATIN else surfaces)
                 for cls, surfaces in found}
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
 
 
 def token_spans(text: str) -> list[tuple[int, int, TokenClass]]:

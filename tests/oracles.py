@@ -118,7 +118,7 @@ def corpus_stats_by_tokens(stream: TokenStream, lexicon: Lexicon) -> CorpusStats
     non_analyzable = sum(
         1 for token in representatives.values() if not is_analyzable(token, lexicon)
     )
-    return CorpusStats.from_counts(len(stream.tokens), len(representatives),
+    return CorpusStats.from_counts(len(tuple(stream)), len(representatives),
                                    non_analyzable)
 
 

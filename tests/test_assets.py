@@ -8,8 +8,8 @@ FORMAL_EXPECTED_NA = {"미르", "누리"}  # unlisted proper nouns, deliberate
 
 
 def test_corpora_are_large_enough(formal_text, informal_text):
-    assert len(tokenize(formal_text)) >= 300
-    assert len(tokenize(informal_text)) >= 300
+    assert len(tuple(tokenize(formal_text))) >= 300
+    assert len(tuple(tokenize(informal_text))) >= 300
 
 
 def test_informal_non_analyzable_types_match_gold(lexicon, informal_text, gold_rows):

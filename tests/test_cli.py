@@ -275,6 +275,25 @@ def test_negative_concord_width_is_a_usage_error(capsys, monkeypatch):
         assert out == ""
 
 
+def test_concord_width_above_the_maximum_is_a_usage_error(capsys, monkeypatch):
+    # the left context is padded to --left columns, so a width without a
+    # bound asks for any amount of memory, or for a format string Python
+    # refuses (10**19 raised ValueError)
+    import io
+
+    pad = {"--left": cli.MAX_WIDTH - 3, "--right": 24 - 3}  # the default --left is 24
+    for flag in ("--left", "--right"):
+        for width in (cli.MAX_WIDTH, cli.MAX_WIDTH + 1, 10**19):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("영화 잼있어요".encode())))
+            code, out, err = run_main(capsys, "concord", *DICT_ARGS, flag, str(width))
+            if width == cli.MAX_WIDTH:
+                assert (code, out, err) == (0, " " * pad[flag] + "영화 [잼]있어요\n", "")
+            else:
+                assert_usage_error(code, err)
+                assert f"must be at most {cli.MAX_WIDTH}" in err
+                assert out == ""
+
+
 def test_grammars_must_name_a_directory(capsys, tmp_path):
     plain = tmp_path / "abbr.lgg"
     plain.write_text("", encoding="utf-8")
@@ -448,7 +467,8 @@ def test_cli_sweep_exits_with_a_documented_code(capsys, tmp_path):
                      ["--priority", "Abbrev"]),
         "thresholds": ([], ["--loan-threshold", "-3"], ["--deviant-threshold", "-1"],
                        ["--deviant-threshold", "2"]),
-        "widths": ([], ["--left", "-3"], ["--right", "-1"], ["--left", "0"]),
+        "widths": ([], ["--left", "-3"], ["--right", "-1"], ["--left", "0"],
+                   ["--left", "10000000000000000000"]),
         "max_states": ([], ["--max-states", "-5"], ["--max-states", "50"]),
     }
     rng = random.Random(0)

@@ -106,7 +106,7 @@ def assert_lattice_matches_oracles(surface, res):
     # the same analyses in the same order, down to which duplicate entry
     assert segment_ids(lexicon.analyze_key(key)) == segment_ids(expected)
     assert (len(key) in lexicon.word_ends(key)) == bool(expected)
-    tokens = tokenize(surface).tokens
+    tokens = tuple(tokenize(surface))
     if len(tokens) == 1 and tokens[0].cls is TokenClass.HANGUL:
         assert is_analyzable(tokens[0], lexicon) == bool(expected)
 

@@ -18,7 +18,7 @@ from lggnorm.tokenizer import tokenize
 
 
 def tok(s):
-    return tokenize(s).tokens[0]
+    return next(iter(tokenize(s)))
 
 
 def test_parse_entry_basic():

@@ -1,5 +1,6 @@
 """Long inputs: matching, analysis and graph compilation keep no call
-frame per consumed unit, morpheme, epsilon box or subgraph call."""
+frame per consumed unit, morpheme, epsilon box or subgraph call, and
+tokenize and classify keep no Token per token read."""
 
 import itertools
 import random
@@ -208,7 +209,7 @@ def glued_words() -> list[str]:
 
 def test_a_2000_char_glued_token_classifies_as_spacing_within_a_second(classifier_resources):
     glued = glued_words()
-    token = tokenize("".join(glued)).tokens[0]
+    token = next(iter(tokenize("".join(glued))))
     start = time.perf_counter()
     result = classify_token(token, classifier_resources)
     assert time.perf_counter() - start < 1.0
@@ -229,7 +230,7 @@ def test_the_deviant_search_of_a_2000_char_glued_token_steps_a_few_hundred_lette
     res = rebuilt(classifier_resources)
     search, step, steps = res.deviant_search, res.deviant_search.step, []
     search.step = lambda *args: steps.append(args) or step(*args)
-    tuple(detections(tokenize("".join(glued_words())).tokens[0], res))
+    tuple(detections(next(iter(tokenize("".join(glued_words())))), res))
     assert 0 < len(steps) <= 200
 
 
@@ -420,6 +421,42 @@ def test_informal_sample_reads_a_few_thousand_rows_of_10000_loan_entries(
     monkeypatch.setattr(trie, "prefix_matches", counting_prefix_matches)
     every_detection(tokenize(informal_text), res)
     assert 0 < work["rows"] <= 1.1 * 7_096
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# counts, so they hold on any host: the peak over 200 copies of the
+# informal sample is at most 1.5x the peak over 20, plus 64 KiB for the
+# interpreter's own allocations; the texts are built before tracing
+# starts.  A stream that kept its tokens read 10x on both (1,457 and
+# 14,556 KiB measured)
+def test_tokenize_holds_no_token_of_a_long_text(informal_text):
+    def iterate(text):
+        for _ in tokenize(text):
+            pass
+
+    texts = {n: informal_text * n for n in (20, 200)}
+    assert traced_peak(lambda: iterate(texts[200])) <= \
+        1.5 * traced_peak(lambda: iterate(texts[20])) + 64 * 1024
+
+
+def test_classify_corpus_holds_no_token_of_a_long_text(classifier_resources, informal_text):
+    # the results hold one Token per type, and the texts share their 27
+    # types; a warm-up pass first grows the lazy deviant and 하-tail
+    # automata, which would otherwise count in the first traced run
+    texts = {n: informal_text * n for n in (20, 200)}
+    classify_corpus(tokenize(texts[20]), classifier_resources)
+    assert traced_peak(lambda: classify_corpus(tokenize(texts[200]), classifier_resources)) <= \
+        1.5 * traced_peak(lambda: classify_corpus(tokenize(texts[20]), classifier_resources)) \
+        + 64 * 1024
 
 
 def chain_graph(boxes: int, output: str = "") -> str:

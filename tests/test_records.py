@@ -26,7 +26,7 @@ RECORDS = [
     Thresholds(),
     Candidate(Category.SPACING, "split:2"),
     ClassificationResult(TOKEN, Category.UNKNOWN, (), None),
-    CorpusClassification((), {}),
+    CorpusClassification(()),
     ConcordLine("", "넘", "", 0),
     Label(LabelKind.LITERAL, "넘"),
     Box(0, BoxKind.INITIAL),

@@ -130,4 +130,4 @@ def test_corpus_stats_builds_no_token(lexicon, formal_text, informal_text, monke
               for text in (formal_text, informal_text)]
     assert used == [] and counts == [113, 125]
     # the counters do see a stream that reads its tokens
-    assert len(tokenize("가 a")) == 2 and used == ["finditer", "Token", "Token"]
+    assert len(tuple(tokenize("가 a"))) == 2 and used == ["finditer", "Token", "Token"]
