@@ -164,11 +164,9 @@ def longest_match(fsts: list[Fst], index: TextIndex, unit: int) -> tuple[int, st
 
 
 def find_matches(text: str, fsts: list[Fst], lexicon: Lexicon,
-                 config: ApplyConfig | None = None) -> list[Match]:
+                 config: ApplyConfig = ApplyConfig()) -> list[Match]:
     """Non-overlapping leftmost-longest matches of all transducers.  The
     order of ``fsts`` is the grammar priority unless the config names one."""
-    if config is None:
-        config = ApplyConfig()
     ordered = (order_grammars(fsts, config.grammar_priority)
                if config.grammar_priority else fsts)
 
@@ -217,6 +215,6 @@ def strip_merge(text: str) -> str:
 
 
 def normalize(text: str, fsts: list[Fst], lexicon: Lexicon,
-              config: ApplyConfig | None = None) -> str:
+              config: ApplyConfig = ApplyConfig()) -> str:
     """find_matches + REPLACE in one call."""
     return transform(text, find_matches(text, fsts, lexicon, config), Mode.REPLACE)

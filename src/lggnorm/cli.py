@@ -29,7 +29,7 @@ from .fst import CompileError, compile_graph, DEFAULT_MAX_STATES
 from .grammar import GraphError, load_grammar_file, root_graphs, validate
 from .hangul import fold_letters
 from .lexicon import MalformedEntry, is_analyzable
-from .stats import compare, corpus_stats
+from .stats import FIGURES, compare, corpus_stats
 from .tokenizer import InvalidEncoding, TokenClass, tokenize
 
 EXIT_OK = 0
@@ -145,74 +145,52 @@ def cmd_classify(args) -> int:
         lexicon, library,
         abbr_path=args.abbr_dict, neo_path=args.neo_dict, loan_path=args.loan_dict,
         thresholds=Thresholds(loan=args.loan_threshold, deviant=args.deviant_threshold))
-    rows = []
-    for path in args.inputs:
-        stream = tokenize(_read_text(path))
-        result = classify_corpus(stream, res)
-        for r in result.results:
-            rows.append({
-                "surface": r.token.surface,
-                "category": r.primary.value,
-                "suggestion": r.suggestion or "",
-                "evidence": r.candidates[0].evidence if r.candidates else "",
-            })
+    rows = [(r.token.surface, r.primary.value, r.suggestion or "",
+             r.candidates[0].evidence if r.candidates else "")
+            for path in args.inputs
+            for r in classify_corpus(tokenize(_read_text(path)), res).results]
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "results": rows},
+        keys = ("surface", "category", "suggestion", "evidence")
+        print(json.dumps({"schema": SCHEMA_VERSION, "results": [dict(zip(keys, r)) for r in rows]},
                          ensure_ascii=False, indent=2))
     else:
         for row in rows:
-            print(f"{row['surface']}\t{row['category']}\t{row['suggestion']}\t{row['evidence']}")
+            print("\t".join(row))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     lexicon = resources.load_lexicon(args.dict)
-    all_stats = [(path, corpus_stats(tokenize(_read_text(path)), lexicon))
-                 for path in args.inputs]
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "corpora": [dict(rows_to_json(s), label=path) for path, s in all_stats],
-        }
-        if len(all_stats) == 2:
-            report = compare(all_stats[0][1], all_stats[1][1])
-            payload["delta"] = {
-                "corpus_size": report.token_delta,
-                "types": report.type_delta,
-                "non_analyzable_types": report.non_analyzable_delta,
-                "non_analyzable_pct": round(report.ratio_delta, 1),
-            }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-        return EXIT_OK
+    all_stats = [corpus_stats(tokenize(_read_text(path)), lexicon) for path in args.inputs]
+    delta = None
     if len(all_stats) == 2:
-        (_, a), (_, b) = all_stats
-        report = compare(a, b)
-        deltas = [report.token_delta, report.type_delta,
-                  report.non_analyzable_delta, f"{report.ratio_delta:+.1f}"]
-        for (name, va), (_, vb), d in zip(a.rows(), b.rows(), deltas):
+        report = compare(*all_stats)
+        delta = [report.token_delta, report.type_delta,
+                 report.non_analyzable_delta, report.ratio_delta]
+    if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "corpora": [
+            dict(zip(FIGURES, (round(v, 1) for v in s.figures())), empty=s.empty, label=path)
+            for path, s in zip(args.inputs, all_stats)]}
+        if delta:
+            payload["delta"] = dict(zip(FIGURES, (round(d, 1) for d in delta)))
+        print(json.dumps(payload, ensure_ascii=False, indent=2))
+    elif delta:
+        a, b = all_stats
+        delta[-1] = f"{delta[-1]:+.1f}"
+        for (name, va), (_, vb), d in zip(a.rows(), b.rows(), delta):
             print(f"{name}\t{va}\t{vb}\t{d}")
     else:
-        for _, s in all_stats:
+        for s in all_stats:
             for name, value in s.rows():
                 print(f"{name}\t{value}")
     return EXIT_OK
-
-
-def rows_to_json(s) -> dict:
-    return {
-        "corpus_size": s.token_count,
-        "types": s.type_count,
-        "non_analyzable_types": s.non_analyzable_types,
-        "non_analyzable_pct": round(s.non_analyzable_ratio, 1),
-        "empty": s.empty,
-    }
 
 
 def cmd_concord(args) -> int:
     lexicon = resources.load_lexicon(args.dict)
     library = _load_library(args)
     config = ApplyConfig(anchor=Anchor(args.anchor))
-    sort = {s.value: s for s in ConcordSort}[args.sort]
+    sort = ConcordSort(args.sort)
     for path in args.inputs:
         text = _read_text(path)
         matches = find_matches(text, library.fsts, lexicon, config)
@@ -268,7 +246,8 @@ def build_parser() -> _Parser:
         p.add_argument("--priority", metavar="NAMES",
                        help="comma-separated grammar priority order")
         if anchor:  # classify scans no text with the grammars
-            p.add_argument("--anchor", choices=["token", "anywhere"], default="token")
+            p.add_argument("--anchor", choices=[a.value for a in Anchor],
+                           default=Anchor.TOKEN_START.value)
         p.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
                        metavar="N", help=MAX_STATES_HELP)
 
@@ -284,7 +263,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="rewrite non-standard forms")
     add_dict(p)
     add_grammars(p)
-    p.add_argument("--mode", choices=["replace", "merge"], default="replace")
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.REPLACE.value)
     add_inputs(p)
     p.set_defaults(func=cmd_normalize)
 
@@ -311,7 +290,8 @@ def build_parser() -> _Parser:
     add_grammars(p)
     p.add_argument("--left", type=_width, default=24)
     p.add_argument("--right", type=_width, default=24)
-    p.add_argument("--sort", choices=["text", "keyword", "right"], default="text")
+    p.add_argument("--sort", choices=[s.value for s in ConcordSort],
+                   default=ConcordSort.TEXT_ORDER.value)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     add_inputs(p)
     p.set_defaults(func=cmd_concord)

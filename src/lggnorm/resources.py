@@ -74,7 +74,7 @@ def load_lexicon(paths=None) -> Lexicon:
 def load_classifier_resources(lexicon: Lexicon | None = None,
                               library: GrammarLibrary | None = None,
                               abbr_path=None, neo_path=None, loan_path=None,
-                              thresholds: Thresholds | None = None) -> Resources:
+                              thresholds: Thresholds = Thresholds()) -> Resources:
     if lexicon is None:
         lexicon = load_lexicon()
     if library is None:
@@ -85,5 +85,5 @@ def load_classifier_resources(lexicon: Lexicon | None = None,
         abbr_entries=read_entries_file(abbr_path or dictionary_path("abbr.dic")),
         neo_entries=read_entries_file(neo_path or dictionary_path("neo.dic")),
         loan_entries=read_entries_file(loan_path or dictionary_path("loan.dic")),
-        thresholds=thresholds or Thresholds(),
+        thresholds=thresholds,
     )

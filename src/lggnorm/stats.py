@@ -8,32 +8,32 @@ from .lexicon import Lexicon, count_analyzable
 from .tokenizer import TokenStream
 
 
+FIGURES = ("corpus_size", "types", "non_analyzable_types", "non_analyzable_pct")
+
+
 class CorpusStats(NamedTuple):
     token_count: int
     type_count: int
     non_analyzable_types: int
-    non_analyzable_ratio: float  # percent
-    empty: bool = False
 
-    @classmethod
-    def from_counts(cls, token_count: int, type_count: int,
-                    non_analyzable_types: int) -> "CorpusStats":
-        if type_count == 0:
-            return cls(token_count, 0, 0, 0.0, empty=True)
-        return cls(token_count, type_count, non_analyzable_types,
-                   100.0 * non_analyzable_types / type_count)
+    @property
+    def non_analyzable_ratio(self) -> float:  # percent, 0.0 for no types
+        return 100.0 * self.non_analyzable_types / self.type_count if self.type_count else 0.0
+
+    @property
+    def empty(self) -> bool:
+        return self.type_count == 0
 
     @property
     def ratio_str(self) -> str:
         return f"{self.non_analyzable_ratio:.1f}"
 
+    def figures(self) -> tuple[int, int, int, float]:
+        """The values of ``FIGURES``: the three counts and the ratio."""
+        return (*self, self.non_analyzable_ratio)
+
     def rows(self) -> list[tuple[str, str]]:
-        return [
-            ("corpus_size", str(self.token_count)),
-            ("types", str(self.type_count)),
-            ("non_analyzable_types", str(self.non_analyzable_types)),
-            ("non_analyzable_pct", self.ratio_str),
-        ]
+        return list(zip(FIGURES, (*map(str, self), self.ratio_str)))
 
 
 def corpus_stats(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
@@ -41,8 +41,8 @@ def corpus_stats(stream: TokenStream, lexicon: Lexicon) -> CorpusStats:
     census = stream.census
     types = sum(map(len, census.values()))
     analyzable = sum(count_analyzable(cls, runs, lexicon) for cls, runs in census.items())
-    return CorpusStats.from_counts(sum(sum(runs.values()) for runs in census.values()),
-                                   types, types - analyzable)
+    return CorpusStats(sum(sum(runs.values()) for runs in census.values()),
+                       types, types - analyzable)
 
 
 class ComparisonReport(NamedTuple):

@@ -118,8 +118,8 @@ def corpus_stats_by_tokens(stream: TokenStream, lexicon: Lexicon) -> CorpusStats
     non_analyzable = sum(
         1 for token in representatives.values() if not is_analyzable(token, lexicon)
     )
-    return CorpusStats.from_counts(len(tuple(stream)), len(representatives),
-                                   non_analyzable)
+    return CorpusStats(len(tuple(stream)), len(representatives),
+                       non_analyzable)
 
 
 # ------------------------------------------- jamo units, one object per unit

@@ -50,8 +50,8 @@ def test_acceptance_1_normalization_gold_suite(library, lexicon):
 # 2 ------------------------------------------------------------------------
 
 def test_acceptance_2_published_ratio_arithmetic():
-    a = CorpusStats.from_counts(10488, 3967, 152)
-    b = CorpusStats.from_counts(10608, 3792, 1062)
+    a = CorpusStats(10488, 3967, 152)
+    b = CorpusStats(10608, 3792, 1062)
     assert a.ratio_str == "3.8"
     # 1062/3792 is 28.0% as computed; the formula is not adjusted to
     # reproduce a coarser published rounding of ~27%

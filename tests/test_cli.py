@@ -54,6 +54,14 @@ def test_graph_validate_reports_problems(tmp_path):
     assert b"dangling-successor" in r.stdout
 
 
+def test_graph_reads_a_file_path_and_no_stdin(capsys, monkeypatch, tmp_path):
+    # '-' names a file like any other path, and there is none of that name
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, "graph", "validate", "-")
+    assert_usage_error(code, err)
+    assert out == ""
+
+
 def test_graph_parse_error_exit_code(tmp_path):
     bad = tmp_path / "broken.lgg"
     bad.write_text("GRAPH G TAG T\nnot a box line\n")
@@ -142,6 +150,54 @@ def test_stats_json_of_an_empty_file_has_no_delta(capsys, tmp_path):
         "corpora": [{"corpus_size": 0, "types": 0, "non_analyzable_types": 0,
                      "non_analyzable_pct": 0.0, "empty": True, "label": str(empty)}],
     }
+
+
+def test_stats_tsv_of_three_files_is_one_block_per_file(capsys):
+    # no delta column past two inputs: each file's four rows, in input order
+    paths = [str(resources.corpus_path(f"{name}_sample.txt"))
+             for name in ("formal", "informal", "formal")]
+    code, out, err = run_main(capsys, "stats", *CORE_DICT, *paths)
+    assert (code, err) == (0, "")
+    figures = ("corpus_size", "types", "non_analyzable_types", "non_analyzable_pct")
+    values = ["307", "113", "2", "1.8", "312", "125", "28", "22.4", "307", "113", "2", "1.8"]
+    assert out == "".join(f"{name}\t{value}\n" for name, value in zip(figures * 3, values))
+
+
+def test_stats_of_an_empty_file_then_a_corpus(capsys, tmp_path):
+    # the delta against an empty corpus is the second corpus's figures
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    informal = str(resources.corpus_path("informal_sample.txt"))
+    code, out, err = run_main(capsys, "stats", *CORE_DICT, str(empty), informal)
+    assert (code, err) == (0, "")
+    assert out == ("corpus_size\t0\t312\t312\n"
+                   "types\t0\t125\t125\n"
+                   "non_analyzable_types\t0\t28\t28\n"
+                   "non_analyzable_pct\t0.0\t22.4\t+22.4\n")
+    code, out, err = run_main(capsys, "stats", "--format", "json", *CORE_DICT, str(empty), informal)
+    assert (code, err) == (0, "")
+    figures = {"corpus_size": 312, "types": 125, "non_analyzable_types": 28,
+               "non_analyzable_pct": 22.4}
+    assert json.loads(out) == {
+        "schema": 1,
+        "corpora": [{"corpus_size": 0, "types": 0, "non_analyzable_types": 0,
+                     "non_analyzable_pct": 0.0, "empty": True, "label": str(empty)},
+                    dict(figures, empty=False, label=informal)],
+        "delta": figures,
+    }
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["normalize", "--mode", "bogus"],
+     "argument --mode: invalid choice: 'bogus' (choose from 'replace', 'merge')"),
+    (["normalize", "--anchor", "bogus"],
+     "argument --anchor: invalid choice: 'bogus' (choose from 'token', 'anywhere')"),
+    (["concord", "--sort", "bogus"],
+     "argument --sort: invalid choice: 'bogus' (choose from 'text', 'keyword', 'right')"),
+])
+def test_an_invalid_choice_lists_every_choice_in_order(capsys, argv, expected):
+    code, out, err = run_main(capsys, *argv, *CORE_DICT, "-")
+    assert (code, out, err) == (1, "", f"usage error: {expected}\n")
 
 
 def test_concord_tsv_columns_after_multibyte_text(capsys, tmp_path):
@@ -446,12 +502,14 @@ SUBCOMMANDS = {("tokenize",): (), ("analyze",): ("dict",), ("normalize",): ("dic
 def test_cli_sweep_exits_with_a_documented_code(capsys, tmp_path):
     """Every subcommand over every input kind, once with harmless options
     (the first of each pool) and twice with seeded ones (now and then one
-    the subcommand does not take, or a flag missing its value), returns
-    a documented exit code and prints no traceback."""
+    the subcommand does not take, or a flag missing its value), then on a
+    text with a match once per value of each pool, returns a documented
+    exit code and prints no traceback."""
     inputs = {"directory": str(tmp_path)}
     for kind, data in (("empty", b""), ("non_utf8", "한글 잼".encode("euc-kr")),
                        ("nfd", unicodedata.normalize("NFD", "영화 잼있어요").encode()),
-                       ("long_token", ("잼있" * 1000).encode())):
+                       ("long_token", ("잼있" * 1000).encode()),
+                       ("match", "효과가 넘 좋아요 ㅋㅋ\n".encode())):
         inputs[kind] = str(tmp_path / f"{kind}.txt")
         (tmp_path / f"{kind}.txt").write_bytes(data)
     bad_grammars = tmp_path / "grammars"
@@ -485,6 +543,19 @@ def test_cli_sweep_exits_with_a_documented_code(capsys, tmp_path):
                 if seeded and rng.random() < 0.2:
                     argv.append(rng.choice(["--grammars", "--priority"]))
                 code, _, err = run_main(capsys, *argv)
+                assert code in (0, 1, 2, 3), argv
+                assert "Traceback" not in err, argv
+                codes.append(code)
+    # and every value of every pool once on a text the grammars match, so
+    # a value reaches the code that renders or rewrites a match; the
+    # subcommand's other pools stay at their first, harmless entry
+    for command, accepted in SUBCOMMANDS.items():
+        for pool in accepted:
+            for value in pools[pool]:
+                argv = list(command)
+                for other in accepted:
+                    argv += value if other == pool else pools[other][0]
+                code, _, err = run_main(capsys, *argv, inputs["match"])
                 assert code in (0, 1, 2, 3), argv
                 assert "Traceback" not in err, argv
                 codes.append(code)

@@ -18,7 +18,7 @@ from lggnorm.tokenizer import Token, TokenClass
 
 ENTRY = DictEntry("가", "가", Pos.N, frozenset({"src=core"}))
 TOKEN = Token("가", TokenClass.HANGUL, 0, 3)
-STATS = CorpusStats.from_counts(3, 2, 1)
+STATS = CorpusStats(3, 2, 1)
 RECORDS = [
     TOKEN,
     Match(0, 3, "넘", "너무", "Intensifier", "NEO"),

@@ -13,34 +13,43 @@ from oracles import corpus_stats_by_tokens, fold_surface
 
 
 def test_published_count_arithmetic():
-    a = CorpusStats.from_counts(10488, 3967, 152)
+    a = CorpusStats(10488, 3967, 152)
     assert a.ratio_str == "3.8"
-    b = CorpusStats.from_counts(10608, 3792, 1062)
+    b = CorpusStats(10608, 3792, 1062)
     # 1062/3792 computes to 28.0, reported as computed (not rounded to 27)
     assert b.ratio_str == "28.0"
 
 
 def test_ratio_formula_exact():
-    s = CorpusStats.from_counts(100, 50, 7)
+    s = CorpusStats(100, 50, 7)
     assert s.non_analyzable_ratio == 100.0 * 7 / 50
 
 
 def test_empty_corpus_flag():
-    s = CorpusStats.from_counts(0, 0, 0)
+    s = CorpusStats(0, 0, 0)
     assert s.empty and s.non_analyzable_ratio == 0.0
     assert s.rows()[-1] == ("non_analyzable_pct", "0.0")
 
 
+def test_replace_keeps_the_ratio_and_empty_flag_consistent():
+    # the ratio and the empty flag are read from the counts, so a record
+    # with a count replaced cannot contradict itself
+    s = CorpusStats(10, 4, 1)
+    assert s._replace(non_analyzable_types=3).ratio_str == "75.0"
+    assert s._replace(type_count=0).empty
+    assert CorpusStats._fields == ("token_count", "type_count", "non_analyzable_types")
+
+
 def test_compare_published_counts():
-    a = CorpusStats.from_counts(10488, 3967, 152)
-    b = CorpusStats.from_counts(10608, 3792, 1062)
+    a = CorpusStats(10488, 3967, 152)
+    b = CorpusStats(10608, 3792, 1062)
     report = compare(a, b)
     assert round(report.ratio_delta, 1) == 24.2
     assert report.token_delta == 120
 
 
 def test_compare_self_is_zero():
-    s = CorpusStats.from_counts(10, 5, 1)
+    s = CorpusStats(10, 5, 1)
     r = compare(s, s)
     assert (r.token_delta, r.type_delta, r.non_analyzable_delta, r.ratio_delta) == (0, 0, 0, 0.0)
 
